@@ -49,14 +49,7 @@ from .experiment import (
     write_results,
 )
 from .learner import CheckpointStore, EnsembleConfig, build_ensemble, predict_pool
-from .state import SubsetState
-
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="experiment config file")
-    parser.add_argument("--seed", type=int, help="override the configured seed(s)")
-    parser.add_argument("--jobs", type=int, help="parallel trial processes")
-    parser.add_argument("--out", default=".", help="output directory")
+from .state import read_subset_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,11 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic labeled pool")
-    _common_flags(p)
+    p.add_argument("--config", help="config file; its pool.* keys describe the pool")
+    p.add_argument("--seed", type=int, help="override pool.seed")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("score", help="acquisition scores for a pool or tensor")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, help="seed for the random function")
     p.add_argument("--function", required=True, choices=FUNCTION_IDS)
     p.add_argument("--pool", help="pool CSV (features and labels)")
     p.add_argument("--checkpoints", help="checkpoint directory to build members from")
@@ -83,11 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("search", help="run the configured subset search")
-    _common_flags(p)
+    p.add_argument("--config", help="experiment config file")
+    p.add_argument("--seed", type=int, help="run this one trial seed instead of experiment.seeds")
+    p.add_argument("--jobs", type=int, help="parallel trial processes")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("analyze", help="consensus, duplication and accuracy reports")
-    _common_flags(p)
     p.add_argument("--what", required=True, choices=("consensus", "histogram", "eval"))
     p.add_argument("--pool", help="pool CSV")
     p.add_argument("--checkpoints", help="checkpoint directory")
@@ -98,11 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("export", help="flatten results documents into CSV")
-    _common_flags(p)
     p.add_argument("--results", required=True, nargs="+", help="results file(s)")
     p.add_argument("--kind", required=True, choices=EXPORT_KINDS)
     p.set_defaults(func=_cmd_export)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=".", help="output directory")
     return parser
 
 
@@ -123,6 +119,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.function == "random" and args.seed is None:
+        raise ConfigError("random scoring needs --seed")
     pool = read_pool_csv(args.pool) if args.pool else None
     if args.tensor:
         if args.tensor.endswith(".csv"):
@@ -195,24 +193,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _read_subset_csv(path) -> SubsetState:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:1] != ["sample_id"]:
-            raise ValueError("expected header sample_id[, multiplicity]")
-        counts: dict[int, int] = {}
-        for row in reader:
-            if not row:
-                continue
-            sid = int(row[0])
-            mult = int(row[1]) if len(row) > 1 and row[1] else 1
-            if sid in counts:
-                raise ValueError("duplicate sample id %d in subset file" % sid)
-            counts[sid] = mult
-    return SubsetState(counts)
-
-
 def _cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,7 +200,7 @@ def _cmd_analyze(args) -> int:
     if args.what == "histogram":
         if not args.subset:
             raise ConfigError("analyze --what histogram needs --subset")
-        hist = duplication_histogram(_read_subset_csv(args.subset))
+        hist = duplication_histogram(read_subset_csv(args.subset))
         print("unique=%d total=%d" % (hist.unique_count, hist.total_count))
         for mult, count in hist.rows():
             print("multiplicity %d: %d" % (mult, count))
@@ -264,7 +244,7 @@ def _cmd_analyze(args) -> int:
     ]
     rows: list[tuple[str, str, float, int]] = []
     if args.subset:
-        state = _read_subset_csv(args.subset)
+        state = read_subset_csv(args.subset)
         sel, unsel = selected_unselected_gap(members, pool, state)
         print("selected:   n=%d accuracy=%.4f" % (sel.n_samples, sel.accuracy))
         print("unselected: n=%d accuracy=%.4f" % (unsel.n_samples, unsel.accuracy))

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,12 @@ from .analysis import evaluate
 from .datagen import GeneratorSpec, generate_pool, read_pool_csv
 from .learner import EnsembleConfig, LabeledPool, TrainConfig
 from .schemes import (
-    SCHEMES,
     IterationRecord,
     SearchConfig,
     run_scheme,
     train_subset_ensemble,
 )
-from .state import SubsetState, derive_seed
+from .state import SubsetState, derive_seed, write_subset_csv
 
 SCHEMA_VERSION = 1
 RESULTS_BANNER = "# subset-search results"
@@ -76,73 +76,115 @@ def parse_config_file(path) -> dict[str, str]:
     return parse_config_text(text)
 
 
-class _TypedMapping:
-    """Typed accessors over raw config strings; tracks consumed keys."""
-
-    def __init__(self, data: dict[str, str]):
-        self._data = dict(data)
-        self._used: set[str] = set()
-
-    def _raw(self, key: str):
-        self._used.add(key)
-        value = self._data.get(key)
-        return None if value in (None, "") else value
-
-    def get_str(self, key: str, default: str | None = None):
-        value = self._raw(key)
-        return default if value is None else value
-
-    def get_int(self, key: str, default):
-        value = self._raw(key)
-        if value is None:
-            return default
+def _number(kind, noun):
+    def parse(key: str, value: str):
         try:
-            return int(value)
+            return kind(value)
         except ValueError:
-            raise ConfigError("%s must be an integer, got %r" % (key, value)) from None
+            raise ConfigError("%s must be %s, got %r" % (key, noun, value)) from None
 
-    def get_float(self, key: str, default):
-        value = self._raw(key)
-        if value is None:
-            return default
+    return parse
+
+
+def _number_list(kind, noun):
+    def parse(key: str, value: str):
         try:
-            return float(value)
+            return tuple(kind(part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
-            raise ConfigError("%s must be a number, got %r" % (key, value)) from None
+            raise ConfigError("%s must be a comma-separated %s list" % (key, noun)) from None
 
-    def get_bool(self, key: str, default):
-        value = self._raw(key)
-        if value is None:
-            return default
-        lowered = value.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError("%s must be true or false, got %r" % (key, value))
+    return parse
 
-    def get_int_list(self, key: str, default):
-        value = self._raw(key)
-        if value is None:
-            return default
-        try:
-            return tuple(int(part.strip()) for part in value.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError("%s must be a comma-separated integer list" % key) from None
 
-    def get_float_list(self, key: str, default):
-        value = self._raw(key)
-        if value is None:
-            return default
-        try:
-            return tuple(float(part.strip()) for part in value.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError("%s must be a comma-separated number list" % key) from None
+def _bool(key: str, value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ConfigError("%s must be true or false, got %r" % (key, value))
 
-    def reject_unknown(self) -> None:
-        unknown = sorted(set(self._data) - self._used)
-        if unknown:
-            raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
+
+def _str(key: str, value: str) -> str:
+    return value
+
+
+_INT, _FLOAT = _number(int, "an integer"), _number(float, "a number")
+_INTS, _FLOATS = _number_list(int, "integer"), _number_list(float, "number")
+
+# Config key -> (attribute path under ExperimentConfig, parser). Parsing,
+# the pool generator and the canonical echo all read this table; defaults
+# live only in the dataclasses, and an empty value also means the default.
+CONFIG_KEYS = {
+    "pool.file": ("pool_file", _str),
+    "pool.classes": ("generator.n_classes", _INT),
+    "pool.clusters_per_class": ("generator.clusters_per_class", _INT),
+    "pool.samples_per_cluster": ("generator.samples_per_cluster", _INT),
+    "pool.features": ("generator.n_features", _INT),
+    "pool.redundancy": ("generator.redundancy", _FLOAT),
+    "pool.label_noise": ("generator.label_noise", _FLOAT),
+    "pool.class_ratios": ("generator.class_ratios", _FLOATS),
+    "pool.cluster_std": ("generator.cluster_std", _FLOAT),
+    "pool.center_spread": ("generator.center_spread", _FLOAT),
+    "pool.seed": ("generator.seed", _INT),
+    "search.scheme": ("search.scheme", _str),
+    "search.function": ("search.function_id", _str),
+    "search.target_size": ("search.target_size", _INT),
+    "search.outlier_fraction": ("search.outlier_fraction", _FLOAT),
+    "search.acquisition_batch": ("search.acquisition_batch", _INT),
+    "search.initial_size": ("search.initial_size", _INT),
+    "ensemble.mode": ("search.ensemble.mode", _str),
+    "ensemble.runs": ("search.ensemble.runs", _INT),
+    "ensemble.checkpoints_per_run": ("search.ensemble.checkpoints_per_run", _INT),
+    "ensemble.stride": ("search.ensemble.stride", _INT),
+    "trainer.arch": ("search.trainer.arch", _str),
+    "trainer.hidden": ("search.trainer.hidden", _INT),
+    "trainer.learning_rate": ("search.trainer.learning_rate", _FLOAT),
+    "trainer.momentum": ("search.trainer.momentum", _FLOAT),
+    "trainer.weight_decay": ("search.trainer.weight_decay", _FLOAT),
+    "trainer.batch_size": ("search.trainer.batch_size", _INT),
+    "trainer.lr_decay": ("search.trainer.lr_decay", _FLOAT),
+    "trainer.decay_epochs": ("search.trainer.decay_epochs", _INTS),
+    "trainer.max_epochs": ("search.trainer.max_epochs", _INT),
+    "trainer.patience": ("search.trainer.patience", _INT),
+    "trainer.fine_tune_rate": ("search.trainer.fine_tune_rate", _FLOAT),
+    "trainer.fine_tune_epochs": ("search.trainer.fine_tune_epochs", _INT),
+    "trainer.class_weighting": ("search.trainer.class_weighting", _bool),
+    "trainer.checkpoint_window": ("search.trainer.checkpoint_window", _INT),
+    "trainer.val_fraction": ("search.trainer.val_fraction", _FLOAT),
+    "experiment.seeds": ("seeds", _INTS),
+    "experiment.baseline_random": ("baseline_random", _bool),
+    "experiment.baseline_full": ("baseline_full", _bool),
+    "experiment.out": ("out_dir", _str),
+    "experiment.jobs": ("jobs", _INT),
+}
+
+# where and how fast a run happens, not what it computes: kept out of the hash
+_UNHASHED = ("experiment.out", "experiment.jobs")
+
+
+def _fields(data: dict[str, str], owner: str) -> dict[str, object]:
+    """Parsed non-empty values of the keys whose attribute sits directly
+    under ``owner``, as keyword arguments for that dataclass."""
+    out = {}
+    for key, (path, parse) in CONFIG_KEYS.items():
+        head, _, name = path.rpartition(".")
+        if head == owner and data.get(key):
+            out[name] = parse(key, data[key])
+    return out
+
+
+def _reject_unknown(data: dict[str, str]) -> None:
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
+
+
+def _generator(data: dict[str, str]) -> GeneratorSpec:
+    try:
+        return GeneratorSpec(**_fields(data, "generator"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -169,101 +211,36 @@ class ExperimentConfig:
             raise ConfigError("experiment.jobs must be >= 1")
 
 
-def _bad_value(exc: ValueError) -> ConfigError:
-    return ConfigError(str(exc))
-
-
-def _generator_fields(m: _TypedMapping) -> GeneratorSpec:
-    return GeneratorSpec(
-        n_classes=m.get_int("pool.classes", 4),
-        clusters_per_class=m.get_int("pool.clusters_per_class", 2),
-        samples_per_cluster=m.get_int("pool.samples_per_cluster", 50),
-        n_features=m.get_int("pool.features", 6),
-        redundancy=m.get_float("pool.redundancy", 0.0),
-        label_noise=m.get_float("pool.label_noise", 0.0),
-        class_ratios=m.get_float_list("pool.class_ratios", None),
-        cluster_std=m.get_float("pool.cluster_std", 1.0),
-        center_spread=m.get_float("pool.center_spread", 4.0),
-        seed=m.get_int("pool.seed", 0),
-    )
-
-
 def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
     """Resolve raw config strings into a validated ExperimentConfig.
 
     Unknown keys and malformed values raise :class:`ConfigError` so CLI
     callers can report them as configuration problems.
     """
-    m = _TypedMapping(data)
-
-    pool_file = m.get_str("pool.file")
     generator = None
-    if pool_file is None:
-        try:
-            generator = _generator_fields(m)
-        except ValueError as exc:
-            raise _bad_value(exc) from None
+    if not data.get("pool.file"):
+        generator = _generator(data)
     else:
-        # consume generator keys so a file-based config may not also set them
-        for key in list(data):
+        for key in data:
             if key.startswith("pool.") and key != "pool.file" and data[key]:
                 raise ConfigError("pool.file excludes generator key %s" % key)
 
-    scheme = m.get_str("search.scheme")
-    function_id = m.get_str("search.function")
-    target = m.get_int("search.target_size", None)
-    if scheme is None or function_id is None or target is None:
+    search = _fields(data, "search")
+    if not {"scheme", "function_id", "target_size"} <= search.keys():
         raise ConfigError("search.scheme, search.function and search.target_size are required")
-    if scheme not in SCHEMES:
-        raise ConfigError("unknown scheme %r" % scheme)
-
     try:
-        ensemble = EnsembleConfig(
-            mode=m.get_str("ensemble.mode", "seeds"),
-            runs=m.get_int("ensemble.runs", 5),
-            checkpoints_per_run=m.get_int("ensemble.checkpoints_per_run", 20),
-            stride=m.get_int("ensemble.stride", 1),
-        )
-        trainer = TrainConfig(
-            arch=m.get_str("trainer.arch", "logistic"),
-            hidden=m.get_int("trainer.hidden", 16),
-            learning_rate=m.get_float("trainer.learning_rate", 0.1),
-            momentum=m.get_float("trainer.momentum", 0.9),
-            weight_decay=m.get_float("trainer.weight_decay", 1e-4),
-            batch_size=m.get_int("trainer.batch_size", 32),
-            lr_decay=m.get_float("trainer.lr_decay", 0.1),
-            decay_epochs=m.get_int_list("trainer.decay_epochs", ()),
-            max_epochs=m.get_int("trainer.max_epochs", 50),
-            patience=m.get_int("trainer.patience", 0),
-            fine_tune_rate=m.get_float("trainer.fine_tune_rate", 1e-3),
-            fine_tune_epochs=m.get_int("trainer.fine_tune_epochs", None),
-            class_weighting=m.get_bool("trainer.class_weighting", False),
-            checkpoint_window=m.get_int("trainer.checkpoint_window", 20),
-            val_fraction=m.get_float("trainer.val_fraction", 0.1),
-        )
-        search = SearchConfig(
-            scheme=scheme,
-            function_id=function_id,
-            target_size=target,
-            ensemble=ensemble,
-            trainer=trainer,
-            outlier_fraction=m.get_float("search.outlier_fraction", 0.0),
-            acquisition_batch=m.get_int("search.acquisition_batch", None),
-            initial_size=m.get_int("search.initial_size", None),
-        )
         config = ExperimentConfig(
-            search=search,
+            search=SearchConfig(
+                ensemble=EnsembleConfig(**_fields(data, "search.ensemble")),
+                trainer=TrainConfig(**_fields(data, "search.trainer")),
+                **search,
+            ),
             generator=generator,
-            pool_file=pool_file,
-            seeds=m.get_int_list("experiment.seeds", (1, 2, 3, 4, 5)),
-            baseline_random=m.get_bool("experiment.baseline_random", True),
-            baseline_full=m.get_bool("experiment.baseline_full", False),
-            out_dir=m.get_str("experiment.out", "runs"),
-            jobs=m.get_int("experiment.jobs", 1),
+            **_fields(data, ""),
         )
     except ValueError as exc:
-        raise _bad_value(exc) from None
-    m.reject_unknown()
+        raise ConfigError(str(exc)) from None
+    _reject_unknown(data)
     return config
 
 
@@ -276,14 +253,11 @@ def generator_from_mapping(data: dict[str, str]) -> GeneratorSpec:
 
     Ignores non-pool keys, so a full experiment config works as input.
     """
-    m = _TypedMapping({k: v for k, v in data.items() if k.startswith("pool.")})
-    if m.get_str("pool.file") is not None:
+    data = {k: v for k, v in data.items() if k.startswith("pool.")}
+    if data.get("pool.file"):
         raise ConfigError("pool.file points at an existing pool; nothing to generate")
-    try:
-        spec = _generator_fields(m)
-    except ValueError as exc:
-        raise _bad_value(exc) from None
-    m.reject_unknown()
+    spec = _generator(data)
+    _reject_unknown(data)
     return spec
 
 
@@ -301,55 +275,13 @@ def _fmt(value) -> str:
 
 def canonical_config_lines(config: ExperimentConfig) -> list[str]:
     """Every knob as a sorted ``key = value`` line; hash input and doc header."""
-    pairs: list[tuple[str, object]] = []
-    if config.pool_file is not None:
-        pairs.append(("pool.file", config.pool_file))
-    else:
-        g = config.generator
-        pairs += [
-            ("pool.classes", g.n_classes),
-            ("pool.clusters_per_class", g.clusters_per_class),
-            ("pool.samples_per_cluster", g.samples_per_cluster),
-            ("pool.features", g.n_features),
-            ("pool.redundancy", g.redundancy),
-            ("pool.label_noise", g.label_noise),
-            ("pool.class_ratios", g.class_ratios),
-            ("pool.cluster_std", g.cluster_std),
-            ("pool.center_spread", g.center_spread),
-            ("pool.seed", g.seed),
-        ]
-    s = config.search
-    pairs += [
-        ("search.scheme", s.scheme),
-        ("search.function", s.function_id),
-        ("search.target_size", s.target_size),
-        ("search.outlier_fraction", s.outlier_fraction),
-        ("search.acquisition_batch", s.acquisition_batch),
-        ("search.initial_size", s.initial_size),
-        ("ensemble.mode", s.ensemble.mode),
-        ("ensemble.runs", s.ensemble.runs),
-        ("ensemble.checkpoints_per_run", s.ensemble.checkpoints_per_run),
-        ("ensemble.stride", s.ensemble.stride),
-        ("trainer.arch", s.trainer.arch),
-        ("trainer.hidden", s.trainer.hidden),
-        ("trainer.learning_rate", s.trainer.learning_rate),
-        ("trainer.momentum", s.trainer.momentum),
-        ("trainer.weight_decay", s.trainer.weight_decay),
-        ("trainer.batch_size", s.trainer.batch_size),
-        ("trainer.lr_decay", s.trainer.lr_decay),
-        ("trainer.decay_epochs", s.trainer.decay_epochs),
-        ("trainer.max_epochs", s.trainer.max_epochs),
-        ("trainer.patience", s.trainer.patience),
-        ("trainer.fine_tune_rate", s.trainer.fine_tune_rate),
-        ("trainer.fine_tune_epochs", s.trainer.fine_tune_epochs),
-        ("trainer.class_weighting", s.trainer.class_weighting),
-        ("trainer.checkpoint_window", s.trainer.checkpoint_window),
-        ("trainer.val_fraction", s.trainer.val_fraction),
-        ("experiment.seeds", config.seeds),
-        ("experiment.baseline_random", config.baseline_random),
-        ("experiment.baseline_full", config.baseline_full),
-    ]
-    return sorted("%s = %s" % (key, _fmt(value)) for key, value in pairs)
+    from_file = config.pool_file is not None
+    lines = []
+    for key, (path, _) in CONFIG_KEYS.items():
+        if key in _UNHASHED or (key.startswith("pool.") and (key == "pool.file") != from_file):
+            continue
+        lines.append("%s = %s" % (key, _fmt(attrgetter(path)(config))))
+    return sorted(lines)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -483,10 +415,6 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
     )
 
 
-def _run_trial_star(args) -> TrialRecord:
-    return run_trial(*args)
-
-
 def run_experiment(config: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
     """Run every trial seed, serially or across processes.
 
@@ -496,12 +424,12 @@ def run_experiment(config: ExperimentConfig, jobs: int | None = None) -> Experim
             are deterministic either way; only wall time changes.
     """
     jobs = config.jobs if jobs is None else max(1, int(jobs))
-    work = [(config, seed) for seed in config.seeds]
-    if jobs == 1 or len(work) == 1:
-        trials = [run_trial(*args) for args in work]
+    seeds = config.seeds
+    if jobs == 1 or len(seeds) == 1:
+        trials = [run_trial(config, seed) for seed in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            trials = list(pool.map(_run_trial_star, work))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+            trials = list(pool.map(run_trial, [config] * len(seeds), seeds))
     return ExperimentResult(config, trials)
 
 
@@ -586,10 +514,8 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
     with open(path, "a") as fh:
         fh.write(build_document(result))
     for trial in result.trials:
-        with open(out / subset_filename(result.config, trial.seed), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "multiplicity"])
-            writer.writerows(trial.subset_items)
+        state = SubsetState(dict(trial.subset_items))
+        write_subset_csv(out / subset_filename(result.config, trial.seed), state)
     return path
 
 
@@ -622,15 +548,23 @@ class ResultsDocument:
 
 
 def read_results(path) -> list[ResultsDocument]:
-    """Parse every document appended to a results file."""
+    """Parse every document appended to a results file.
+
+    A document not closed by ``[end]``, such as one cut short by a crash,
+    raises ``ValueError``.
+    """
     documents: list[ResultsDocument] = []
     current: ResultsDocument | None = None
     section: dict[str, str] | None = None
+    closed = True
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line:
             continue
         if line == RESULTS_BANNER:
+            if not closed:
+                raise ValueError("results document %d is not closed by [end]" % len(documents))
+            closed = False
             current = ResultsDocument({}, [])
             documents.append(current)
             section = None
@@ -641,6 +575,7 @@ def read_results(path) -> list[ResultsDocument]:
             raise ValueError("results file does not start with %r" % RESULTS_BANNER)
         if line == "[end]":
             section = None
+            closed = True
             continue
         if line.startswith("[") and line.endswith("]"):
             section = {}
@@ -651,6 +586,8 @@ def read_results(path) -> list[ResultsDocument]:
         target[key.strip()] = value.strip()
     if not documents:
         raise ValueError("no results documents in file")
+    if not closed:
+        raise ValueError("results document %d is not closed by [end]" % len(documents))
     return documents
 
 

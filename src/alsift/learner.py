@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -82,6 +81,12 @@ class LabeledPool:
             raise KeyError("unknown sample id %s" % exc.args[0]) from None
 
 
+def _tensor_shapes(arch: str, d: int, k: int, hidden: int) -> list[tuple[int, ...]]:
+    if arch == "logistic":
+        return [(d, k), (k,)]
+    return [(d, hidden), (hidden,), (hidden, k), (k,)]
+
+
 @dataclass
 class ModelParams:
     """Weights of one classifier.
@@ -100,13 +105,9 @@ class ModelParams:
         if self.arch not in ARCHITECTURES:
             raise ValueError("unknown architecture %r" % self.arch)
         self.tensors = tuple(np.asarray(t, dtype=np.float64) for t in self.tensors)
-        d, k, h = self.n_features, self.n_classes, self.hidden
-        if self.arch == "logistic":
-            expected = [(d, k), (k,)]
-        else:
-            if h < 1:
-                raise ValueError("mlp needs a positive hidden width")
-            expected = [(d, h), (h,), (h, k), (k,)]
+        if self.arch == "mlp" and self.hidden < 1:
+            raise ValueError("mlp needs a positive hidden width")
+        expected = _tensor_shapes(self.arch, self.n_features, self.n_classes, self.hidden)
         got = [t.shape for t in self.tensors]
         if got != expected:
             raise ValueError("tensor shapes %s do not match %s" % (got, expected))
@@ -119,10 +120,6 @@ class ModelParams:
             self.hidden,
             tuple(t.copy() for t in self.tensors),
         )
-
-    def weight_matrix_flags(self) -> tuple[bool, ...]:
-        """True for tensors that are weight matrices (decayed), False for biases."""
-        return tuple(t.ndim == 2 for t in self.tensors)
 
 
 def init_params(
@@ -346,8 +343,8 @@ def _run_sgd(
     train_ids, val_ids = _validation_split(
         [int(s) for s in subset.ids()], config.val_fraction
     )
-    expanded = [sid for sid in train_ids for _ in range(subset.multiplicity[sid])]
-    rows = pool.rows_for(expanded)
+    kept = SubsetState({sid: subset.multiplicity[sid] for sid in train_ids})
+    rows = pool.rows_for(kept.as_training_ids())
     features = pool.features[rows]
     labels = pool.labels[rows]
     if val_ids:
@@ -684,7 +681,6 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
 _ALCK_MAGIC = b"ALCK"
 _ALCK_VERSION = 1
 _ALCK_HEADER = struct.Struct("<4sH8sIIIQI")
-_FILENAME_RE = re.compile(r"run(\d+)_ep(\d+)\.alck$")
 
 
 def checkpoint_filename(run_seed: int, epoch: int) -> str:
@@ -711,12 +707,6 @@ def write_checkpoint(path, checkpoint: Checkpoint) -> None:
         fh.write(header)
         for tensor in params.tensors:
             fh.write(tensor.astype("<f4").tobytes(order="C"))
-
-
-def _tensor_shapes(arch: str, d: int, k: int, hidden: int) -> list[tuple[int, ...]]:
-    if arch == "logistic":
-        return [(d, k), (k,)]
-    return [(d, hidden), (hidden,), (hidden, k), (k,)]
 
 
 def read_checkpoint(path) -> Checkpoint:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acquisition import FUNCTION_IDS, AcquisitionScores, score_pool
+from .analysis import duplication_histogram, evaluate
 from .learner import (
     CheckpointStore,
     EnsembleConfig,
@@ -43,23 +44,21 @@ _ROLE_SCORE = 3
 _ROLE_TUNE = 4
 
 
+def _candidates(scores: AcquisitionScores, excluded) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ids and scores of the candidates outside ``excluded``."""
+    ids, vals = scores.sample_ids, scores.scores
+    if excluded:
+        keep = ~np.isin(ids, np.fromiter((int(i) for i in excluded), dtype=np.uint64))
+        ids, vals = ids[keep], vals[keep]
+    return ids, vals
+
+
 def select_top_k(scores: AcquisitionScores, k: int, excluded=frozenset()) -> np.ndarray:
     """The k highest-scoring sample ids outside ``excluded``.
 
     Ties break toward the lower sample id. Returned in rank order.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    ids = scores.sample_ids
-    vals = scores.scores
-    if excluded:
-        keep = ~np.isin(ids, np.fromiter((int(i) for i in excluded), dtype=np.uint64))
-        ids, vals = ids[keep], vals[keep]
-    if k > len(ids):
-        raise ValueError("k=%d exceeds the %d available candidates" % (k, len(ids)))
-    order = np.lexsort((ids, -vals))
-    return ids[order[:k]].copy()
+    return outlier_window_select(scores, k, 0.0, excluded)
 
 
 def outlier_window_select(
@@ -76,11 +75,7 @@ def outlier_window_select(
         raise ValueError("k must be non-negative")
     if not 0.0 <= fraction < 1.0:
         raise ValueError("outlier fraction must be in [0, 1)")
-    ids = scores.sample_ids
-    vals = scores.scores
-    if excluded:
-        keep = ~np.isin(ids, np.fromiter((int(i) for i in excluded), dtype=np.uint64))
-        ids, vals = ids[keep], vals[keep]
+    ids, vals = _candidates(scores, excluded)
     skip = int(fraction * len(ids))
     if skip + k > len(ids):
         raise ValueError(
@@ -157,23 +152,11 @@ class SubsetResult:
     store: CheckpointStore
 
 
-def _ensemble_trainer(config: SearchConfig) -> TrainConfig:
+def _widened(trainer: TrainConfig, ensemble: EnsembleConfig) -> TrainConfig:
     # the rolling window must span what the ensemble mode will read back
-    needed = config.ensemble.epochs_needed
-    if config.trainer.checkpoint_window >= needed:
-        return config.trainer
-    return replace(config.trainer, checkpoint_window=needed)
-
-
-def _train_store(
-    pool: LabeledPool, subset: SubsetState, config: SearchConfig, iteration: int
-) -> CheckpointStore:
-    store = CheckpointStore()
-    trainer = _ensemble_trainer(config)
-    for r in range(config.ensemble.runs_needed):
-        run_seed = derive_seed(config.seed, _ROLE_TRAIN, iteration, r)
-        store.add_run(train(pool, subset, trainer, seed=run_seed).checkpoints)
-    return store
+    if trainer.checkpoint_window >= ensemble.epochs_needed:
+        return trainer
+    return replace(trainer, checkpoint_window=ensemble.epochs_needed)
 
 
 def train_subset_ensemble(
@@ -182,17 +165,18 @@ def train_subset_ensemble(
     ensemble: EnsembleConfig,
     trainer: TrainConfig,
     seed: int,
+    iteration: int = 0,
 ) -> tuple[CheckpointStore, list[ModelParams]]:
     """Train the runs an ensemble mode needs and assemble its members.
 
     The trainer's checkpoint window is widened if the mode reads back a
-    longer epoch span than the window would keep.
+    longer epoch span than the window would keep. Run seeds derive from
+    ``seed``, the search ``iteration`` and the run index.
     """
-    if trainer.checkpoint_window < ensemble.epochs_needed:
-        trainer = replace(trainer, checkpoint_window=ensemble.epochs_needed)
+    trainer = _widened(trainer, ensemble)
     store = CheckpointStore()
     for r in range(ensemble.runs_needed):
-        run_seed = derive_seed(seed, _ROLE_TRAIN, 0, r)
+        run_seed = derive_seed(seed, _ROLE_TRAIN, iteration, r)
         store.add_run(train(pool, subset, trainer, seed=run_seed).checkpoints)
     return store, build_ensemble(store, ensemble)
 
@@ -206,24 +190,6 @@ def _pool_scores(members, pool: LabeledPool, config: SearchConfig, iteration: in
     return score_pool(tensor, config.function_id, labels=labels, seed=seed)
 
 
-def _select(scores: AcquisitionScores, k: int, config: SearchConfig, excluded=frozenset()) -> np.ndarray:
-    if config.outlier_fraction > 0.0:
-        return outlier_window_select(scores, k, config.outlier_fraction, excluded)
-    return select_top_k(scores, k, excluded)
-
-
-def _pool_accuracy(members, pool: LabeledPool) -> float:
-    probs = predict_pool(members, pool).data.astype(np.float64).mean(axis=1)
-    return float(np.mean(np.argmax(probs, axis=1) == pool.labels))
-
-
-def _histogram(state: SubsetState) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for mult in state.multiplicity.values():
-        counts[mult] = counts.get(mult, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def _record(
     iteration: int,
     state: SubsetState,
@@ -235,12 +201,7 @@ def _record(
     if scores is None:
         lo = mean = hi = float("nan")
     else:
-        vals = scores.scores
-        if excluded:
-            keep = ~np.isin(
-                scores.sample_ids, np.fromiter((int(i) for i in excluded), dtype=np.uint64)
-            )
-            vals = vals[keep]
+        vals = _candidates(scores, excluded)[1]
         lo, mean, hi = float(vals.min()), float(vals.mean()), float(vals.max())
     return IterationRecord(
         iteration,
@@ -251,7 +212,7 @@ def _record(
         mean,
         hi,
         accuracy,
-        _histogram(state),
+        tuple(duplication_histogram(state).rows()),
     )
 
 
@@ -267,10 +228,11 @@ def _acquire_once(pool: LabeledPool, config: SearchConfig):
     if config.target_size > pool.n_samples:
         raise ValueError("target size exceeds the pool")
     full = SubsetState.from_ids(pool.sample_ids)
-    store = _train_store(pool, full, config, iteration=0)
-    members = build_ensemble(store, config.ensemble)
+    store, members = train_subset_ensemble(
+        pool, full, config.ensemble, config.trainer, config.seed, 0
+    )
     scores = _pool_scores(members, pool, config, iteration=0)
-    chosen = _select(scores, config.target_size, config)
+    chosen = outlier_window_select(scores, config.target_size, config.outlier_fraction)
     return store, scores, chosen
 
 
@@ -278,14 +240,14 @@ def run_pretrain(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """Select once with a full-pool ensemble, then fine-tune it on the subset."""
     store, scores, chosen = _acquire_once(pool, config)
     state = SubsetState.from_ids(chosen)
-    trainer = _ensemble_trainer(config)
+    trainer = _widened(config.trainer, config.ensemble)
     sub_store = CheckpointStore()
     for r, run in enumerate(store.run_seeds()):
         source = store.get(run, store.epochs(run)[-1]).params
         tune_seed = derive_seed(config.seed, _ROLE_TUNE, 0, r)
         sub_store.add_run(fine_tune(pool, state, source, trainer, seed=tune_seed).checkpoints)
     members = build_ensemble(sub_store, config.ensemble)
-    rec = _record(0, state, scores, frozenset(), chosen, _pool_accuracy(members, pool))
+    rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
     return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
 
 
@@ -293,9 +255,10 @@ def run_compress(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """Select once with a full-pool ensemble, then train from scratch on the subset."""
     _, scores, chosen = _acquire_once(pool, config)
     state = SubsetState.from_ids(chosen)
-    sub_store = _train_store(pool, state, config, iteration=1)
-    members = build_ensemble(sub_store, config.ensemble)
-    rec = _record(0, state, scores, frozenset(), chosen, _pool_accuracy(members, pool))
+    sub_store, members = train_subset_ensemble(
+        pool, state, config.ensemble, config.trainer, config.seed, 1
+    )
+    rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
     return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
 
 
@@ -312,19 +275,23 @@ def run_build_up(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     sizes = growth_schedule(config.target_size)
     init = _random_initial_ids(pool, sizes[0], derive_seed(config.seed, _ROLE_INIT))
     state = SubsetState.from_ids(init)
-    store = _train_store(pool, state, config, iteration=0)
-    members = build_ensemble(store, config.ensemble)
-    records = [_record(0, state, None, frozenset(), init, _pool_accuracy(members, pool))]
+    store, members = train_subset_ensemble(
+        pool, state, config.ensemble, config.trainer, config.seed, 0
+    )
+    records = [_record(0, state, None, frozenset(), init, evaluate(members, pool).accuracy)]
 
     for iteration, size in enumerate(sizes[1:], start=1):
         scores = _pool_scores(members, pool, config, iteration)
         excluded = {int(i) for i in state.ids()}
-        chosen = _select(scores, size - state.unique_count, config, excluded)
+        chosen = outlier_window_select(
+            scores, size - state.unique_count, config.outlier_fraction, excluded
+        )
         state = state.with_new_ids(chosen)
-        store = _train_store(pool, state, config, iteration)
-        members = build_ensemble(store, config.ensemble)
+        store, members = train_subset_ensemble(
+            pool, state, config.ensemble, config.trainer, config.seed, iteration
+        )
         records.append(
-            _record(iteration, state, scores, excluded, chosen, _pool_accuracy(members, pool))
+            _record(iteration, state, scores, excluded, chosen, evaluate(members, pool).accuracy)
         )
     return SubsetResult(config.scheme, config.function_id, records, state, members, store)
 
@@ -345,21 +312,23 @@ def run_automatic_duplication(pool: LabeledPool, config: SearchConfig) -> Subset
         raise ValueError("initial size exceeds the target")
     init = _random_initial_ids(pool, initial, derive_seed(config.seed, _ROLE_INIT))
     state = SubsetState.from_ids(init)
-    store = _train_store(pool, state, config, iteration=0)
-    members = build_ensemble(store, config.ensemble)
-    records = [_record(0, state, None, frozenset(), init, _pool_accuracy(members, pool))]
+    store, members = train_subset_ensemble(
+        pool, state, config.ensemble, config.trainer, config.seed, 0
+    )
+    records = [_record(0, state, None, frozenset(), init, evaluate(members, pool).accuracy)]
 
     iteration = 0
     while state.total_count < config.target_size:
         iteration += 1
         k = min(batch, config.target_size - state.total_count)
         scores = _pool_scores(members, pool, config, iteration)
-        chosen = _select(scores, k, config)
+        chosen = outlier_window_select(scores, k, config.outlier_fraction)
         state = state.with_added_copies(chosen)
-        store = _train_store(pool, state, config, iteration)
-        members = build_ensemble(store, config.ensemble)
+        store, members = train_subset_ensemble(
+            pool, state, config.ensemble, config.trainer, config.seed, iteration
+        )
         records.append(
-            _record(iteration, state, scores, frozenset(), chosen, _pool_accuracy(members, pool))
+            _record(iteration, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
         )
     return SubsetResult(config.scheme, config.function_id, records, state, members, store)
 

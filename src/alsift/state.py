@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 from dataclasses import dataclass, field
 
@@ -89,6 +90,33 @@ class SubsetState:
             sid = int(sid)
             merged[sid] = merged.get(sid, 0) + 1
         return SubsetState(merged)
+
+
+def write_subset_csv(path, state: SubsetState) -> None:
+    """Subset table: header ``sample_id,multiplicity``, one row per id, ascending."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "multiplicity"])
+        writer.writerows(sorted(state.multiplicity.items()))
+
+
+def read_subset_csv(path) -> SubsetState:
+    """Read a subset table; a missing multiplicity column means 1."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:1] != ["sample_id"]:
+            raise ValueError("expected header sample_id[, multiplicity]")
+        counts: dict[int, int] = {}
+        for row in reader:
+            if not row:
+                continue
+            sid = int(row[0])
+            mult = int(row[1]) if len(row) > 1 and row[1] else 1
+            if sid in counts:
+                raise ValueError("duplicate sample id %d in subset file" % sid)
+            counts[sid] = mult
+    return SubsetState(counts)
 
 
 def subset_hash(state: SubsetState) -> str:

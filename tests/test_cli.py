@@ -167,7 +167,7 @@ class TestScore:
             "score", "--pool", str(pool_path), "--checkpoints", str(store_dir),
             "--function", "random", "--mode", "seeds", "--runs", "2", "--out", str(out),
         ]
-        assert main(args) == 2
+        assert main(args) == 1
         assert main(args + ["--seed", "5"]) == 0
 
 
@@ -293,6 +293,26 @@ class TestExport:
         assert code == 0
         lines = (out / "scheme_comparison.csv").read_text().splitlines()
         assert len(lines) == 3
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["export", "--results", "r.txt", "--kind", "histogram", "--seed", "1"],
+        ["analyze", "--what", "histogram", "--jobs", "2"],
+        ["score", "--function", "entropy", "--config", "exp.cfg"],
+        ["gen-data", "--jobs", "2"],
+    ])
+    def test_verb_rejects_flag_it_does_not_read(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_search_reads_config_seed_and_jobs(self, tmp_path, config_path):
+        out = tmp_path / "runs"
+        argv = ["search", "--config", str(config_path), "--seed", "3", "--jobs", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        config = replace(config_from_file(config_path), seeds=(3,))
+        docs = read_results(out / ("results_%s.txt" % config_hash(config)))
+        assert [seed for seed, _ in docs[0].trials()] == [3]
 
 
 class TestExitCodes:

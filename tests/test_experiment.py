@@ -231,6 +231,15 @@ class TestResultsDocuments:
         with pytest.raises(ValueError):
             read_results(path)
 
+    def test_document_without_end_rejected(self, tmp_path):
+        path = write_results(run_experiment(base_config()), tmp_path)
+        whole = path.read_text()
+        cut = whole[: whole.index("[end]")]
+        for text, doc in ((cut, 1), (whole + cut, 2), (cut + whole, 1)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=r"document %d is not closed by \[end\]" % doc):
+                read_results(path)
+
 
 class TestExports:
     @pytest.fixture()

@@ -1,0 +1,153 @@
+"""Property tests: selection invariants and the config key table round trip."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+from alsift.acquisition import FUNCTION_IDS, AcquisitionScores
+from alsift.experiment import (
+    CONFIG_KEYS,
+    canonical_config_lines,
+    config_from_mapping,
+    config_hash,
+    parse_config_text,
+)
+from alsift.learner import ARCHITECTURES, ENSEMBLE_MODES
+from alsift.schemes import SCHEMES, outlier_window_select, select_top_k
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@st.composite
+def scored_pools(draw):
+    """Scores with frequent ties over unique ids, an excluded id set and a valid k."""
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=40, unique=True))
+    # few distinct values, so ties are common and the id tie-break matters
+    vals = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=len(ids), max_size=len(ids)))
+    excluded = draw(st.sets(st.sampled_from(ids), max_size=len(ids) - 1))
+    k = draw(st.integers(0, len(ids) - len(excluded)))
+    scores = AcquisitionScores("entropy", np.asarray(vals), np.asarray(ids, dtype=np.uint64))
+    return scores, excluded, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_pools())
+def test_top_k_is_the_zero_window_and_equals_restriction(case):
+    scores, excluded, k = case
+    got = select_top_k(scores, k, excluded)
+    assert_array_equal(got, outlier_window_select(scores, k, 0.0, excluded))
+    remaining = [
+        (-float(v), int(i))
+        for v, i in zip(scores.scores, scores.sample_ids)
+        if int(i) not in excluded
+    ]
+    assert [int(i) for i in got] == [i for _, i in sorted(remaining)[:k]]
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw).map(repr)
+
+
+def _int_lists(lo, hi, min_size=0, unique=False):
+    return st.lists(st.integers(lo, hi), min_size=min_size, max_size=5, unique=unique).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+_BOOLS = st.sampled_from(["true", "false", "1", "0", "yes", "no", "TRUE"])
+
+# Valid raw values for every key of the table except the ones drawn jointly
+# (pool.file, pool.classes with pool.class_ratios, the required search keys).
+OPTIONAL_KEYS = {
+    "pool.clusters_per_class": _ints(1, 4),
+    "pool.samples_per_cluster": _ints(1, 200),
+    "pool.features": _ints(1, 40),
+    "pool.redundancy": _floats(0.0, 1.0, exclude_max=True),
+    "pool.label_noise": _floats(0.0, 1.0, exclude_max=True),
+    "pool.cluster_std": _floats(1e-3, 10.0),
+    "pool.center_spread": _floats(1e-3, 10.0),
+    "pool.seed": _ints(0, 2**31),
+    "search.outlier_fraction": _floats(0.0, 1.0, exclude_max=True),
+    "search.initial_size": _ints(1, 500),
+    "ensemble.mode": st.sampled_from(ENSEMBLE_MODES),
+    "ensemble.runs": _ints(1, 10),
+    "ensemble.checkpoints_per_run": _ints(1, 30),
+    "ensemble.stride": _ints(1, 5),
+    "trainer.arch": st.sampled_from(ARCHITECTURES),
+    "trainer.hidden": _ints(1, 64),
+    "trainer.learning_rate": _floats(1e-6, 2.0),
+    "trainer.momentum": _floats(0.0, 1.0, exclude_max=True),
+    "trainer.weight_decay": _floats(0.0, 1.0),
+    "trainer.batch_size": _ints(1, 256),
+    "trainer.lr_decay": _floats(0.0, 1.0, exclude_min=True),
+    "trainer.decay_epochs": _int_lists(1, 100),
+    "trainer.max_epochs": _ints(0, 100),
+    "trainer.patience": _ints(0, 10),
+    "trainer.fine_tune_rate": _floats(0.0, 1.0),
+    "trainer.fine_tune_epochs": _ints(0, 100),
+    "trainer.class_weighting": _BOOLS,
+    "trainer.checkpoint_window": _ints(1, 40),
+    "trainer.val_fraction": _floats(0.0, 1.0, exclude_max=True),
+    "experiment.seeds": _int_lists(0, 1000, min_size=1, unique=True),
+    "experiment.baseline_random": _BOOLS,
+    "experiment.baseline_full": _BOOLS,
+    "experiment.out": st.sampled_from(["runs", "out/x"]),
+    "experiment.jobs": _ints(1, 8),
+}
+JOINT_KEYS = {
+    "pool.file", "pool.classes", "pool.class_ratios",
+    "search.scheme", "search.function", "search.target_size", "search.acquisition_batch",
+}
+
+
+@st.composite
+def config_mappings(draw):
+    data = {}
+    for key, values in OPTIONAL_KEYS.items():
+        if draw(st.booleans()):
+            data[key] = draw(values)
+    if draw(st.booleans()):
+        data = {k: v for k, v in data.items() if not k.startswith("pool.")}
+        data["pool.file"] = "pools/p.csv"
+    elif draw(st.booleans()):
+        classes = draw(st.integers(2, 6))
+        data["pool.classes"] = str(classes)
+        if draw(st.booleans()):
+            ratios = draw(st.lists(st.floats(0.1, 5.0), min_size=classes, max_size=classes))
+            data["pool.class_ratios"] = ",".join(map(repr, ratios))
+    data["search.scheme"] = draw(st.sampled_from(SCHEMES))
+    data["search.function"] = draw(st.sampled_from(FUNCTION_IDS))
+    data["search.target_size"] = draw(_ints(1, 5000))
+    if data["search.scheme"] == "automatic_duplication" or draw(st.booleans()):
+        data["search.acquisition_batch"] = draw(_ints(1, 500))
+    return data
+
+
+def test_config_strategy_covers_the_key_table():
+    assert set(OPTIONAL_KEYS) | JOINT_KEYS == set(CONFIG_KEYS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_mappings())
+def test_canonical_lines_round_trip(data):
+    config = config_from_mapping(data)
+    lines = canonical_config_lines(config)
+    again = config_from_mapping(parse_config_text("\n".join(lines)))
+    assert canonical_config_lines(again) == lines
+    assert config_hash(again) == config_hash(config)
+
+
+def test_readme_config_hash_is_pinned():
+    text = re.search(r"cat > exp.cfg <<'EOF'\n(.*?)EOF", README.read_text(), re.S).group(1)
+    config = config_from_mapping(parse_config_text(text))
+    assert config_hash(config) == "6c71b4dd53f5de3c"

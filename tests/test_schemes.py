@@ -21,7 +21,13 @@ from alsift.schemes import (
     select_top_k,
     train_subset_ensemble,
 )
-from alsift.state import SubsetState, derive_seed, subset_hash
+from alsift.state import (
+    SubsetState,
+    derive_seed,
+    read_subset_csv,
+    subset_hash,
+    write_subset_csv,
+)
 
 
 def scores_of(values, ids=None):
@@ -47,6 +53,13 @@ class TestSubsetState:
         state = SubsetState.from_ids([1, 2])
         with pytest.raises(ValueError, match="already in the subset"):
             state.with_new_ids([2])
+
+    def test_subset_csv_round_trip(self, tmp_path):
+        state = SubsetState({4: 2, 1: 1, 9: 3})
+        path = tmp_path / "subset.csv"
+        write_subset_csv(path, state)
+        assert path.read_text().splitlines() == ["sample_id,multiplicity", "1,1", "4,2", "9,3"]
+        assert read_subset_csv(path) == state
 
     def test_with_added_copies_increments(self):
         state = SubsetState.from_ids([1, 2]).with_added_copies([2, 3])
