@@ -31,6 +31,7 @@ from .analysis import (
     consensus_counts,
     duplication_histogram,
     evaluate,
+    evaluate_tensor,
     selected_unselected_gap,
 )
 from .datagen import (

@@ -100,35 +100,36 @@ class EvalReport:
     per_class: dict[int, float]
 
 
-def _fused_votes(members, pool: LabeledPool, ids) -> tuple[np.ndarray, np.ndarray]:
-    tensor = predict_pool(members, pool, ids)
-    mean = tensor.data.astype(np.float64).mean(axis=1)
-    labels = pool.labels[pool.rows_for(tensor.sample_ids)]
-    return np.argmax(mean, axis=1), labels
-
-
-def evaluate(members, pool: LabeledPool, ids=None) -> EvalReport:
-    """Score an ensemble on the given sample ids.
+def evaluate_tensor(tensor: PredictionTensor, labels) -> EvalReport:
+    """Fused-vote accuracy of pool predictions against aligned labels.
 
     Member probabilities are averaged and the highest-mean class wins
     (ties toward the lower class index). Per-class accuracies cover the
-    classes that actually appear in ``ids``.
+    classes that appear in ``labels``, which follow ``tensor.sample_ids``.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (tensor.n_samples,):
+        raise ValueError("labels length must match the sample axis")
+    if not len(labels):
+        raise ValueError("empty evaluation id set")
+    votes = np.argmax(tensor.data.astype(np.float64).mean(axis=1), axis=1)
+    per_class = {}
+    for cls in np.unique(labels):
+        mask = labels == cls
+        per_class[int(cls)] = float(np.mean(votes[mask] == cls))
+    return EvalReport(len(labels), float(np.mean(votes == labels)), per_class)
+
+
+def evaluate(members, pool: LabeledPool, ids=None) -> EvalReport:
+    """Score an ensemble on the given sample ids with :func:`evaluate_tensor`.
 
     Args:
         members: sequence of ModelParams.
         pool: pool holding features and labels.
         ids: sample ids to evaluate; defaults to the whole pool.
     """
-    if ids is not None:
-        ids = list(ids)
-        if not ids:
-            raise ValueError("empty evaluation id set")
-    votes, labels = _fused_votes(members, pool, ids)
-    per_class = {}
-    for cls in np.unique(labels):
-        mask = labels == cls
-        per_class[int(cls)] = float(np.mean(votes[mask] == cls))
-    return EvalReport(len(labels), float(np.mean(votes == labels)), per_class)
+    tensor = predict_pool(members, pool, ids)
+    return evaluate_tensor(tensor, pool.labels[pool.rows_for(tensor.sample_ids)])
 
 
 def selected_unselected_gap(

@@ -234,7 +234,8 @@ def _cmd_analyze(args) -> int:
             fh.write(build_consensus_document(report, source="run%d" % run))
         print("wrote %s" % doc_path)
         if args.csv:
-            export_plot_data(read_results(doc_path), "consensus", out)
+            # the file keeps every earlier run's document; export only this one
+            export_plot_data(read_results(doc_path)[-1:], "consensus", out)
             print("wrote %s" % (out / "consensus.csv"))
         return 0
 

@@ -197,9 +197,14 @@ def read_pool_csv(path, n_classes: int | None = None) -> LabeledPool:
         for row in reader:
             if not row:
                 continue
-            ids.append(int(row[0]))
-            labels.append(int(row[1]))
-            rows.append([float(v) for v in row[2:]])
+            try:
+                if len(row) != width + 2:
+                    raise ValueError("expected %d columns, found %d" % (width + 2, len(row)))
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
     if not ids:
         raise ValueError("empty pool file")
     labels_arr = np.asarray(labels, dtype=np.int64)

@@ -28,6 +28,7 @@ from .learner import EnsembleConfig, LabeledPool, TrainConfig
 from .schemes import (
     IterationRecord,
     SearchConfig,
+    random_subset_ids,
     run_scheme,
     train_subset_ensemble,
 )
@@ -378,30 +379,23 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
     result = run_scheme(pool, search)
     al_accuracy = evaluate(result.members, eval_pool).accuracy
 
-    random_accuracy = None
-    if config.baseline_random:
-        size = min(search.target_size, pool.n_samples)
-        rng = np.random.default_rng(derive_seed(trial_seed, _ROLE_RANDOM_IDS))
-        ids = rng.choice(np.sort(pool.sample_ids), size=size, replace=False)
+    def baseline_accuracy(ids, role: int) -> float:
         _, members = train_subset_ensemble(
             pool,
             SubsetState.from_ids(ids),
             search.ensemble,
             search.trainer,
-            derive_seed(trial_seed, _ROLE_RANDOM_TRAIN),
+            derive_seed(trial_seed, role),
         )
-        random_accuracy = evaluate(members, eval_pool).accuracy
+        return evaluate(members, eval_pool).accuracy
 
-    full_accuracy = None
+    random_accuracy = full_accuracy = None
+    if config.baseline_random:
+        size = min(search.target_size, pool.n_samples)
+        ids = random_subset_ids(pool, size, derive_seed(trial_seed, _ROLE_RANDOM_IDS))
+        random_accuracy = baseline_accuracy(ids, _ROLE_RANDOM_TRAIN)
     if config.baseline_full:
-        _, members = train_subset_ensemble(
-            pool,
-            SubsetState.from_ids(pool.sample_ids),
-            search.ensemble,
-            search.trainer,
-            derive_seed(trial_seed, _ROLE_FULL_TRAIN),
-        )
-        full_accuracy = evaluate(members, eval_pool).accuracy
+        full_accuracy = baseline_accuracy(pool.sample_ids, _ROLE_FULL_TRAIN)
 
     items = tuple(sorted((int(k), int(v)) for k, v in result.state.multiplicity.items()))
     return TrialRecord(

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .acquisition import FUNCTION_IDS, AcquisitionScores, score_pool
-from .analysis import duplication_histogram, evaluate
+from .acquisition import FUNCTION_IDS, AcquisitionScores, PredictionTensor, score_pool
+from .analysis import duplication_histogram, evaluate, evaluate_tensor
 from .learner import (
     CheckpointStore,
     EnsembleConfig,
@@ -181,13 +181,13 @@ def train_subset_ensemble(
     return store, build_ensemble(store, ensemble)
 
 
-def _pool_scores(members, pool: LabeledPool, config: SearchConfig, iteration: int) -> AcquisitionScores:
-    tensor = predict_pool(members, pool)
-    labels = pool.labels if config.function_id == "error_count" else None
-    seed = None
-    if config.function_id == "random":
-        seed = derive_seed(config.seed, _ROLE_SCORE, iteration)
-    return score_pool(tensor, config.function_id, labels=labels, seed=seed)
+def _pool_scores(
+    tensor: PredictionTensor, pool: LabeledPool, config: SearchConfig, iteration: int
+) -> AcquisitionScores:
+    # the tensor covers the whole pool in pool order, so pool.labels align;
+    # score_pool reads labels only for error_count and the seed only for random
+    seed = derive_seed(config.seed, _ROLE_SCORE, iteration)
+    return score_pool(tensor, config.function_id, labels=pool.labels, seed=seed)
 
 
 def _record(
@@ -216,7 +216,8 @@ def _record(
     )
 
 
-def _random_initial_ids(pool: LabeledPool, size: int, seed: int) -> np.ndarray:
+def random_subset_ids(pool: LabeledPool, size: int, seed: int) -> np.ndarray:
+    """``size`` distinct pool ids drawn without replacement from ``seed``."""
     if size > pool.n_samples:
         raise ValueError("initial size exceeds the pool")
     rng = np.random.default_rng(seed)
@@ -231,7 +232,7 @@ def _acquire_once(pool: LabeledPool, config: SearchConfig):
     store, members = train_subset_ensemble(
         pool, full, config.ensemble, config.trainer, config.seed, 0
     )
-    scores = _pool_scores(members, pool, config, iteration=0)
+    scores = _pool_scores(predict_pool(members, pool), pool, config, iteration=0)
     chosen = outlier_window_select(scores, config.target_size, config.outlier_fraction)
     return store, scores, chosen
 
@@ -262,6 +263,39 @@ def run_compress(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
 
 
+def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: bool) -> SubsetResult:
+    """The growth loop shared by build-up and automatic duplication.
+
+    Starts from a random subset of ``sizes[0]`` ids. Iteration t trains an
+    ensemble on the subset and predicts the pool once; that one tensor
+    gives the record's pool accuracy and, before the last iteration, the
+    scores whose ``sizes[t + 1] - sizes[t]`` picks make iteration t + 1.
+    With ``unseen`` the picks are ids outside the subset; otherwise each
+    pick adds one more copy of its id.
+    """
+    init = random_subset_ids(pool, sizes[0], derive_seed(config.seed, _ROLE_INIT))
+    state = SubsetState.from_ids(init)
+    scores, excluded, chosen = None, frozenset(), init
+    records = []
+    for iteration in range(len(sizes)):
+        store, members = train_subset_ensemble(
+            pool, state, config.ensemble, config.trainer, config.seed, iteration
+        )
+        tensor = predict_pool(members, pool)
+        accuracy = evaluate_tensor(tensor, pool.labels).accuracy
+        records.append(_record(iteration, state, scores, excluded, chosen, accuracy))
+        if iteration == len(sizes) - 1:
+            break
+        scores = _pool_scores(tensor, pool, config, iteration + 1)
+        del tensor  # freed before the next ensemble predicts
+        if unseen:
+            excluded = {int(i) for i in state.ids()}
+        k = sizes[iteration + 1] - sizes[iteration]
+        chosen = outlier_window_select(scores, k, config.outlier_fraction, excluded)
+        state = state.with_new_ids(chosen) if unseen else state.with_added_copies(chosen)
+    return SubsetResult(config.scheme, config.function_id, records, state, members, store)
+
+
 def run_build_up(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """Grow a subset through the doubling schedule.
 
@@ -272,28 +306,7 @@ def run_build_up(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """
     if config.target_size > pool.n_samples:
         raise ValueError("target size exceeds the pool")
-    sizes = growth_schedule(config.target_size)
-    init = _random_initial_ids(pool, sizes[0], derive_seed(config.seed, _ROLE_INIT))
-    state = SubsetState.from_ids(init)
-    store, members = train_subset_ensemble(
-        pool, state, config.ensemble, config.trainer, config.seed, 0
-    )
-    records = [_record(0, state, None, frozenset(), init, evaluate(members, pool).accuracy)]
-
-    for iteration, size in enumerate(sizes[1:], start=1):
-        scores = _pool_scores(members, pool, config, iteration)
-        excluded = {int(i) for i in state.ids()}
-        chosen = outlier_window_select(
-            scores, size - state.unique_count, config.outlier_fraction, excluded
-        )
-        state = state.with_new_ids(chosen)
-        store, members = train_subset_ensemble(
-            pool, state, config.ensemble, config.trainer, config.seed, iteration
-        )
-        records.append(
-            _record(iteration, state, scores, excluded, chosen, evaluate(members, pool).accuracy)
-        )
-    return SubsetResult(config.scheme, config.function_id, records, state, members, store)
+    return _grow(pool, config, growth_schedule(config.target_size), unseen=True)
 
 
 def run_automatic_duplication(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
@@ -304,33 +317,14 @@ def run_automatic_duplication(pool: LabeledPool, config: SearchConfig) -> Subset
     occurrence (the final batch shrinks to land exactly on the target
     total count), and the ensemble retrains on the enlarged multiset.
     """
-    batch = int(config.acquisition_batch or 0)
     initial = config.initial_size
     if initial is None:
         initial = max(1, config.target_size // 8)
     if initial > config.target_size:
         raise ValueError("initial size exceeds the target")
-    init = _random_initial_ids(pool, initial, derive_seed(config.seed, _ROLE_INIT))
-    state = SubsetState.from_ids(init)
-    store, members = train_subset_ensemble(
-        pool, state, config.ensemble, config.trainer, config.seed, 0
-    )
-    records = [_record(0, state, None, frozenset(), init, evaluate(members, pool).accuracy)]
-
-    iteration = 0
-    while state.total_count < config.target_size:
-        iteration += 1
-        k = min(batch, config.target_size - state.total_count)
-        scores = _pool_scores(members, pool, config, iteration)
-        chosen = outlier_window_select(scores, k, config.outlier_fraction)
-        state = state.with_added_copies(chosen)
-        store, members = train_subset_ensemble(
-            pool, state, config.ensemble, config.trainer, config.seed, iteration
-        )
-        records.append(
-            _record(iteration, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
-        )
-    return SubsetResult(config.scheme, config.function_id, records, state, members, store)
+    totals = list(range(initial, config.target_size, config.acquisition_batch))
+    totals.append(config.target_size)
+    return _grow(pool, config, totals, unseen=False)
 
 
 _RUNNERS = {

@@ -14,6 +14,7 @@ from alsift.analysis import (
     consensus_rows,
     duplication_histogram,
     evaluate,
+    evaluate_tensor,
     selected_unselected_gap,
 )
 from alsift.learner import LabeledPool, ModelParams
@@ -161,6 +162,18 @@ class TestEvaluate:
         member = linear_member([[-1.0, 1.0]], [0.0, 0.0])
         with pytest.raises(KeyError, match="unknown sample id"):
             evaluate([member], pool, ids=[99])
+
+    def test_tensor_votes_by_member_mean(self):
+        # members vote 0, 0, 2 on sample 0 and 1, 2, 2 on sample 1
+        tensor = tensor_from_votes([[0, 0, 2], [1, 2, 2]], 3)
+        report = evaluate_tensor(tensor, [0, 1])
+        assert report.accuracy == 0.5
+        assert report.per_class == {0: 1.0, 1: 0.0}
+
+    def test_tensor_labels_must_align(self):
+        tensor = tensor_from_votes([[0, 0], [1, 1]], 2)
+        with pytest.raises(ValueError, match="labels length"):
+            evaluate_tensor(tensor, [0, 1, 1])
 
 
 class TestSelectedUnselectedGap:

@@ -219,11 +219,12 @@ class TestAnalyze:
     def test_consensus_output(self, tmp_path, trained_store, capsys):
         _, pool_path, store_dir = trained_store
         out = tmp_path / "analysis"
-        code = main([
+        args = [
             "analyze", "--what", "consensus", "--pool", str(pool_path),
             "--checkpoints", str(store_dir), "--run", "11", "--n-max", "3",
             "--csv", "--out", str(out),
-        ])
+        ]
+        code = main(args)
         assert code == 0
         printed = capsys.readouterr().out
         assert "all-1-agree" in printed
@@ -234,6 +235,10 @@ class TestAnalyze:
         csv_lines = (out / "consensus.csv").read_text().splitlines()
         assert csv_lines[0] == "source,series,index,count"
         assert len(csv_lines) == 1 + 3 + 4
+        # a second run appends its document but exports only its own rows
+        assert main(args) == 0
+        assert len(read_results(out / "analysis_consensus.txt")) == 2
+        assert (out / "consensus.csv").read_text().splitlines() == csv_lines
 
     def test_eval_with_subset_gap(self, tmp_path, trained_store, capsys):
         pool, pool_path, store_dir = trained_store
@@ -253,6 +258,17 @@ class TestAnalyze:
         lines = (out / "eval.csv").read_text().splitlines()
         assert lines[0] == "partition,class,accuracy,n_samples"
         assert {l.split(",")[0] for l in lines[1:]} == {"selected", "unselected"}
+
+    def test_malformed_pool_row_fails_with_line(self, tmp_path, trained_store, capsys):
+        _, _, store_dir = trained_store
+        bad = tmp_path / "bad.csv"
+        bad.write_text("sample_id,label,x_0,x_1\n0,1,0.5,0.25\n1,0,0.5\n")
+        code = main([
+            "analyze", "--what", "eval", "--pool", str(bad),
+            "--checkpoints", str(store_dir), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "line 3: expected 4 columns, found 3" in capsys.readouterr().err
 
     def test_unknown_run_fails(self, tmp_path, trained_store, capsys):
         _, pool_path, store_dir = trained_store

@@ -126,6 +126,18 @@ class TestPoolFiles:
         with pytest.raises(ValueError, match="header"):
             read_pool_csv(path)
 
+    def test_row_width_checked_with_line_number(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("sample_id,label,x_0,x_1\n0,1,0.5,0.25\n\n1,0,0.5\n")
+        with pytest.raises(ValueError, match=r"^line 4: expected 4 columns, found 3$"):
+            read_pool_csv(path)
+
+    def test_bad_cell_named_with_line_number(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("sample_id,label,x_0,x_1\n0,1,0.5,0.25\n1,0,abc,0.5\n")
+        with pytest.raises(ValueError, match=r"^line 3: .*'abc'"):
+            read_pool_csv(path)
+
     def test_metadata_file_written(self, tmp_path):
         pool, meta = generate_pool_with_metadata(spec(redundancy=0.2, label_noise=0.1))
         path = tmp_path / "meta.csv"

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import alsift.analysis
+import alsift.schemes
 from alsift.acquisition import AcquisitionScores
+from alsift.analysis import evaluate
 from alsift.datagen import GeneratorSpec, generate_pool
 from alsift.learner import EnsembleConfig, TrainConfig
 from alsift.schemes import (
@@ -313,3 +316,35 @@ class TestRunners:
         assert len(store.run_seeds()) == 2
         _, again = train_subset_ensemble(pool, state, ens, trainer, seed=4)
         assert_array_equal(members[0].tensors[0], again[0].tensors[0])
+
+
+class TestOnePredictionPerEnsemble:
+    RUNS = (
+        ("pretrain", {}),
+        ("compress", {}),
+        ("build_up", {}),
+        ("automatic_duplication", {"acquisition_batch": 10, "initial_size": 5}),
+    )
+
+    @pytest.mark.parametrize("scheme, kwargs", RUNS, ids=[name for name, _ in RUNS])
+    def test_pool_predicted_once_per_trained_ensemble(self, monkeypatch, scheme, kwargs):
+        calls = []
+        for module in (alsift.schemes, alsift.analysis):
+
+            def counted(*args, _original=module.predict_pool, **kw):
+                calls.append(1)
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(module, "predict_pool", counted)
+        result = run_scheme(tiny_pool(), tiny_config(scheme, **kwargs))
+        if scheme in ("pretrain", "compress"):
+            # the full-pool ensemble scores, the subset ensemble is evaluated
+            assert len(calls) == 2
+        else:
+            assert len(calls) == len(result.records)
+
+    @pytest.mark.parametrize("scheme, kwargs", RUNS, ids=[name for name, _ in RUNS])
+    def test_last_record_accuracy_is_final_ensemble_accuracy(self, scheme, kwargs):
+        pool = tiny_pool()
+        result = run_scheme(pool, tiny_config(scheme, **kwargs))
+        assert result.records[-1].pool_accuracy == evaluate(result.members, pool).accuracy
