@@ -41,9 +41,9 @@ for run_seed in (101, 102, 103):
 print()
 
 modes = (
-    EnsembleConfig(mode="single", run_seed=101),
+    EnsembleConfig(mode="single"),  # single and checkpoints read the lowest run, 101
     EnsembleConfig(mode="seeds", runs=3),
-    EnsembleConfig(mode="checkpoints", checkpoints_per_run=5, run_seed=101),
+    EnsembleConfig(mode="checkpoints", checkpoints_per_run=5),
     EnsembleConfig(mode="combined", runs=3, checkpoints_per_run=5),
 )
 print("%-12s %8s %10s" % ("mode", "members", "accuracy"))

@@ -91,6 +91,35 @@ def _clamp_mutual_information(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def _ensemble_scores(members: np.ndarray, function_id: str, labels=None) -> np.ndarray:
+    """Score a float64 (..., E, K) stack of member rows over its last two axes.
+
+    Handles ``entropy``, ``mutual_information``, ``variation_ratios`` and
+    ``error_count``; ``labels`` holds one class index per (E, K) ensemble.
+    Member votes and the majority vote break argmax ties toward the lowest
+    class index, so every score is deterministic.
+    """
+    n_members, n_classes = members.shape[-2:]
+    if function_id == "entropy":
+        return _entropy_rows(members.mean(axis=-2))
+    if function_id == "mutual_information":
+        total = _entropy_rows(members.mean(axis=-2))
+        expected = _entropy_rows(members).mean(axis=-1)
+        return _clamp_mutual_information(total - expected)
+    votes = np.argmax(members, axis=-1)
+    if function_id == "variation_ratios":
+        counts = (votes[..., None] == np.arange(n_classes)).sum(axis=-2)
+        return 1.0 - counts.max(axis=-1) / n_members
+    if labels is None:
+        raise ValueError("error_count scoring requires labels")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != members.shape[:-2]:
+        raise ValueError("labels length must match the sample axis")
+    if np.any(labels < 0) or np.any(labels >= n_classes):
+        raise ValueError("labels out of range [0, %d)" % n_classes)
+    return 1.0 - (votes == labels[..., None]).sum(axis=-1) / n_members
+
+
 def mutual_information(members: np.ndarray) -> float:
     """Entropy of the mean prediction minus the mean member entropy.
 
@@ -98,15 +127,7 @@ def mutual_information(members: np.ndarray) -> float:
     one is); large when members disagree. Tiny negative values from
     floating-point cancellation are clamped to 0.
     """
-    members = _check_members(members)
-    total = _entropy_rows(members.mean(axis=0))
-    expected = _entropy_rows(members).mean()
-    return float(_clamp_mutual_information(np.asarray(total - expected)))
-
-
-def _member_votes(members: np.ndarray) -> np.ndarray:
-    # argmax ties resolve to the lowest class index
-    return np.argmax(members, axis=-1)
+    return float(_ensemble_scores(_check_members(members), "mutual_information"))
 
 
 def variation_ratios(members: np.ndarray) -> float:
@@ -115,23 +136,12 @@ def variation_ratios(members: np.ndarray) -> float:
     Per-member argmax ties and majority-vote ties both resolve to the
     lowest class index, so the score is deterministic.
     """
-    members = _check_members(members)
-    n_members, n_classes = members.shape
-    votes = _member_votes(members)
-    counts = np.bincount(votes, minlength=n_classes)
-    mode = int(np.argmax(counts))
-    return 1.0 - counts[mode] / n_members
+    return float(_ensemble_scores(_check_members(members), "variation_ratios"))
 
 
 def error_count(members: np.ndarray, label: int) -> float:
     """Fraction of members whose top class differs from the true label."""
-    members = _check_members(members)
-    n_members, n_classes = members.shape
-    label = int(label)
-    if not 0 <= label < n_classes:
-        raise ValueError("label %d out of range [0, %d)" % (label, n_classes))
-    votes = _member_votes(members)
-    return 1.0 - np.count_nonzero(votes == label) / n_members
+    return float(_ensemble_scores(_check_members(members), "error_count", label))
 
 
 @dataclass
@@ -208,34 +218,12 @@ def score_pool(
     """
     if function_id not in FUNCTION_IDS:
         raise ValueError("unknown acquisition function %r" % function_id)
-    data = tensor.data.astype(np.float64)
-    n_samples, n_members, n_classes = data.shape
-
-    if function_id == "entropy":
-        scores = _entropy_rows(data.mean(axis=1))
-    elif function_id == "mutual_information":
-        total = _entropy_rows(data.mean(axis=1))
-        expected = _entropy_rows(data).mean(axis=1)
-        scores = _clamp_mutual_information(total - expected)
-    elif function_id == "variation_ratios":
-        votes = _member_votes(data)
-        counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
-        agree = counts[np.arange(n_samples), np.argmax(counts, axis=1)]
-        scores = 1.0 - agree / n_members
-    elif function_id == "error_count":
-        if labels is None:
-            raise ValueError("error_count scoring requires labels")
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n_samples,):
-            raise ValueError("labels length must match the sample axis")
-        if np.any(labels < 0) or np.any(labels >= n_classes):
-            raise ValueError("labels out of range")
-        votes = _member_votes(data)
-        scores = 1.0 - (votes == labels[:, None]).sum(axis=1) / n_members
-    else:  # random
-        if seed is None:
-            raise ValueError("random scoring requires a seed")
-        scores = np.random.default_rng(seed).random(n_samples)
+    if function_id != "random":
+        scores = _ensemble_scores(tensor.data.astype(np.float64), function_id, labels)
+    elif seed is None:
+        raise ValueError("random scoring requires a seed")
+    else:
+        scores = np.random.default_rng(seed).random(tensor.n_samples)
 
     return AcquisitionScores(function_id, scores, tensor.sample_ids)
 
@@ -275,21 +263,10 @@ def detection_heatmaps(maps, function_id: str) -> np.ndarray:
             "function %r not applicable to detection maps" % function_id
         )
     stack = _as_heatmap_stack(maps)
-    n_members = stack.shape[0]
-    binary = np.stack([stack, 1.0 - stack], axis=-1)  # (E, C, H, W, 2)
-
-    if function_id == "entropy":
-        return _entropy_rows(binary.mean(axis=0))
-    if function_id == "mutual_information":
-        total = _entropy_rows(binary.mean(axis=0))
-        expected = _entropy_rows(binary).mean(axis=0)
-        return _clamp_mutual_information(total - expected)
-
-    # variation ratios: vote 0 means "object present" wins (q >= 0.5)
-    votes_present = (stack >= 0.5).sum(axis=0)
-    votes_absent = n_members - votes_present
-    agree = np.where(votes_present >= votes_absent, votes_present, votes_absent)
-    return 1.0 - agree / n_members
+    # (C, H, W, E, 2) view; members stay outermost in memory, so the
+    # member means add in member order
+    binary = np.moveaxis(np.stack([stack, 1.0 - stack], axis=-1), 0, -2)
+    return _ensemble_scores(binary, function_id)
 
 
 def detection_image_score(maps, function_id: str) -> float:
@@ -345,11 +322,15 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
     """Read the CSV form: columns sample_id, member, p_0..p_{K-1}.
 
     Rows may appear in any order but must cover the full (sample, member)
-    grid. Samples keep their order of first appearance.
+    grid. Samples keep their order of first appearance. Lines starting
+    with ``#`` are skipped. A row with other than K + 2 cells, a cell that
+    does not parse, a negative id or member index, or a repeated
+    (sample, member) pair is rejected with its line number.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
+        # comment lines become empty rows, so line_num counts file lines
+        reader = csv.reader("" if line.startswith("#") else line for line in fh)
+        header = next((row for row in reader if row), None)
         if header is None or len(header) < 3 or header[0] != "sample_id" or header[1] != "member":
             raise ValueError("expected header sample_id, member, p_0..p_{K-1}")
         n_classes = len(header) - 2
@@ -362,14 +343,20 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
         for row in reader:
             if not row:
                 continue
-            sid, member = int(row[0]), int(row[1])
-            key = (sid, member)
-            if key in rows:
-                raise ValueError("duplicate row for sample %d member %d" % key)
+            try:
+                if len(row) != n_classes + 2:
+                    raise ValueError("expected %d columns, found %d" % (n_classes + 2, len(row)))
+                sid, member = int(row[0]), int(row[1])
+                if sid < 0 or member < 0:
+                    raise ValueError("sample id and member index must be >= 0")
+                if (sid, member) in rows:
+                    raise ValueError("duplicate row for sample %d member %d" % (sid, member))
+                rows[(sid, member)] = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
             if sid not in seen:
                 seen.add(sid)
                 order.append(sid)
-            rows[key] = [float(v) for v in row[2:]]
             max_member = max(max_member, member)
     n_members = max_member + 1
     if n_members < 1 or not order:

@@ -148,9 +148,3 @@ def selected_unselected_gap(
         evaluate(members, pool, unselected),
     )
 
-
-def consensus_rows(report: ConsensusReport) -> list[tuple]:
-    """Plot-ready rows (kind, index, count) for the two consensus series."""
-    rows: list[tuple] = [("cumulative", n + 1, c) for n, c in enumerate(report.cumulative)]
-    rows.extend(("pairwise", i + 1, c) for i, c in enumerate(report.pairwise))
-    return rows

@@ -48,7 +48,7 @@ from .experiment import (
     run_experiment,
     write_results,
 )
-from .learner import CheckpointStore, EnsembleConfig, build_ensemble, predict_pool
+from .learner import ENSEMBLE_MODES, CheckpointStore, EnsembleConfig, build_ensemble, predict_pool
 from .state import read_subset_csv
 
 
@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", help="pool CSV (features and labels)")
     p.add_argument("--checkpoints", help="checkpoint directory to build members from")
     p.add_argument("--tensor", help="prediction tensor file (.alpt or .csv)")
-    p.add_argument("--mode", default="seeds", help="ensemble mode for --checkpoints")
+    p.add_argument(
+        "--mode", default="seeds", choices=ENSEMBLE_MODES, help="ensemble mode for --checkpoints"
+    )
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--checkpoints-per-run", type=int, default=1)
     p.add_argument("--stride", type=int, default=1)
@@ -128,16 +130,16 @@ def _cmd_score(args) -> int:
         else:
             tensor = read_prediction_tensor(args.tensor)
     elif args.checkpoints and pool is not None:
-        store = CheckpointStore.load(args.checkpoints)
-        members = build_ensemble(
-            store,
-            EnsembleConfig(
+        try:
+            ensemble = EnsembleConfig(
                 mode=args.mode,
                 runs=args.runs,
                 checkpoints_per_run=args.checkpoints_per_run,
                 stride=args.stride,
-            ),
-        )
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        members = build_ensemble(CheckpointStore.load(args.checkpoints), ensemble)
         tensor = predict_pool(members, pool)
     else:
         raise ConfigError("score needs --tensor, or --pool plus --checkpoints")
@@ -167,9 +169,11 @@ def _cmd_search(args) -> int:
     config = config_from_file(args.config)
     if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
+    if args.jobs is not None:
+        config = replace(config, jobs=args.jobs)
     if args.out != ".":
         config = replace(config, out_dir=args.out)
-    result = run_experiment(config, jobs=args.jobs)
+    result = run_experiment(config)
     path = write_results(result, config.out_dir)
     for trial in result.trials:
         extras = ""

@@ -183,8 +183,8 @@ def write_pool_csv(path, pool: LabeledPool) -> None:
             )
 
 
-def read_pool_csv(path, n_classes: int | None = None) -> LabeledPool:
-    """Read a pool table; class count defaults to max(label) + 1."""
+def read_pool_csv(path) -> LabeledPool:
+    """Read a pool table; the class count is max(label) + 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -208,10 +208,8 @@ def read_pool_csv(path, n_classes: int | None = None) -> LabeledPool:
     if not ids:
         raise ValueError("empty pool file")
     labels_arr = np.asarray(labels, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(labels_arr.max()) + 1
     return LabeledPool(
-        np.asarray(rows), labels_arr, np.asarray(ids, dtype=np.uint64), n_classes
+        np.asarray(rows), labels_arr, np.asarray(ids, dtype=np.uint64), int(labels_arr.max()) + 1
     )
 
 

@@ -81,10 +81,15 @@ class LabeledPool:
             raise KeyError("unknown sample id %s" % exc.args[0]) from None
 
 
+def _layer_widths(arch: str, d: int, k: int, hidden: int) -> list[int]:
+    """Widths from the input to the logits: [D, K] or [D, hidden, K]."""
+    return [d, k] if arch == "logistic" else [d, hidden, k]
+
+
 def _tensor_shapes(arch: str, d: int, k: int, hidden: int) -> list[tuple[int, ...]]:
-    if arch == "logistic":
-        return [(d, k), (k,)]
-    return [(d, hidden), (hidden,), (hidden, k), (k,)]
+    """(W, b) shapes of each layer, in ``ModelParams.tensors`` order."""
+    widths = _layer_widths(arch, d, k, hidden)
+    return [shape for n_in, n_out in zip(widths, widths[1:]) for shape in ((n_in, n_out), (n_out,))]
 
 
 @dataclass
@@ -125,17 +130,14 @@ class ModelParams:
 def init_params(
     arch: str, n_features: int, n_classes: int, hidden: int, rng: np.random.Generator
 ) -> ModelParams:
-    """Gaussian weights scaled by 1/sqrt(fan-in); zero biases."""
-    if arch == "logistic":
-        w = rng.normal(0.0, 1.0 / math.sqrt(n_features), (n_features, n_classes))
-        tensors = (w, np.zeros(n_classes))
-    elif arch == "mlp":
-        w1 = rng.normal(0.0, 1.0 / math.sqrt(n_features), (n_features, hidden))
-        w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, n_classes))
-        tensors = (w1, np.zeros(hidden), w2, np.zeros(n_classes))
-    else:
+    """Gaussian weights scaled by 1/sqrt(fan-in), drawn layer by layer; zero biases."""
+    if arch not in ARCHITECTURES:
         raise ValueError("unknown architecture %r" % arch)
-    return ModelParams(arch, n_features, n_classes, hidden if arch == "mlp" else 0, tensors)
+    widths = _layer_widths(arch, n_features, n_classes, hidden)
+    tensors = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        tensors += [rng.normal(0.0, 1.0 / math.sqrt(n_in), (n_in, n_out)), np.zeros(n_out)]
+    return ModelParams(arch, n_features, n_classes, hidden if arch == "mlp" else 0, tuple(tensors))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -145,12 +147,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward(params: ModelParams, features: np.ndarray):
-    if params.arch == "logistic":
-        w, b = params.tensors
-        return features @ w + b, None
-    w1, b1, w2, b2 = params.tensors
-    hidden = np.maximum(features @ w1 + b1, 0.0)
-    return hidden @ w2 + b2, hidden
+    """The input of each layer, then the logits; a ReLU joins two layers."""
+    tensors = params.tensors
+    inputs = []
+    out = features
+    for w, b in zip(tensors[::2], tensors[1::2]):
+        if inputs:
+            out = np.maximum(out, 0.0)
+        inputs.append(out)
+        out = out @ w + b
+    return inputs, out
 
 
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -164,7 +170,7 @@ def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
             "feature width %d does not match model width %d"
             % (features.shape[1], params.n_features)
         )
-    probs = _softmax(_forward(params, features)[0])
+    probs = _softmax(_forward(params, features)[1])
     return probs[0] if single else probs
 
 
@@ -200,7 +206,7 @@ def loss_and_gradients(
     n = features.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    logits, hidden = _forward(params, features)
+    inputs, logits = _forward(params, features)
     probs = _softmax(logits)
     rows = np.arange(n)
     if class_weights is None:
@@ -214,25 +220,21 @@ def loss_and_gradients(
     dlogits[rows, labels] -= 1.0
     dlogits *= sample_w[:, None] / n
 
-    if params.arch == "logistic":
-        w, _ = params.tensors
-        grads = [features.T @ dlogits, dlogits.sum(axis=0)]
+    grads = []
+    squares = 0.0
+    delta = dlogits
+    for w in reversed(params.tensors[::2]):
+        layer_input = inputs.pop()
+        grad_w = layer_input.T @ delta
         if weight_decay:
-            loss += 0.5 * weight_decay * float((w * w).sum())
-            grads[0] += weight_decay * w
-    else:
-        w1, _, w2, _ = params.tensors
-        g_w2 = hidden.T @ dlogits
-        g_b2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2.T
-        dhidden[hidden <= 0.0] = 0.0
-        g_w1 = features.T @ dhidden
-        g_b1 = dhidden.sum(axis=0)
-        grads = [g_w1, g_b1, g_w2, g_b2]
-        if weight_decay:
-            loss += 0.5 * weight_decay * float((w1 * w1).sum() + (w2 * w2).sum())
-            grads[0] += weight_decay * w1
-            grads[2] += weight_decay * w2
+            grad_w += weight_decay * w
+            squares += float((w * w).sum())
+        grads[:0] = (grad_w, delta.sum(axis=0))
+        if inputs:  # this layer's input is a ReLU output: backpropagate through it
+            delta = delta @ w.T
+            delta[layer_input <= 0.0] = 0.0
+    if weight_decay:
+        loss += 0.5 * weight_decay * squares
     return loss, tuple(grads)
 
 
@@ -482,7 +484,6 @@ class EnsembleConfig:
     runs: int = 5
     checkpoints_per_run: int = 20
     stride: int = 1
-    run_seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in ENSEMBLE_MODES:
@@ -611,30 +612,21 @@ def _strided_tail(store: CheckpointStore, run: int, count: int, stride: int) -> 
 def build_ensemble(store: CheckpointStore, config: EnsembleConfig) -> list[ModelParams]:
     """Pick ensemble members out of a checkpoint store.
 
-    ``single``: newest checkpoint of one run. ``seeds``: per run, the
+    ``single``: newest checkpoint of the lowest run. ``seeds``: per run, the
     checkpoint with the best validation accuracy (newest when no metrics
     are stored). ``checkpoints``: the newest ``checkpoints_per_run``
-    snapshots of one run, ``stride`` epochs apart. ``combined``: the
+    snapshots of the lowest run, ``stride`` epochs apart. ``combined``: the
     checkpoint selection applied to each of ``runs`` runs. Members come
     back ordered by (run seed, epoch).
     """
     runs = store.run_seeds()
     if not runs:
         raise ValueError("empty checkpoint store")
-
-    def pick_run() -> int:
-        if config.run_seed is not None:
-            if config.run_seed not in runs:
-                raise ValueError("run %d not present in the store" % config.run_seed)
-            return config.run_seed
-        return runs[0]
-
     if config.mode == "single":
-        run = pick_run()
-        return [store.get(run, store.epochs(run)[-1]).params]
+        return [store.get(runs[0], store.epochs(runs[0])[-1]).params]
     if config.mode == "checkpoints":
-        run = pick_run()
-        return [c.params for c in _strided_tail(store, run, config.checkpoints_per_run, config.stride)]
+        tail = _strided_tail(store, runs[0], config.checkpoints_per_run, config.stride)
+        return [c.params for c in tail]
     if len(runs) < config.runs:
         raise ValueError("store holds %d runs; %d requested" % (len(runs), config.runs))
     chosen = runs[: config.runs]

@@ -351,3 +351,21 @@ class TestTensorFiles:
         path.write_text("sample_id,member,p_0,p_1\n1,0,0.5,0.5\n2,0,0.5,0.5\n2,1,0.4,0.6\n")
         with pytest.raises(ValueError, match="missing row"):
             read_prediction_tensor_csv(path)
+
+    def test_csv_short_row_rejected(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("sample_id,member,p_0,p_1\n1,0,0.5,0.5\n1,1,0.5\n")
+        with pytest.raises(ValueError, match="line 3: expected 4 columns, found 3"):
+            read_prediction_tensor_csv(path)
+
+    def test_csv_negative_member_rejected(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("sample_id,member,p_0,p_1\n# a comment\n1,-1,0.5,0.5\n1,0,0.5,0.5\n")
+        with pytest.raises(ValueError, match="line 3: sample id and member index must be >= 0"):
+            read_prediction_tensor_csv(path)
+
+    def test_csv_non_integer_id_names_its_line(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("sample_id,member,p_0,p_1\n1,0,0.5,0.5\n\nx1,0,0.5,0.5\n")
+        with pytest.raises(ValueError, match="line 4: invalid literal for int"):
+            read_prediction_tensor_csv(path)

@@ -8,10 +8,8 @@ from numpy.testing import assert_array_equal
 
 from alsift.acquisition import PredictionTensor
 from alsift.analysis import (
-    ConsensusReport,
     DuplicationHistogram,
     consensus_counts,
-    consensus_rows,
     duplication_histogram,
     evaluate,
     evaluate_tensor,
@@ -75,13 +73,6 @@ class TestConsensus:
             consensus_counts(tensor, 3)
         with pytest.raises(ValueError, match="n_max"):
             consensus_counts(tensor, 0)
-
-    def test_rows_cover_both_series(self):
-        report = ConsensusReport(5, (5, 4), (4,))
-        rows = consensus_rows(report)
-        assert ("cumulative", 1, 5) in rows
-        assert ("cumulative", 2, 4) in rows
-        assert ("pairwise", 1, 4) in rows
 
 
 class TestDuplicationHistogram:

@@ -347,3 +347,36 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_tensor_csv_maps_to_two(self, tmp_path, capsys):
+        bad = tmp_path / "preds.csv"
+        bad.write_text("sample_id,member,p_0,p_1\n1,0,0.5,0.5\n1,1,0.5\n")
+        code = main(["score", "--tensor", str(bad), "--function", "entropy", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: line 3: expected 4 columns, found 3" in capsys.readouterr().err
+
+    def test_unknown_ensemble_mode_maps_to_one(self, tmp_path, trained_store, capsys):
+        _, pool_path, store_dir = trained_store
+        code = main([
+            "score", "--pool", str(pool_path), "--checkpoints", str(store_dir),
+            "--function", "entropy", "--mode", "bogus", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--runs", "--checkpoints-per-run", "--stride"])
+    def test_non_positive_ensemble_size_maps_to_one(self, tmp_path, trained_store, flag, capsys):
+        _, pool_path, store_dir = trained_store
+        code = main([
+            "score", "--pool", str(pool_path), "--checkpoints", str(store_dir),
+            "--function", "entropy", flag, "0", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert "config error: runs, checkpoints per run and stride" in capsys.readouterr().err
+
+    def test_zero_jobs_maps_to_one(self, tmp_path, config_path, capsys):
+        out = tmp_path / "runs"
+        code = main(["search", "--config", str(config_path), "--jobs", "0", "--out", str(out)])
+        assert code == 1
+        assert "experiment.jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

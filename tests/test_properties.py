@@ -1,7 +1,8 @@
-"""Property tests: selection invariants and the config key table round trip."""
+"""Property tests: score bounds and agreement, selection invariants, config key table round trip."""
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -10,7 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from alsift.acquisition import FUNCTION_IDS, AcquisitionScores
+from alsift.acquisition import (
+    DETECTION_FUNCTION_IDS,
+    FUNCTION_IDS,
+    AcquisitionScores,
+    PredictionTensor,
+    detection_heatmaps,
+    error_count,
+    mutual_information,
+    score_pool,
+    variation_ratios,
+)
 from alsift.experiment import (
     CONFIG_KEYS,
     canonical_config_lines,
@@ -48,6 +59,61 @@ def test_top_k_is_the_zero_window_and_equals_restriction(case):
         if int(i) not in excluded
     ]
     assert [int(i) for i in got] == [i for _, i in sorted(remaining)[:k]]
+
+
+def _grid_rows(draw, shape):
+    """Probability rows on a 1/16 grid: exact in float32, with frequent argmax ties."""
+    *lead, k = shape
+    size = math.prod(lead) * (k - 1)
+    cuts = draw(st.lists(st.integers(0, 16), min_size=size, max_size=size))
+    cuts = np.sort(np.asarray(cuts, dtype=np.float64).reshape(*lead, k - 1), axis=-1)
+    edges = np.concatenate([np.zeros((*lead, 1)), cuts, np.full((*lead, 1), 16.0)], axis=-1)
+    return np.diff(edges, axis=-1) / 16.0
+
+
+@st.composite
+def grid_pools(draw):
+    n, e, k = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    labels = np.asarray(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    return PredictionTensor(_grid_rows(draw, (n, e, k)), np.arange(n)), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_pools())
+def test_scores_bounded_and_equal_to_single_ensemble_scores(case):
+    tensor, labels = case
+    e, k = tensor.n_members, tensor.n_classes
+    h = score_pool(tensor, "entropy").scores
+    mi = score_pool(tensor, "mutual_information").scores
+    vr = score_pool(tensor, "variation_ratios").scores
+    ec = score_pool(tensor, "error_count", labels=labels).scores
+    members = tensor.data.astype(np.float64)
+    for i in range(tensor.n_samples):
+        assert mutual_information(members[i]) == mi[i]
+        assert variation_ratios(members[i]) == vr[i]
+        assert error_count(members[i], labels[i]) == ec[i]
+    assert np.all(0.0 <= mi) and np.all(mi <= h) and np.all(h <= math.log(k) + 1e-12)
+    assert np.all(0.0 <= vr) and np.all(vr <= 1.0 - 1.0 / e)
+    assert np.all(np.isin(ec, [1.0 - m / e for m in range(e + 1)]))
+
+
+@st.composite
+def grid_heatmaps(draw):
+    # below 8 members numpy sums the member entropies in member order on
+    # both paths; longer sums are split into partial sums differently
+    shape = (draw(st.integers(1, 7)), *(draw(st.integers(1, 3)) for _ in range(3)))
+    return _grid_rows(draw, (*shape, 2))[..., 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_heatmaps())
+def test_detection_heatmaps_equal_pool_scores_of_binary_rows(maps):
+    e, c, h, w = maps.shape
+    rows = np.stack([maps, 1.0 - maps], axis=-1).reshape(e, c * h * w, 2).transpose(1, 0, 2)
+    tensor = PredictionTensor(rows, np.arange(c * h * w))
+    for function_id in DETECTION_FUNCTION_IDS:
+        expected = score_pool(tensor, function_id).scores.reshape(c, h, w)
+        assert_array_equal(detection_heatmaps(maps, function_id), expected)
 
 
 def _ints(lo, hi):
