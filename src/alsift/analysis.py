@@ -136,15 +136,12 @@ def selected_unselected_gap(
     members, pool: LabeledPool, state: SubsetState
 ) -> tuple[EvalReport, EvalReport]:
     """Evaluate separately on subset members and on the rest of the pool."""
-    selected = {int(i) for i in state.ids()}
-    unknown = selected - {int(i) for i in pool.sample_ids}
-    if unknown:
-        raise KeyError("unknown sample id %d" % sorted(unknown)[0])
-    unselected = [int(i) for i in pool.sample_ids if int(i) not in selected]
-    if not selected or not unselected:
+    selected = state.ids()
+    unknown = np.setdiff1d(selected, pool.sample_ids)
+    if len(unknown):
+        raise KeyError("unknown sample id %d" % unknown[0])
+    unselected = pool.sample_ids[~np.isin(pool.sample_ids, selected)]
+    if not len(selected) or not len(unselected):
         raise ValueError("empty partition: subset must split the pool in two")
-    return (
-        evaluate(members, pool, sorted(selected)),
-        evaluate(members, pool, unselected),
-    )
+    return evaluate(members, pool, selected), evaluate(members, pool, unselected)
 

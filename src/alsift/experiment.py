@@ -409,20 +409,38 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
     )
 
 
-def run_experiment(config: ExperimentConfig, jobs: int | None = None) -> ExperimentResult:
-    """Run every trial seed, serially or across processes.
+def _check_epoch_span(search: SearchConfig) -> None:
+    """Refuse a trainer whose runs can never store the epoch span the
+    ensemble mode reads; a run of E epochs stores max(1, E) checkpoints.
+    Early stops under ``patience`` can only be found at run time."""
+    trainer, ensemble = search.trainer, search.ensemble
+    spans = {"trainer.max_epochs": trainer.max_epochs}
+    if search.scheme == "pretrain" and trainer.fine_tune_epochs is not None:
+        spans["trainer.fine_tune_epochs"] = trainer.fine_tune_epochs
+    for key, epochs in spans.items():
+        if max(1, epochs) < ensemble.epochs_needed:
+            raise ConfigError(
+                "%s = %d stores at most %d checkpoints per run, but ensemble.mode = %s with"
+                " ensemble.checkpoints_per_run = %d and ensemble.stride = %d"
+                " reads a span of %d epochs"
+                % (key, epochs, max(1, epochs), ensemble.mode, ensemble.checkpoints_per_run,
+                   ensemble.stride, ensemble.epochs_needed)
+            )
 
-    Args:
-        config: resolved experiment configuration.
-        jobs: process count; defaults to ``config.jobs``. Trial results
-            are deterministic either way; only wall time changes.
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every trial seed, serially or across ``config.jobs`` processes.
+
+    Trial results are deterministic either way; only wall time changes. A
+    trainer that cannot fill the ensemble's epoch span raises
+    :class:`ConfigError` before any training.
     """
-    jobs = config.jobs if jobs is None else max(1, int(jobs))
+    _check_epoch_span(config.search)
     seeds = config.seeds
-    if jobs == 1 or len(seeds) == 1:
+    if config.jobs == 1 or len(seeds) == 1:
         trials = [run_trial(config, seed) for seed in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(seeds))) as pool:
             trials = list(pool.map(run_trial, [config] * len(seeds), seeds))
     return ExperimentResult(config, trials)
 

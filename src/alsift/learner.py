@@ -24,15 +24,13 @@ from .state import SubsetState, subset_hash
 ARCHITECTURES = ("logistic", "mlp")
 ENSEMBLE_MODES = ("single", "seeds", "checkpoints", "combined")
 
-_MASK64 = (1 << 64) - 1
 
-
-def _mix64(value: int) -> int:
-    """splitmix64 finalizer; stable scrambling of sample ids."""
-    z = (value + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(ids: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over uint64 sample ids; the arithmetic wraps mod 2**64."""
+    z = ids + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass
@@ -83,7 +81,7 @@ class LabeledPool:
 
 def _layer_widths(arch: str, d: int, k: int, hidden: int) -> list[int]:
     """Widths from the input to the logits: [D, K] or [D, hidden, K]."""
-    return [d, k] if arch == "logistic" else [d, hidden, k]
+    return [d, hidden, k] if arch == "mlp" else [d, k]
 
 
 def _tensor_shapes(arch: str, d: int, k: int, hidden: int) -> list[tuple[int, ...]]:
@@ -131,8 +129,6 @@ def init_params(
     arch: str, n_features: int, n_classes: int, hidden: int, rng: np.random.Generator
 ) -> ModelParams:
     """Gaussian weights scaled by 1/sqrt(fan-in), drawn layer by layer; zero biases."""
-    if arch not in ARCHITECTURES:
-        raise ValueError("unknown architecture %r" % arch)
     widths = _layer_widths(arch, n_features, n_classes, hidden)
     tensors = []
     for n_in, n_out in zip(widths, widths[1:]):
@@ -257,7 +253,6 @@ class TrainConfig:
     class_weighting: bool = False
     checkpoint_window: int = 20
     val_fraction: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
@@ -313,17 +308,13 @@ class TrainResult:
         return self.checkpoints[-1].params
 
 
-def _validation_split(ids: list[int], fraction: float) -> tuple[list[int], list[int]]:
-    """Id-stable split: ranks ids by a hash and holds out the top fraction."""
-    ids = sorted(ids)
+def _held_out(ids: np.ndarray, fraction: float) -> np.ndarray:
+    """Id-stable validation mask over sorted unique ids: ranks the ids by a
+    hash and holds out the top ``fraction``."""
+    held = np.zeros(len(ids), dtype=bool)
     n_val = int(len(ids) * fraction)
-    if n_val == 0:
-        return ids, []
-    hashes = np.asarray([_mix64(i) for i in ids], dtype=np.uint64)
-    order = np.lexsort((np.asarray(ids, dtype=np.uint64), hashes))
-    val = sorted(int(ids[i]) for i in order[len(ids) - n_val :])
-    train = sorted(set(ids) - set(val))
-    return train, val
+    held[np.lexsort((ids, _mix64(ids)))[len(ids) - n_val :]] = True
+    return held
 
 
 def _accuracy(params: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
@@ -340,18 +331,16 @@ def _run_sgd(
     learning_rate: float,
     max_epochs: int,
 ) -> TrainResult:
-    if subset.total_count == 0:
+    ids = subset.ids()
+    if not len(ids):
         raise ValueError("empty training subset")
-    train_ids, val_ids = _validation_split(
-        [int(s) for s in subset.ids()], config.val_fraction
-    )
-    kept = SubsetState({sid: subset.multiplicity[sid] for sid in train_ids})
-    rows = pool.rows_for(kept.as_training_ids())
-    features = pool.features[rows]
-    labels = pool.labels[rows]
-    if val_ids:
-        val_rows = pool.rows_for(val_ids)
-        val_features, val_labels = pool.features[val_rows], pool.labels[val_rows]
+    counts = np.asarray([subset.multiplicity[sid] for sid in ids.tolist()], dtype=np.int64)
+    held = _held_out(ids, config.val_fraction)
+    rows = pool.rows_for(ids)
+    train_rows = np.repeat(rows[~held], counts[~held])
+    features, labels = pool.features[train_rows], pool.labels[train_rows]
+    if held.any():
+        val_features, val_labels = pool.features[rows[held]], pool.labels[rows[held]]
     else:
         val_features, val_labels = features, labels
 
@@ -372,7 +361,7 @@ def _run_sgd(
     checkpoints: deque[Checkpoint] = deque(maxlen=config.checkpoint_window)
     train_losses: list[float] = []
     val_accs: list[float] = []
-    n_rows = len(rows)
+    n_rows = len(train_rows)
     lr = learning_rate
     decay_at = set(config.decay_epochs)
     best_val = -np.inf
@@ -423,7 +412,7 @@ def train(
     pool: LabeledPool,
     subset: SubsetState,
     config: TrainConfig,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> TrainResult:
     """Train a fresh model on a subset of the pool.
 
@@ -437,14 +426,13 @@ def train(
         pool: the labeled pool the subset indexes into.
         subset: training multiset of sample ids.
         config: hyperparameters.
-        seed: run seed; defaults to ``config.seed``. Controls both the
-            weight initialization and the per-epoch shuffles.
+        seed: run seed. Controls both the weight initialization and the
+            per-epoch shuffles.
 
     Returns:
         TrainResult with checkpoints plus per-epoch loss and accuracy.
     """
-    run_seed = config.seed if seed is None else int(seed)
-    return _run_sgd(pool, subset, config, run_seed, None, config.learning_rate, config.max_epochs)
+    return _run_sgd(pool, subset, config, int(seed), None, config.learning_rate, config.max_epochs)
 
 
 def fine_tune(
@@ -452,7 +440,7 @@ def fine_tune(
     subset: SubsetState,
     params: ModelParams,
     config: TrainConfig,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> TrainResult:
     """Continue training existing weights on a subset at the fine-tune rate.
 
@@ -460,11 +448,10 @@ def fine_tune(
     or a fine-tune rate of 0, the input weights come back unchanged as an
     epoch-0 checkpoint.
     """
-    run_seed = config.seed if seed is None else int(seed)
     epochs = config.fine_tune_epochs
     if epochs is None:
         epochs = config.max_epochs
-    return _run_sgd(pool, subset, config, run_seed, params, config.fine_tune_rate, epochs)
+    return _run_sgd(pool, subset, config, int(seed), params, config.fine_tune_rate, epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -492,28 +479,23 @@ class EnsembleConfig:
             raise ValueError("runs, checkpoints per run and stride must be >= 1")
 
     @property
-    def member_count(self) -> int:
-        if self.mode == "single":
-            return 1
-        if self.mode == "seeds":
-            return self.runs
-        if self.mode == "checkpoints":
-            return self.checkpoints_per_run
-        return self.runs * self.checkpoints_per_run
-
-    @property
     def runs_needed(self) -> int:
         """Number of independent training runs the mode consumes."""
-        if self.mode in ("single", "checkpoints"):
-            return 1
-        return self.runs
+        return self.runs if self.mode in ("seeds", "combined") else 1
+
+    @property
+    def per_run(self) -> int:
+        """Members the mode reads from each run."""
+        return self.checkpoints_per_run if self.mode in ("checkpoints", "combined") else 1
+
+    @property
+    def member_count(self) -> int:
+        return self.runs_needed * self.per_run
 
     @property
     def epochs_needed(self) -> int:
         """Stored-epoch span the mode reads from each run."""
-        if self.mode in ("single", "seeds"):
-            return 1
-        return (self.checkpoints_per_run - 1) * self.stride + 1
+        return (self.per_run - 1) * self.stride + 1
 
 
 class CheckpointStore:
@@ -586,16 +568,11 @@ class CheckpointStore:
 
 
 def _best_checkpoint(store: CheckpointStore, run: int) -> Checkpoint:
-    epochs = store.epochs(run)
-    best = None
-    for epoch in epochs:
-        ckpt = store.get(run, epoch)
-        if math.isnan(ckpt.val_accuracy):
-            continue
-        if best is None or ckpt.val_accuracy > best.val_accuracy:
-            best = ckpt
-    # runs without validation metrics fall back to the newest snapshot
-    return best if best is not None else store.get(run, epochs[-1])
+    ckpts = [store.get(run, epoch) for epoch in store.epochs(run)]
+    scored = [c for c in ckpts if not math.isnan(c.val_accuracy)]
+    # the earliest best epoch wins; runs without validation metrics fall
+    # back to the newest snapshot
+    return max(scored, key=lambda c: c.val_accuracy) if scored else ckpts[-1]
 
 
 def _strided_tail(store: CheckpointStore, run: int, count: int, stride: int) -> list[Checkpoint]:
@@ -622,21 +599,14 @@ def build_ensemble(store: CheckpointStore, config: EnsembleConfig) -> list[Model
     runs = store.run_seeds()
     if not runs:
         raise ValueError("empty checkpoint store")
-    if config.mode == "single":
-        return [store.get(runs[0], store.epochs(runs[0])[-1]).params]
-    if config.mode == "checkpoints":
-        tail = _strided_tail(store, runs[0], config.checkpoints_per_run, config.stride)
-        return [c.params for c in tail]
-    if len(runs) < config.runs:
-        raise ValueError("store holds %d runs; %d requested" % (len(runs), config.runs))
-    chosen = runs[: config.runs]
-    if config.mode == "seeds":
-        return [_best_checkpoint(store, run).params for run in chosen]
+    if len(runs) < config.runs_needed:
+        raise ValueError("store holds %d runs; %d requested" % (len(runs), config.runs_needed))
     members = []
-    for run in chosen:
-        members.extend(
-            c.params for c in _strided_tail(store, run, config.checkpoints_per_run, config.stride)
-        )
+    for run in runs[: config.runs_needed]:
+        if config.mode == "seeds":
+            members.append(_best_checkpoint(store, run).params)
+        else:
+            members += [c.params for c in _strided_tail(store, run, config.per_run, config.stride)]
     return members
 
 

@@ -47,8 +47,8 @@ _ROLE_TUNE = 4
 def _candidates(scores: AcquisitionScores, excluded) -> tuple[np.ndarray, np.ndarray]:
     """Sample ids and scores of the candidates outside ``excluded``."""
     ids, vals = scores.sample_ids, scores.scores
-    if excluded:
-        keep = ~np.isin(ids, np.fromiter((int(i) for i in excluded), dtype=np.uint64))
+    if len(excluded):
+        keep = ~np.isin(ids, np.fromiter(excluded, dtype=np.uint64, count=len(excluded)))
         ids, vals = ids[keep], vals[keep]
     return ids, vals
 
@@ -289,7 +289,7 @@ def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: boo
         scores = _pool_scores(tensor, pool, config, iteration + 1)
         del tensor  # freed before the next ensemble predicts
         if unseen:
-            excluded = {int(i) for i in state.ids()}
+            excluded = state.ids()
         k = sizes[iteration + 1] - sizes[iteration]
         chosen = outlier_window_select(scores, k, config.outlier_fraction, excluded)
         state = state.with_new_ids(chosen) if unseen else state.with_added_copies(chosen)

@@ -65,13 +65,8 @@ class SubsetState:
         Ordering is ascending by id, so the expansion is deterministic;
         the trainer shuffles per epoch on top of this.
         """
-        out = np.empty(self.total_count, dtype=np.uint64)
-        pos = 0
-        for sid in sorted(self.multiplicity):
-            count = self.multiplicity[sid]
-            out[pos : pos + count] = sid
-            pos += count
-        return out
+        ids = self.ids()
+        return np.repeat(ids, [self.multiplicity[sid] for sid in ids.tolist()])
 
     def with_new_ids(self, ids) -> "SubsetState":
         """Copy with previously unseen ids added at multiplicity 1."""
@@ -101,7 +96,9 @@ def write_subset_csv(path, state: SubsetState) -> None:
 
 
 def read_subset_csv(path) -> SubsetState:
-    """Read a subset table; a missing multiplicity column means 1."""
+    """Read a subset table; a missing or empty multiplicity means 1. A row
+    longer than the header, a cell that is not an integer, a multiplicity
+    below 1 or a repeated id raises ``ValueError`` naming the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -111,10 +108,19 @@ def read_subset_csv(path) -> SubsetState:
         for row in reader:
             if not row:
                 continue
-            sid = int(row[0])
-            mult = int(row[1]) if len(row) > 1 and row[1] else 1
-            if sid in counts:
-                raise ValueError("duplicate sample id %d in subset file" % sid)
+            try:
+                if len(row) > len(header):
+                    raise ValueError(
+                        "expected at most %d columns, found %d" % (len(header), len(row))
+                    )
+                sid = int(row[0])
+                mult = int(row[1]) if len(row) > 1 and row[1] else 1
+                if mult < 1:
+                    raise ValueError("multiplicity for sample %d must be >= 1" % sid)
+                if sid in counts:
+                    raise ValueError("duplicate sample id %d in subset file" % sid)
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
             counts[sid] = mult
     return SubsetState(counts)
 

@@ -7,6 +7,7 @@ import pytest
 
 from dataclasses import replace
 
+import alsift.schemes
 from alsift.cli import main
 from alsift.datagen import GeneratorSpec, generate_pool, write_pool_csv
 from alsift.experiment import config_hash, config_from_file, read_results
@@ -379,4 +380,36 @@ class TestExitCodes:
         code = main(["search", "--config", str(config_path), "--jobs", "0", "--out", str(out)])
         assert code == 1
         assert "experiment.jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits, keys", [
+        (
+            [("scheme = build_up", "scheme = pretrain"), ("max_epochs = 6", "max_epochs = 12"),
+             ("checkpoints_per_run = 3", "checkpoints_per_run = 10\ntrainer.fine_tune_epochs = 3")],
+            ["trainer.fine_tune_epochs = 3", "ensemble.checkpoints_per_run = 10"],
+        ),
+        (
+            [("max_epochs = 6", "max_epochs = 5"),
+             ("checkpoints_per_run = 3", "checkpoints_per_run = 10")],
+            ["trainer.max_epochs = 5", "ensemble.checkpoints_per_run = 10"],
+        ),
+    ], ids=["pretrain_fine_tune_epochs", "build_up_max_epochs"])
+    def test_epochs_short_of_ensemble_span_map_to_one(
+        self, edits, keys, tmp_path, monkeypatch, capsys
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was refused")
+
+        monkeypatch.setattr(alsift.schemes, "train", no_training)
+        text = CONFIG_TEXT
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "short.cfg"
+        path.write_text(text)
+        out = tmp_path / "runs"
+        assert main(["search", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        for key in keys:
+            assert key in err
         assert not out.exists()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,8 +163,8 @@ class TestTrials:
 
     def test_parallel_jobs_match_serial(self):
         config = base_config()
-        serial = run_experiment(config, jobs=1)
-        parallel = run_experiment(config, jobs=2)
+        serial = run_experiment(replace(config, jobs=1))
+        parallel = run_experiment(replace(config, jobs=2))
         for a, b in zip(serial.trials, parallel.trials):
             assert a.subset_items == b.subset_items
             assert a.al_accuracy == b.al_accuracy

@@ -27,8 +27,15 @@ from alsift.learner import (
     train,
     write_checkpoint,
 )
-from alsift.learner import _validation_split
+from alsift.learner import _held_out
 from alsift.state import SubsetState
+
+
+def _validation_split(ids, fraction):
+    """(training ids, held-out ids) as the trainer's validation mask splits them."""
+    ids = np.asarray(sorted(ids), dtype=np.uint64)
+    held = _held_out(ids, fraction)
+    return ids[~held].tolist(), ids[held].tolist()
 
 
 def small_pool(seed=0, n=60, d=5, k=3):
@@ -296,15 +303,28 @@ class TestEnsembles:
     def test_member_counts_per_mode(self):
         pool = small_pool()
         store = store_with_runs(pool, (3, 1, 2))
+        # config, members, runs_needed, per_run, epochs_needed
         cases = [
-            (EnsembleConfig(mode="single"), 1),
-            (EnsembleConfig(mode="seeds", runs=3), 3),
-            (EnsembleConfig(mode="checkpoints", checkpoints_per_run=4), 4),
-            (EnsembleConfig(mode="combined", runs=2, checkpoints_per_run=3), 6),
+            (EnsembleConfig(mode="single"), 1, 1, 1, 1),
+            (EnsembleConfig(mode="seeds", runs=3), 3, 3, 1, 1),
+            (EnsembleConfig(mode="checkpoints", checkpoints_per_run=4), 4, 1, 4, 4),
+            (EnsembleConfig(mode="combined", runs=2, checkpoints_per_run=3), 6, 2, 3, 3),
         ]
-        for cfg, count in cases:
+        for cfg, count, runs, per_run, epochs in cases:
             assert cfg.member_count == count
+            assert (cfg.runs_needed, cfg.per_run, cfg.epochs_needed) == (runs, per_run, epochs)
             assert len(build_ensemble(store, cfg)) == count
+        # the stride widens the epoch span only where a run gives several members
+        strided = {
+            "single": (1, 1, 1),
+            "seeds": (2, 1, 1),
+            "checkpoints": (1, 3, 5),
+            "combined": (2, 3, 5),
+        }
+        for mode, expected in strided.items():
+            cfg = EnsembleConfig(mode=mode, runs=2, checkpoints_per_run=3, stride=2)
+            assert (cfg.runs_needed, cfg.per_run, cfg.epochs_needed) == expected
+            assert cfg.member_count == expected[0] * expected[1]
 
     def test_checkpoints_mode_takes_newest_with_stride(self):
         pool = small_pool()

@@ -1,4 +1,5 @@
-"""Property tests: score bounds and agreement, selection invariants, config key table round trip."""
+"""Property tests: score bounds and agreement, selection invariants, config key table
+round trip, and the trainer's held-out ids and training expansion."""
 
 from __future__ import annotations
 
@@ -29,8 +30,9 @@ from alsift.experiment import (
     config_hash,
     parse_config_text,
 )
-from alsift.learner import ARCHITECTURES, ENSEMBLE_MODES
+from alsift.learner import ARCHITECTURES, ENSEMBLE_MODES, _held_out, _mix64
 from alsift.schemes import SCHEMES, outlier_window_select, select_top_k
+from alsift.state import SubsetState
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -217,3 +219,57 @@ def test_readme_config_hash_is_pinned():
     text = re.search(r"cat > exp.cfg <<'EOF'\n(.*?)EOF", README.read_text(), re.S).group(1)
     config = config_from_mapping(parse_config_text(text))
     assert config_hash(config) == "6c71b4dd53f5de3c"
+
+
+# Reference for the trainer's validation split: scalar splitmix64 over
+# Python ints and the sort/set split the trainer once used.
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(value: int) -> int:
+    z = (value + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_split(ids: list[int], fraction: float) -> tuple[list[int], list[int]]:
+    ids = sorted(ids)
+    n_val = int(len(ids) * fraction)
+    if n_val == 0:
+        return ids, []
+    hashes = np.asarray([_splitmix64(i) for i in ids], dtype=np.uint64)
+    order = np.lexsort((np.asarray(ids, dtype=np.uint64), hashes))
+    val = sorted(int(ids[i]) for i in order[len(ids) - n_val :])
+    return sorted(set(ids) - set(val)), val
+
+
+# small ids, ids anywhere in uint64, and ids at the top of the range
+_sample_ids = st.one_of(
+    st.integers(0, 200), st.integers(0, _MASK64), st.integers(_MASK64 - 100, _MASK64)
+)
+_fractions = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5]), st.floats(0.0, 0.999))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_sample_ids, max_size=60, unique=True), _fractions)
+def test_held_out_ids_match_the_scalar_reference(ids, fraction):
+    arr = np.asarray(sorted(ids), dtype=np.uint64)
+    assert _mix64(arr).tolist() == [_splitmix64(i) for i in sorted(ids)]
+    held = _held_out(arr, fraction)
+    train_ids, val_ids = _reference_split(ids, fraction)
+    assert arr[held].tolist() == val_ids
+    assert arr[~held].tolist() == train_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_sample_ids, st.integers(1, 5), max_size=40))
+def test_training_expansion_matches_the_loop(multiplicity):
+    expected = np.empty(sum(multiplicity.values()), dtype=np.uint64)
+    pos = 0
+    for sid in sorted(multiplicity):
+        expected[pos : pos + multiplicity[sid]] = sid
+        pos += multiplicity[sid]
+    got = SubsetState(multiplicity).as_training_ids()
+    assert got.dtype == np.uint64
+    assert_array_equal(got, expected)

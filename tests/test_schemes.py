@@ -64,6 +64,23 @@ class TestSubsetState:
         assert path.read_text().splitlines() == ["sample_id,multiplicity", "1,1", "4,2", "9,3"]
         assert read_subset_csv(path) == state
 
+    def test_subset_csv_missing_or_empty_multiplicity_means_one(self, tmp_path):
+        path = tmp_path / "subset.csv"
+        path.write_text("sample_id,multiplicity\n3\n5,\n7,2\n")
+        assert read_subset_csv(path) == SubsetState({3: 1, 5: 1, 7: 2})
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1,1\n5,2,9\n", "line 3: expected at most 2 columns, found 3"),
+        ("abc,1\n", "line 2: invalid literal"),
+        ("1,1\n4,0\n", "line 3: multiplicity for sample 4 must be >= 1"),
+        ("4,1\n2,1\n4,3\n", "line 4: duplicate sample id 4"),
+    ], ids=["extra_cell", "unparsable_cell", "zero_multiplicity", "repeated_id"])
+    def test_subset_csv_bad_row_names_its_line(self, rows, message, tmp_path):
+        path = tmp_path / "subset.csv"
+        path.write_text("sample_id,multiplicity\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            read_subset_csv(path)
+
     def test_with_added_copies_increments(self):
         state = SubsetState.from_ids([1, 2]).with_added_copies([2, 3])
         assert state.multiplicity == {1: 1, 2: 2, 3: 1}
