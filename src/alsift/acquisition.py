@@ -9,6 +9,8 @@ a pool of predictions is an (N, E, K) tensor wrapped in
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +27,11 @@ SUM_TOL = 1e-6
 # floating-point cancellation; anything in (-MI_CLAMP, 0) is clamped to 0.
 MI_CLAMP = 1e-9
 
+# Pool passes (prediction, validation, scoring, votes) walk the samples in
+# blocks of this many rows, so their float64 working set is
+# O(BLOCK_ROWS * E * K) whatever the pool size.
+BLOCK_ROWS = 2048
+
 FUNCTION_IDS = ("entropy", "mutual_information", "variation_ratios", "error_count", "random")
 
 # Functions applicable to detection heatmaps (no labels, no randomness).
@@ -36,11 +43,14 @@ def _check_rows(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape[-1] < 1:
         raise ValueError("invalid distribution: no classes")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("invalid distribution: non-finite entries")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    # min and max propagate NaN, so one test covers both conditions
+    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=1.0) <= 1.0):
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("invalid distribution: non-finite entries")
         raise ValueError("invalid distribution: entries outside [0, 1]")
-    sums = probs.sum(axis=-1)
+    # a matrix-vector product adds K-wide rows several times faster than a
+    # last-axis sum; the order of addition does not matter at SUM_TOL
+    sums = probs @ np.ones(probs.shape[-1])
     if np.any(np.abs(sums - 1.0) > SUM_TOL):
         raise ValueError("invalid distribution: rows must sum to 1 within %g" % SUM_TOL)
     return probs
@@ -56,8 +66,11 @@ def _check_members(members: np.ndarray) -> np.ndarray:
 
 
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Entropy in nats along the last axis, with 0 * log 0 = 0."""
-    terms = np.where(probs > 0.0, probs * np.log(np.maximum(probs, LOG_EPS)), 0.0)
+    """Entropy in nats along the last axis, with 0 * log 0 = +0."""
+    terms = np.maximum(probs, LOG_EPS)
+    np.log(terms, out=terms)
+    terms *= probs
+    np.copyto(terms, 0.0, where=probs <= 0.0)
     return -terms.sum(axis=-1)
 
 
@@ -164,7 +177,22 @@ class PredictionTensor:
             raise ValueError("sample_ids length must match the sample axis")
         if len(np.unique(self.sample_ids)) != len(self.sample_ids):
             raise ValueError("sample_ids must be unique")
-        _check_rows(self.data.astype(np.float64))
+        for _, block in self.blocks():
+            _check_rows(block)
+
+    def blocks(self):
+        """Yield ``(rows, block)`` for each run of at most ``BLOCK_ROWS`` samples:
+        the rows as a slice and their values as a contiguous float64 (c, E, K)
+        array. Every block is a view of one buffer that the next block
+        overwrites. An empty tensor yields one empty block, so per-block
+        checks still run."""
+        n = self.n_samples
+        buffer = np.empty((min(n, BLOCK_ROWS), *self.data.shape[1:]))
+        for lo in range(0, max(n, 1), BLOCK_ROWS):
+            rows = slice(lo, min(lo + BLOCK_ROWS, n))
+            block = buffer[: rows.stop - lo]
+            block[...] = self.data[rows]
+            yield rows, block
 
     @property
     def n_samples(self) -> int:
@@ -219,7 +247,14 @@ def score_pool(
     if function_id not in FUNCTION_IDS:
         raise ValueError("unknown acquisition function %r" % function_id)
     if function_id != "random":
-        scores = _ensemble_scores(tensor.data.astype(np.float64), function_id, labels)
+        if function_id == "error_count" and labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
+            if labels.shape != (tensor.n_samples,):
+                raise ValueError("labels length must match the sample axis")
+        scores = np.empty(tensor.n_samples)
+        for rows, block in tensor.blocks():
+            block_labels = None if labels is None else labels[rows]
+            scores[rows] = _ensemble_scores(block, function_id, block_labels)
     elif seed is None:
         raise ValueError("random scoring requires a seed")
     else:
@@ -293,8 +328,22 @@ def write_prediction_tensor(path, tensor: PredictionTensor) -> None:
     n, e, k = tensor.data.shape
     with open(path, "wb") as fh:
         fh.write(_ALPT_HEADER.pack(_ALPT_MAGIC, _ALPT_VERSION, n, e, k))
-        fh.write(tensor.data.astype("<f4").tobytes(order="C"))
-        fh.write(tensor.sample_ids.astype("<u8").tobytes())
+        # contiguous little-endian arrays are written without a copy
+        fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
+        fh.write(np.ascontiguousarray(tensor.sample_ids, dtype="<u8"))
+
+
+def _read_array(fh, shape: tuple[int, ...], dtype: str, message: str) -> np.ndarray:
+    """Fill a new array of ``shape`` straight from the file, or raise ``message``
+    if the file is shorter; a short file allocates nothing, whatever its
+    header claims."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
+        raise ValueError(message)
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out) != nbytes:
+        raise ValueError(message)
+    return out
 
 
 def read_prediction_tensor(path) -> PredictionTensor:
@@ -307,15 +356,9 @@ def read_prediction_tensor(path) -> PredictionTensor:
             raise ValueError("not a prediction tensor file (bad magic)")
         if version != _ALPT_VERSION:
             raise ValueError("unsupported prediction tensor version %d" % version)
-        raw_data = fh.read(4 * n * e * k)
-        if len(raw_data) != 4 * n * e * k:
-            raise ValueError("truncated prediction tensor data")
-        data = np.frombuffer(raw_data, dtype="<f4")
-        raw_ids = fh.read(8 * n)
-        if len(raw_ids) != 8 * n:
-            raise ValueError("truncated sample id block")
-        ids = np.frombuffer(raw_ids, dtype="<u8")
-    return PredictionTensor(data.reshape(n, e, k).copy(), ids.copy())
+        data = _read_array(fh, (n, e, k), "<f4", "truncated prediction tensor data")
+        ids = _read_array(fh, (n,), "<u8", "truncated sample id block")
+    return PredictionTensor(data, ids)
 
 
 def read_prediction_tensor_csv(path) -> PredictionTensor:

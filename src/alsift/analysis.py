@@ -112,7 +112,9 @@ def evaluate_tensor(tensor: PredictionTensor, labels) -> EvalReport:
         raise ValueError("labels length must match the sample axis")
     if not len(labels):
         raise ValueError("empty evaluation id set")
-    votes = np.argmax(tensor.data.astype(np.float64).mean(axis=1), axis=1)
+    votes = np.empty(tensor.n_samples, dtype=np.int64)
+    for rows, block in tensor.blocks():
+        votes[rows] = np.argmax(block.mean(axis=1), axis=1)
     per_class = {}
     for cls in np.unique(labels):
         mask = labels == cls

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import PredictionTensor
+from .acquisition import BLOCK_ROWS, PredictionTensor
 from .state import SubsetState, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
@@ -137,21 +137,28 @@ def init_params(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place in ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _forward(params: ModelParams, features: np.ndarray):
-    """The input of each layer, then the logits; a ReLU joins two layers."""
+    """The input of each layer, then the logits; a ReLU joins two layers.
+
+    Every layer output is a new array, updated in place; ``features`` is
+    never written.
+    """
     tensors = params.tensors
     inputs = []
     out = features
     for w, b in zip(tensors[::2], tensors[1::2]):
         if inputs:
-            out = np.maximum(out, 0.0)
+            np.maximum(out, 0.0, out=out)
         inputs.append(out)
-        out = out @ w + b
+        out = out @ w
+        out += b
     return inputs, out
 
 
@@ -184,6 +191,40 @@ def inverse_frequency_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return weights
 
 
+def _loss(
+    params: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    class_weights: np.ndarray | None = None,
+    weight_decay: float = 0.0,
+):
+    """Regularized cross-entropy from one forward pass.
+
+    Returns ``(loss, inputs, probs, sample_w)``: the loss, then what the
+    backward pass of :func:`loss_and_gradients` reads (each layer's input,
+    the class probabilities and the per-sample class weights).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = features.shape[0]
+    if n == 0:
+        raise ValueError("empty batch")
+    inputs, logits = _forward(params, features)
+    probs = _softmax(logits)
+    if class_weights is None:
+        sample_w = np.ones(n)
+    else:
+        sample_w = np.asarray(class_weights, dtype=np.float64)[labels]
+    log_probs = np.log(np.maximum(probs[np.arange(n), labels], 1e-300))
+    loss = float(-(sample_w * log_probs).mean())
+    if weight_decay:
+        squares = 0.0
+        for w in reversed(params.tensors[::2]):
+            squares += float((w * w).sum())
+        loss += 0.5 * weight_decay * squares
+    return loss, inputs, probs, sample_w
+
+
 def loss_and_gradients(
     params: ModelParams,
     features: np.ndarray,
@@ -197,40 +238,22 @@ def loss_and_gradients(
     matrix entries; biases are not decayed. Returns ``(loss, grads)`` with
     ``grads`` ordered like ``params.tensors``.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = features.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    inputs, logits = _forward(params, features)
-    probs = _softmax(logits)
-    rows = np.arange(n)
-    if class_weights is None:
-        sample_w = np.ones(n)
-    else:
-        sample_w = np.asarray(class_weights, dtype=np.float64)[labels]
-    log_probs = np.log(np.maximum(probs[rows, labels], 1e-300))
-    loss = float(-(sample_w * log_probs).mean())
-
-    dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
+    loss, inputs, dlogits, sample_w = _loss(params, features, labels, class_weights, weight_decay)
+    n = len(sample_w)
+    dlogits[np.arange(n), np.asarray(labels, dtype=np.int64)] -= 1.0
     dlogits *= sample_w[:, None] / n
 
     grads = []
-    squares = 0.0
     delta = dlogits
     for w in reversed(params.tensors[::2]):
         layer_input = inputs.pop()
         grad_w = layer_input.T @ delta
         if weight_decay:
             grad_w += weight_decay * w
-            squares += float((w * w).sum())
         grads[:0] = (grad_w, delta.sum(axis=0))
         if inputs:  # this layer's input is a ReLU output: backpropagate through it
             delta = delta @ w.T
             delta[layer_input <= 0.0] = 0.0
-    if weight_decay:
-        loss += 0.5 * weight_decay * squares
     return loss, tuple(grads)
 
 
@@ -257,6 +280,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ValueError("unknown architecture %r" % self.arch)
+        if self.arch == "mlp" and self.hidden < 1:
+            raise ValueError("mlp needs a positive hidden width")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
         if self.fine_tune_rate < 0.0:
@@ -376,18 +401,17 @@ def _run_sgd(
     for epoch in range(1, max_epochs + 1):
         if epoch in decay_at:
             lr *= config.lr_decay
-        perm = rng.permutation(n_rows)
-        for lo in range(0, n_rows, config.batch_size):
-            batch = perm[lo : lo + config.batch_size]
-            _, grads = loss_and_gradients(
-                params, features[batch], labels[batch], class_weights, config.weight_decay
-            )
-            for i, grad in enumerate(grads):
-                velocity[i] = config.momentum * velocity[i] + grad
-                params.tensors[i][...] -= lr * velocity[i]
-        epoch_loss, _ = loss_and_gradients(
-            params, features, labels, class_weights, config.weight_decay
-        )
+        if learning_rate:  # at a zero rate no step would move the weights
+            perm = rng.permutation(n_rows)
+            for lo in range(0, n_rows, config.batch_size):
+                batch = perm[lo : lo + config.batch_size]
+                _, grads = loss_and_gradients(
+                    params, features[batch], labels[batch], class_weights, config.weight_decay
+                )
+                for i, grad in enumerate(grads):
+                    velocity[i] = config.momentum * velocity[i] + grad
+                    params.tensors[i][...] -= lr * velocity[i]
+        epoch_loss = _loss(params, features, labels, class_weights, config.weight_decay)[0]
         if not math.isfinite(epoch_loss):
             raise RuntimeError(
                 "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
@@ -445,8 +469,10 @@ def fine_tune(
     """Continue training existing weights on a subset at the fine-tune rate.
 
     With ``config.fine_tune_epochs`` (or ``config.max_epochs``) equal to 0,
-    or a fine-tune rate of 0, the input weights come back unchanged as an
-    epoch-0 checkpoint.
+    the input weights come back unchanged as an epoch-0 checkpoint. With a
+    fine-tune rate of 0 no SGD step runs: epochs 1..E each log the loss and
+    validation accuracy and store a checkpoint of the input weights, so
+    checkpoint ensembles read the same epoch span as at any other rate.
     """
     epochs = config.fine_tune_epochs
     if epochs is None:
@@ -627,13 +653,14 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     for m in members:
         if m.n_features != pool.n_features or m.n_classes != pool.n_classes:
             raise ValueError("member shape does not match the pool")
-    if ids is None:
-        ids = pool.sample_ids
-    ids = np.asarray([int(i) for i in ids], dtype=np.uint64)
+    ids = np.asarray(pool.sample_ids if ids is None else ids, dtype=np.uint64)
     rows = pool.rows_for(ids)
-    features = pool.features[rows]
-    stacked = np.stack([predict_proba(m, features) for m in members], axis=1)
-    return PredictionTensor(stacked.astype(np.float32), ids)
+    data = np.empty((len(ids), len(members), pool.n_classes), dtype=np.float32)
+    for lo in range(0, len(ids), BLOCK_ROWS):
+        block = pool.features[rows[lo : lo + BLOCK_ROWS]]
+        for j, m in enumerate(members):
+            data[lo : lo + BLOCK_ROWS, j] = predict_proba(m, block)
+    return PredictionTensor(data, ids)
 
 
 # ---------------------------------------------------------------------------

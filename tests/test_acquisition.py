@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from alsift.acquisition import (
+    BLOCK_ROWS,
     AcquisitionScores,
     PredictionTensor,
     detection_heatmaps,
@@ -323,6 +325,48 @@ class TestTensorFiles:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(ValueError, match="truncated"):
             read_prediction_tensor(path)
+
+    def test_truncation_at_every_offset_names_the_short_block(self, tmp_path):
+        data = random_ensembles(np.random.default_rng(1), 3, 2, 2).astype(np.float32)
+        path = tmp_path / "preds.alpt"
+        write_prediction_tensor(path, PredictionTensor(data, [4, 8, 15]))
+        raw = path.read_bytes()
+        header, data_end = 18, 18 + data.nbytes
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            if cut < header:
+                message = "truncated prediction tensor file"
+            elif cut < data_end:
+                message = "truncated prediction tensor data"
+            else:
+                message = "truncated sample id block"
+            with pytest.raises(ValueError, match=message):
+                read_prediction_tensor(path)
+
+    def test_header_claiming_more_data_than_the_file_holds_is_truncation(self, tmp_path):
+        path = tmp_path / "huge.alpt"
+        path.write_bytes(b"ALPT" + (1).to_bytes(2, "little") + b"\xff" * 12 + b"\0" * 64)
+        with pytest.raises(ValueError, match="truncated prediction tensor data"):
+            read_prediction_tensor(path)
+
+    def test_io_makes_no_full_size_temporary(self, tmp_path):
+        # 5 row blocks of 10 x 10 float32 probabilities: 4 MB
+        data = random_ensembles(np.random.default_rng(5), 5 * BLOCK_ROWS - 7, 10, 10)
+        tensor = PredictionTensor(data.astype(np.float32), np.arange(len(data)))
+        path = tmp_path / "preds.alpt"
+        tracemalloc.start()
+        try:
+            write_prediction_tensor(path, tensor)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_prediction_tensor(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == tensor.data.tobytes()
+        assert write_peak < 0.1 * tensor.data.nbytes
+        # the tensor itself plus one float64 block being validated
+        assert read_peak < 1.6 * tensor.data.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.alpt"

@@ -382,6 +382,16 @@ class TestExitCodes:
         assert "experiment.jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mlp_without_hidden_units_maps_to_one(self, tmp_path, capsys):
+        path = tmp_path / "flat.cfg"
+        path.write_text(CONFIG_TEXT + "trainer.arch = mlp\ntrainer.hidden = 0\n")
+        out = tmp_path / "runs"
+        assert main(["search", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "mlp needs a positive hidden width" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edits, keys", [
         (
             [("scheme = build_up", "scheme = pretrain"), ("max_epochs = 6", "max_epochs = 12"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import alsift.learner
 from alsift.learner import (
     Checkpoint,
     CheckpointStore,
@@ -258,7 +259,53 @@ class TestTraining:
         assert plain.train_loss[1] != scaled.train_loss[1]
 
 
+def count_gradient_batches(monkeypatch):
+    """Record the row count of every loss_and_gradients call the trainer makes."""
+    rows = []
+    real = alsift.learner.loss_and_gradients
+
+    def counted(params, features, *args, **kwargs):
+        rows.append(len(features))
+        return real(params, features, *args, **kwargs)
+
+    monkeypatch.setattr(alsift.learner, "loss_and_gradients", counted)
+    return rows
+
+
+def test_hidden_width_is_checked_for_mlp_only():
+    with pytest.raises(ValueError, match="mlp needs a positive hidden width"):
+        TrainConfig(arch="mlp", hidden=0)
+    assert TrainConfig(arch="logistic", hidden=0).hidden == 0
+
+
+class TestEpochLoss:
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_logged_loss_is_the_full_objective_without_a_gradient_pass(self, arch, monkeypatch):
+        pool = small_pool()
+        cfg = TrainConfig(arch=arch, hidden=6, max_epochs=4, batch_size=16, val_fraction=0.0,
+                          weight_decay=1e-3, class_weighting=True)
+        rows = count_gradient_batches(monkeypatch)
+        result = train(pool, full_subset(pool), cfg, seed=4)
+        assert rows == [16, 16, 16, 12] * 4
+        weights = inverse_frequency_weights(pool.labels, pool.n_classes)
+        full, _ = loss_and_gradients(result.final_params, pool.features, pool.labels, weights, 1e-3)
+        assert result.train_loss[-1] == full
+
+
 class TestFineTuning:
+    def test_zero_rate_runs_no_step_and_stores_every_epoch(self, monkeypatch):
+        pool = small_pool()
+        cfg = TrainConfig(max_epochs=3, fine_tune_rate=0.0, batch_size=16)
+        start = train(pool, full_subset(pool), cfg, seed=1).final_params
+        rows = count_gradient_batches(monkeypatch)
+        tuned = fine_tune(pool, full_subset(pool), start, cfg, seed=2)
+        assert rows == []
+        assert [c.epoch for c in tuned.checkpoints] == [1, 2, 3]
+        assert len(tuned.train_loss) == len(tuned.val_accuracy) == 3
+        for ckpt in tuned.checkpoints:
+            for ta, tb in zip(ckpt.params.tensors, start.tensors):
+                assert_array_equal(ta, tb)
+
     def test_zero_rate_keeps_weights(self):
         pool = small_pool()
         cfg = TrainConfig(max_epochs=3, fine_tune_rate=0.0, batch_size=16)

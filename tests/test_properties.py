@@ -1,18 +1,22 @@
 """Property tests: score bounds and agreement, selection invariants, config key table
-round trip, and the trainer's held-out ids and training expansion."""
+round trip, the trainer's held-out ids and training expansion, and the row-blocked
+pool pass (prediction, validation, scores and votes) against whole-pool references."""
 
 from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_array_equal, assert_array_max_ulp
 
 from alsift.acquisition import (
+    BLOCK_ROWS,
     DETECTION_FUNCTION_IDS,
     FUNCTION_IDS,
     AcquisitionScores,
@@ -23,6 +27,9 @@ from alsift.acquisition import (
     score_pool,
     variation_ratios,
 )
+from alsift.analysis import evaluate_tensor
+from alsift.cli import main
+from alsift.datagen import write_pool_csv
 from alsift.experiment import (
     CONFIG_KEYS,
     canonical_config_lines,
@@ -30,7 +37,18 @@ from alsift.experiment import (
     config_hash,
     parse_config_text,
 )
-from alsift.learner import ARCHITECTURES, ENSEMBLE_MODES, _held_out, _mix64
+from alsift.learner import (
+    ARCHITECTURES,
+    ENSEMBLE_MODES,
+    Checkpoint,
+    CheckpointStore,
+    LabeledPool,
+    init_params,
+    predict_pool,
+    predict_proba,
+    _held_out,
+    _mix64,
+)
 from alsift.schemes import SCHEMES, outlier_window_select, select_top_k
 from alsift.state import SubsetState
 
@@ -273,3 +291,154 @@ def test_training_expansion_matches_the_loop(multiplicity):
     got = SubsetState(multiplicity).as_training_ids()
     assert got.dtype == np.uint64
     assert_array_equal(got, expected)
+
+
+# -- the row-blocked pool pass -------------------------------------------------
+
+C = BLOCK_ROWS
+
+
+def _pool(n, d=6, k=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return LabeledPool(rng.normal(0.0, 2.0, (n, d)), rng.integers(0, k, n), np.arange(n) * 3 + 5, k)
+
+
+def _members(arch, d=6, k=4, e=5):
+    return [init_params(arch, d, k, 7, np.random.default_rng(100 + i)) for i in range(e)]
+
+
+def _stacked_reference(members, pool, ids):
+    features = pool.features[pool.rows_for(ids)]
+    return np.stack([predict_proba(m, features) for m in members], axis=1).astype(np.float32)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1])
+def test_blocked_prediction_matches_one_whole_pool_pass(arch, n):
+    pool, members = _pool(n), _members(arch)
+    tensor = predict_pool(members, pool)
+    expected = _stacked_reference(members, pool, pool.sample_ids)
+    assert tensor.data.dtype == np.float32 and tensor.data.shape == expected.shape
+    assert_array_equal(tensor.sample_ids, pool.sample_ids)
+    # blocks of other heights may round differently inside BLAS
+    assert_array_max_ulp(tensor.data, expected, maxulp=1)
+    if n <= C:
+        assert tensor.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_blocked_prediction_of_an_id_subset_follows_the_given_order(arch):
+    pool, members = _pool(2 * C + 1), _members(arch)
+    ids = np.random.default_rng(3).permutation(pool.sample_ids)[: C + 3]
+    tensor = predict_pool(members, pool, ids)
+    assert_array_equal(tensor.sample_ids, ids)
+    assert_array_max_ulp(tensor.data, _stacked_reference(members, pool, ids), maxulp=1)
+    head = predict_pool(members, pool, ids[:C].tolist())
+    assert head.data.tobytes() == _stacked_reference(members, pool, ids[:C]).tobytes()
+
+
+def _entropy_reference(p):
+    return -np.where(p > 0.0, p * np.log(np.maximum(p, 1e-12)), 0.0).sum(axis=-1)
+
+
+def _whole_tensor_scores(data, function_id, labels):
+    """Every ensemble score from one float64 copy of the whole tensor."""
+    p = data.astype(np.float64)
+    n_members, n_classes = p.shape[1:]
+    if function_id == "entropy":
+        return _entropy_reference(p.mean(axis=1))
+    if function_id == "mutual_information":
+        return np.maximum(_entropy_reference(p.mean(axis=1)) - _entropy_reference(p).mean(axis=1), 0.0)
+    votes = p.argmax(axis=2)
+    if function_id == "variation_ratios":
+        counts = np.stack([(votes == c).sum(axis=1) for c in range(n_classes)], axis=1)
+        return 1.0 - counts.max(axis=1) / n_members
+    return 1.0 - (votes == labels[:, None]).sum(axis=1) / n_members
+
+
+def _multi_block_tensor(seed):
+    """2C + 37 samples: Dirichlet rows with tiny entries, then 1/16-grid rows
+    with exact zeros and argmax ties."""
+    rng = np.random.default_rng(seed)
+    n, e, k = 2 * C + 37, 9, 5
+    data = rng.dirichlet(np.full(k, 0.3), size=(n, e))
+    cuts = np.sort(rng.integers(0, 17, (n - n // 2, e, k - 1)), axis=-1)
+    data[n // 2 :] = np.diff(cuts, axis=-1, prepend=0, append=16) / 16.0
+    return PredictionTensor(data, rng.permutation(n)), rng.integers(0, k, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_blocked_scores_and_votes_equal_whole_tensor_arithmetic(seed):
+    tensor, labels = _multi_block_tensor(seed)
+    assert tensor.n_samples > 2 * C
+    for function_id in ("entropy", "mutual_information", "variation_ratios", "error_count"):
+        got = score_pool(tensor, function_id, labels=labels)
+        assert_array_equal(got.sample_ids, tensor.sample_ids)
+        assert got.scores.tobytes() == _whole_tensor_scores(tensor.data, function_id, labels).tobytes()
+    votes = tensor.data.astype(np.float64).mean(axis=1).argmax(axis=1)
+    report = evaluate_tensor(tensor, labels)
+    assert report.accuracy == float(np.mean(votes == labels))
+    assert report.per_class == {
+        int(c): float(np.mean(votes[labels == c] == c)) for c in np.unique(labels)
+    }
+
+
+def test_label_checks_cover_the_whole_pool_not_each_block():
+    tensor, labels = _multi_block_tensor(2)
+    with pytest.raises(ValueError, match="labels length"):
+        score_pool(tensor, "error_count", labels=np.append(labels, 0))
+    labels[-1] = tensor.n_classes
+    with pytest.raises(ValueError, match="out of range"):
+        score_pool(tensor, "error_count", labels=labels)
+
+
+def test_validation_reaches_the_last_block():
+    tensor, _ = _multi_block_tensor(3)
+    data = tensor.data.copy()
+    data[-1, -1] = [2.0, -1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="entries outside"):
+        PredictionTensor(data, tensor.sample_ids)
+    data[-1, -1] = [0.5, 0.4, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="sum to 1"):
+        PredictionTensor(data, tensor.sample_ids)
+
+
+def test_pool_pass_working_set_is_a_few_blocks():
+    pool = _pool(8 * C - 3, k=10)
+    members = _members("mlp", k=10, e=10)
+    block_bytes = C * 10 * 10 * 8
+    tracemalloc.start()
+    try:
+        tensor = predict_pool(members, pool)
+        _, predict_peak = tracemalloc.get_traced_memory()
+        held, _ = tracemalloc.get_traced_memory()
+        score_peaks = []
+        for function_id in ("entropy", "mutual_information", "variation_ratios", "error_count"):
+            tracemalloc.reset_peak()
+            score_pool(tensor, function_id, labels=pool.labels)
+            evaluate_tensor(tensor, pool.labels)
+            score_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    # the float32 tensor (4 blocks' worth of float64) plus one validation block
+    assert predict_peak < tensor.data.nbytes + 2 * block_bytes
+    assert max(score_peaks) < 3 * block_bytes
+
+
+def test_checkpoint_with_a_nan_weight_is_refused(tmp_path, capsys):
+    pool = _pool(C + 10)
+    params = _members("mlp", e=1)[0]
+    params.tensors[2][3, 1] = np.nan
+    with pytest.raises(ValueError, match="invalid distribution: non-finite entries"):
+        predict_pool([params], pool)
+
+    store = CheckpointStore()
+    store.add(Checkpoint(params, 1, 1))
+    store.save(tmp_path / "ckpts")
+    write_pool_csv(tmp_path / "pool.csv", pool)
+    code = main([
+        "score", "--pool", str(tmp_path / "pool.csv"), "--checkpoints", str(tmp_path / "ckpts"),
+        "--function", "entropy", "--mode", "single", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "invalid distribution: non-finite entries" in capsys.readouterr().err
