@@ -70,6 +70,7 @@ from .learner import (
     predict_proba,
     read_checkpoint,
     train,
+    train_runs,
     write_checkpoint,
 )
 from .schemes import (

@@ -428,14 +428,26 @@ def _check_epoch_span(search: SearchConfig) -> None:
             )
 
 
+def _check_validation(search: SearchConfig) -> None:
+    """Refuse early stopping with no held-out ids to validate on."""
+    trainer = search.trainer
+    if trainer.patience > 0 and trainer.val_fraction == 0.0:
+        raise ConfigError(
+            "trainer.patience = %d stops runs on held-out accuracy, but"
+            " trainer.val_fraction = 0 holds out nothing" % trainer.patience
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every trial seed, serially or across ``config.jobs`` processes.
 
     Trial results are deterministic either way; only wall time changes. A
-    trainer that cannot fill the ensemble's epoch span raises
-    :class:`ConfigError` before any training.
+    trainer that cannot fill the ensemble's epoch span, or that stops
+    early with nothing held out, raises :class:`ConfigError` before any
+    training.
     """
     _check_epoch_span(config.search)
+    _check_validation(config.search)
     seeds = config.seeds
     if config.jobs == 1 or len(seeds) == 1:
         trials = [run_trial(config, seed) for seed in seeds]

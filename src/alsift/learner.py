@@ -2,9 +2,10 @@
 
 Models are multinomial logistic regression or a one-hidden-layer ReLU
 network, trained in float64 with momentum SGD, weight decay on weight
-matrices, and optional inverse-frequency class weighting. Each run keeps a
-rolling window of end-of-epoch checkpoints; ensembles are assembled from
-stored checkpoints across runs, across epochs, or both.
+matrices, and optional inverse-frequency class weighting. The runs of one
+ensemble train in lockstep, as one SGD loop over a stack of their weights.
+Each run keeps a rolling window of end-of-epoch checkpoints; ensembles are
+assembled from stored checkpoints across runs, across epochs, or both.
 """
 
 from __future__ import annotations
@@ -144,13 +145,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward(params: ModelParams, features: np.ndarray):
+def _forward(tensors, features: np.ndarray):
     """The input of each layer, then the logits; a ReLU joins two layers.
 
-    Every layer output is a new array, updated in place; ``features`` is
-    never written.
+    ``tensors`` are ordered like ``ModelParams.tensors``. They may carry a
+    leading run axis, (R, D, H) weights and (R, H) biases, with
+    ``features`` stacked to (R, n, D). Every layer output is a new array,
+    updated in place; ``features`` is never written.
     """
-    tensors = params.tensors
     inputs = []
     out = features
     for w, b in zip(tensors[::2], tensors[1::2]):
@@ -158,7 +160,7 @@ def _forward(params: ModelParams, features: np.ndarray):
             np.maximum(out, 0.0, out=out)
         inputs.append(out)
         out = out @ w
-        out += b
+        out += b[..., None, :]
     return inputs, out
 
 
@@ -173,7 +175,7 @@ def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
             "feature width %d does not match model width %d"
             % (features.shape[1], params.n_features)
         )
-    probs = _softmax(_forward(params, features)[1])
+    probs = _softmax(_forward(params.tensors, features)[1])
     return probs[0] if single else probs
 
 
@@ -201,15 +203,15 @@ def _loss(
     """Regularized cross-entropy from one forward pass.
 
     Returns ``(loss, inputs, probs, sample_w)``: the loss, then what the
-    backward pass of :func:`loss_and_gradients` reads (each layer's input,
-    the class probabilities and the per-sample class weights).
+    backward pass :func:`_gradients` reads (each layer's input, the class
+    probabilities and the per-sample class weights).
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    inputs, logits = _forward(params, features)
+    inputs, logits = _forward(params.tensors, features)
     probs = _softmax(logits)
     if class_weights is None:
         sample_w = np.ones(n)
@@ -225,6 +227,40 @@ def _loss(
     return loss, inputs, probs, sample_w
 
 
+def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) -> list:
+    """Gradients of every tensor from one forward pass, ordered like ``tensors``.
+
+    The one backward pass, for one model or a run stack: arrays may carry
+    a leading run axis as in :func:`_forward`. ``probs`` (fresh from
+    :func:`_softmax`) becomes the logits' gradient in place.
+    """
+    n = labels.shape[-1]
+    flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is contiguous
+    flat[np.arange(len(flat)), labels.ravel()] -= 1.0
+    probs *= (sample_w / n)[..., None]
+
+    grads = []
+    delta = probs
+    for w in reversed(tensors[::2]):
+        layer_input = inputs.pop()
+        grad_w = np.swapaxes(layer_input, -1, -2) @ delta
+        if weight_decay:
+            grad_w += weight_decay * w
+        grads[:0] = (grad_w, delta.sum(axis=-2))
+        if inputs:  # this layer's input is a ReLU output: backpropagate through it
+            delta = delta @ np.swapaxes(w, -1, -2)
+            np.putmask(delta, layer_input <= 0.0, 0.0)
+    return grads
+
+
+def _batch_gradients(tensors, features, labels, class_weights, weight_decay: float) -> list:
+    """Gradients of one SGD batch, without the loss, which no step reads."""
+    inputs, logits = _forward(tensors, features)
+    probs = _softmax(logits)
+    sample_w = np.ones(labels.shape) if class_weights is None else class_weights[labels]
+    return _gradients(tensors, inputs, probs, labels, sample_w, weight_decay)
+
+
 def loss_and_gradients(
     params: ModelParams,
     features: np.ndarray,
@@ -236,25 +272,12 @@ def loss_and_gradients(
 
     The objective is mean(w_y * CE) + (wd / 2) * sum of squared weight
     matrix entries; biases are not decayed. Returns ``(loss, grads)`` with
-    ``grads`` ordered like ``params.tensors``.
+    ``grads`` ordered like ``params.tensors``. The gradients come from the
+    backward pass every SGD step takes, here without a run axis.
     """
-    loss, inputs, dlogits, sample_w = _loss(params, features, labels, class_weights, weight_decay)
-    n = len(sample_w)
-    dlogits[np.arange(n), np.asarray(labels, dtype=np.int64)] -= 1.0
-    dlogits *= sample_w[:, None] / n
-
-    grads = []
-    delta = dlogits
-    for w in reversed(params.tensors[::2]):
-        layer_input = inputs.pop()
-        grad_w = layer_input.T @ delta
-        if weight_decay:
-            grad_w += weight_decay * w
-        grads[:0] = (grad_w, delta.sum(axis=0))
-        if inputs:  # this layer's input is a ReLU output: backpropagate through it
-            delta = delta @ w.T
-            delta[layer_input <= 0.0] = 0.0
-    return loss, tuple(grads)
+    loss, inputs, probs, sample_w = _loss(params, features, labels, class_weights, weight_decay)
+    labels = np.asarray(labels, dtype=np.int64)
+    return loss, tuple(_gradients(params.tensors, inputs, probs, labels, sample_w, weight_decay))
 
 
 @dataclass
@@ -347,20 +370,41 @@ def _accuracy(params: ModelParams, features: np.ndarray, labels: np.ndarray) -> 
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-def _run_sgd(
+def train_runs(
     pool: LabeledPool,
     subset: SubsetState,
     config: TrainConfig,
-    seed: int,
-    start: ModelParams | None,
-    learning_rate: float,
-    max_epochs: int,
-) -> TrainResult:
+    seeds,
+    starts=None,
+) -> list[TrainResult]:
+    """Train one run per seed on one subset, all runs in lockstep.
+
+    The runs share the subset's training rows, validation rows and
+    digest, and step together through one SGD loop over an (R, ...)
+    parameter stack. Each run keeps its own ``default_rng(seed)`` for its
+    initialization and per-epoch shuffles, so its result equals training
+    it alone. Without ``starts`` every run trains fresh weights as
+    :func:`train` does; with ``starts``, one ModelParams per seed, the runs
+    fine-tune those weights as :func:`fine_tune` does. Under
+    ``config.patience`` a run that stops early leaves the stack and the
+    others go on.
+
+    Returns:
+        One TrainResult per seed, in seed order.
+    """
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        return []
     ids = subset.ids()
     if not len(ids):
         raise ValueError("empty training subset")
-    counts = np.asarray([subset.multiplicity[sid] for sid in ids.tolist()], dtype=np.int64)
     held = _held_out(ids, config.val_fraction)
+    if config.patience > 0 and not held.any():
+        raise ValueError(
+            "patience = %d needs held-out ids to validate on, but val_fraction = %g holds"
+            " out none of the subset's %d ids" % (config.patience, config.val_fraction, len(ids))
+        )
+    counts = np.asarray([subset.multiplicity[sid] for sid in ids.tolist()], dtype=np.int64)
     rows = pool.rows_for(ids)
     train_rows = np.repeat(rows[~held], counts[~held])
     features, labels = pool.features[train_rows], pool.labels[train_rows]
@@ -373,63 +417,95 @@ def _run_sgd(
     if config.class_weighting:
         class_weights = inverse_frequency_weights(labels, pool.n_classes)
 
-    rng = np.random.default_rng(seed)
-    if start is None:
-        params = init_params(config.arch, pool.n_features, pool.n_classes, config.hidden, rng)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if starts is None:
+        models = [
+            init_params(config.arch, pool.n_features, pool.n_classes, config.hidden, rng)
+            for rng in rngs
+        ]
+        learning_rate, max_epochs = config.learning_rate, config.max_epochs
     else:
-        if start.n_features != pool.n_features or start.n_classes != pool.n_classes:
-            raise ValueError("model shape does not match the pool")
-        params = start.copy()
-    velocity = [np.zeros_like(t) for t in params.tensors]
+        models = list(starts)
+        if len(models) != len(seeds):
+            raise ValueError("%d starting models for %d run seeds" % (len(models), len(seeds)))
+        for start in models:
+            if start.n_features != pool.n_features or start.n_classes != pool.n_classes:
+                raise ValueError("model shape does not match the pool")
+        learning_rate, max_epochs = config.fine_tune_rate, config.fine_tune_epochs
+        if max_epochs is None:
+            max_epochs = config.max_epochs
+    arch, hidden = models[0].arch, models[0].hidden
+    if any((m.arch, m.hidden) != (arch, hidden) for m in models):
+        raise ValueError("the runs of one stack must share one architecture")
+    tensors = [np.stack(stack) for stack in zip(*(m.tensors for m in models))]
+    velocity = [np.zeros_like(t) for t in tensors]
+
+    def run_params(j: int) -> ModelParams:
+        views = tuple(t[j] for t in tensors)
+        return ModelParams(arch, pool.n_features, pool.n_classes, hidden, views)
 
     digest = subset_hash(subset)
-    checkpoints: deque[Checkpoint] = deque(maxlen=config.checkpoint_window)
-    train_losses: list[float] = []
-    val_accs: list[float] = []
+    windows = [deque(maxlen=config.checkpoint_window) for _ in seeds]
+    results = [TrainResult([], [], []) for _ in seeds]
+
+    if max_epochs == 0:
+        # nothing to optimize; snapshot the starting points
+        for j, seed in enumerate(seeds):
+            params = run_params(j)
+            acc = _accuracy(params, val_features, val_labels)
+            results[j] = TrainResult([Checkpoint(params.copy(), seed, 0, digest, acc)], [], [acc])
+        return results
+
+    live = list(range(len(seeds)))  # the run of each stack row
+    best = [-np.inf] * len(seeds)
+    stale = [0] * len(seeds)
     n_rows = len(train_rows)
     lr = learning_rate
     decay_at = set(config.decay_epochs)
-    best_val = -np.inf
-    stale = 0
-
-    if max_epochs == 0:
-        # nothing to optimize; snapshot the starting point
-        acc = _accuracy(params, val_features, val_labels)
-        checkpoints.append(Checkpoint(params.copy(), seed, 0, digest, acc))
-        return TrainResult(list(checkpoints), [], [acc])
-
     for epoch in range(1, max_epochs + 1):
         if epoch in decay_at:
             lr *= config.lr_decay
         if learning_rate:  # at a zero rate no step would move the weights
-            perm = rng.permutation(n_rows)
+            perms = np.stack([rngs[i].permutation(n_rows) for i in live])
             for lo in range(0, n_rows, config.batch_size):
-                batch = perm[lo : lo + config.batch_size]
-                _, grads = loss_and_gradients(
-                    params, features[batch], labels[batch], class_weights, config.weight_decay
+                batch = perms[:, lo : lo + config.batch_size]
+                grads = _batch_gradients(
+                    tensors, features[batch], labels[batch], class_weights, config.weight_decay
                 )
-                for i, grad in enumerate(grads):
-                    velocity[i] = config.momentum * velocity[i] + grad
-                    params.tensors[i][...] -= lr * velocity[i]
-        epoch_loss = _loss(params, features, labels, class_weights, config.weight_decay)[0]
-        if not math.isfinite(epoch_loss):
-            raise RuntimeError(
-                "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
-                % (epoch, lr)
-            )
-        acc = _accuracy(params, val_features, val_labels)
-        train_losses.append(epoch_loss)
-        val_accs.append(acc)
-        checkpoints.append(Checkpoint(params.copy(), seed, epoch, digest, acc))
-        if acc > best_val:
-            best_val = acc
-            stale = 0
-        else:
-            stale += 1
-        if config.patience > 0 and stale >= config.patience:
+                for param, vel, grad in zip(tensors, velocity, grads):
+                    vel *= config.momentum
+                    vel += grad
+                    param -= lr * vel
+        keep = []
+        for j, i in enumerate(live):
+            params = run_params(j)
+            epoch_loss = _loss(params, features, labels, class_weights, config.weight_decay)[0]
+            if not math.isfinite(epoch_loss):
+                raise RuntimeError(
+                    "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
+                    % (epoch, lr)
+                )
+            acc = _accuracy(params, val_features, val_labels)
+            results[i].train_loss.append(epoch_loss)
+            results[i].val_accuracy.append(acc)
+            windows[i].append(Checkpoint(params.copy(), seeds[i], epoch, digest, acc))
+            if acc > best[i]:
+                best[i] = acc
+                stale[i] = 0
+            else:
+                stale[i] += 1
+            if config.patience == 0 or stale[i] < config.patience:
+                keep.append(j)
+        if not keep:
             break
+        if len(keep) < len(live):
+            tensors = [t[keep] for t in tensors]
+            velocity = [v[keep] for v in velocity]
+            live = [live[j] for j in keep]
 
-    return TrainResult(list(checkpoints), train_losses, val_accs)
+    for result, window in zip(results, windows):
+        result.checkpoints = list(window)
+    return results
 
 
 def train(
@@ -443,8 +519,11 @@ def train(
     Each sample appears in every epoch as many times as its multiplicity.
     A held-out validation part (``config.val_fraction`` of the unique ids,
     chosen by an id-stable hash) drives early stopping when
-    ``config.patience`` > 0. The rolling checkpoint window keeps the last
-    ``config.checkpoint_window`` end-of-epoch snapshots.
+    ``config.patience`` > 0; early stopping with nothing held out is
+    refused with a ValueError. Without a held-out part the validation
+    accuracy is measured on the training rows. The rolling checkpoint
+    window keeps the last ``config.checkpoint_window`` end-of-epoch
+    snapshots. This is the one-run case of :func:`train_runs`.
 
     Args:
         pool: the labeled pool the subset indexes into.
@@ -456,7 +535,7 @@ def train(
     Returns:
         TrainResult with checkpoints plus per-epoch loss and accuracy.
     """
-    return _run_sgd(pool, subset, config, int(seed), None, config.learning_rate, config.max_epochs)
+    return train_runs(pool, subset, config, [seed])[0]
 
 
 def fine_tune(
@@ -473,11 +552,9 @@ def fine_tune(
     fine-tune rate of 0 no SGD step runs: epochs 1..E each log the loss and
     validation accuracy and store a checkpoint of the input weights, so
     checkpoint ensembles read the same epoch span as at any other rate.
+    This is the one-run case of :func:`train_runs`.
     """
-    epochs = config.fine_tune_epochs
-    if epochs is None:
-        epochs = config.max_epochs
-    return _run_sgd(pool, subset, config, int(seed), params, config.fine_tune_rate, epochs)
+    return train_runs(pool, subset, config, [seed], [params])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +814,7 @@ __all__ = [
     "inverse_frequency_weights",
     "loss_and_gradients",
     "train",
+    "train_runs",
     "fine_tune",
     "build_ensemble",
     "predict_pool",

@@ -21,6 +21,8 @@ import numpy as np
 
 from .acquisition import FUNCTION_IDS, AcquisitionScores, PredictionTensor, score_pool
 from .analysis import duplication_histogram, evaluate, evaluate_tensor
+# train and fine_tune, the one-run cases of train_runs, stay attributes of
+# this module: perfbench's traced spans wrap them here
 from .learner import (
     CheckpointStore,
     EnsembleConfig,
@@ -31,6 +33,7 @@ from .learner import (
     fine_tune,
     predict_pool,
     train,
+    train_runs,
 )
 from .state import SubsetState, derive_seed
 
@@ -169,15 +172,16 @@ def train_subset_ensemble(
 ) -> tuple[CheckpointStore, list[ModelParams]]:
     """Train the runs an ensemble mode needs and assemble its members.
 
-    The trainer's checkpoint window is widened if the mode reads back a
-    longer epoch span than the window would keep. Run seeds derive from
-    ``seed``, the search ``iteration`` and the run index.
+    The runs train in lockstep (:func:`learner.train_runs`). The trainer's
+    checkpoint window is widened if the mode reads back a longer epoch
+    span than the window would keep. Run seeds derive from ``seed``, the
+    search ``iteration`` and the run index.
     """
     trainer = _widened(trainer, ensemble)
+    seeds = [derive_seed(seed, _ROLE_TRAIN, iteration, r) for r in range(ensemble.runs_needed)]
     store = CheckpointStore()
-    for r in range(ensemble.runs_needed):
-        run_seed = derive_seed(seed, _ROLE_TRAIN, iteration, r)
-        store.add_run(train(pool, subset, trainer, seed=run_seed).checkpoints)
+    for result in train_runs(pool, subset, trainer, seeds):
+        store.add_run(result.checkpoints)
     return store, build_ensemble(store, ensemble)
 
 
@@ -242,11 +246,12 @@ def run_pretrain(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     store, scores, chosen = _acquire_once(pool, config)
     state = SubsetState.from_ids(chosen)
     trainer = _widened(config.trainer, config.ensemble)
+    runs = store.run_seeds()
+    sources = [store.get(run, store.epochs(run)[-1]).params for run in runs]
+    seeds = [derive_seed(config.seed, _ROLE_TUNE, 0, r) for r in range(len(runs))]
     sub_store = CheckpointStore()
-    for r, run in enumerate(store.run_seeds()):
-        source = store.get(run, store.epochs(run)[-1]).params
-        tune_seed = derive_seed(config.seed, _ROLE_TUNE, 0, r)
-        sub_store.add_run(fine_tune(pool, state, source, trainer, seed=tune_seed).checkpoints)
+    for result in train_runs(pool, state, trainer, seeds, sources):
+        sub_store.add_run(result.checkpoints)
     members = build_ensemble(sub_store, config.ensemble)
     rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
     return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)

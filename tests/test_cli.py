@@ -410,7 +410,7 @@ class TestExitCodes:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was refused")
 
-        monkeypatch.setattr(alsift.schemes, "train", no_training)
+        monkeypatch.setattr(alsift.schemes, "train_runs", no_training)
         text = CONFIG_TEXT
         for old, new in edits:
             text = text.replace(old, new)
@@ -422,4 +422,18 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         for key in keys:
             assert key in err
+        assert not out.exists()
+
+    def test_patience_without_held_out_ids_maps_to_one(self, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was refused")
+
+        monkeypatch.setattr(alsift.schemes, "train_runs", no_training)
+        path = tmp_path / "blind.cfg"
+        path.write_text(CONFIG_TEXT + "trainer.patience = 2\ntrainer.val_fraction = 0\n")
+        out = tmp_path / "runs"
+        assert main(["search", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "trainer.patience = 2" in err and "trainer.val_fraction = 0" in err
         assert not out.exists()

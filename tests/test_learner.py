@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from alsift.learner import (
     predict_proba,
     read_checkpoint,
     train,
+    train_runs,
     write_checkpoint,
 )
 from alsift.learner import _held_out
@@ -260,15 +262,16 @@ class TestTraining:
 
 
 def count_gradient_batches(monkeypatch):
-    """Record the row count of every loss_and_gradients call the trainer makes."""
+    """Record the row count of every run's batch in each SGD step the trainer takes."""
     rows = []
-    real = alsift.learner.loss_and_gradients
+    real = alsift.learner._batch_gradients
 
-    def counted(params, features, *args, **kwargs):
-        rows.append(len(features))
-        return real(params, features, *args, **kwargs)
+    def counted(tensors, features, *args, **kwargs):
+        runs, batch_rows = features.shape[:2]
+        rows.extend([batch_rows] * runs)
+        return real(tensors, features, *args, **kwargs)
 
-    monkeypatch.setattr(alsift.learner, "loss_and_gradients", counted)
+    monkeypatch.setattr(alsift.learner, "_batch_gradients", counted)
     return rows
 
 
@@ -336,6 +339,147 @@ class TestFineTuning:
                             np.random.default_rng(0))
         with pytest.raises(ValueError, match="does not match"):
             fine_tune(pool, full_subset(pool), wrong, TrainConfig(max_epochs=1))
+
+
+def class_pool(k, seed=2, n=120, d=5):
+    """Overlapping clusters, so validation accuracy plateaus at different epochs per run."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0, 1.0, (k, d))
+    features = np.concatenate([centers[c] + rng.normal(0, 1, (n // k, d)) for c in range(k)])
+    return LabeledPool(features, np.repeat(np.arange(k), n // k), np.arange(n), k)
+
+
+def repeated_subset(pool):
+    """Every id, a third of them twice or more and a ninth three times."""
+    return full_subset(pool).with_added_copies(range(0, pool.n_samples, 3)).with_added_copies(
+        range(0, pool.n_samples, 9)
+    )
+
+
+def assert_same_run(got, want):
+    assert got.train_loss == want.train_loss
+    assert got.val_accuracy == want.val_accuracy
+    assert len(got.checkpoints) == len(want.checkpoints)
+    for a, b in zip(got.checkpoints, want.checkpoints):
+        assert (a.run_seed, a.epoch, a.subset_digest) == (b.run_seed, b.epoch, b.subset_digest)
+        assert a.val_accuracy == b.val_accuracy
+        assert (a.params.arch, a.params.hidden) == (b.params.arch, b.params.hidden)
+        for ta, tb in zip(a.params.tensors, b.params.tensors):
+            assert ta.shape == tb.shape
+            assert ta.tobytes() == tb.tobytes()
+
+
+# (runs, classes, trainer overrides); every case uses batches of 7, which
+# do not divide the rows, and ids repeated up to three times
+STACK_CASES = {
+    "one_run": (1, 3, {}),
+    "logistic_3": (3, 3, {"max_epochs": 5}),
+    "mlp_5_k10": (5, 10, {"arch": "mlp", "hidden": 6, "max_epochs": 4}),
+    "mlp_4_patience_1": (4, 4, {"arch": "mlp", "hidden": 5, "patience": 1}),
+    "logistic_4_patience_2": (4, 4, {"patience": 2}),
+    "mlp_3_k10_patience_2": (3, 10, {"arch": "mlp", "hidden": 5, "patience": 2}),
+    "weighted_decayed": (3, 4, {"arch": "mlp", "hidden": 4, "class_weighting": True,
+                                "decay_epochs": (2, 4), "max_epochs": 5}),
+    "nothing_held_out_no_decay": (3, 3, {"val_fraction": 0.0, "weight_decay": 0.0,
+                                         "max_epochs": 4}),
+    "zero_epochs": (3, 4, {"arch": "mlp", "max_epochs": 0}),
+}
+
+
+class TestRunStack:
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    def test_stack_equals_runs_one_by_one(self, case):
+        runs, k, overrides = STACK_CASES[case]
+        pool = class_pool(k)
+        subset = repeated_subset(pool)
+        cfg = replace(TrainConfig(batch_size=7, max_epochs=30, val_fraction=0.2), **overrides)
+        seeds = [11 + r for r in range(runs)]
+        stacked = train_runs(pool, subset, cfg, seeds)
+        assert len(stacked) == runs
+        for seed, got in zip(seeds, stacked):
+            assert_same_run(got, train(pool, subset, cfg, seed=seed))
+        if cfg.patience:
+            # runs leave the stack at different epochs
+            assert len({len(r.train_loss) for r in stacked}) > 1
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-2])
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_fine_tune_stack_equals_runs_one_by_one(self, rate, arch):
+        pool = class_pool(4)
+        subset = repeated_subset(pool)
+        cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=3, fine_tune_rate=rate)
+        starts = [r.final_params for r in train_runs(pool, full_subset(pool), cfg, [1, 2, 3])]
+        stacked = train_runs(pool, subset, cfg, [21, 22, 23], starts)
+        for seed, start, got in zip([21, 22, 23], starts, stacked):
+            assert_same_run(got, fine_tune(pool, subset, start, cfg, seed=seed))
+            assert [c.epoch for c in got.checkpoints] == [1, 2, 3]
+            if rate == 0.0:
+                for ta, tb in zip(got.final_params.tensors, start.tensors):
+                    assert_array_equal(ta, tb)
+
+    def test_starts_are_not_written(self):
+        pool = class_pool(3)
+        cfg = TrainConfig(batch_size=7, max_epochs=2, fine_tune_rate=1e-2)
+        starts = [r.final_params for r in train_runs(pool, full_subset(pool), cfg, [1, 2])]
+        before = [[t.copy() for t in s.tensors] for s in starts]
+        train_runs(pool, full_subset(pool), cfg, [5, 6], starts)
+        for start, kept in zip(starts, before):
+            for ta, tb in zip(start.tensors, kept):
+                assert_array_equal(ta, tb)
+
+    def test_starts_must_match_seeds_and_share_an_architecture(self):
+        pool = class_pool(3)
+        cfg = TrainConfig(max_epochs=1)
+        rng = np.random.default_rng(0)
+        logistic = init_params("logistic", pool.n_features, 3, 0, rng)
+        mlp = init_params("mlp", pool.n_features, 3, 4, rng)
+        with pytest.raises(ValueError, match="2 starting models for 1 run seeds"):
+            train_runs(pool, full_subset(pool), cfg, [1], [logistic, logistic])
+        with pytest.raises(ValueError, match="share one architecture"):
+            train_runs(pool, full_subset(pool), cfg, [1, 2], [logistic, mlp])
+
+    def test_pinned_mlp_run(self):
+        # a one-run result fixed by value, so that the one-run case and the
+        # stack cannot drift together unseen
+        pool = small_pool(3)
+        cfg = TrainConfig(arch="mlp", hidden=6, max_epochs=5, batch_size=7, weight_decay=1e-3,
+                          class_weighting=True, decay_epochs=(4,), checkpoint_window=3,
+                          val_fraction=0.2)
+        result = train(pool, full_subset(pool), cfg, seed=11)
+        digest = hashlib.sha256()
+        for ckpt in result.checkpoints:
+            digest.update(b"%d" % ckpt.epoch)
+            for tensor in ckpt.params.tensors:
+                digest.update(tensor.tobytes())
+        digest.update(np.asarray(result.train_loss).tobytes())
+        digest.update(np.asarray(result.val_accuracy).tobytes())
+        assert digest.hexdigest() == (
+            "61409606d728f29d7e4c5a0ed0920f3ca211ee6bac6c100f323ddc0977083a7f"
+        )
+
+
+class TestEarlyStoppingNeedsHeldOutIds:
+    def test_patience_without_validation_fraction_is_refused(self):
+        pool = small_pool()
+        cfg = TrainConfig(max_epochs=3, patience=1, val_fraction=0.0)
+        with pytest.raises(ValueError, match=r"patience = 1 .*val_fraction = 0 holds out none"):
+            train(pool, full_subset(pool), cfg, seed=1)
+
+    def test_subset_too_small_to_hold_out_is_refused(self):
+        pool = small_pool()
+        cfg = TrainConfig(max_epochs=3, patience=2, val_fraction=0.1)
+        with pytest.raises(ValueError, match="val_fraction = 0.1 holds out none of the subset's 9"):
+            train(pool, SubsetState.from_ids(range(9)), cfg, seed=1)
+        # ten ids hold one out, and early stopping runs on it
+        assert train(pool, SubsetState.from_ids(range(10)), cfg, seed=1).train_loss
+
+    def test_without_patience_training_rows_stand_in(self):
+        pool = small_pool()
+        cfg = TrainConfig(max_epochs=2, val_fraction=0.0)
+        result = train(pool, full_subset(pool), cfg, seed=1)
+        want = np.mean(np.argmax(predict_proba(result.final_params, pool.features), axis=1)
+                       == pool.labels)
+        assert result.val_accuracy[-1] == want
 
 
 def store_with_runs(pool, seeds, epochs=6, window=6):

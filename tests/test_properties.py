@@ -1,6 +1,7 @@
 """Property tests: score bounds and agreement, selection invariants, config key table
-round trip, the trainer's held-out ids and training expansion, and the row-blocked
-pool pass (prediction, validation, scores and votes) against whole-pool references."""
+round trip, the trainer's held-out ids and training expansion, the lockstep run stack
+against runs trained one by one, and the row-blocked pool pass (prediction,
+validation, scores and votes) against whole-pool references."""
 
 from __future__ import annotations
 
@@ -43,9 +44,12 @@ from alsift.learner import (
     Checkpoint,
     CheckpointStore,
     LabeledPool,
+    TrainConfig,
     init_params,
     predict_pool,
     predict_proba,
+    train,
+    train_runs,
     _held_out,
     _mix64,
 )
@@ -291,6 +295,48 @@ def test_training_expansion_matches_the_loop(multiplicity):
     got = SubsetState(multiplicity).as_training_ids()
     assert got.dtype == np.uint64
     assert_array_equal(got, expected)
+
+
+@st.composite
+def stacked_trainings(draw):
+    """A pool, a multiset over part of it, a trainer and 1-4 run seeds."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(12, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pool = LabeledPool(rng.normal(0.0, 1.5, (n, 3)), np.arange(n) % k, np.arange(n) * 7 + 1, k)
+    ids = draw(st.lists(st.sampled_from(pool.sample_ids.tolist()), min_size=10, unique=True))
+    subset = SubsetState({sid: draw(st.integers(1, 3)) for sid in ids})
+    val_fraction = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    config = TrainConfig(
+        arch=draw(st.sampled_from(ARCHITECTURES)),
+        hidden=draw(st.integers(1, 6)),
+        batch_size=draw(st.integers(1, 20)),
+        max_epochs=draw(st.integers(0, 5)),
+        patience=draw(st.integers(0, 2)) if val_fraction else 0,
+        class_weighting=draw(st.booleans()),
+        weight_decay=draw(st.sampled_from([0.0, 1e-3])),
+        decay_epochs=tuple(draw(st.lists(st.integers(1, 5), max_size=2))),
+        checkpoint_window=draw(st.integers(1, 6)),
+        val_fraction=val_fraction,
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True))
+    return pool, subset, config, seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_trainings())
+def test_run_stack_equals_runs_trained_one_by_one(case):
+    pool, subset, config, seeds = case
+    for seed, got in zip(seeds, train_runs(pool, subset, config, seeds), strict=True):
+        want = train(pool, subset, config, seed=seed)
+        assert got.train_loss == want.train_loss
+        assert got.val_accuracy == want.val_accuracy
+        assert [(c.run_seed, c.epoch) for c in got.checkpoints] == [
+            (c.run_seed, c.epoch) for c in want.checkpoints
+        ]
+        for a, b in zip(got.checkpoints, want.checkpoints):
+            for ta, tb in zip(a.params.tensors, b.params.tensors):
+                assert ta.tobytes() == tb.tobytes()
 
 
 # -- the row-blocked pool pass -------------------------------------------------
