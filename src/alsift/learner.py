@@ -193,6 +193,21 @@ def inverse_frequency_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return weights
 
 
+def _probabilities(tensors, features, labels, class_weights):
+    """One forward pass to class probabilities, for one model or a run stack.
+
+    Returns ``(inputs, probs, sample_w)``: each layer's input, the class
+    probabilities and the per-sample class weights, which the backward
+    pass :func:`_gradients` reads.
+    """
+    inputs, logits = _forward(tensors, features)
+    if class_weights is None:
+        sample_w = np.ones(labels.shape)
+    else:
+        sample_w = np.asarray(class_weights, dtype=np.float64)[labels]
+    return inputs, _softmax(logits), sample_w
+
+
 def _loss(
     params: ModelParams,
     features: np.ndarray,
@@ -211,12 +226,7 @@ def _loss(
     n = features.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    inputs, logits = _forward(params.tensors, features)
-    probs = _softmax(logits)
-    if class_weights is None:
-        sample_w = np.ones(n)
-    else:
-        sample_w = np.asarray(class_weights, dtype=np.float64)[labels]
+    inputs, probs, sample_w = _probabilities(params.tensors, features, labels, class_weights)
     log_probs = np.log(np.maximum(probs[np.arange(n), labels], 1e-300))
     loss = float(-(sample_w * log_probs).mean())
     if weight_decay:
@@ -255,9 +265,7 @@ def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) ->
 
 def _batch_gradients(tensors, features, labels, class_weights, weight_decay: float) -> list:
     """Gradients of one SGD batch, without the loss, which no step reads."""
-    inputs, logits = _forward(tensors, features)
-    probs = _softmax(logits)
-    sample_w = np.ones(labels.shape) if class_weights is None else class_weights[labels]
+    inputs, probs, sample_w = _probabilities(tensors, features, labels, class_weights)
     return _gradients(tensors, inputs, probs, labels, sample_w, weight_decay)
 
 

@@ -262,16 +262,20 @@ class TestTraining:
 
 
 def count_gradient_batches(monkeypatch):
-    """Record the row count of every run's batch in each SGD step the trainer takes."""
+    """Record the row count of every run in each backward pass, whoever takes it.
+
+    Hooks the one backward pass, which SGD batch steps and
+    ``loss_and_gradients`` both call, so a gradient pass outside the batch
+    loop shows up as an extra entry.
+    """
     rows = []
-    real = alsift.learner._batch_gradients
+    real = alsift.learner._gradients
 
-    def counted(tensors, features, *args, **kwargs):
-        runs, batch_rows = features.shape[:2]
-        rows.extend([batch_rows] * runs)
-        return real(tensors, features, *args, **kwargs)
+    def counted(tensors, inputs, probs, labels, *args, **kwargs):
+        rows.extend([labels.shape[-1]] * (labels.size // labels.shape[-1]))
+        return real(tensors, inputs, probs, labels, *args, **kwargs)
 
-    monkeypatch.setattr(alsift.learner, "_batch_gradients", counted)
+    monkeypatch.setattr(alsift.learner, "_gradients", counted)
     return rows
 
 
