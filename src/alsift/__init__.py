@@ -17,6 +17,7 @@ from .acquisition import (
     entropy,
     error_count,
     mutual_information,
+    pool_pass,
     predictive_mean,
     read_prediction_tensor,
     read_prediction_tensor_csv,
@@ -62,6 +63,7 @@ from .learner import (
     EnsembleConfig,
     LabeledPool,
     ModelParams,
+    PoolBlocks,
     TrainConfig,
     TrainResult,
     build_ensemble,

@@ -56,6 +56,14 @@ def _check_rows(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _unique_ids(sample_ids) -> np.ndarray:
+    """Sample ids as a contiguous uint64 array, refused when any repeats."""
+    sample_ids = np.ascontiguousarray(sample_ids, dtype=np.uint64)
+    if len(np.unique(sample_ids)) != len(sample_ids):
+        raise ValueError("sample_ids must be unique")
+    return sample_ids
+
+
 def _check_members(members: np.ndarray) -> np.ndarray:
     members = np.asarray(members, dtype=np.float64)
     if members.ndim != 2:
@@ -175,10 +183,18 @@ class PredictionTensor:
             raise ValueError("prediction tensor must be (samples, members, classes)")
         if self.sample_ids.shape != (self.data.shape[0],):
             raise ValueError("sample_ids length must match the sample axis")
-        if len(np.unique(self.sample_ids)) != len(self.sample_ids):
-            raise ValueError("sample_ids must be unique")
+        _unique_ids(self.sample_ids)
         for _, block in self.blocks():
             _check_rows(block)
+
+    @classmethod
+    def _checked(cls, data: np.ndarray, sample_ids: np.ndarray) -> "PredictionTensor":
+        """Wrap arrays that already hold what the constructor checks: contiguous
+        float32 (N, E, K) data whose blocks passed :func:`_check_rows`, and
+        unique uint64 ids. Nothing is copied or validated again."""
+        tensor = cls.__new__(cls)
+        tensor.data, tensor.sample_ids = data, sample_ids
+        return tensor
 
     def blocks(self):
         """Yield ``(rows, block)`` for each run of at most ``BLOCK_ROWS`` samples:
@@ -226,6 +242,53 @@ class AcquisitionScores:
             raise ValueError("scores must be finite")
 
 
+def pool_pass(source, function_id=None, labels=None, seed=None, votes=False):
+    """Scores and fused votes of every sample from one walk over its blocks.
+
+    Args:
+        source: a :class:`PredictionTensor` or a ``learner.PoolBlocks``;
+            anything with ``n_samples``, ``sample_ids`` and a ``blocks()``
+            that yields ``(rows, block)`` pairs covering the samples.
+        function_id: one of ``FUNCTION_IDS``, or None for no scores.
+        labels: true class indices, required for ``error_count``.
+        seed: RNG seed, required for ``random``, whose scores are seeded
+            uniform draws so downstream selection code is shared.
+        votes: also return each sample's fused vote: the class with the
+            highest member-mean probability, ties toward the lower index.
+
+    Returns:
+        ``(scores, votes)``: AcquisitionScores aligned with
+        ``source.sample_ids`` and an int64 vote array, each None when not
+        asked for. The walk runs whatever is asked, so a ``PoolBlocks``
+        source validates every block even for ``random``.
+    """
+    n = source.n_samples
+    if function_id is not None and function_id not in FUNCTION_IDS:
+        raise ValueError("unknown acquisition function %r" % function_id)
+    if function_id == "random" and seed is None:
+        raise ValueError("random scoring requires a seed")
+    if function_id == "error_count" and labels is not None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (n,):
+            raise ValueError("labels length must match the sample axis")
+    else:
+        labels = None  # only error_count reads labels
+    scored = function_id not in (None, "random")
+    scores = np.empty(n) if scored else None
+    fused = np.empty(n, dtype=np.int64) if votes else None
+    for rows, block in source.blocks():
+        if scored:
+            block_labels = None if labels is None else labels[rows]
+            scores[rows] = _ensemble_scores(block, function_id, block_labels)
+        if votes:
+            fused[rows] = np.argmax(block.mean(axis=1), axis=1)
+    if function_id == "random":
+        scores = np.random.default_rng(seed).random(n)
+    if function_id is not None:
+        scores = AcquisitionScores(function_id, scores, source.sample_ids)
+    return scores, fused
+
+
 def score_pool(
     tensor: PredictionTensor,
     function_id: str,
@@ -238,29 +301,12 @@ def score_pool(
         tensor: pool predictions, (N, E, K).
         function_id: one of ``FUNCTION_IDS``.
         labels: true class indices, required for ``error_count``.
-        seed: RNG seed, required for ``random``. The random baseline emits
-            seeded uniform draws so downstream selection code is shared.
+        seed: RNG seed, required for ``random``.
 
     Returns:
         AcquisitionScores aligned with ``tensor.sample_ids``.
     """
-    if function_id not in FUNCTION_IDS:
-        raise ValueError("unknown acquisition function %r" % function_id)
-    if function_id != "random":
-        if function_id == "error_count" and labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != (tensor.n_samples,):
-                raise ValueError("labels length must match the sample axis")
-        scores = np.empty(tensor.n_samples)
-        for rows, block in tensor.blocks():
-            block_labels = None if labels is None else labels[rows]
-            scores[rows] = _ensemble_scores(block, function_id, block_labels)
-    elif seed is None:
-        raise ValueError("random scoring requires a seed")
-    else:
-        scores = np.random.default_rng(seed).random(tensor.n_samples)
-
-    return AcquisitionScores(function_id, scores, tensor.sample_ids)
+    return pool_pass(tensor, function_id, labels, seed)[0]
 
 
 # ---------------------------------------------------------------------------

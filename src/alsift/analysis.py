@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import PredictionTensor
-from .learner import LabeledPool, predict_pool
+from .acquisition import PredictionTensor, pool_pass
+# predict_pool stays an attribute of this module although evaluate no
+# longer calls it: perfbench's traced spans wrap it here
+from .learner import LabeledPool, PoolBlocks, predict_pool
 from .state import SubsetState
 
 
@@ -100,21 +102,20 @@ class EvalReport:
     per_class: dict[int, float]
 
 
-def evaluate_tensor(tensor: PredictionTensor, labels) -> EvalReport:
+def evaluate_tensor(tensor, labels) -> EvalReport:
     """Fused-vote accuracy of pool predictions against aligned labels.
 
     Member probabilities are averaged and the highest-mean class wins
-    (ties toward the lower class index). Per-class accuracies cover the
-    classes that appear in ``labels``, which follow ``tensor.sample_ids``.
+    (ties toward the lower class index). ``tensor`` is a PredictionTensor
+    or a ``learner.PoolBlocks``. Per-class accuracies cover the classes
+    that appear in ``labels``, which follow ``tensor.sample_ids``.
     """
     labels = np.asarray(labels)
     if labels.shape != (tensor.n_samples,):
         raise ValueError("labels length must match the sample axis")
     if not len(labels):
         raise ValueError("empty evaluation id set")
-    votes = np.empty(tensor.n_samples, dtype=np.int64)
-    for rows, block in tensor.blocks():
-        votes[rows] = np.argmax(block.mean(axis=1), axis=1)
+    votes = pool_pass(tensor, votes=True)[1]
     per_class = {}
     for cls in np.unique(labels):
         mask = labels == cls
@@ -123,15 +124,16 @@ def evaluate_tensor(tensor: PredictionTensor, labels) -> EvalReport:
 
 
 def evaluate(members, pool: LabeledPool, ids=None) -> EvalReport:
-    """Score an ensemble on the given sample ids with :func:`evaluate_tensor`.
+    """Score an ensemble on the given sample ids with :func:`evaluate_tensor`,
+    block by block, without a prediction tensor.
 
     Args:
         members: sequence of ModelParams.
         pool: pool holding features and labels.
-        ids: sample ids to evaluate; defaults to the whole pool.
+        ids: sample ids to evaluate, unique; defaults to the whole pool.
     """
-    tensor = predict_pool(members, pool, ids)
-    return evaluate_tensor(tensor, pool.labels[pool.rows_for(tensor.sample_ids)])
+    source = PoolBlocks(members, pool, ids)
+    return evaluate_tensor(source, source.labels())
 
 
 def selected_unselected_gap(

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .acquisition import (
     FUNCTION_IDS,
+    pool_pass,
     read_prediction_tensor,
     read_prediction_tensor_csv,
     score_pool,
@@ -48,7 +49,14 @@ from .experiment import (
     run_experiment,
     write_results,
 )
-from .learner import ENSEMBLE_MODES, CheckpointStore, EnsembleConfig, build_ensemble, predict_pool
+from .learner import (
+    ENSEMBLE_MODES,
+    CheckpointStore,
+    EnsembleConfig,
+    PoolBlocks,
+    build_ensemble,
+    predict_pool,
+)
 from .state import read_subset_csv
 
 
@@ -126,9 +134,9 @@ def _cmd_score(args) -> int:
     pool = read_pool_csv(args.pool) if args.pool else None
     if args.tensor:
         if args.tensor.endswith(".csv"):
-            tensor = read_prediction_tensor_csv(args.tensor)
+            source = read_prediction_tensor_csv(args.tensor)
         else:
-            tensor = read_prediction_tensor(args.tensor)
+            source = read_prediction_tensor(args.tensor)
     elif args.checkpoints and pool is not None:
         try:
             ensemble = EnsembleConfig(
@@ -140,7 +148,8 @@ def _cmd_score(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         members = build_ensemble(CheckpointStore.load(args.checkpoints), ensemble)
-        tensor = predict_pool(members, pool)
+        # scored block by block, with no prediction tensor
+        source = PoolBlocks(members, pool)
     else:
         raise ConfigError("score needs --tensor, or --pool plus --checkpoints")
 
@@ -148,8 +157,11 @@ def _cmd_score(args) -> int:
     if args.function == "error_count":
         if pool is None:
             raise ConfigError("error_count scoring needs --pool for labels")
-        labels = pool.labels[pool.rows_for(tensor.sample_ids)]
-    scores = score_pool(tensor, args.function, labels=labels, seed=args.seed)
+        labels = pool.labels[pool.rows_for(source.sample_ids)]
+    if args.tensor:
+        scores = score_pool(source, args.function, labels=labels, seed=args.seed)
+    else:
+        scores = pool_pass(source, args.function, labels, args.seed)[0]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import BLOCK_ROWS, PredictionTensor
+from .acquisition import BLOCK_ROWS, PredictionTensor, _check_rows, _unique_ids
 from .state import SubsetState, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
@@ -137,9 +137,24 @@ def init_params(
     return ModelParams(arch, n_features, n_classes, hidden if arch == "mlp" else 0, tuple(tensors))
 
 
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """The largest entry of each row, shaped like ``max(axis=-1, keepdims=True)``.
+
+    A running ``np.maximum`` over the few columns of a class axis is several
+    times faster than numpy's last-axis reduction. Both propagate NaN and
+    give equal values; only the sign of a zero maximum may differ, which no
+    softmax shows: ``x - 0.0`` equals ``x - -0.0`` for every x but -0.0,
+    whose exp is 1 either way.
+    """
+    top = values[..., 0].copy()
+    for j in range(1, values.shape[-1]):
+        np.maximum(top, values[..., j], out=top)
+    return top[..., None]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, computed in place in ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= _row_max(logits)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits
@@ -644,16 +659,26 @@ class CheckpointStore:
             raise KeyError("no checkpoint for run %d epoch %d" % (run_seed, epoch)) from None
 
     def save(self, dir_path) -> None:
-        """Write every checkpoint plus a metadata table to a directory."""
+        """Write every checkpoint plus a metadata table to a directory.
+
+        The directory then holds exactly this store: ``.alck`` files left
+        there by an earlier save are removed, so :meth:`load` cannot mix
+        them in.
+        """
         out = Path(dir_path)
         out.mkdir(parents=True, exist_ok=True)
+        names = set()
         with open(out / "store_meta.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run_seed", "epoch", "val_accuracy", "subset_digest"])
             for run, epoch in sorted(self._items):
                 ckpt = self._items[(run, epoch)]
                 writer.writerow([run, epoch, repr(ckpt.val_accuracy), ckpt.subset_digest])
+                names.add(checkpoint_filename(run, epoch))
                 write_checkpoint(out / checkpoint_filename(run, epoch), ckpt)
+        for stale in out.glob("*.alck"):
+            if stale.name not in names:
+                stale.unlink()
 
     @classmethod
     def load(cls, dir_path) -> "CheckpointStore":
@@ -721,8 +746,81 @@ def build_ensemble(store: CheckpointStore, config: EnsembleConfig) -> list[Model
     return members
 
 
+class PoolBlocks:
+    """Member predictions over pool rows, computed one block of rows at a time.
+
+    The source that every pool pass reads. It offers what
+    :class:`PredictionTensor` offers its readers (``sample_ids``,
+    ``n_samples``, ``n_members``, ``n_classes`` and ``blocks()``), so
+    ``acquisition.pool_pass`` and ``analysis.evaluate_tensor`` take either,
+    but it never holds an (N, E, K) array: each walk predicts its blocks
+    afresh, and its working set is one float64 block.
+
+    Args:
+        members: sequence of ModelParams sharing input width and class count.
+        pool: pool to predict on.
+        ids: sample ids to cover, unique; defaults to the whole pool in pool
+            order.
+    """
+
+    def __init__(self, members, pool: LabeledPool, ids=None):
+        self.members = list(members)
+        if not self.members:
+            raise ValueError("empty ensemble")
+        for m in self.members:
+            if m.n_features != pool.n_features or m.n_classes != pool.n_classes:
+                raise ValueError("member shape does not match the pool")
+        self.pool = pool
+        if ids is None:
+            # the whole pool in order: blocks are row slices, read in place
+            self.sample_ids, self._rows = pool.sample_ids, None
+        else:
+            self.sample_ids = _unique_ids(ids)
+            self._rows = pool.rows_for(self.sample_ids)
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.sample_ids)
+
+    @property
+    def n_members(self) -> int:
+        return len(self.members)
+
+    @property
+    def n_classes(self) -> int:
+        return self.pool.n_classes
+
+    def labels(self) -> np.ndarray:
+        """Pool labels aligned with ``sample_ids``."""
+        return self.pool.labels if self._rows is None else self.pool.labels[self._rows]
+
+    def blocks(self):
+        """Yield ``(rows, block)`` as :meth:`PredictionTensor.blocks` does:
+        ``rows`` a slice of at most ``BLOCK_ROWS`` samples, ``block`` their
+        member probabilities rounded to float32 (the values a tensor stores)
+        in a contiguous float64 (c, E, K) array that the next block
+        overwrites. Every block passes :func:`acquisition._check_rows`; an
+        empty source yields one empty block."""
+        n = self.n_samples
+        buffer = np.empty((min(n, BLOCK_ROWS), self.n_members, self.n_classes))
+        for lo in range(0, max(n, 1), BLOCK_ROWS):
+            rows = slice(lo, min(lo + BLOCK_ROWS, n))
+            if self._rows is None:
+                features = self.pool.features[rows]
+            else:
+                features = self.pool.features[self._rows[rows]]
+            block = buffer[: rows.stop - lo]
+            for j, m in enumerate(self.members):
+                block[:, j] = predict_proba(m, features).astype(np.float32)
+            yield rows, _check_rows(block)
+
+
 def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     """Stack member predictions over pool samples into a prediction tensor.
+
+    Only callers that keep the tensor need this (``.alpt`` files,
+    consensus); the blocks come from :class:`PoolBlocks`, which already
+    validated them.
 
     Args:
         members: sequence of ModelParams sharing input width and class count.
@@ -732,20 +830,11 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     Returns:
         PredictionTensor of shape (len(ids), len(members), K).
     """
-    members = list(members)
-    if not members:
-        raise ValueError("empty ensemble")
-    for m in members:
-        if m.n_features != pool.n_features or m.n_classes != pool.n_classes:
-            raise ValueError("member shape does not match the pool")
-    ids = np.asarray(pool.sample_ids if ids is None else ids, dtype=np.uint64)
-    rows = pool.rows_for(ids)
-    data = np.empty((len(ids), len(members), pool.n_classes), dtype=np.float32)
-    for lo in range(0, len(ids), BLOCK_ROWS):
-        block = pool.features[rows[lo : lo + BLOCK_ROWS]]
-        for j, m in enumerate(members):
-            data[lo : lo + BLOCK_ROWS, j] = predict_proba(m, block)
-    return PredictionTensor(data, ids)
+    source = PoolBlocks(members, pool, ids)
+    data = np.empty((source.n_samples, source.n_members, source.n_classes), dtype=np.float32)
+    for rows, block in source.blocks():
+        data[rows] = block
+    return PredictionTensor._checked(data, source.sample_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +914,7 @@ __all__ = [
     "train_runs",
     "fine_tune",
     "build_ensemble",
+    "PoolBlocks",
     "predict_pool",
     "checkpoint_filename",
     "write_checkpoint",

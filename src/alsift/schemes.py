@@ -19,22 +19,24 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .acquisition import FUNCTION_IDS, AcquisitionScores, PredictionTensor, score_pool
-from .analysis import duplication_histogram, evaluate, evaluate_tensor
-# train and fine_tune, the one-run cases of train_runs, stay attributes of
-# this module: perfbench's traced spans wrap them here
+from .acquisition import FUNCTION_IDS, AcquisitionScores, pool_pass
+from .analysis import duplication_histogram, evaluate
 from .learner import (
     CheckpointStore,
     EnsembleConfig,
     LabeledPool,
     ModelParams,
+    PoolBlocks,
     TrainConfig,
     build_ensemble,
-    fine_tune,
-    predict_pool,
-    train,
     train_runs,
 )
+
+# train and fine_tune (the one-run cases of train_runs), predict_pool and
+# score_pool stay attributes of this module although the schemes no longer
+# call them: perfbench's traced spans wrap them here
+from .acquisition import score_pool
+from .learner import fine_tune, predict_pool, train
 from .state import SubsetState, derive_seed
 
 SCHEMES = ("pretrain", "compress", "build_up", "automatic_duplication")
@@ -185,13 +187,17 @@ def train_subset_ensemble(
     return store, build_ensemble(store, ensemble)
 
 
-def _pool_scores(
-    tensor: PredictionTensor, pool: LabeledPool, config: SearchConfig, iteration: int
-) -> AcquisitionScores:
-    # the tensor covers the whole pool in pool order, so pool.labels align;
-    # score_pool reads labels only for error_count and the seed only for random
+def _pool_pass(
+    members, pool: LabeledPool, config: SearchConfig, iteration: int, scores: bool, votes: bool
+):
+    """One walk over the whole pool's member blocks: the scores that pick
+    iteration ``iteration``'s additions (if ``scores``), and the fused votes
+    (if ``votes``). No prediction tensor is built."""
+    # the blocks cover the whole pool in pool order, so pool.labels align;
+    # labels are read only for error_count and the seed only for random
+    function_id = config.function_id if scores else None
     seed = derive_seed(config.seed, _ROLE_SCORE, iteration)
-    return score_pool(tensor, config.function_id, labels=pool.labels, seed=seed)
+    return pool_pass(PoolBlocks(members, pool), function_id, pool.labels, seed, votes)
 
 
 def _record(
@@ -236,7 +242,7 @@ def _acquire_once(pool: LabeledPool, config: SearchConfig):
     store, members = train_subset_ensemble(
         pool, full, config.ensemble, config.trainer, config.seed, 0
     )
-    scores = _pool_scores(predict_pool(members, pool), pool, config, iteration=0)
+    scores = _pool_pass(members, pool, config, 0, scores=True, votes=False)[0]
     chosen = outlier_window_select(scores, config.target_size, config.outlier_fraction)
     return store, scores, chosen
 
@@ -272,9 +278,10 @@ def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: boo
     """The growth loop shared by build-up and automatic duplication.
 
     Starts from a random subset of ``sizes[0]`` ids. Iteration t trains an
-    ensemble on the subset and predicts the pool once; that one tensor
-    gives the record's pool accuracy and, before the last iteration, the
-    scores whose ``sizes[t + 1] - sizes[t]`` picks make iteration t + 1.
+    ensemble on the subset and walks the pool's member blocks once; that
+    one walk gives the votes behind the record's pool accuracy and, before
+    the last iteration, the scores whose ``sizes[t + 1] - sizes[t]`` picks
+    make iteration t + 1.
     With ``unseen`` the picks are ids outside the subset; otherwise each
     pick adds one more copy of its id.
     """
@@ -286,13 +293,13 @@ def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: boo
         store, members = train_subset_ensemble(
             pool, state, config.ensemble, config.trainer, config.seed, iteration
         )
-        tensor = predict_pool(members, pool)
-        accuracy = evaluate_tensor(tensor, pool.labels).accuracy
+        last = iteration == len(sizes) - 1
+        next_scores, votes = _pool_pass(members, pool, config, iteration + 1, not last, True)
+        accuracy = float(np.mean(votes == pool.labels))
         records.append(_record(iteration, state, scores, excluded, chosen, accuracy))
-        if iteration == len(sizes) - 1:
+        if last:
             break
-        scores = _pool_scores(tensor, pool, config, iteration + 1)
-        del tensor  # freed before the next ensemble predicts
+        scores = next_scores
         if unseen:
             excluded = state.ids()
         k = sizes[iteration + 1] - sizes[iteration]

@@ -628,6 +628,25 @@ class TestCheckpointFiles:
         for ta, tb in zip(loaded.params.tensors, orig.params.tensors):
             assert_array_equal(ta, tb.astype(np.float32).astype(np.float64))
 
+    def test_save_into_a_used_directory_holds_exactly_the_new_store(self, tmp_path):
+        pool = small_pool()
+        store_with_runs(pool, (1, 2), epochs=4, window=3).save(tmp_path / "store")
+        (tmp_path / "store" / "notes.txt").write_text("kept")
+        smaller = store_with_runs(pool, (3,), epochs=3, window=2)
+        smaller.save(tmp_path / "store")
+        names = sorted(p.name for p in (tmp_path / "store").glob("*.alck"))
+        assert names == ["run3_ep2.alck", "run3_ep3.alck"]
+        assert (tmp_path / "store" / "notes.txt").read_text() == "kept"
+        back = CheckpointStore.load(tmp_path / "store")
+        assert back.run_seeds() == [3]
+        assert back.epochs(3) == [2, 3]
+        for epoch in (2, 3):
+            assert back.get(3, epoch).val_accuracy == smaller.get(3, epoch).val_accuracy
+        # seeds mode picks among the saved runs only
+        assert len(build_ensemble(back, EnsembleConfig(mode="seeds", runs=1))) == 1
+        with pytest.raises(ValueError, match="store holds 1 runs; 2 requested"):
+            build_ensemble(back, EnsembleConfig(mode="seeds", runs=2))
+
     def test_load_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             CheckpointStore.load(tmp_path / "nope")

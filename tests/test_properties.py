@@ -1,7 +1,8 @@
 """Property tests: score bounds and agreement, selection invariants, config key table
 round trip, the trainer's held-out ids and training expansion, the lockstep run stack
-against runs trained one by one, and the row-blocked pool pass (prediction,
-validation, scores and votes) against whole-pool references."""
+against runs trained one by one, the row-blocked pool pass (prediction, validation,
+scores and votes) against whole-pool references, the tensor-free block pass against
+the tensor pass, and the softmax's column-wise max against numpy's reduction."""
 
 from __future__ import annotations
 
@@ -25,10 +26,11 @@ from alsift.acquisition import (
     detection_heatmaps,
     error_count,
     mutual_information,
+    pool_pass,
     score_pool,
     variation_ratios,
 )
-from alsift.analysis import evaluate_tensor
+from alsift.analysis import evaluate, evaluate_tensor
 from alsift.cli import main
 from alsift.datagen import write_pool_csv
 from alsift.experiment import (
@@ -43,7 +45,9 @@ from alsift.learner import (
     ENSEMBLE_MODES,
     Checkpoint,
     CheckpointStore,
+    EnsembleConfig,
     LabeledPool,
+    PoolBlocks,
     TrainConfig,
     init_params,
     predict_pool,
@@ -52,8 +56,10 @@ from alsift.learner import (
     train_runs,
     _held_out,
     _mix64,
+    _row_max,
+    _softmax,
 )
-from alsift.schemes import SCHEMES, outlier_window_select, select_top_k
+from alsift.schemes import SCHEMES, SearchConfig, outlier_window_select, run_scheme, select_top_k
 from alsift.state import SubsetState
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -488,3 +494,152 @@ def test_checkpoint_with_a_nan_weight_is_refused(tmp_path, capsys):
     ])
     assert code == 2
     assert "invalid distribution: non-finite entries" in capsys.readouterr().err
+
+
+# -- the tensor-free block pass ------------------------------------------------
+
+
+def _tensor_pass(members, pool, ids, function_id):
+    """Scores and votes through a kept tensor: predict_pool, then score_pool
+    and one float64 copy for the votes."""
+    tensor = predict_pool(members, pool, ids)
+    labels = pool.labels[pool.rows_for(tensor.sample_ids)]
+    scores = score_pool(tensor, function_id, labels=labels, seed=11)
+    votes = tensor.data.astype(np.float64).mean(axis=1).argmax(axis=1)
+    return tensor, labels, scores, votes
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1])
+def test_block_pass_equals_the_tensor_pass(arch, n):
+    pool, members = _pool(n), _members(arch)
+    shuffled = np.random.default_rng(n).permutation(pool.sample_ids)[: max(1, n - 2)]
+    for ids in (None, shuffled):
+        source = PoolBlocks(members, pool, ids)
+        assert_array_equal(source.labels(), pool.labels[pool.rows_for(source.sample_ids)])
+        for function_id in FUNCTION_IDS:
+            tensor, labels, expected, votes = _tensor_pass(members, pool, ids, function_id)
+            scores, got_votes = pool_pass(source, function_id, labels, seed=11, votes=True)
+            assert scores.function_id == function_id
+            assert_array_equal(scores.sample_ids, tensor.sample_ids)
+            assert scores.scores.tobytes() == expected.scores.tobytes()
+            assert got_votes.tobytes() == votes.tobytes()
+        assert evaluate_tensor(source, labels) == evaluate_tensor(tensor, labels)
+        assert evaluate(members, pool, ids) == evaluate_tensor(tensor, labels)
+
+
+def test_block_pass_blocks_equal_the_tensor_blocks():
+    pool, members = _pool(2 * C + 1), _members("mlp")
+    tensor = predict_pool(members, pool)
+    for (rows, got), (want_rows, want) in zip(PoolBlocks(members, pool).blocks(), tensor.blocks()):
+        assert rows == want_rows
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_block_pass_refuses_repeated_ids():
+    pool, members = _pool(C + 10), _members("logistic")
+    ids = [5, 8, 5]
+    for call in (
+        lambda: PoolBlocks(members, pool, ids),
+        lambda: evaluate(members, pool, ids),
+        lambda: predict_pool(members, pool, ids),
+    ):
+        with pytest.raises(ValueError, match="sample_ids must be unique"):
+            call()
+
+
+@pytest.mark.parametrize("function_id", FUNCTION_IDS)
+def test_block_pass_refuses_a_member_with_a_nan_weight(function_id):
+    pool, members = _pool(C + 10), _members("mlp")
+    members[2].tensors[2][3, 1] = np.nan
+    source = PoolBlocks(members, pool)
+    with pytest.raises(ValueError, match="invalid distribution: non-finite entries"):
+        pool_pass(source, function_id, pool.labels, seed=1)
+    with pytest.raises(ValueError, match="invalid distribution: non-finite entries"):
+        pool_pass(source, votes=True)
+    with pytest.raises(ValueError, match="invalid distribution: non-finite entries"):
+        evaluate(members, pool)
+
+
+def test_block_pass_keeps_the_label_and_empty_set_checks():
+    pool, members = _pool(C + 10), _members("logistic")
+    source = PoolBlocks(members, pool)
+    with pytest.raises(ValueError, match="labels length"):
+        pool_pass(source, "error_count", np.append(pool.labels, 0))
+    with pytest.raises(ValueError, match="requires labels"):
+        pool_pass(source, "error_count")
+    with pytest.raises(ValueError, match="labels length"):
+        evaluate_tensor(source, pool.labels[:-1])
+    with pytest.raises(ValueError, match="empty evaluation id set"):
+        evaluate(members, pool, ids=[])
+
+
+def _grow_and_evaluate_peaks(n):
+    """tracemalloc peaks of a build-up search and of a whole-pool evaluation
+    on an n-sample pool; the search trains on the same 64 ids whatever n is."""
+    pool, members = _pool(n, k=10), _members("mlp", k=10, e=10)
+    config = SearchConfig(
+        "build_up", "mutual_information", 64,
+        EnsembleConfig(mode="combined", runs=2, checkpoints_per_run=5),
+        TrainConfig(arch="mlp", hidden=7, max_epochs=5, batch_size=16),
+    )
+    peaks = []
+    for call in (lambda: run_scheme(pool, config), lambda: evaluate(members, pool)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_search_and_evaluate_working_set_does_not_grow_with_the_pool():
+    small, large = _grow_and_evaluate_peaks(2 * C + 1), _grow_and_evaluate_peaks(8 * C + 1)
+    block_bytes = C * 10 * 10 * 8
+    # a tensor would add E * K * 4 = 400 bytes per sample; the block pass adds
+    # only per-sample scores, votes and selection arrays
+    per_sample = 64
+    for got_small, got_large in zip(small, large):
+        assert got_small < 3 * block_bytes
+        assert got_large - got_small < per_sample * 6 * C
+
+
+# -- the column-wise softmax max -----------------------------------------------
+
+_EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 5e-324]
+
+
+@st.composite
+def logit_arrays(draw):
+    """Logits with NaN, infinities, signed zeros and ties, with or without a run axis."""
+    k = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 1), (3, 5)]))
+    rows = (draw(st.integers(1, 9)),) if not lead else lead
+    size = math.prod(rows) * k
+    finite = st.floats(-50.0, 50.0, allow_nan=False)
+    values = draw(st.lists(st.sampled_from(_EDGE_VALUES) | finite, min_size=size, max_size=size))
+    return np.asarray(values, dtype=np.float64).reshape(*rows, k)
+
+
+def _softmax_with_reduction_max(logits):
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
+@settings(max_examples=200, deadline=None)
+@given(logit_arrays())
+def test_column_max_equals_the_last_axis_max(logits):
+    expected = logits.max(axis=-1, keepdims=True)
+    got = _row_max(logits)
+    assert got.shape == expected.shape
+    # numpy's reduction may return either zero when +0.0 and -0.0 tie for the
+    # maximum, depending on its SIMD lanes; adding +0.0 makes every zero +0.0
+    assert (got + 0.0).tobytes() == (expected + 0.0).tobytes()
+    with np.errstate(all="ignore"):
+        want = _softmax_with_reduction_max(logits)
+        assert _softmax(logits.copy()).tobytes() == want.tobytes()
+

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-import alsift.analysis
-import alsift.schemes
 from alsift.acquisition import AcquisitionScores
 from alsift.analysis import evaluate
 from alsift.datagen import GeneratorSpec, generate_pool
-from alsift.learner import EnsembleConfig, TrainConfig
+from alsift.learner import EnsembleConfig, PoolBlocks, TrainConfig
 from alsift.schemes import (
     SearchConfig,
     growth_schedule,
@@ -345,14 +343,15 @@ class TestOnePredictionPerEnsemble:
 
     @pytest.mark.parametrize("scheme, kwargs", RUNS, ids=[name for name, _ in RUNS])
     def test_pool_predicted_once_per_trained_ensemble(self, monkeypatch, scheme, kwargs):
+        # every pool prediction, with or without a tensor, is a walk over
+        # PoolBlocks.blocks
         calls = []
-        for module in (alsift.schemes, alsift.analysis):
 
-            def counted(*args, _original=module.predict_pool, **kw):
-                calls.append(1)
-                return _original(*args, **kw)
+        def counted(self, _original=PoolBlocks.blocks):
+            calls.append(1)
+            return _original(self)
 
-            monkeypatch.setattr(module, "predict_pool", counted)
+        monkeypatch.setattr(PoolBlocks, "blocks", counted)
         result = run_scheme(tiny_pool(), tiny_config(scheme, **kwargs))
         if scheme in ("pretrain", "compress"):
             # the full-pool ensemble scores, the subset ensemble is evaluated
