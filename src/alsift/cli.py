@@ -36,6 +36,7 @@ from .datagen import (
     read_pool_csv,
     write_metadata_csv,
     write_pool_csv,
+    write_table_csv,
 )
 from .experiment import (
     ConfigError,
@@ -166,11 +167,7 @@ def _cmd_score(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "scores.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "score"])
-        for sid, value in zip(scores.sample_ids, scores.scores):
-            writer.writerow([int(sid), repr(float(value))])
+    write_table_csv(path, ["sample_id", "score"], [scores.sample_ids], scores.scores[:, None])
     print("wrote %d %s scores to %s" % (len(scores.scores), args.function, path))
     return 0
 

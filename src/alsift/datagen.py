@@ -10,6 +10,11 @@ a fraction of the pool with jittered near-copies of other samples, and
 from __future__ import annotations
 
 import csv
+import io
+import os
+import secrets
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,30 +174,126 @@ def generate_pool(spec: GeneratorSpec) -> LabeledPool:
 # ---------------------------------------------------------------------------
 
 
+# rows formatted per write call: bounds the line strings held at once
+_WRITE_ROWS = 1024
+
+
+@contextmanager
+def _atomic_text(path):
+    """Open ``path`` for text writing so that it changes only when complete.
+
+    The text goes to a hidden temporary file in the same directory, which
+    ``os.replace`` moves over ``path`` once the block ends without an
+    exception; on an exception the temporary file is removed and ``path``
+    keeps its old content. Newlines are written as given.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, ".%s.%s.tmp" % (name, secrets.token_hex(4)))
+    try:
+        with open(tmp, "x", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_table_csv(path, header, int_columns, floats=None) -> None:
+    """Write integer columns, then optionally an (N, F) float block, atomically.
+
+    Each line holds the integers in decimal, then the floats via ``repr``,
+    ending in ``\\r\\n``: byte for byte what ``csv.writer`` writes for these
+    cells, none of which needs quoting.
+    """
+    line = ",".join(["%d"] * len(int_columns) + ["%s"] * (floats is not None)) + "\r\n"
+    with _atomic_text(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(int_columns[0]), _WRITE_ROWS):
+            block = slice(lo, lo + _WRITE_ROWS)
+            cells = [np.asarray(column)[block].tolist() for column in int_columns]
+            if floats is not None:
+                cells.append([",".join(map(repr, row)) for row in floats[block].tolist()])
+            fh.writelines([line % row for row in zip(*cells)])
+
+
 def write_pool_csv(path, pool: LabeledPool) -> None:
     """Header sample_id, label, x_0..x_{D-1}; floats written via repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample_id", "label"] + ["x_%d" % i for i in range(pool.n_features)]
-        )
-        for row in range(pool.n_samples):
-            writer.writerow(
-                [int(pool.sample_ids[row]), int(pool.labels[row])]
-                + [repr(float(v)) for v in pool.features[row]]
-            )
+    write_table_csv(
+        path,
+        ["sample_id", "label"] + ["x_%d" % i for i in range(pool.n_features)],
+        [pool.sample_ids, pool.labels],
+        pool.features,
+    )
 
 
 def read_pool_csv(path) -> LabeledPool:
-    """Read a pool table; the class count is max(label) + 1."""
+    """Read a pool table; the class count is max(label) + 1.
+
+    One ``np.loadtxt`` call parses the rows. When it refuses them or finds a
+    negative label, or when :func:`_needs_row_loop` says so,
+    :func:`_read_pool_rows` reads the file row by row instead; that loop
+    defines which files load and names the first bad line.
+    """
+    table = None if _needs_row_loop(path) else _parse_pool_rows(path)
+    if table is None:
+        return _read_pool_rows(path)
+    return _pool_from_columns(table["sample_id"], table["label"], table["x"])
+
+
+def _pool_width(header) -> int:
+    """Feature count named by a pool file's header row."""
+    if header is None or header[:2] != ["sample_id", "label"]:
+        raise ValueError("expected header sample_id, label, x_0..")
+    width = len(header) - 2
+    if width < 1:
+        raise ValueError("pool file has no feature columns")
+    return width
+
+
+def _parse_pool_rows(path):
+    """The rows after the header as one structured array, or None.
+
+    None when ``np.loadtxt`` refuses the rows or warns (no rows), or when a
+    label is negative. numpy parses floats with ``PyOS_string_to_double``,
+    as ``float()`` does; it refuses quoted cells and underscores, which the
+    row loop accepts.
+    """
+    with open(path, newline="") as fh:
+        width = _pool_width(next(csv.reader(fh), None))
+        dtype = np.dtype([("sample_id", "<u8"), ("label", "<i8"), ("x", "<f8", (width,))])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return table if table["label"].min() >= 0 else None
+
+
+def _needs_row_loop(path) -> bool:
+    """Whether the file's bytes hold what only the row loop reads right.
+
+    That is any non-ASCII byte (numpy's integer parser takes some non-ASCII
+    letters for digits), one of the characters \\x1c-\\x1f (numpy strips
+    them around a number as whitespace; ``int()`` and ``float()`` refuse
+    them), or a line longer than the ``csv`` module's field limit (a cell
+    of it may be too).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return (
+        not data.isascii()
+        or any(bytes([c]) in data for c in range(0x1C, 0x20))
+        or max(map(len, io.BytesIO(data)), default=0) > csv.field_size_limit()
+    )
+
+
+def _read_pool_rows(path) -> LabeledPool:
+    """Read a pool table with the ``csv`` module, one row at a time."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["sample_id", "label"]:
-            raise ValueError("expected header sample_id, label, x_0..")
-        width = len(header) - 2
-        if width < 1:
-            raise ValueError("pool file has no feature columns")
+        width = _pool_width(next(reader, None))
         ids, labels, rows = [], [], []
         for row in reader:
             if not row:
@@ -200,29 +301,31 @@ def read_pool_csv(path) -> LabeledPool:
             try:
                 if len(row) != width + 2:
                     raise ValueError("expected %d columns, found %d" % (width + 2, len(row)))
-                ids.append(int(row[0]))
-                labels.append(int(row[1]))
+                sample_id, label = int(row[0]), int(row[1])
                 rows.append([float(v) for v in row[2:]])
+                if not 0 <= sample_id < 2**64:
+                    raise ValueError("sample id %d outside [0, 2**64)" % sample_id)
+                if label < 0:
+                    raise ValueError("negative label %d" % label)
+                ids.append(sample_id)
+                labels.append(label)
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
     if not ids:
         raise ValueError("empty pool file")
-    labels_arr = np.asarray(labels, dtype=np.int64)
+    return _pool_from_columns(ids, labels, rows)
+
+
+def _pool_from_columns(ids, labels, features) -> LabeledPool:
+    labels = np.asarray(labels, dtype=np.int64)
     return LabeledPool(
-        np.asarray(rows), labels_arr, np.asarray(ids, dtype=np.uint64), int(labels_arr.max()) + 1
+        np.asarray(features), labels, np.asarray(ids, dtype=np.uint64), int(labels.max()) + 1
     )
 
 
 def write_metadata_csv(path, pool: LabeledPool, meta: PoolMetadata) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "duplicate_of", "noisy", "true_label"])
-        for row in range(pool.n_samples):
-            writer.writerow(
-                [
-                    int(pool.sample_ids[row]),
-                    int(meta.duplicate_of[row]),
-                    int(meta.noisy[row]),
-                    int(meta.true_labels[row]),
-                ]
-            )
+    write_table_csv(
+        path,
+        ["sample_id", "duplicate_of", "noisy", "true_label"],
+        [pool.sample_ids, meta.duplicate_of, meta.noisy, meta.true_labels],
+    )

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from alsift import datagen
 from alsift.datagen import (
     GeneratorSpec,
     generate_pool,
@@ -16,6 +19,7 @@ from alsift.datagen import (
     write_metadata_csv,
     write_pool_csv,
 )
+from alsift.learner import LabeledPool
 
 
 def spec(**kwargs):
@@ -137,6 +141,82 @@ class TestPoolFiles:
         path.write_text("sample_id,label,x_0,x_1\n0,1,0.5,0.25\n1,0,abc,0.5\n")
         with pytest.raises(ValueError, match=r"^line 3: .*'abc'"):
             read_pool_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("0,0,0.5\n1,-1,0.25\n", 3), ("0,0,0.5\n1,1,0.25\n\n2,-1,1.0\n", 5)],
+    )
+    def test_negative_label_named_with_line_number(self, tmp_path, rows, line):
+        path = tmp_path / "neg.csv"
+        path.write_text("sample_id,label,x_0\n" + rows)
+        with pytest.raises(ValueError, match=r"^line %d: negative label -1$" % line):
+            read_pool_csv(path)
+
+    @pytest.mark.parametrize("sample_id", ["-1", "18446744073709551616"])
+    def test_sample_id_out_of_range_named_with_line_number(self, tmp_path, sample_id):
+        path = tmp_path / "ids.csv"
+        path.write_text("sample_id,label,x_0\n0,0,0.5\n%s,1,0.25\n" % sample_id)
+        with pytest.raises(ValueError, match=r"^line 3: sample id %s outside \[0, 2\*\*64\)$" % sample_id):
+            read_pool_csv(path)
+
+    def test_largest_sample_id_loads(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("sample_id,label,x_0\n18446744073709551615,0,0.5\n0,1,0.25\n")
+        assert read_pool_csv(path).sample_ids.tolist() == [2**64 - 1, 0]
+
+    def test_written_files_load_without_the_row_loop(self, tmp_path, monkeypatch):
+        pool = generate_pool(spec())
+        write_pool_csv(tmp_path / "pool.csv", pool)
+
+        def refuse(path):
+            raise AssertionError("row loop used")
+
+        monkeypatch.setattr(datagen, "_read_pool_rows", refuse)
+        assert_array_equal(read_pool_csv(tmp_path / "pool.csv").features, pool.features)
+
+    def test_quoted_and_underscored_cells_load_through_the_row_loop(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('sample_id,label,x_0\n"1_0",0,"0.5"\r\n2,1,2_5\r')
+        pool = read_pool_csv(path)
+        assert pool.sample_ids.tolist() == [10, 2]
+        assert pool.features.tolist() == [[0.5], [25.0]]
+
+    def test_cell_over_the_csv_field_limit_refused_as_before(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("sample_id,label,x_0\n0,0,0.5\n1,1,%s1\n" % ("0" * 40))
+        limit = csv.field_size_limit(32)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                read_pool_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.csv"
+        write_pool_csv(path, generate_pool(spec()))
+        before = path.read_bytes()
+        n = 3 * datagen._WRITE_ROWS
+        big = LabeledPool(np.random.default_rng(0).normal(size=(n, 2)), np.arange(n) % 2, np.arange(n), 2)
+        partial = []
+        calls = iter(range(2 * n))  # one repr per feature cell
+
+        def failing_repr(value):
+            if next(calls) == 2 * n - 1:  # the last cell, after two whole blocks
+                partial.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+                raise OSError("disk full")
+            return repr(value)
+
+        monkeypatch.setattr(datagen, "repr", failing_repr, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_pool_csv(path, big)
+        assert len(partial) == 1 and partial[0] > 0
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["pool.csv"]
+
+    def test_write_into_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_pool_csv(tmp_path / "absent" / "pool.csv", generate_pool(spec()))
+        assert os.listdir(tmp_path) == []
 
     def test_metadata_file_written(self, tmp_path):
         pool, meta = generate_pool_with_metadata(spec(redundancy=0.2, label_noise=0.1))

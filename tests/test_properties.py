@@ -2,12 +2,15 @@
 round trip, the trainer's held-out ids and training expansion, the lockstep run stack
 against runs trained one by one, the row-blocked pool pass (prediction, validation,
 scores and votes) against whole-pool references, the tensor-free block pass against
-the tensor pass, and the softmax's column-wise max against numpy's reduction."""
+the tensor pass, the softmax's column-wise max against numpy's reduction, and the pool
+CSV writers and reader against ``csv``-module references."""
 
 from __future__ import annotations
 
+import csv
 import math
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from alsift.acquisition import (
 )
 from alsift.analysis import evaluate, evaluate_tensor
 from alsift.cli import main
-from alsift.datagen import write_pool_csv
+from alsift.datagen import PoolMetadata, read_pool_csv, write_metadata_csv, write_pool_csv
 from alsift.experiment import (
     CONFIG_KEYS,
     canonical_config_lines,
@@ -643,3 +646,199 @@ def test_column_max_equals_the_last_axis_max(logits):
         want = _softmax_with_reduction_max(logits)
         assert _softmax(logits.copy()).tobytes() == want.tobytes()
 
+
+
+# -- pool CSV files --------------------------------------------------------------
+
+
+def _csv_writer_pool(path, pool):
+    """Reference pool writer: one ``csv.writer`` row per sample."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "label"] + ["x_%d" % i for i in range(pool.n_features)])
+        for row in range(pool.n_samples):
+            writer.writerow(
+                [int(pool.sample_ids[row]), int(pool.labels[row])]
+                + [repr(float(v)) for v in pool.features[row]]
+            )
+
+
+def _csv_writer_metadata(path, pool, meta):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "duplicate_of", "noisy", "true_label"])
+        for row in range(pool.n_samples):
+            writer.writerow([
+                int(pool.sample_ids[row]), int(meta.duplicate_of[row]),
+                int(meta.noisy[row]), int(meta.true_labels[row]),
+            ])
+
+
+def _row_loop_pool(path):
+    """Reference reader: the ``csv`` row loop with ``int``/``float`` per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:2] != ["sample_id", "label"]:
+            raise ValueError("expected header sample_id, label, x_0..")
+        width = len(header) - 2
+        if width < 1:
+            raise ValueError("pool file has no feature columns")
+        ids, labels, rows = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != width + 2:
+                    raise ValueError("expected %d columns, found %d" % (width + 2, len(row)))
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
+    if not ids:
+        raise ValueError("empty pool file")
+    labels_arr = np.asarray(labels, dtype=np.int64)
+    return LabeledPool(
+        np.asarray(rows), labels_arr, np.asarray(ids, dtype=np.uint64), int(labels_arr.max()) + 1
+    )
+
+
+def _outcome(read, path):
+    """A loaded pool as exact bytes, or the refusal as (type, message)."""
+    try:
+        pool = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (pool.sample_ids, pool.labels, pool.features)
+    return tuple(a.dtype.str + repr(a.shape) + a.tobytes().hex() for a in arrays) + (pool.n_classes,)
+
+
+_FLOAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2.0000000000000004,
+    1e-05, 1e16, 123456789.12345679,
+]
+
+
+@st.composite
+def csv_pools(draw, max_rows=6, max_width=4):
+    """Pools with ids up to 2**64 - 1, edge-case floats and 17-digit values."""
+    n = draw(st.integers(1, max_rows))
+    width = draw(st.integers(1, max_width))
+    ids = draw(
+        st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1]), min_size=n, max_size=n, unique=True)
+    )
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda ls: max(ls) > 0))
+    values = st.sampled_from(_FLOAT_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+    features = draw(st.lists(values, min_size=n * width, max_size=n * width))
+    return LabeledPool(
+        np.asarray(features).reshape(n, width), labels, np.asarray(ids, dtype=np.uint64), max(labels) + 1
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_pools())
+def test_pool_files_match_csv_writer_and_round_trip_exactly(pool):
+    meta = PoolMetadata(
+        np.where(pool.labels > 1, -1, pool.labels), pool.labels % 2 == 1, pool.labels
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_pool_csv(got, pool)
+        _csv_writer_pool(want, pool)
+        assert got.read_bytes() == want.read_bytes()
+        write_metadata_csv(got, pool, meta)
+        _csv_writer_metadata(want, pool, meta)
+        assert got.read_bytes() == want.read_bytes()
+        write_pool_csv(got, pool)
+        assert _outcome(read_pool_csv, got) == _outcome(lambda _: pool, got)
+
+
+def _perturb(draw, lines):
+    """One edit of a pool file's lines (header first, no line ends)."""
+    kind = draw(st.sampled_from([
+        "blank", "whitespace", "quote", "underscore", "drop", "extra", "empty", "pad", "plus", "comment",
+    ]))
+    if kind in ("blank", "whitespace"):
+        at = draw(st.integers(1, len(lines)))
+        text = "" if kind == "blank" else draw(st.sampled_from([" ", "\t", "  \x0c", "\xa0"]))
+        return lines[:at] + [text] + lines[at:]
+    i = draw(st.integers(1, len(lines) - 1))
+    cells = lines[i].split(",")
+    j = draw(st.integers(0, len(cells) - 1))
+    cell = cells[j]
+    if kind == "quote":
+        cells[j] = '"%s"' % cell
+    elif kind == "underscore":
+        k = draw(st.integers(0, len(cell)))
+        cells[j] = cell[:k] + "_" + cell[k:]
+    elif kind == "drop":
+        del cells[j]
+    elif kind == "extra":
+        cells.insert(j, draw(st.sampled_from(["0.5", "1", ""])))
+    elif kind == "empty":
+        cells[j] = ""
+    elif kind == "pad":
+        cells[j] = draw(st.sampled_from([" ", "\t"])) + cell + draw(st.sampled_from(["", " ", "\xa0"]))
+    elif kind == "plus":
+        cells[j] = "+" + cell
+    else:
+        cells[j] = cell + "#"
+    return lines[:i] + [",".join(cells)] + lines[i + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_pools(max_rows=4, max_width=3), st.data())
+def test_reader_agrees_with_the_row_loop_on_perturbed_files(pool, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "pool.csv")
+        _csv_writer_pool(path, pool)
+        lines = path.read_bytes().decode().split("\r\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 4))):
+            lines = _perturb(data.draw, lines)
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if data.draw(st.integers(0, 3)) == 0:
+            text = text[: data.draw(st.integers(0, len(text)))]
+        path.write_text(text, newline="")
+        assert _outcome(read_pool_csv, path) == _outcome(_row_loop_pool, path)
+
+
+@pytest.mark.parametrize("rows", [
+    "0,0,0.5#\n1,1,0.25\n",  # a comment character
+    "0,0,0.5\n \n1,1,0.25\n",  # a whitespace-only line
+    "0,0,0.5\n\x0c\n1,1,0.25\n",
+    "\x1c0,0,0.5\x85\n1,\xa01,0.25\u2003\n",  # unicode whitespace around cells
+    "0,0,0.5\r,0.25\n1,1,0.25\n",  # a bare CR inside what numpy might read as one row
+    "0,0,0.5\n1,1,0.25\r\r\n\n",
+    "0,0,1e400\n1,1,0.25\n",
+    "0,0,0x10\n1,1,0.25\n",
+    "0,0,0.5\x00\n1,1,0.25\n",
+    "0,0,\u0663\n1,1,0.25\n",  # a non-ASCII digit
+    "\u01fe0,0,0.5\n1,1,0.25\n",  # a non-ASCII letter numpy's integer parser passes
+    "00,+0,-0\n1,1e0,0.25\n",
+    "0,0,0.5\n0,1,0.25\n",  # a repeated id
+    "0,9223372036854775808,0.5\n1,1,0.25\n",  # a label past int64
+    "0,0,0.5,\n1,1,0.25\n",
+])
+def test_reader_agrees_with_the_row_loop_on_edge_files(tmp_path, rows):
+    path = tmp_path / "pool.csv"
+    path.write_text("sample_id,label,x_0\n" + rows, newline="")
+    assert _outcome(read_pool_csv, path) == _outcome(_row_loop_pool, path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_reader_agrees_with_the_row_loop_at_every_truncation(tmp_path, end):
+    text = end.join([
+        "sample_id,label,x_0,x_1", "18446744073709551615,1,-0.0,1e-05",
+        "", "7,0,5e-324,-1.7976931348623157e308", "12,2,0.30000000000000004,3.5",
+    ]) + end
+    path = tmp_path / "pool.csv"
+    outcomes = set()
+    for stop in range(len(text) + 1):
+        path.write_text(text[:stop], newline="")
+        got = _outcome(read_pool_csv, path)
+        assert got == _outcome(_row_loop_pool, path), stop
+        outcomes.add(got if isinstance(got[0], type) else "pool")
+    assert "pool" in outcomes and len(outcomes) > 5
