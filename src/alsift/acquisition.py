@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .state import sorted_unique_ids
+
 # Clamp applied inside logarithms. Exact zeros still contribute exactly 0
 # to entropies via the 0 * log 0 convention.
 LOG_EPS = 1e-12
@@ -59,8 +61,7 @@ def _check_rows(probs: np.ndarray) -> np.ndarray:
 def _unique_ids(sample_ids) -> np.ndarray:
     """Sample ids as a contiguous uint64 array, refused when any repeats."""
     sample_ids = np.ascontiguousarray(sample_ids, dtype=np.uint64)
-    if len(np.unique(sample_ids)) != len(sample_ids):
-        raise ValueError("sample_ids must be unique")
+    sorted_unique_ids(sample_ids, "sample_ids must be unique")
     return sample_ids
 
 

@@ -87,10 +87,8 @@ class DuplicationHistogram:
 
 def duplication_histogram(state: SubsetState) -> DuplicationHistogram:
     """Histogram of occurrence counts for a training multiset."""
-    counts: dict[int, int] = {}
-    for mult in state.multiplicity.values():
-        counts[mult] = counts.get(mult, 0) + 1
-    return DuplicationHistogram(counts)
+    mults, ids_per_mult = np.unique(state.counts(), return_counts=True)
+    return DuplicationHistogram(dict(zip(mults.tolist(), ids_per_mult.tolist())))
 
 
 @dataclass
@@ -141,10 +139,9 @@ def selected_unselected_gap(
 ) -> tuple[EvalReport, EvalReport]:
     """Evaluate separately on subset members and on the rest of the pool."""
     selected = state.ids()
-    unknown = np.setdiff1d(selected, pool.sample_ids)
-    if len(unknown):
-        raise KeyError("unknown sample id %d" % unknown[0])
-    unselected = pool.sample_ids[~np.isin(pool.sample_ids, selected)]
+    rest = np.ones(pool.n_samples, dtype=bool)
+    rest[pool.rows_for(selected)] = False
+    unselected = pool.sample_ids[rest]
     if not len(selected) or not len(unselected):
         raise ValueError("empty partition: subset must split the pool in two")
     return evaluate(members, pool, selected), evaluate(members, pool, unselected)

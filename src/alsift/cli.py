@@ -36,7 +36,6 @@ from .datagen import (
     read_pool_csv,
     write_metadata_csv,
     write_pool_csv,
-    write_table_csv,
 )
 from .experiment import (
     ConfigError,
@@ -58,7 +57,7 @@ from .learner import (
     build_ensemble,
     predict_pool,
 )
-from .state import read_subset_csv
+from .state import read_subset_csv, write_table_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,10 +218,9 @@ def _cmd_analyze(args) -> int:
             print("multiplicity %d: %d" % (mult, count))
         if args.csv:
             path = out / "duplication_histogram.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["multiplicity", "count"])
-                writer.writerows(hist.rows())
+            rows = hist.rows()
+            columns = [[mult for mult, _ in rows], [count for _, count in rows]]
+            write_table_csv(path, ["multiplicity", "count"], columns)
             print("wrote %s" % path)
         return 0
 

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import secrets
 import warnings
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .learner import LabeledPool
+from .state import write_table_csv
 
 # jitter applied to near-duplicate copies, relative to the cluster spread
 _DUPLICATE_JITTER = 0.01
@@ -172,49 +170,6 @@ def generate_pool(spec: GeneratorSpec) -> LabeledPool:
 # ---------------------------------------------------------------------------
 # Pool files
 # ---------------------------------------------------------------------------
-
-
-# rows formatted per write call: bounds the line strings held at once
-_WRITE_ROWS = 1024
-
-
-@contextmanager
-def _atomic_text(path):
-    """Open ``path`` for text writing so that it changes only when complete.
-
-    The text goes to a hidden temporary file in the same directory, which
-    ``os.replace`` moves over ``path`` once the block ends without an
-    exception; on an exception the temporary file is removed and ``path``
-    keeps its old content. Newlines are written as given.
-    """
-    directory, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, ".%s.%s.tmp" % (name, secrets.token_hex(4)))
-    try:
-        with open(tmp, "x", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def write_table_csv(path, header, int_columns, floats=None) -> None:
-    """Write integer columns, then optionally an (N, F) float block, atomically.
-
-    Each line holds the integers in decimal, then the floats via ``repr``,
-    ending in ``\\r\\n``: byte for byte what ``csv.writer`` writes for these
-    cells, none of which needs quoting.
-    """
-    line = ",".join(["%d"] * len(int_columns) + ["%s"] * (floats is not None)) + "\r\n"
-    with _atomic_text(path) as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(int_columns[0]), _WRITE_ROWS):
-            block = slice(lo, lo + _WRITE_ROWS)
-            cells = [np.asarray(column)[block].tolist() for column in int_columns]
-            if floats is not None:
-                cells.append([",".join(map(repr, row)) for row in floats[block].tolist()])
-            fh.writelines([line % row for row in zip(*cells)])
 
 
 def write_pool_csv(path, pool: LabeledPool) -> None:

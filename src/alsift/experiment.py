@@ -301,7 +301,7 @@ class TrialRecord:
 
     seed: int
     iterations: list[IterationRecord]
-    subset_items: tuple[tuple[int, int], ...]
+    subset: SubsetState
     al_accuracy: float
     random_accuracy: float | None
     full_accuracy: float | None
@@ -309,11 +309,11 @@ class TrialRecord:
 
     @property
     def subset_unique(self) -> int:
-        return len(self.subset_items)
+        return self.subset.unique_count
 
     @property
     def subset_total(self) -> int:
-        return sum(mult for _, mult in self.subset_items)
+        return self.subset.total_count
 
 
 @dataclass
@@ -397,11 +397,10 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
     if config.baseline_full:
         full_accuracy = baseline_accuracy(pool.sample_ids, _ROLE_FULL_TRAIN)
 
-    items = tuple(sorted((int(k), int(v)) for k, v in result.state.multiplicity.items()))
     return TrialRecord(
         seed=int(trial_seed),
         iterations=result.records,
-        subset_items=items,
+        subset=result.state,
         al_accuracy=al_accuracy,
         random_accuracy=random_accuracy,
         full_accuracy=full_accuracy,
@@ -538,8 +537,7 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
     with open(path, "a") as fh:
         fh.write(build_document(result))
     for trial in result.trials:
-        state = SubsetState(dict(trial.subset_items))
-        write_subset_csv(out / subset_filename(result.config, trial.seed), state)
+        write_subset_csv(out / subset_filename(result.config, trial.seed), trial.subset)
     return path
 
 

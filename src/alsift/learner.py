@@ -14,13 +14,13 @@ import csv
 import math
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .acquisition import BLOCK_ROWS, PredictionTensor, _check_rows, _unique_ids
-from .state import SubsetState, subset_hash
+from .state import SubsetState, id_array, sorted_unique_ids, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
 ENSEMBLE_MODES = ("single", "seeds", "checkpoints", "combined")
@@ -42,7 +42,6 @@ class LabeledPool:
     labels: np.ndarray
     sample_ids: np.ndarray
     n_classes: int
-    _row_of: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -60,9 +59,9 @@ class LabeledPool:
             raise ValueError("need at least two classes")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ValueError("labels out of range [0, %d)" % self.n_classes)
-        self._row_of = {int(sid): row for row, sid in enumerate(self.sample_ids)}
-        if len(self._row_of) != n:
-            raise ValueError("sample ids must be unique")
+        # the index rows_for searches: sample ids ascending, and the row of each
+        self._sorted_ids = sorted_unique_ids(self.sample_ids, "sample ids must be unique")
+        self._order = np.argsort(self.sample_ids)
 
     @property
     def n_samples(self) -> int:
@@ -73,11 +72,15 @@ class LabeledPool:
         return self.features.shape[1]
 
     def rows_for(self, ids) -> np.ndarray:
-        """Row indices for the given sample ids, in the given order."""
-        try:
-            return np.asarray([self._row_of[int(sid)] for sid in ids], dtype=np.int64)
-        except KeyError as exc:
-            raise KeyError("unknown sample id %s" % exc.args[0]) from None
+        """Row indices for the given sample ids, in the given order. An id
+        outside [0, 2**64) raises ValueError, any other unknown id KeyError."""
+        ids = id_array(ids)
+        pos = self._sorted_ids.searchsorted(ids)
+        known = pos < len(self._sorted_ids)
+        known[known] = self._sorted_ids[pos[known]] == ids[known]
+        if not known.all():
+            raise KeyError("unknown sample id %d" % ids[~known][0])
+        return self._order[pos]
 
 
 def _layer_widths(arch: str, d: int, k: int, hidden: int) -> list[int]:
@@ -427,7 +430,7 @@ def train_runs(
             "patience = %d needs held-out ids to validate on, but val_fraction = %g holds"
             " out none of the subset's %d ids" % (config.patience, config.val_fraction, len(ids))
         )
-    counts = np.asarray([subset.multiplicity[sid] for sid in ids.tolist()], dtype=np.int64)
+    counts = subset.counts()
     rows = pool.rows_for(ids)
     train_rows = np.repeat(rows[~held], counts[~held])
     features, labels = pool.features[train_rows], pool.labels[train_rows]

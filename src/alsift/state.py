@@ -1,12 +1,20 @@
-"""Training-subset bookkeeping shared by the trainer and the search schemes."""
+"""Training-subset bookkeeping shared by the trainer and the search schemes,
+and the atomic table writer every CSV output goes through."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+import os
+import secrets
+from collections.abc import Mapping
+from contextlib import contextmanager, suppress
+from functools import cached_property
 
 import numpy as np
+
+# rows formatted per write call: bounds the line strings held at once
+_WRITE_ROWS = 1024
 
 
 def derive_seed(*parts: int) -> int:
@@ -19,45 +27,98 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(cleaned).generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
-class SubsetState:
-    """A multiset of pool sample ids.
+def id_array(ids) -> np.ndarray:
+    """Sample ids (a sequence or an array) as a uint64 array; an id outside
+    [0, 2**64) raises ValueError."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "i" and (ids < 0).any():
+        ids = ids.tolist()  # astype would wrap the negative ids
+    try:
+        return np.asarray(ids, dtype=np.uint64)
+    except OverflowError:
+        bad = next(sid for sid in map(int, ids) if not 0 <= sid < 2**64)
+        raise ValueError("sample id %d outside [0, 2**64)" % bad) from None
 
-    ``multiplicity`` maps sample id to a positive repeat count. Plain
-    subsets keep every count at 1; duplication-based search increments
-    counts instead of adding new ids.
+
+def sorted_unique_ids(ids: np.ndarray, message: str) -> np.ndarray:
+    """``ids`` sorted ascending; ``ValueError(message)`` when an id repeats."""
+    ids = np.sort(ids)
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError(message)
+    return ids
+
+
+class _CountView(Mapping):
+    """Read-only ``sample id -> count`` lookups over a subset's arrays."""
+
+    def __init__(self, ids: np.ndarray, counts: np.ndarray):
+        self._ids, self._counts = ids, counts
+
+    def __getitem__(self, sid) -> int:
+        i = int(self._ids.searchsorted(sid))
+        if i < len(self._ids) and self._ids[i] == sid:
+            return int(self._counts[i])
+        raise KeyError(sid)
+
+    def __iter__(self):
+        return iter(self._ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
+class SubsetState:
+    """A multiset of pool sample ids, held as two aligned read-only arrays.
+
+    ``ids()`` holds each member id once, ascending (uint64), and ``counts()``
+    its repeat count (int64, each >= 1). Plain subsets keep every count at 1;
+    duplication-based search increments counts instead of adding new ids.
     """
 
-    multiplicity: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        cleaned = {}
-        for sid, count in self.multiplicity.items():
-            sid, count = int(sid), int(count)
+    def __init__(self, multiplicity: Mapping | None = None):
+        """Subset from a mapping of sample id to repeat count. An id outside
+        [0, 2**64), a count below 1 or an id given twice raises ValueError."""
+        pairs = sorted((int(sid), int(count)) for sid, count in (multiplicity or {}).items())
+        for sid, count in pairs:
             if count < 1:
                 raise ValueError("multiplicity for sample %d must be >= 1" % sid)
-            cleaned[sid] = count
-        self.multiplicity = cleaned
+        self._hold(*_columns(pairs))
+        sorted_unique_ids(self._ids, "duplicate ids in subset initializer")
+
+    def _hold(self, ids: np.ndarray, counts: np.ndarray) -> "SubsetState":
+        ids.flags.writeable = counts.flags.writeable = False
+        self._ids, self._counts = ids, counts
+        return self
+
+    def __setstate__(self, state):  # unpickled arrays come back writable
+        self._hold(state["_ids"], state["_counts"])
 
     @classmethod
     def from_ids(cls, ids) -> "SubsetState":
-        """Subset with multiplicity 1 for each id; duplicates rejected."""
-        ids = [int(i) for i in ids]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate ids in subset initializer")
-        return cls({sid: 1 for sid in ids})
+        """Subset with multiplicity 1 for each id; a repeated id or one
+        outside [0, 2**64) raises ValueError."""
+        ids = sorted_unique_ids(id_array(ids), "duplicate ids in subset initializer")
+        return cls.__new__(cls)._hold(ids, np.ones(len(ids), dtype=np.int64))
 
     @property
     def unique_count(self) -> int:
-        return len(self.multiplicity)
+        return len(self._ids)
 
     @property
     def total_count(self) -> int:
-        return sum(self.multiplicity.values())
+        return int(self._counts.sum())
 
     def ids(self) -> np.ndarray:
         """Unique member ids in ascending order."""
-        return np.asarray(sorted(self.multiplicity), dtype=np.uint64)
+        return self._ids
+
+    def counts(self) -> np.ndarray:
+        """Repeat count of each id, aligned with :meth:`ids`."""
+        return self._counts
+
+    @cached_property
+    def multiplicity(self) -> Mapping:
+        """Read-only mapping of sample id to repeat count, for lookups by id."""
+        return _CountView(self._ids, self._counts)
 
     def as_training_ids(self) -> np.ndarray:
         """Expanded id list with each id repeated by its multiplicity.
@@ -65,46 +126,98 @@ class SubsetState:
         Ordering is ascending by id, so the expansion is deterministic;
         the trainer shuffles per epoch on top of this.
         """
-        ids = self.ids()
-        return np.repeat(ids, [self.multiplicity[sid] for sid in ids.tolist()])
+        return np.repeat(self._ids, self._counts)
 
     def with_new_ids(self, ids) -> "SubsetState":
         """Copy with previously unseen ids added at multiplicity 1."""
-        merged = dict(self.multiplicity)
-        for sid in ids:
-            sid = int(sid)
-            if sid in merged:
-                raise ValueError("sample %d is already in the subset" % sid)
-            merged[sid] = 1
-        return SubsetState(merged)
+        new = id_array(ids)
+        grown = self.with_added_copies(new)
+        if grown.unique_count != self.unique_count + len(new):
+            # the first id, in input order, already present or given before
+            repeat = np.ones(len(new), dtype=bool)
+            repeat[np.unique(new, return_index=True)[1]] = False
+            clash = repeat | np.isin(new, self._ids)
+            raise ValueError("sample %d is already in the subset" % new[np.argmax(clash)])
+        return grown
 
     def with_added_copies(self, ids) -> "SubsetState":
         """Copy with one more occurrence of each given id (new ids start at 1)."""
-        merged = dict(self.multiplicity)
-        for sid in ids:
-            sid = int(sid)
-            merged[sid] = merged.get(sid, 0) + 1
-        return SubsetState(merged)
+        expansion = np.sort(np.concatenate([self.as_training_ids(), id_array(ids)]))
+        # a run of equal ids starts wherever the sorted expansion changes value
+        starts = np.flatnonzero(np.diff(expansion, prepend=expansion[:1] + 1))
+        counts = np.diff(starts, append=len(expansion))
+        return SubsetState.__new__(SubsetState)._hold(expansion[starts], counts)
+
+    def __eq__(self, other):
+        if not isinstance(other, SubsetState):
+            return NotImplemented
+        return np.array_equal(self._ids, other._ids) and np.array_equal(self._counts, other._counts)
+
+    def __repr__(self) -> str:
+        return "SubsetState(ids=%s, counts=%s)" % (self._ids, self._counts)
+
+
+def _columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(id, count) pairs in ascending id order as a uint64 and an int64 array."""
+    ids = id_array([sid for sid, _ in pairs])
+    return ids, np.asarray([count for _, count in pairs], dtype=np.int64)
+
+
+@contextmanager
+def _atomic_text(path):
+    """Open ``path`` for text writing so that it changes only when complete.
+
+    The text goes to a hidden temporary file in the same directory, which
+    ``os.replace`` moves over ``path`` once the block ends without an
+    exception; on an exception the temporary file is removed and ``path``
+    keeps its old content. Newlines are written as given.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, ".%s.%s.tmp" % (name, secrets.token_hex(4)))
+    try:
+        with open(tmp, "x", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_table_csv(path, header, int_columns, floats=None) -> None:
+    """Write integer columns, then optionally an (N, F) float block, atomically.
+
+    Each line holds the integers in decimal, then the floats via ``repr``,
+    ending in ``\\r\\n``: byte for byte what ``csv.writer`` writes for these
+    cells, none of which needs quoting.
+    """
+    line = ",".join(["%d"] * len(int_columns) + ["%s"] * (floats is not None)) + "\r\n"
+    with _atomic_text(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(int_columns[0]), _WRITE_ROWS):
+            block = slice(lo, lo + _WRITE_ROWS)
+            cells = [np.asarray(column)[block].tolist() for column in int_columns]
+            if floats is not None:
+                cells.append([",".join(map(repr, row)) for row in floats[block].tolist()])
+            fh.writelines([line % row for row in zip(*cells)])
 
 
 def write_subset_csv(path, state: SubsetState) -> None:
     """Subset table: header ``sample_id,multiplicity``, one row per id, ascending."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "multiplicity"])
-        writer.writerows(sorted(state.multiplicity.items()))
+    write_table_csv(path, ["sample_id", "multiplicity"], [state.ids(), state.counts()])
 
 
 def read_subset_csv(path) -> SubsetState:
     """Read a subset table; a missing or empty multiplicity means 1. A row
-    longer than the header, a cell that is not an integer, a multiplicity
-    below 1 or a repeated id raises ``ValueError`` naming the line."""
+    longer than the header, a cell that is not an integer, a sample id
+    outside [0, 2**64), a multiplicity below 1 or a repeated id raises
+    ``ValueError`` naming the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:1] != ["sample_id"]:
             raise ValueError("expected header sample_id[, multiplicity]")
-        counts: dict[int, int] = {}
+        pairs, seen = [], set()
         for row in reader:
             if not row:
                 continue
@@ -114,20 +227,24 @@ def read_subset_csv(path) -> SubsetState:
                         "expected at most %d columns, found %d" % (len(header), len(row))
                     )
                 sid = int(row[0])
+                if not 0 <= sid < 2**64:
+                    raise ValueError("sample id %d outside [0, 2**64)" % sid)
                 mult = int(row[1]) if len(row) > 1 and row[1] else 1
                 if mult < 1:
                     raise ValueError("multiplicity for sample %d must be >= 1" % sid)
-                if sid in counts:
+                if sid in seen:
                     raise ValueError("duplicate sample id %d in subset file" % sid)
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
-            counts[sid] = mult
-    return SubsetState(counts)
+            seen.add(sid)
+            pairs.append((sid, mult))
+    return SubsetState.__new__(SubsetState)._hold(*_columns(sorted(pairs)))
 
 
 def subset_hash(state: SubsetState) -> str:
     """Stable 16-hex-digit digest of a subset multiset."""
-    payload = ";".join(
-        "%d:%d" % (sid, state.multiplicity[sid]) for sid in sorted(state.multiplicity)
-    )
+    # "id:count" joined by ";", formatted in one call over interleaved cells
+    cells = [0] * (2 * state.unique_count)
+    cells[::2], cells[1::2] = state.ids().tolist(), state.counts().tolist()
+    payload = ("%d:%d;" * state.unique_count % tuple(cells))[:-1]
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

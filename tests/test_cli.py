@@ -260,6 +260,21 @@ class TestAnalyze:
         assert lines[0] == "partition,class,accuracy,n_samples"
         assert {l.split(",")[0] for l in lines[1:]} == {"selected", "unselected"}
 
+    @pytest.mark.parametrize("what", ["histogram", "eval"])
+    @pytest.mark.parametrize("sid", [-3, 2**64], ids=["negative", "too_large"])
+    def test_subset_id_outside_uint64_fails_with_line(
+        self, what, sid, tmp_path, trained_store, capsys
+    ):
+        _, pool_path, store_dir = trained_store
+        subset = tmp_path / "subset.csv"
+        subset.write_text("sample_id,multiplicity\n%d,1\n1,1\n" % sid)
+        code = main([
+            "analyze", "--what", what, "--pool", str(pool_path),
+            "--checkpoints", str(store_dir), "--subset", str(subset), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: sample id %d outside [0, 2**64)\n" % sid
+
     def test_malformed_pool_row_fails_with_line(self, tmp_path, trained_store, capsys):
         _, _, store_dir = trained_store
         bad = tmp_path / "bad.csv"

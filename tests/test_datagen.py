@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from alsift import datagen
+from alsift import datagen, state
 from alsift.datagen import (
     GeneratorSpec,
     generate_pool,
@@ -195,7 +195,7 @@ class TestPoolFiles:
         path = tmp_path / "pool.csv"
         write_pool_csv(path, generate_pool(spec()))
         before = path.read_bytes()
-        n = 3 * datagen._WRITE_ROWS
+        n = 3 * state._WRITE_ROWS
         big = LabeledPool(np.random.default_rng(0).normal(size=(n, 2)), np.arange(n) % 2, np.arange(n), 2)
         partial = []
         calls = iter(range(2 * n))  # one repr per feature cell
@@ -206,7 +206,7 @@ class TestPoolFiles:
                 raise OSError("disk full")
             return repr(value)
 
-        monkeypatch.setattr(datagen, "repr", failing_repr, raising=False)
+        monkeypatch.setattr(state, "repr", failing_repr, raising=False)
         with pytest.raises(OSError, match="disk full"):
             write_pool_csv(path, big)
         assert len(partial) == 1 and partial[0] > 0

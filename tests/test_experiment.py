@@ -146,7 +146,7 @@ class TestTrials:
     def test_trials_are_deterministic(self):
         a = run_trial(base_config(), 2)
         b = run_trial(base_config(), 2)
-        assert a.subset_items == b.subset_items
+        assert a.subset == b.subset
         assert a.al_accuracy == b.al_accuracy
         assert a.random_accuracy == b.random_accuracy
 
@@ -167,7 +167,7 @@ class TestTrials:
         parallel = run_experiment(replace(config, jobs=2))
         assert len(parallel.trials) == 2
         for a, b in zip(serial.trials, parallel.trials):
-            assert a.subset_items == b.subset_items
+            assert a.subset == b.subset
 
         def timeless(result):
             doc = build_document(result, created="X")

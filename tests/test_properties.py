@@ -2,16 +2,19 @@
 round trip, the trainer's held-out ids and training expansion, the lockstep run stack
 against runs trained one by one, the row-blocked pool pass (prediction, validation,
 scores and votes) against whole-pool references, the tensor-free block pass against
-the tensor pass, the softmax's column-wise max against numpy's reduction, and the pool
-CSV writers and reader against ``csv``-module references."""
+the tensor pass, the softmax's column-wise max against numpy's reduction, the pool CSV
+writers and reader against ``csv``-module references, and subset accounting and the
+pool index against dict models."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import re
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from alsift.acquisition import (
     score_pool,
     variation_ratios,
 )
-from alsift.analysis import evaluate, evaluate_tensor
+from alsift.analysis import duplication_histogram, evaluate, evaluate_tensor
 from alsift.cli import main
 from alsift.datagen import PoolMetadata, read_pool_csv, write_metadata_csv, write_pool_csv
 from alsift.experiment import (
@@ -63,7 +66,7 @@ from alsift.learner import (
     _softmax,
 )
 from alsift.schemes import SCHEMES, SearchConfig, outlier_window_select, run_scheme, select_top_k
-from alsift.state import SubsetState
+from alsift.state import SubsetState, read_subset_csv, subset_hash, write_subset_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -842,3 +845,113 @@ def test_reader_agrees_with_the_row_loop_at_every_truncation(tmp_path, end):
         assert got == _outcome(_row_loop_pool, path), stop
         outcomes.add(got if isinstance(got[0], type) else "pool")
     assert "pool" in outcomes and len(outcomes) > 5
+
+
+# -- subset accounting and the pool index -----------------------------------------
+
+# ids that often collide, at both ends of the uint64 range, plus any uint64
+_SUBSET_IDS = st.sampled_from([0, 1, 2, 7, 2**63, 2**64 - 2, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+def _id_input(draw, ids):
+    """The same ids as a list of Python ints or as a uint64 array."""
+    return np.asarray(ids, dtype=np.uint64) if draw(st.booleans()) else list(ids)
+
+
+def _reference_new_ids(model: dict, ids) -> dict | str:
+    """``with_new_ids`` on the dict model: a copy, or the refusal message."""
+    merged = dict(model)
+    for sid in ids:
+        if sid in merged:
+            return "sample %d is already in the subset" % sid
+        merged[sid] = 1
+    return merged
+
+
+def _reference_added_copies(model: dict, ids) -> dict:
+    merged = dict(model)
+    for sid in ids:
+        merged[sid] = merged.get(sid, 0) + 1
+    return merged
+
+
+def _reference_hash(model: dict) -> str:
+    payload = ";".join("%d:%d" % (sid, model[sid]) for sid in sorted(model))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _reference_subset_csv(path, model: dict) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "multiplicity"])
+        writer.writerows(sorted(model.items()))
+
+
+def _assert_matches_model(state: SubsetState, model: dict) -> None:
+    ids = sorted(model)
+    assert state.ids().dtype == np.uint64 and state.counts().dtype == np.int64
+    assert state.ids().tolist() == ids
+    assert state.counts().tolist() == [model[sid] for sid in ids]
+    assert state.as_training_ids().tolist() == [sid for sid in ids for _ in range(model[sid])]
+    assert (state.unique_count, state.total_count) == (len(model), sum(model.values()))
+    assert dict(state.multiplicity) == model
+    assert subset_hash(state) == _reference_hash(model)
+    assert duplication_histogram(state).rows() == sorted(Counter(model.values()).items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subset_state_matches_a_dict_model(data):
+    draw = data.draw
+    initial = draw(st.lists(_SUBSET_IDS, max_size=8))
+    if len(set(initial)) != len(initial):
+        with pytest.raises(ValueError, match="^duplicate ids in subset initializer$"):
+            SubsetState.from_ids(_id_input(draw, initial))
+        initial = list(dict.fromkeys(initial))
+    state, model = SubsetState.from_ids(_id_input(draw, initial)), dict.fromkeys(initial, 1)
+    _assert_matches_model(state, model)
+    for _ in range(draw(st.integers(0, 5))):
+        ids = draw(st.lists(st.sampled_from(sorted(model)) | _SUBSET_IDS, max_size=8) if model
+                   else st.lists(_SUBSET_IDS, max_size=8))
+        if draw(st.booleans()):
+            want = _reference_new_ids(model, ids)
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+                    state.with_new_ids(_id_input(draw, ids))
+                continue
+            state, model = state.with_new_ids(_id_input(draw, ids)), want
+        else:
+            state, model = state.with_added_copies(_id_input(draw, ids)), _reference_added_copies(model, ids)
+        _assert_matches_model(state, model)
+    assert SubsetState(model) == state
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        write_subset_csv(got, state)
+        _reference_subset_csv(want, model)
+        assert got.read_bytes() == want.read_bytes()
+        assert read_subset_csv(got) == state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rows_for_matches_a_dict_lookup(data):
+    draw = data.draw
+    near_top = st.integers(2**64 - 2**16, 2**64 - 1)
+    ids = draw(st.lists(near_top | st.integers(0, 2**64 - 1), min_size=1, max_size=30))
+    arrays = (np.zeros((len(ids), 1)), np.arange(len(ids)) % 2, np.asarray(ids, dtype=np.uint64), 2)
+    if len(set(ids)) != len(ids):
+        with pytest.raises(ValueError, match="^sample ids must be unique$"):
+            LabeledPool(*arrays)
+        return
+    pool, row_of = LabeledPool(*arrays), {sid: row for row, sid in enumerate(ids)}
+    query = draw(st.lists(st.sampled_from(ids) | near_top, max_size=20))
+    unknown = [sid for sid in query if sid not in row_of]
+    if unknown:
+        with pytest.raises(KeyError, match="^'unknown sample id %d'$" % unknown[0]):
+            pool.rows_for(_id_input(draw, query))
+    else:
+        rows = pool.rows_for(_id_input(draw, query))
+        assert rows.dtype == np.int64 and rows.tolist() == [row_of[sid] for sid in query]
+    for outside in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"^sample id %d outside \[0, 2\*\*64\)$" % outside):
+            pool.rows_for([ids[0], outside])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from alsift import state as state_module
 from alsift.acquisition import AcquisitionScores
 from alsift.analysis import evaluate
 from alsift.datagen import GeneratorSpec, generate_pool
@@ -86,6 +90,68 @@ class TestSubsetState:
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="must be >= 1"):
             SubsetState({1: 0})
+
+    @pytest.mark.parametrize("sid", [-3, 2**64], ids=["negative", "too_large"])
+    def test_subset_csv_refuses_ids_outside_uint64(self, sid, tmp_path):
+        path = tmp_path / "subset.csv"
+        path.write_text("sample_id,multiplicity\n1,1\n%d,1\n" % sid)
+        message = r"^line 3: sample id %d outside \[0, 2\*\*64\)$" % sid
+        with pytest.raises(ValueError, match=message):
+            read_subset_csv(path)
+
+    @pytest.mark.parametrize("sid", [-3, 2**64], ids=["negative", "too_large"])
+    def test_constructors_refuse_ids_outside_uint64(self, sid):
+        message = r"sample id %d outside \[0, 2\*\*64\)" % sid
+        with pytest.raises(ValueError, match=message):
+            SubsetState({1: 1, sid: 1})
+        with pytest.raises(ValueError, match=message):
+            SubsetState.from_ids([1, sid])
+        assert SubsetState.from_ids([0, 2**64 - 1]).ids().tolist() == [0, 2**64 - 1]
+
+    def test_signed_id_arrays_are_range_checked(self):
+        with pytest.raises(ValueError, match=r"^sample id -3 outside"):
+            SubsetState.from_ids(np.array([1, -3]))
+        assert SubsetState.from_ids(np.array([3, 1])).ids().tolist() == [1, 3]
+
+    def test_arrays_are_aligned_and_read_only(self):
+        state = SubsetState({4: 2, 1: 1, 9: 3})
+        assert state.ids().dtype == np.uint64 and state.counts().dtype == np.int64
+        assert state.counts().tolist() == [1, 2, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            state.counts()[0] = 5
+        assert not pickle.loads(pickle.dumps(state)).counts().flags.writeable
+        assert state.multiplicity is state.multiplicity
+        assert dict(state.multiplicity) == {1: 1, 4: 2, 9: 3}
+        assert 2 not in state.multiplicity and -1 not in state.multiplicity
+
+    def test_failed_subset_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "subset.csv"
+        write_subset_csv(path, SubsetState({4: 2, 1: 1}))
+        before = path.read_bytes()
+        big = SubsetState.from_ids(range(3 * state_module._WRITE_ROWS))
+        real_open, partial = open, []
+
+        def disk_full_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            write_block = fh.writelines
+
+            def writelines(lines):
+                if partial:  # the second block of rows
+                    fh.flush()
+                    partial.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+                    raise OSError("disk full")
+                partial.append(len(lines))
+                write_block(lines)
+
+            fh.writelines = writelines
+            return fh
+
+        monkeypatch.setattr(state_module, "open", disk_full_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_subset_csv(path, big)
+        assert len(partial) == 2 and partial[1] > 0  # one temp file, one block in it
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["subset.csv"]
 
     def test_hash_ignores_insertion_order(self):
         a = SubsetState({1: 2, 5: 1})
