@@ -9,14 +9,12 @@ a pool of predictions is an (N, E, K) tensor wrapped in
 from __future__ import annotations
 
 import csv
-import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state import sorted_unique_ids
+from .state import _read_array, atomic_file, parse_sample_id, sorted_unique_ids
 
 # Clamp applied inside logarithms. Exact zeros still contribute exactly 0
 # to entropies via the 0 * log 0 convention.
@@ -373,24 +371,11 @@ def write_prediction_tensor(path, tensor: PredictionTensor) -> None:
     little-endian u64 sample ids.
     """
     n, e, k = tensor.data.shape
-    with open(path, "wb") as fh:
+    with atomic_file(path, binary=True) as fh:
         fh.write(_ALPT_HEADER.pack(_ALPT_MAGIC, _ALPT_VERSION, n, e, k))
         # contiguous little-endian arrays are written without a copy
         fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
         fh.write(np.ascontiguousarray(tensor.sample_ids, dtype="<u8"))
-
-
-def _read_array(fh, shape: tuple[int, ...], dtype: str, message: str) -> np.ndarray:
-    """Fill a new array of ``shape`` straight from the file, or raise ``message``
-    if the file is shorter; a short file allocates nothing, whatever its
-    header claims."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
-        raise ValueError(message)
-    out = np.empty(shape, dtype=dtype)
-    if fh.readinto(out) != nbytes:
-        raise ValueError(message)
-    return out
 
 
 def read_prediction_tensor(path) -> PredictionTensor:
@@ -405,6 +390,8 @@ def read_prediction_tensor(path) -> PredictionTensor:
             raise ValueError("unsupported prediction tensor version %d" % version)
         data = _read_array(fh, (n, e, k), "<f4", "truncated prediction tensor data")
         ids = _read_array(fh, (n,), "<u8", "truncated sample id block")
+        if fh.read(1):
+            raise ValueError("trailing bytes after the prediction tensor file's sample ids")
     return PredictionTensor(data, ids)
 
 
@@ -414,8 +401,8 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
     Rows may appear in any order but must cover the full (sample, member)
     grid. Samples keep their order of first appearance. Lines starting
     with ``#`` are skipped. A row with other than K + 2 cells, a cell that
-    does not parse, a negative id or member index, or a repeated
-    (sample, member) pair is rejected with its line number.
+    does not parse, an id outside [0, 2**64), a negative member or a
+    repeated (sample, member) pair is rejected with its line number.
     """
     with open(path, newline="") as fh:
         # comment lines become empty rows, so line_num counts file lines
@@ -436,8 +423,8 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
             try:
                 if len(row) != n_classes + 2:
                     raise ValueError("expected %d columns, found %d" % (n_classes + 2, len(row)))
-                sid, member = int(row[0]), int(row[1])
-                if sid < 0 or member < 0:
+                sid, member = parse_sample_id(row[0]), int(row[1])
+                if member < 0:
                     raise ValueError("sample id and member index must be >= 0")
                 if (sid, member) in rows:
                     raise ValueError("duplicate row for sample %d member %d" % (sid, member))

@@ -40,6 +40,7 @@ from .datagen import (
 from .experiment import (
     ConfigError,
     EXPORT_KINDS,
+    append_document,
     build_consensus_document,
     config_from_file,
     export_plot_data,
@@ -57,7 +58,7 @@ from .learner import (
     build_ensemble,
     predict_pool,
 )
-from .state import read_subset_csv, write_table_csv
+from .state import atomic_file, read_subset_csv, write_table_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,8 +242,7 @@ def _cmd_analyze(args) -> int:
         for n, count in enumerate(report.cumulative, start=1):
             print("all-%d-agree: %d / %d" % (n, count, report.eval_size))
         doc_path = out / "analysis_consensus.txt"
-        with open(doc_path, "a") as fh:
-            fh.write(build_consensus_document(report, source="run%d" % run))
+        append_document(doc_path, build_consensus_document(report, source="run%d" % run))
         print("wrote %s" % doc_path)
         if args.csv:
             # the file keeps every earlier run's document; export only this one
@@ -274,7 +274,7 @@ def _cmd_analyze(args) -> int:
         )
     if args.csv:
         path = out / "eval.csv"
-        with open(path, "w", newline="") as fh:
+        with atomic_file(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["partition", "class", "accuracy", "n_samples"])
             for partition, cls, acc, n in rows:

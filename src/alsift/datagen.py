@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learner import LabeledPool
-from .state import write_table_csv
+from .state import parse_sample_id, write_table_csv
 
 # jitter applied to near-duplicate copies, relative to the cluster spread
 _DUPLICATE_JITTER = 0.01
@@ -256,10 +256,8 @@ def _read_pool_rows(path) -> LabeledPool:
             try:
                 if len(row) != width + 2:
                     raise ValueError("expected %d columns, found %d" % (width + 2, len(row)))
-                sample_id, label = int(row[0]), int(row[1])
+                sample_id, label = parse_sample_id(row[0]), int(row[1])
                 rows.append([float(v) for v in row[2:]])
-                if not 0 <= sample_id < 2**64:
-                    raise ValueError("sample id %d outside [0, 2**64)" % sample_id)
                 if label < 0:
                     raise ValueError("negative label %d" % label)
                 ids.append(sample_id)

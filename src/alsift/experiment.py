@@ -32,7 +32,7 @@ from .schemes import (
     run_scheme,
     train_subset_ensemble,
 )
-from .state import SubsetState, derive_seed, write_subset_csv
+from .state import SubsetState, atomic_file, derive_seed, write_subset_csv
 
 SCHEMA_VERSION = 1
 RESULTS_BANNER = "# subset-search results"
@@ -513,6 +513,23 @@ def results_filename(config: ExperimentConfig) -> str:
     return "results_%s.txt" % config_hash(config)
 
 
+def append_document(path, text: str, check=lambda old: None) -> None:
+    """Add a document to a results-style file, atomically. The file is read
+    once and ``check`` is called with its text before anything is written; a
+    non-empty file not ending in ``[end]`` (its last document cut short)
+    raises ``ValueError`` and is left as it is."""
+    try:
+        with open(path, newline="") as fh:
+            old = fh.read()
+    except FileNotFoundError:
+        old = ""
+    if old and not old.endswith("[end]\n"):
+        raise ValueError("%s does not end in [end]; move it aside and run again" % path)
+    check(old)
+    with atomic_file(path) as fh:
+        fh.write(old + text)
+
+
 def write_results(result: ExperimentResult, out_dir) -> Path:
     """Append the run's document to the per-config results file.
 
@@ -524,18 +541,13 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     path = out / results_filename(result.config)
     ours = ["config.%s" % line for line in canonical_config_lines(result.config)]
-    if path.exists():
-        stored = [
-            line
-            for line in path.read_text().splitlines()
-            if line.startswith("config.")
-        ]
-        if stored[: len(ours)] != ours:
-            raise ConfigError(
-                "results file %s holds a different configuration" % path.name
-            )
-    with open(path, "a") as fh:
-        fh.write(build_document(result))
+
+    def same_config(old: str) -> None:
+        stored = [line for line in old.splitlines() if line.startswith("config.")]
+        if old and stored[: len(ours)] != ours:
+            raise ConfigError("results file %s holds a different configuration" % path.name)
+
+    append_document(path, build_document(result), same_config)
     for trial in result.trials:
         write_subset_csv(out / subset_filename(result.config, trial.seed), trial.subset)
     return path
@@ -704,7 +716,7 @@ def export_plot_data(documents: list[ResultsDocument], kind: str, out_dir) -> Pa
                 ]
             )
 
-    with open(path, "w", newline="") as fh:
+    with atomic_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

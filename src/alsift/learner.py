@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import BLOCK_ROWS, PredictionTensor, _check_rows, _unique_ids
-from .state import SubsetState, id_array, sorted_unique_ids, subset_hash
+from .state import SubsetState, _read_array, atomic_file, id_array, sorted_unique_ids, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
 ENSEMBLE_MODES = ("single", "seeds", "checkpoints", "combined")
@@ -46,7 +46,7 @@ class LabeledPool:
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        self.sample_ids = np.ascontiguousarray(self.sample_ids, dtype=np.uint64)
+        self.sample_ids = np.ascontiguousarray(id_array(self.sample_ids))
         self.n_classes = int(self.n_classes)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D (samples, features) array")
@@ -630,6 +630,8 @@ class EnsembleConfig:
 class CheckpointStore:
     """Checkpoints indexed by (run seed, epoch)."""
 
+    _FIELDS = ["run_seed", "epoch", "val_accuracy", "subset_digest"]  # store_meta.csv header
+
     def __init__(self):
         self._items: dict[tuple[int, int], Checkpoint] = {}
 
@@ -671,9 +673,9 @@ class CheckpointStore:
         out = Path(dir_path)
         out.mkdir(parents=True, exist_ok=True)
         names = set()
-        with open(out / "store_meta.csv", "w", newline="") as fh:
+        with atomic_file(out / "store_meta.csv") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["run_seed", "epoch", "val_accuracy", "subset_digest"])
+            writer.writerow(self._FIELDS)
             for run, epoch in sorted(self._items):
                 ckpt = self._items[(run, epoch)]
                 writer.writerow([run, epoch, repr(ckpt.val_accuracy), ckpt.subset_digest])
@@ -693,9 +695,15 @@ class CheckpointStore:
         meta_path = src / "store_meta.csv"
         if meta_path.exists():
             with open(meta_path, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    key = (int(row["run_seed"]), int(row["epoch"]))
-                    meta[key] = (float(row["val_accuracy"]), row["subset_digest"])
+                reader = csv.DictReader(fh)
+                if not set(cls._FIELDS) <= set(reader.fieldnames or ()):
+                    raise ValueError("%s: expected header %s" % (meta_path, ",".join(cls._FIELDS)))
+                try:
+                    for row in reader:
+                        key = (int(row["run_seed"]), int(row["epoch"]))
+                        meta[key] = (float(row["val_accuracy"]), row["subset_digest"])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError("%s line %d: %s" % (meta_path, reader.line_num, exc)) from None
         store = cls()
         for path in paths:
             ckpt = read_checkpoint(path)
@@ -869,7 +877,7 @@ def write_checkpoint(path, checkpoint: Checkpoint) -> None:
         checkpoint.run_seed,
         checkpoint.epoch,
     )
-    with open(path, "wb") as fh:
+    with atomic_file(path, binary=True) as fh:
         fh.write(header)
         for tensor in params.tensors:
             fh.write(tensor.astype("<f4").tobytes(order="C"))
@@ -888,14 +896,13 @@ def read_checkpoint(path) -> Checkpoint:
         arch = arch_tag.rstrip(b"\0").decode()
         if arch not in ARCHITECTURES:
             raise ValueError("unknown architecture tag %r" % arch)
-        tensors = []
-        for shape in _tensor_shapes(arch, d, k, hidden):
-            n_items = int(np.prod(shape))
-            block = np.frombuffer(fh.read(4 * n_items), dtype="<f4")
-            if block.size != n_items:
-                raise ValueError("truncated checkpoint tensors")
-            tensors.append(block.reshape(shape).astype(np.float64))
-    params = ModelParams(arch, d, k, hidden, tuple(tensors))
+        tensors = tuple(
+            _read_array(fh, shape, "<f4", "truncated checkpoint tensors").astype(np.float64)
+            for shape in _tensor_shapes(arch, d, k, hidden)
+        )
+        if fh.read(1):
+            raise ValueError("trailing bytes after the checkpoint file's tensors")
+    params = ModelParams(arch, d, k, hidden, tensors)
     return Checkpoint(params, run_seed, epoch)
 
 

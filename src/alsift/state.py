@@ -1,10 +1,11 @@
 """Training-subset bookkeeping shared by the trainer and the search schemes,
-and the atomic table writer every CSV output goes through."""
+the atomic writer every output file goes through, and the binary array reader."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import secrets
 from collections.abc import Mapping
@@ -35,8 +36,16 @@ def id_array(ids) -> np.ndarray:
     try:
         return np.asarray(ids, dtype=np.uint64)
     except OverflowError:
-        bad = next(sid for sid in map(int, ids) if not 0 <= sid < 2**64)
-        raise ValueError("sample id %d outside [0, 2**64)" % bad) from None
+        list(map(parse_sample_id, ids))  # raises ValueError naming the first bad id
+        raise
+
+
+def parse_sample_id(text) -> int:
+    """A sample id cell as an int; ValueError unless an integer in [0, 2**64)."""
+    sid = int(text)
+    if not 0 <= sid < 2**64:
+        raise ValueError("sample id %d outside [0, 2**64)" % sid)
+    return sid
 
 
 def sorted_unique_ids(ids: np.ndarray, message: str) -> np.ndarray:
@@ -164,24 +173,37 @@ def _columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @contextmanager
-def _atomic_text(path):
-    """Open ``path`` for text writing so that it changes only when complete.
+def atomic_file(path, binary: bool = False):
+    """Open ``path`` for writing so that it changes only when complete.
 
-    The text goes to a hidden temporary file in the same directory, which
+    The bytes go to a hidden temporary file in the same directory, which
     ``os.replace`` moves over ``path`` once the block ends without an
     exception; on an exception the temporary file is removed and ``path``
-    keeps its old content. Newlines are written as given.
+    keeps its old content. Text newlines are written as given.
     """
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, ".%s.%s.tmp" % (name, secrets.token_hex(4)))
     try:
-        with open(tmp, "x", newline="") as fh:
+        with open(tmp, "xb") if binary else open(tmp, "x", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _read_array(fh, shape: tuple[int, ...], dtype: str, message: str) -> np.ndarray:
+    """Fill a new array of ``shape`` straight from the file, or raise ``message``
+    if the file is shorter; a short file allocates nothing, whatever its
+    header claims."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
+        raise ValueError(message)
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out) != nbytes:
+        raise ValueError(message)
+    return out
 
 
 def write_table_csv(path, header, int_columns, floats=None) -> None:
@@ -192,7 +214,7 @@ def write_table_csv(path, header, int_columns, floats=None) -> None:
     cells, none of which needs quoting.
     """
     line = ",".join(["%d"] * len(int_columns) + ["%s"] * (floats is not None)) + "\r\n"
-    with _atomic_text(path) as fh:
+    with atomic_file(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(int_columns[0]), _WRITE_ROWS):
             block = slice(lo, lo + _WRITE_ROWS)
@@ -226,9 +248,7 @@ def read_subset_csv(path) -> SubsetState:
                     raise ValueError(
                         "expected at most %d columns, found %d" % (len(header), len(row))
                     )
-                sid = int(row[0])
-                if not 0 <= sid < 2**64:
-                    raise ValueError("sample id %d outside [0, 2**64)" % sid)
+                sid = parse_sample_id(row[0])
                 mult = int(row[1]) if len(row) > 1 and row[1] else 1
                 if mult < 1:
                     raise ValueError("multiplicity for sample %d must be >= 1" % sid)

@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import ast
+import builtins
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
 import alsift.schemes
-from alsift.cli import main
+from alsift import state
+from alsift.cli import build_parser, main
 from alsift.datagen import GeneratorSpec, generate_pool, write_pool_csv
-from alsift.experiment import config_hash, config_from_file, read_results
+from alsift.experiment import (
+    ResultsDocument,
+    config_hash,
+    config_from_file,
+    export_plot_data,
+    read_results,
+)
 from alsift.learner import (
     CheckpointStore,
     EnsembleConfig,
@@ -18,8 +30,9 @@ from alsift.learner import (
     build_ensemble,
     predict_pool,
     train,
+    write_checkpoint,
 )
-from alsift.acquisition import score_pool, write_prediction_tensor
+from alsift.acquisition import PredictionTensor, score_pool, write_prediction_tensor
 from alsift.state import SubsetState
 
 CONFIG_TEXT = """
@@ -199,6 +212,21 @@ class TestSearch:
         assert main(["search"]) == 1
         assert "config" in capsys.readouterr().err
 
+    def test_results_file_with_a_torn_last_document_is_refused(self, tmp_path, config_path, capsys):
+        out = tmp_path / "runs"
+        argv = ["search", "--config", str(config_path), "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        results = out / ("results_%s.txt" % config_hash(replace(config_from_file(config_path), seeds=(1,))))
+        raw = results.read_bytes()
+        results.write_bytes(raw[: raw.index(b"al_accuracy") + 5])
+        torn = results.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert results.read_bytes() == torn
+        assert capsys.readouterr().err == (
+            "error: %s does not end in [end]; move it aside and run again\n" % results
+        )
+
 
 class TestAnalyze:
     def test_histogram_output(self, tmp_path, config_path, capsys):
@@ -240,6 +268,23 @@ class TestAnalyze:
         assert main(args) == 0
         assert len(read_results(out / "analysis_consensus.txt")) == 2
         assert (out / "consensus.csv").read_text().splitlines() == csv_lines
+
+    def test_consensus_file_with_a_torn_last_document_is_refused(self, tmp_path, trained_store, capsys):
+        _, pool_path, store_dir = trained_store
+        out = tmp_path / "analysis"
+        argv = [
+            "analyze", "--what", "consensus", "--pool", str(pool_path),
+            "--checkpoints", str(store_dir), "--out", str(out),
+        ]
+        assert main(argv) == 0
+        doc = out / "analysis_consensus.txt"
+        raw = doc.read_bytes()
+        doc.write_bytes(raw[: raw.index(b"cumulative.2") + 4])
+        torn = doc.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert doc.read_bytes() == torn
+        assert "move it aside" in capsys.readouterr().err
 
     def test_eval_with_subset_gap(self, tmp_path, trained_store, capsys):
         pool, pool_path, store_dir = trained_store
@@ -371,6 +416,15 @@ class TestExitCodes:
         assert code == 2
         assert "error: line 3: expected 4 columns, found 3" in capsys.readouterr().err
 
+    def test_tensor_csv_id_past_uint64_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "preds.csv"
+        bad.write_text("sample_id,member,p_0,p_1\n18446744073709551616,0,0.5,0.5\n")
+        code = main(["score", "--tensor", str(bad), "--function", "entropy", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: sample id 18446744073709551616 outside [0, 2**64)\n"
+        )
+
     def test_unknown_ensemble_mode_maps_to_one(self, tmp_path, trained_store, capsys):
         _, pool_path, store_dir = trained_store
         code = main([
@@ -452,3 +506,109 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert "trainer.patience = 2" in err and "trainer.val_fraction = 0" in err
         assert not out.exists()
+
+
+class _TornHandle:
+    """A file handle whose first write stores half its data and then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError("torn write")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _torn_open(file, mode="r", **kwargs):
+    fh = builtins.open(file, mode, **kwargs)
+    return _TornHandle(fh) if "x" in mode else fh
+
+
+def _verb(argv):
+    """Run a CLI verb without main's exit-code mapping, so its failure raises."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    return args.func(args)
+
+
+def _tensor(seed):
+    rng = np.random.default_rng(seed)
+    return PredictionTensor(rng.dirichlet(np.ones(3), (6, 2)), np.arange(6) + seed)
+
+
+# one learning-curve point, for export_plot_data
+_DOCUMENT = ResultsDocument(
+    {"config_hash": "c"},
+    [("trial seed=1", {"iteration.0.total": "4", "iteration.0.pool_accuracy": "0.5"})],
+)
+
+# each writer, called with (paths, i): i = 0 writes the file, i = 1 writes it again
+WRITERS = {
+    "write_checkpoint": lambda p, i: write_checkpoint(p.out / "c.alck", p.store.get(11, 1 + i)),
+    "store_meta": lambda p, i: (p.store if i else CheckpointStore()).save(p.out / "store"),
+    "write_prediction_tensor": lambda p, i: write_prediction_tensor(p.out / "t.alpt", _tensor(i)),
+    "write_results": lambda p, i: _verb(["search", "--config", p.config, "--seed", 1, "--out", p.out]),
+    "consensus": lambda p, i: _verb([
+        "analyze", "--what", "consensus", "--pool", p.pool, "--checkpoints", p.ckpts, "--out", p.out,
+    ]),
+    "eval_csv": lambda p, i: _verb([
+        "analyze", "--what", "eval", "--pool", p.pool, "--checkpoints", p.ckpts, "--csv", "--out", p.out,
+    ]),
+    "export_plot_data": lambda p, i: export_plot_data([_DOCUMENT][:i], "learning_curve", p.out),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_a_write_failing_part_way_keeps_the_old_file(
+        self, writer, tmp_path, trained_store, config_path, monkeypatch
+    ):
+        _, pool_path, store_dir = trained_store
+        paths = SimpleNamespace(
+            out=tmp_path / "out", store=CheckpointStore.load(store_dir), config=config_path,
+            pool=pool_path, ckpts=store_dir,
+        )
+        paths.out.mkdir()
+        WRITERS[writer](paths, 0)
+        before = {f: f.read_bytes() for f in paths.out.rglob("*") if f.is_file()}
+        assert before
+        monkeypatch.setattr(state, "open", _torn_open, raising=False)
+        with pytest.raises(OSError, match="torn write"):
+            WRITERS[writer](paths, 1)
+        monkeypatch.undo()
+        assert {f: f.read_bytes() for f in paths.out.rglob("*") if f.is_file()} == before
+
+    def test_no_source_file_opens_a_file_for_writing_but_the_atomic_writer(self):
+        """Every ``open()`` call under ``src/alsift`` either reads or sits in
+        ``state.atomic_file``; a mode that is not a string literal counts as a
+        write, and so does any ``write_text`` or ``write_bytes`` call."""
+        raw_writes = []
+        for path in sorted(Path(state.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            exempt = {
+                id(node)
+                for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and func.name == "atomic_file" and path.name == "state.py"
+                for node in ast.walk(func)
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name) and node.func.id == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r")
+                    )
+                    writes = not isinstance(mode, ast.Constant) or set("wax+") & set(str(mode.value))
+                else:
+                    writes = getattr(node.func, "attr", None) in ("write_text", "write_bytes")
+                if writes and id(node) not in exempt:
+                    raw_writes.append("%s:%d" % (path.name, node.lineno))
+        assert raw_writes == []

@@ -279,6 +279,14 @@ def count_gradient_batches(monkeypatch):
     return rows
 
 
+def test_pool_refuses_sample_ids_outside_uint64():
+    for ids in (np.arange(3) - 1, [0, 1, -1]):
+        with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
+            LabeledPool(np.zeros((3, 1)), [0, 1, 0], ids, 2)
+    with pytest.raises(ValueError, match=r"^sample id 18446744073709551616 outside"):
+        LabeledPool(np.zeros((2, 1)), [0, 1], [0, 2**64], 2)
+
+
 def test_hidden_width_is_checked_for_mlp_only():
     with pytest.raises(ValueError, match="mlp needs a positive hidden width"):
         TrainConfig(arch="mlp", hidden=0)
@@ -650,3 +658,28 @@ class TestCheckpointFiles:
     def test_load_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             CheckpointStore.load(tmp_path / "nope")
+
+    @pytest.mark.parametrize("header", ["", "run,epoch,val_accuracy,subset_digest", "run_seed,epoch"])
+    def test_store_meta_with_a_bad_header_names_the_file(self, tmp_path, header):
+        store_with_runs(small_pool(), (1,), epochs=2, window=2).save(tmp_path / "store")
+        meta = tmp_path / "store" / "store_meta.csv"
+        meta.write_text(header and header + "\n1,2,0.5,ab\n")
+        with pytest.raises(ValueError) as info:
+            CheckpointStore.load(tmp_path / "store")
+        assert str(info.value) == (
+            "%s: expected header run_seed,epoch,val_accuracy,subset_digest" % meta
+        )
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,abc,ab", "could not convert string to float: 'abc'"),
+        ("x,2,0.5,ab", "invalid literal for int() with base 10: 'x'"),
+        ("1", "int() argument must be"),
+    ])
+    def test_store_meta_with_a_bad_cell_names_the_file_and_line(self, tmp_path, row, message):
+        store_with_runs(small_pool(), (1,), epochs=2, window=2).save(tmp_path / "store")
+        meta = tmp_path / "store" / "store_meta.csv"
+        lines = meta.read_text().splitlines()
+        meta.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        with pytest.raises(ValueError) as info:
+            CheckpointStore.load(tmp_path / "store")
+        assert str(info.value).startswith("%s line 3: %s" % (meta, message))

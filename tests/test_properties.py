@@ -3,8 +3,9 @@ round trip, the trainer's held-out ids and training expansion, the lockstep run 
 against runs trained one by one, the row-blocked pool pass (prediction, validation,
 scores and votes) against whole-pool references, the tensor-free block pass against
 the tensor pass, the softmax's column-wise max against numpy's reduction, the pool CSV
-writers and reader against ``csv``-module references, and subset accounting and the
-pool index against dict models."""
+writers and reader against ``csv``-module references, subset accounting and the
+pool index against dict models, and the binary ``.alck`` and ``.alpt`` files' exact
+round trips and refusals of cut and padded files."""
 
 from __future__ import annotations
 
@@ -33,8 +34,10 @@ from alsift.acquisition import (
     error_count,
     mutual_information,
     pool_pass,
+    read_prediction_tensor,
     score_pool,
     variation_ratios,
+    write_prediction_tensor,
 )
 from alsift.analysis import duplication_histogram, evaluate, evaluate_tensor
 from alsift.cli import main
@@ -55,11 +58,14 @@ from alsift.learner import (
     LabeledPool,
     PoolBlocks,
     TrainConfig,
+    ModelParams,
     init_params,
     predict_pool,
     predict_proba,
+    read_checkpoint,
     train,
     train_runs,
+    write_checkpoint,
     _held_out,
     _mix64,
     _row_max,
@@ -955,3 +961,69 @@ def test_rows_for_matches_a_dict_lookup(data):
     for outside in (-1, 2**64):
         with pytest.raises(ValueError, match=r"^sample id %d outside \[0, 2\*\*64\)$" % outside):
             pool.rows_for([ids[0], outside])
+
+
+# -- binary files ----------------------------------------------------------------
+
+
+@st.composite
+def checkpoints(draw):
+    """Checkpoints of either architecture holding any float32 weights, with run
+    seeds and epochs at both ends of their header fields."""
+    arch = draw(st.sampled_from(ARCHITECTURES))
+    d, k, hidden = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    shapes = [t.shape for t in init_params(arch, d, k, hidden, np.random.default_rng(0)).tensors]
+    weights = st.floats(width=32, allow_nan=False)
+    tensors = [
+        np.asarray(draw(st.lists(weights, min_size=math.prod(s), max_size=math.prod(s)))).reshape(s)
+        for s in shapes
+    ]
+    params = ModelParams(arch, d, k, hidden if arch == "mlp" else 0, tuple(tensors))
+    run_seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    return Checkpoint(params, run_seed, draw(st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(checkpoints())
+def test_checkpoint_files_round_trip_exactly(ckpt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.alck")
+        write_checkpoint(path, ckpt)
+        back = read_checkpoint(path)
+    header = lambda c: (c.params.arch, c.params.n_features, c.params.n_classes, c.params.hidden, c.run_seed, c.epoch)
+    assert header(back) == header(ckpt)
+    assert len(back.params.tensors) == len(ckpt.params.tensors)
+    for got, want in zip(back.params.tensors, ckpt.params.tensors):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(checkpoints())
+def test_checkpoint_cut_at_any_byte_is_refused(ckpt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.alck")
+        write_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="^truncated checkpoint (file|tensors)$"):
+                read_checkpoint(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(checkpoints(), st.integers(0, 2**32 - 1), st.binary(min_size=1, max_size=40))
+def test_bytes_after_either_binary_file_are_refused(ckpt, seed, suffix):
+    rng = np.random.default_rng(seed)
+    n, e, k = rng.integers(0, 4), rng.integers(1, 4), rng.integers(1, 4)
+    tensor = PredictionTensor(rng.dirichlet(np.ones(k), (n, e)).astype(np.float32), rng.permutation(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        alck, alpt = Path(tmp, "c.alck"), Path(tmp, "p.alpt")
+        write_checkpoint(alck, ckpt)
+        write_prediction_tensor(alpt, tensor)
+        files = [(alck, read_checkpoint, "checkpoint"), (alpt, read_prediction_tensor, "prediction tensor")]
+        for path, read, name in files:
+            read(path)
+            path.write_bytes(path.read_bytes() + suffix)
+            with pytest.raises(ValueError, match="^trailing bytes after the %s file's" % name):
+                read(path)
