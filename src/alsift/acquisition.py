@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import _read_array, atomic_file, parse_sample_id, sorted_unique_ids
+from .state import _read_array, atomic_file, id_array, parse_sample_id, sorted_unique_ids
 
 # Clamp applied inside logarithms. Exact zeros still contribute exactly 0
 # to entropies via the 0 * log 0 convention.
@@ -58,7 +58,7 @@ def _check_rows(probs: np.ndarray) -> np.ndarray:
 
 def _unique_ids(sample_ids) -> np.ndarray:
     """Sample ids as a contiguous uint64 array, refused when any repeats."""
-    sample_ids = np.ascontiguousarray(sample_ids, dtype=np.uint64)
+    sample_ids = np.ascontiguousarray(id_array(sample_ids))
     sorted_unique_ids(sample_ids, "sample_ids must be unique")
     return sample_ids
 
@@ -177,7 +177,7 @@ class PredictionTensor:
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        self.sample_ids = np.ascontiguousarray(self.sample_ids, dtype=np.uint64)
+        self.sample_ids = np.ascontiguousarray(id_array(self.sample_ids))
         if self.data.ndim != 3:
             raise ValueError("prediction tensor must be (samples, members, classes)")
         if self.sample_ids.shape != (self.data.shape[0],):
@@ -232,7 +232,7 @@ class AcquisitionScores:
 
     def __post_init__(self):
         self.scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        self.sample_ids = np.ascontiguousarray(self.sample_ids, dtype=np.uint64)
+        self.sample_ids = np.ascontiguousarray(id_array(self.sample_ids))
         if self.function_id not in FUNCTION_IDS:
             raise ValueError("unknown acquisition function %r" % self.function_id)
         if self.scores.shape != self.sample_ids.shape:

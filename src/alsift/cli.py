@@ -42,6 +42,7 @@ from .experiment import (
     EXPORT_KINDS,
     append_document,
     build_consensus_document,
+    check_results_file,
     config_from_file,
     export_plot_data,
     generator_from_mapping,
@@ -182,6 +183,7 @@ def _cmd_search(args) -> int:
         config = replace(config, jobs=args.jobs)
     if args.out != ".":
         config = replace(config, out_dir=args.out)
+    check_results_file(config, config.out_dir)
     result = run_experiment(config)
     path = write_results(result, config.out_dir)
     for trial in result.trials:

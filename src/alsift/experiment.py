@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -451,9 +454,35 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.jobs == 1 or len(seeds) == 1:
         trials = [run_trial(config, seed) for seed in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(seeds))) as pool:
+        with _trial_workers(min(config.jobs, len(seeds))) as pool:
             trials = list(pool.map(run_trial, [config] * len(seeds), seeds))
     return ExperimentResult(config, trials)
+
+
+# the thread-count variables that OpenBLAS, OpenMP and MKL read when loaded
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _trial_workers(count: int):
+    """A pool of ``count`` trial processes that run one BLAS thread each.
+
+    Forked workers would inherit this process's BLAS thread pool, so that
+    N workers of M threads each contend for the cores. Spawned workers load
+    BLAS afresh, under thread-count variables set to 1 while they start;
+    this process's environment is restored afterwards.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        with ProcessPoolExecutor(count, multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +542,11 @@ def results_filename(config: ExperimentConfig) -> str:
     return "results_%s.txt" % config_hash(config)
 
 
-def append_document(path, text: str, check=lambda old: None) -> None:
-    """Add a document to a results-style file, atomically. The file is read
-    once and ``check`` is called with its text before anything is written; a
-    non-empty file not ending in ``[end]`` (its last document cut short)
-    raises ``ValueError`` and is left as it is."""
+def _appendable(path, check=lambda old: None) -> str:
+    """The text of a results-style file that a document may extend ("" when
+    there is no file). A non-empty file not ending in ``[end]`` (its last
+    document cut short) raises ``ValueError``; then ``check`` is called with
+    the text."""
     try:
         with open(path, newline="") as fh:
             old = fh.read()
@@ -526,8 +555,37 @@ def append_document(path, text: str, check=lambda old: None) -> None:
     if old and not old.endswith("[end]\n"):
         raise ValueError("%s does not end in [end]; move it aside and run again" % path)
     check(old)
+    return old
+
+
+def append_document(path, text: str, check=lambda old: None) -> None:
+    """Add a document to a results-style file, atomically. The file is read
+    once and checked as :func:`_appendable` checks it before anything is
+    written; a refused file is left as it is."""
+    old = _appendable(path, check)
     with atomic_file(path) as fh:
         fh.write(old + text)
+
+
+def _results_file(config: ExperimentConfig, out_dir) -> tuple[Path, object]:
+    """The results file of ``config`` under ``out_dir``, and the check that
+    refuses one holding a different configuration with :class:`ConfigError`."""
+    path = Path(out_dir) / results_filename(config)
+    ours = ["config.%s" % line for line in canonical_config_lines(config)]
+
+    def same_config(old: str) -> None:
+        stored = [line for line in old.splitlines() if line.startswith("config.")]
+        if old and stored[: len(ours)] != ours:
+            raise ConfigError("results file %s holds a different configuration" % path.name)
+
+    return path, same_config
+
+
+def check_results_file(config: ExperimentConfig, out_dir) -> None:
+    """Refuse, before any training, the results file that :func:`write_results`
+    would refuse: one whose last document is cut short (``ValueError``), or
+    one holding a different configuration (:class:`ConfigError`)."""
+    _appendable(*_results_file(config, out_dir))
 
 
 def write_results(result: ExperimentResult, out_dir) -> Path:
@@ -539,14 +597,7 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / results_filename(result.config)
-    ours = ["config.%s" % line for line in canonical_config_lines(result.config)]
-
-    def same_config(old: str) -> None:
-        stored = [line for line in old.splitlines() if line.startswith("config.")]
-        if old and stored[: len(ours)] != ours:
-            raise ConfigError("results file %s holds a different configuration" % path.name)
-
+    path, same_config = _results_file(result.config, out)
     append_document(path, build_document(result), same_config)
     for trial in result.trials:
         write_subset_csv(out / subset_filename(result.config, trial.seed), trial.subset)

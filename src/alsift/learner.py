@@ -14,6 +14,7 @@ import csv
 import math
 import struct
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,31 +227,29 @@ def _probabilities(tensors, features, labels, class_weights):
     return inputs, _softmax(logits), sample_w
 
 
-def _loss(
-    params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    class_weights: np.ndarray | None = None,
-    weight_decay: float = 0.0,
-):
-    """Regularized cross-entropy from one forward pass.
+def _loss(tensors, features, labels, class_weights=None, weight_decay: float = 0.0):
+    """Regularized cross-entropy from one forward pass, for one model or a run stack.
 
-    Returns ``(loss, inputs, probs, sample_w)``: the loss, then what the
-    backward pass :func:`_gradients` reads (each layer's input, the class
-    probabilities and the per-sample class weights).
+    ``tensors`` and ``features`` may carry a leading run axis as in
+    :func:`_forward`; ``labels`` (n,) are shared by every run. Returns
+    ``(loss, inputs, probs, sample_w)``: the loss of each run (a 0-d value
+    without a run axis), then what the backward pass :func:`_gradients`
+    reads (each layer's input, the class probabilities and the per-sample
+    class weights).
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = features.shape[0]
+    n = labels.shape[-1]
     if n == 0:
         raise ValueError("empty batch")
-    inputs, probs, sample_w = _probabilities(params.tensors, features, labels, class_weights)
-    log_probs = np.log(np.maximum(probs[np.arange(n), labels], 1e-300))
-    loss = float(-(sample_w * log_probs).mean())
+    inputs, probs, sample_w = _probabilities(tensors, features, labels, class_weights)
+    # contiguous, so that each run's mean sums its rows as a lone run's would
+    picked = np.ascontiguousarray(probs[..., np.arange(n), labels])
+    log_probs = np.log(np.maximum(picked, 1e-300))
+    loss = -(sample_w * log_probs).mean(axis=-1)
     if weight_decay:
         squares = 0.0
-        for w in reversed(params.tensors[::2]):
-            squares += float((w * w).sum())
+        for w in reversed(tensors[::2]):
+            squares += (w * w).reshape(*w.shape[:-2], -1).sum(axis=-1)
         loss += 0.5 * weight_decay * squares
     return loss, inputs, probs, sample_w
 
@@ -301,9 +300,9 @@ def loss_and_gradients(
     ``grads`` ordered like ``params.tensors``. The gradients come from the
     backward pass every SGD step takes, here without a run axis.
     """
-    loss, inputs, probs, sample_w = _loss(params, features, labels, class_weights, weight_decay)
-    labels = np.asarray(labels, dtype=np.int64)
-    return loss, tuple(_gradients(params.tensors, inputs, probs, labels, sample_w, weight_decay))
+    tensors, labels = params.tensors, np.asarray(labels, dtype=np.int64)
+    loss, inputs, probs, sample_w = _loss(tensors, features, labels, class_weights, weight_decay)
+    return float(loss), tuple(_gradients(tensors, inputs, probs, labels, sample_w, weight_decay))
 
 
 @dataclass
@@ -391,9 +390,10 @@ def _held_out(ids: np.ndarray, fraction: float) -> np.ndarray:
     return held
 
 
-def _accuracy(params: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
-    probs = predict_proba(params, features)
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
+def _accuracy(tensors, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Top-class accuracy on shared rows, of one model or of each run of a stack."""
+    probs = _softmax(_forward(tensors, features)[1])
+    return np.mean(np.argmax(probs, axis=-1) == labels, axis=-1)
 
 
 def train_runs(
@@ -476,10 +476,10 @@ def train_runs(
 
     if max_epochs == 0:
         # nothing to optimize; snapshot the starting points
-        for j, seed in enumerate(seeds):
-            params = run_params(j)
-            acc = _accuracy(params, val_features, val_labels)
-            results[j] = TrainResult([Checkpoint(params.copy(), seed, 0, digest, acc)], [], [acc])
+        accs = _accuracy(tensors, val_features, val_labels).tolist()
+        for j, (seed, acc) in enumerate(zip(seeds, accs)):
+            ckpt = Checkpoint(run_params(j).copy(), seed, 0, digest, acc)
+            results[j] = TrainResult([ckpt], [], [acc])
         return results
 
     live = list(range(len(seeds)))  # the run of each stack row
@@ -502,19 +502,18 @@ def train_runs(
                     vel *= config.momentum
                     vel += grad
                     param -= lr * vel
+        losses = _loss(tensors, features, labels, class_weights, config.weight_decay)[0]
+        if not np.isfinite(losses).all():
+            raise RuntimeError(
+                "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
+                % (epoch, lr)
+            )
+        accs = _accuracy(tensors, val_features, val_labels)
         keep = []
-        for j, i in enumerate(live):
-            params = run_params(j)
-            epoch_loss = _loss(params, features, labels, class_weights, config.weight_decay)[0]
-            if not math.isfinite(epoch_loss):
-                raise RuntimeError(
-                    "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
-                    % (epoch, lr)
-                )
-            acc = _accuracy(params, val_features, val_labels)
+        for j, (i, epoch_loss, acc) in enumerate(zip(live, losses.tolist(), accs.tolist())):
             results[i].train_loss.append(epoch_loss)
             results[i].val_accuracy.append(acc)
-            windows[i].append(Checkpoint(params.copy(), seeds[i], epoch, digest, acc))
+            windows[i].append(Checkpoint(run_params(j).copy(), seeds[i], epoch, digest, acc))
             if acc > best[i]:
                 best[i] = acc
                 stale[i] = 0
@@ -666,21 +665,24 @@ class CheckpointStore:
     def save(self, dir_path) -> None:
         """Write every checkpoint plus a metadata table to a directory.
 
-        The directory then holds exactly this store: ``.alck`` files left
-        there by an earlier save are removed, so :meth:`load` cannot mix
-        them in.
+        All or nothing: every file is written in full to its temporary file
+        before any of them replaces its target, so a save that fails while
+        writing leaves the directory as it was. The directory then holds
+        exactly this store: ``.alck`` files left there by an earlier save
+        are removed, so :meth:`load` cannot mix them in.
         """
         out = Path(dir_path)
         out.mkdir(parents=True, exist_ok=True)
         names = set()
-        with atomic_file(out / "store_meta.csv") as fh:
-            writer = csv.writer(fh)
+        with ExitStack() as files:
+            writer = csv.writer(files.enter_context(atomic_file(out / "store_meta.csv")))
             writer.writerow(self._FIELDS)
             for run, epoch in sorted(self._items):
                 ckpt = self._items[(run, epoch)]
                 writer.writerow([run, epoch, repr(ckpt.val_accuracy), ckpt.subset_digest])
-                names.add(checkpoint_filename(run, epoch))
-                write_checkpoint(out / checkpoint_filename(run, epoch), ckpt)
+                name = checkpoint_filename(run, epoch)
+                names.add(name)
+                _write_alck(files.enter_context(atomic_file(out / name, binary=True)), ckpt)
         for stale in out.glob("*.alck"):
             if stale.name not in names:
                 stale.unlink()
@@ -863,6 +865,11 @@ def checkpoint_filename(run_seed: int, epoch: int) -> str:
 
 def write_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Binary checkpoint: header then float32 tensors in declared order."""
+    with atomic_file(path, binary=True) as fh:
+        _write_alck(fh, checkpoint)
+
+
+def _write_alck(fh, checkpoint: Checkpoint) -> None:
     params = checkpoint.params
     arch_tag = params.arch.encode()
     if len(arch_tag) > 8:
@@ -877,10 +884,9 @@ def write_checkpoint(path, checkpoint: Checkpoint) -> None:
         checkpoint.run_seed,
         checkpoint.epoch,
     )
-    with atomic_file(path, binary=True) as fh:
-        fh.write(header)
-        for tensor in params.tensors:
-            fh.write(tensor.astype("<f4").tobytes(order="C"))
+    fh.write(header)
+    for tensor in params.tensors:
+        fh.write(tensor.astype("<f4").tobytes(order="C"))
 
 
 def read_checkpoint(path) -> Checkpoint:

@@ -37,7 +37,7 @@ from .learner import (
 # call them: perfbench's traced spans wrap them here
 from .acquisition import score_pool
 from .learner import fine_tune, predict_pool, train
-from .state import SubsetState, derive_seed
+from .state import SubsetState, derive_seed, id_array
 
 SCHEMES = ("pretrain", "compress", "build_up", "automatic_duplication")
 
@@ -53,7 +53,7 @@ def _candidates(scores: AcquisitionScores, excluded) -> tuple[np.ndarray, np.nda
     """Sample ids and scores of the candidates outside ``excluded``."""
     ids, vals = scores.sample_ids, scores.scores
     if len(excluded):
-        keep = ~np.isin(ids, np.fromiter(excluded, dtype=np.uint64, count=len(excluded)))
+        keep = ~np.isin(ids, id_array(excluded))
         ids, vals = ids[keep], vals[keep]
     return ids, vals
 
@@ -157,13 +157,6 @@ class SubsetResult:
     store: CheckpointStore
 
 
-def _widened(trainer: TrainConfig, ensemble: EnsembleConfig) -> TrainConfig:
-    # the rolling window must span what the ensemble mode will read back
-    if trainer.checkpoint_window >= ensemble.epochs_needed:
-        return trainer
-    return replace(trainer, checkpoint_window=ensemble.epochs_needed)
-
-
 def train_subset_ensemble(
     pool: LabeledPool,
     subset: SubsetState,
@@ -171,18 +164,24 @@ def train_subset_ensemble(
     trainer: TrainConfig,
     seed: int,
     iteration: int = 0,
+    starts=None,
 ) -> tuple[CheckpointStore, list[ModelParams]]:
     """Train the runs an ensemble mode needs and assemble its members.
 
     The runs train in lockstep (:func:`learner.train_runs`). The trainer's
     checkpoint window is widened if the mode reads back a longer epoch
     span than the window would keep. Run seeds derive from ``seed``, the
-    search ``iteration`` and the run index.
+    search ``iteration`` and the run index. With ``starts``, one ModelParams
+    per run, the runs fine-tune those weights instead of training fresh ones,
+    under seeds of the fine-tuning role.
     """
-    trainer = _widened(trainer, ensemble)
-    seeds = [derive_seed(seed, _ROLE_TRAIN, iteration, r) for r in range(ensemble.runs_needed)]
+    if trainer.checkpoint_window < ensemble.epochs_needed:
+        # the rolling window must span what the ensemble mode will read back
+        trainer = replace(trainer, checkpoint_window=ensemble.epochs_needed)
+    role = _ROLE_TRAIN if starts is None else _ROLE_TUNE
+    seeds = [derive_seed(seed, role, iteration, r) for r in range(ensemble.runs_needed)]
     store = CheckpointStore()
-    for result in train_runs(pool, subset, trainer, seeds):
+    for result in train_runs(pool, subset, trainer, seeds, starts):
         store.add_run(result.checkpoints)
     return store, build_ensemble(store, ensemble)
 
@@ -251,14 +250,10 @@ def run_pretrain(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """Select once with a full-pool ensemble, then fine-tune it on the subset."""
     store, scores, chosen = _acquire_once(pool, config)
     state = SubsetState.from_ids(chosen)
-    trainer = _widened(config.trainer, config.ensemble)
-    runs = store.run_seeds()
-    sources = [store.get(run, store.epochs(run)[-1]).params for run in runs]
-    seeds = [derive_seed(config.seed, _ROLE_TUNE, 0, r) for r in range(len(runs))]
-    sub_store = CheckpointStore()
-    for result in train_runs(pool, state, trainer, seeds, sources):
-        sub_store.add_run(result.checkpoints)
-    members = build_ensemble(sub_store, config.ensemble)
+    starts = [store.get(run, store.epochs(run)[-1]).params for run in store.run_seeds()]
+    sub_store, members = train_subset_ensemble(
+        pool, state, config.ensemble, config.trainer, config.seed, 0, starts
+    )
     rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
     return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
 

@@ -8,7 +8,7 @@ import hashlib
 import math
 import os
 import secrets
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from contextlib import contextmanager, suppress
 from functools import cached_property
 
@@ -29,9 +29,11 @@ def derive_seed(*parts: int) -> int:
 
 
 def id_array(ids) -> np.ndarray:
-    """Sample ids (a sequence or an array) as a uint64 array; an id outside
-    [0, 2**64) raises ValueError."""
-    if isinstance(ids, np.ndarray) and ids.dtype.kind == "i" and (ids < 0).any():
+    """Sample ids (a sequence, a set or an array) as a uint64 array; an id
+    outside [0, 2**64) raises ValueError."""
+    if isinstance(ids, Set):
+        ids = list(ids)
+    elif isinstance(ids, np.ndarray) and ids.dtype.kind == "i" and (ids < 0).any():
         ids = ids.tolist()  # astype would wrap the negative ids
     try:
         return np.asarray(ids, dtype=np.uint64)

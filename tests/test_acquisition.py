@@ -243,6 +243,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unique"):
             PredictionTensor(data.astype(np.float32), np.asarray([1, 1, 2]))
 
+    def test_tensor_refuses_sample_ids_outside_uint64(self):
+        with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
+            PredictionTensor(np.full((2, 1, 2), 0.5), np.array([-1, 0]))
+
+    def test_scores_refuse_sample_ids_outside_uint64(self):
+        with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
+            AcquisitionScores("entropy", [0.1, 0.2], np.array([-1, 0]))
+
     def test_scores_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             AcquisitionScores("entropy", np.asarray([1.0, np.nan]), np.asarray([0, 1]))

@@ -12,6 +12,7 @@ import pytest
 
 from dataclasses import replace
 
+import alsift.experiment
 import alsift.schemes
 from alsift import state
 from alsift.cli import build_parser, main
@@ -226,6 +227,29 @@ class TestSearch:
         assert capsys.readouterr().err == (
             "error: %s does not end in [end]; move it aside and run again\n" % results
         )
+
+    @pytest.mark.parametrize("content, code, message", [
+        ("# subset-search results\nconfig.search.scheme = build_up\n", 2,
+         "error: {path} does not end in [end]; move it aside and run again\n"),
+        ("# subset-search results\nconfig.search.scheme = compress\n[end]\n", 1,
+         "config error: results file {name} holds a different configuration\n"),
+    ], ids=["torn", "other_config"])
+    def test_results_file_is_refused_before_any_training(
+        self, tmp_path, config_path, capsys, monkeypatch, content, code, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the results file was checked")
+
+        monkeypatch.setattr(alsift.schemes, "train_subset_ensemble", no_training)
+        monkeypatch.setattr(alsift.experiment, "train_subset_ensemble", no_training)
+        out = tmp_path / "runs"
+        out.mkdir()
+        results = out / ("results_%s.txt" % config_hash(replace(config_from_file(config_path), seeds=(1,))))
+        results.write_text(content)
+        argv = ["search", "--config", str(config_path), "--seed", "1", "--out", str(out)]
+        assert main(argv) == code
+        assert results.read_text() == content
+        assert capsys.readouterr().err == message.format(path=results, name=results.name)
 
 
 class TestAnalyze:

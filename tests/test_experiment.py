@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import alsift.experiment
 from alsift.experiment import (
     ConfigError,
     build_consensus_document,
@@ -174,6 +176,17 @@ class TestTrials:
             return [line for line in doc.splitlines() if not line.startswith("wall_time_s =")]
 
         assert timeless(serial) == timeless(parallel)
+
+
+def test_trial_workers_run_one_blas_thread(monkeypatch):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    with alsift.experiment._trial_workers(2) as pool:
+        assert list(pool.map(os.getenv, names)) == ["1", "1", "1"]
+    # this process's environment is left as it was
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 class TestResultsDocuments:

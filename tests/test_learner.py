@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from alsift.learner import (
     EnsembleConfig,
     LabeledPool,
     ModelParams,
+    PoolBlocks,
     TrainConfig,
     build_ensemble,
     fine_tune,
@@ -246,6 +248,10 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=1e12, momentum=0.0, max_epochs=40)
         with pytest.raises(RuntimeError, match="non-finite training loss"):
             train(pool, full_subset(pool), cfg, seed=0)
+        # a stack checks all its runs' losses at once, with the same message
+        message = r"^non-finite training loss at epoch \d+ \(lr=1e\+12\); lower the learning rate$"
+        with pytest.raises(RuntimeError, match=message):
+            train_runs(pool, full_subset(pool), cfg, [0, 1, 2])
 
     def test_lr_decay_applies_at_given_epochs(self):
         pool = small_pool(9)
@@ -285,6 +291,13 @@ def test_pool_refuses_sample_ids_outside_uint64():
             LabeledPool(np.zeros((3, 1)), [0, 1, 0], ids, 2)
     with pytest.raises(ValueError, match=r"^sample id 18446744073709551616 outside"):
         LabeledPool(np.zeros((2, 1)), [0, 1], [0, 2**64], 2)
+
+
+def test_pool_blocks_refuse_sample_ids_outside_uint64():
+    pool = small_pool()
+    member = init_params("logistic", pool.n_features, pool.n_classes, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
+        PoolBlocks([member], pool, np.array([-1, 0]))
 
 
 def test_hidden_width_is_checked_for_mlp_only():
@@ -468,6 +481,43 @@ class TestRunStack:
         assert digest.hexdigest() == (
             "61409606d728f29d7e4c5a0ed0920f3ca211ee6bac6c100f323ddc0977083a7f"
         )
+
+
+class TestOneStackShape:
+    """Epoch ends evaluate the whole run stack at once: one loss pass and one
+    accuracy pass per epoch, whatever the number of runs."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"_loss": [], "_accuracy": []}
+        for name in calls:
+            real = getattr(alsift.learner, name)
+
+            def counted(tensors, *args, _name=name, _real=real, **kwargs):
+                calls[_name].append(tensors[0].shape[:-2])
+                return _real(tensors, *args, **kwargs)
+
+            monkeypatch.setattr(alsift.learner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("runs", [1, 3, 5])
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_one_loss_and_one_accuracy_call_per_epoch(self, runs, arch, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=4, weight_decay=1e-3)
+        calls = self.count_calls(monkeypatch)
+        results = train_runs(pool, repeated_subset(pool), cfg, range(runs))
+        assert calls == {"_loss": [(runs,)] * 4, "_accuracy": [(runs,)] * 4}
+        assert all(len(r.train_loss) == 4 for r in results)
+
+    @pytest.mark.parametrize("runs", [1, 3, 5])
+    def test_zero_epochs_make_one_accuracy_call(self, runs, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(max_epochs=0)
+        calls = self.count_calls(monkeypatch)
+        results = train_runs(pool, repeated_subset(pool), cfg, range(runs))
+        assert calls == {"_loss": [], "_accuracy": [(runs,)]}
+        assert [c.epoch for r in results for c in r.checkpoints] == [0] * runs
 
 
 class TestEarlyStoppingNeedsHeldOutIds:
@@ -654,6 +704,36 @@ class TestCheckpointFiles:
         assert len(build_ensemble(back, EnsembleConfig(mode="seeds", runs=1))) == 1
         with pytest.raises(ValueError, match="store holds 1 runs; 2 requested"):
             build_ensemble(back, EnsembleConfig(mode="seeds", runs=2))
+
+    def test_a_save_failing_part_way_leaves_the_old_store(self, tmp_path, monkeypatch):
+        old = store_with_runs(small_pool(0), (1,), epochs=3, window=3)
+        old.save(tmp_path / "store")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "store").iterdir()}
+        real, written = alsift.learner.atomic_file, []
+
+        @contextmanager
+        def third_checkpoint_fails(path, binary=False):
+            with real(path, binary) as fh:
+                if str(path).endswith(".alck"):
+                    written.append(path)
+                    if len(written) == 3:
+                        fh.write(b"ALCK")  # a torn start, then the failure
+                        raise OSError("disk full")
+                yield fh
+
+        monkeypatch.setattr(alsift.learner, "atomic_file", third_checkpoint_fails)
+        # the same run seed and epochs, so the same file names, but new weights
+        new = store_with_runs(small_pool(1), (1,), epochs=3, window=3)
+        with pytest.raises(OSError, match="disk full"):
+            new.save(tmp_path / "store")
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "store").iterdir()} == before
+        back = CheckpointStore.load(tmp_path / "store")
+        assert back.run_seeds() == [1] and back.epochs(1) == [1, 2, 3]
+        for epoch in (1, 2, 3):
+            assert back.get(1, epoch).val_accuracy == old.get(1, epoch).val_accuracy
+            for ta, tb in zip(back.get(1, epoch).params.tensors, old.get(1, epoch).params.tensors):
+                assert_array_equal(ta, tb.astype(np.float32).astype(np.float64))
 
     def test_load_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

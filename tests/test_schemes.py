@@ -194,6 +194,10 @@ class TestSelectTopK:
         with pytest.raises(ValueError, match="exceeds"):
             select_top_k(scores_of([1.0, 2.0]), 2, excluded={0})
 
+    def test_excluded_ids_outside_uint64_are_refused(self):
+        with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
+            select_top_k(scores_of([1.0, 2.0]), 1, [-1])
+
     def test_selected_count_is_exact(self):
         rng = np.random.default_rng(1)
         vals = rng.random(50)
