@@ -446,7 +446,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Trial results are deterministic either way; only wall time changes. A
     trainer that cannot fill the ensemble's epoch span, or that stops
     early with nothing held out, raises :class:`ConfigError` before any
-    training.
+    training. With ``jobs > 1`` the trials run in spawned processes, which
+    import the calling script afresh: a script that calls this must do so
+    under ``if __name__ == "__main__":``.
     """
     _check_epoch_span(config.search)
     _check_validation(config.search)
@@ -465,24 +467,22 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 @contextmanager
 def _trial_workers(count: int):
-    """A pool of ``count`` trial processes that run one BLAS thread each.
+    """A pool of ``count`` trial processes that run one BLAS thread each,
+    unless the environment sets another count.
 
     Forked workers would inherit this process's BLAS thread pool, so that
     N workers of M threads each contend for the cores. Spawned workers load
-    BLAS afresh, under thread-count variables set to 1 while they start;
-    this process's environment is restored afterwards.
+    BLAS afresh; each thread-count variable the environment leaves unset is
+    set to 1 while they start, and unset again afterwards.
     """
-    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
-    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    added = [name for name in _BLAS_THREADS if name not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
     try:
         with ProcessPoolExecutor(count, multiprocessing.get_context("spawn")) as pool:
             yield pool
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        for name in added:
+            os.environ.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +542,10 @@ def results_filename(config: ExperimentConfig) -> str:
     return "results_%s.txt" % config_hash(config)
 
 
-def _appendable(path, check=lambda old: None) -> str:
+def _appendable(path) -> str:
     """The text of a results-style file that a document may extend ("" when
     there is no file). A non-empty file not ending in ``[end]`` (its last
-    document cut short) raises ``ValueError``; then ``check`` is called with
-    the text."""
+    document cut short) raises ``ValueError``."""
     try:
         with open(path, newline="") as fh:
             old = fh.read()
@@ -554,38 +553,34 @@ def _appendable(path, check=lambda old: None) -> str:
         old = ""
     if old and not old.endswith("[end]\n"):
         raise ValueError("%s does not end in [end]; move it aside and run again" % path)
-    check(old)
     return old
 
 
 def append_document(path, text: str, check=lambda old: None) -> None:
     """Add a document to a results-style file, atomically. The file is read
-    once and checked as :func:`_appendable` checks it before anything is
-    written; a refused file is left as it is."""
-    old = _appendable(path, check)
+    once, checked as :func:`_appendable` checks it, and ``check`` is called
+    with its text, all before anything is written; a refused file is left
+    as it is."""
+    old = _appendable(path)
+    check(old)
     with atomic_file(path) as fh:
         fh.write(old + text)
 
 
-def _results_file(config: ExperimentConfig, out_dir) -> tuple[Path, object]:
-    """The results file of ``config`` under ``out_dir``, and the check that
-    refuses one holding a different configuration with :class:`ConfigError`."""
+def check_results_file(config: ExperimentConfig, out_dir, old: str | None = None) -> Path:
+    """The results file of ``config`` under ``out_dir``, refused as
+    :func:`write_results` would refuse it: one whose last document is cut
+    short (``ValueError``), or one holding a different configuration
+    (:class:`ConfigError`). ``old`` is the file's text when the caller has
+    read it already; the search calls this before any training."""
     path = Path(out_dir) / results_filename(config)
+    if old is None:
+        old = _appendable(path)
     ours = ["config.%s" % line for line in canonical_config_lines(config)]
-
-    def same_config(old: str) -> None:
-        stored = [line for line in old.splitlines() if line.startswith("config.")]
-        if old and stored[: len(ours)] != ours:
-            raise ConfigError("results file %s holds a different configuration" % path.name)
-
-    return path, same_config
-
-
-def check_results_file(config: ExperimentConfig, out_dir) -> None:
-    """Refuse, before any training, the results file that :func:`write_results`
-    would refuse: one whose last document is cut short (``ValueError``), or
-    one holding a different configuration (:class:`ConfigError`)."""
-    _appendable(*_results_file(config, out_dir))
+    stored = [line for line in old.splitlines() if line.startswith("config.")]
+    if old and stored[: len(ours)] != ours:
+        raise ConfigError("results file %s holds a different configuration" % path.name)
+    return path
 
 
 def write_results(result: ExperimentResult, out_dir) -> Path:
@@ -595,12 +590,12 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
     Appending to a results file whose stored config lines differ from
     this run's raises :class:`ConfigError`.
     """
-    out = Path(out_dir)
+    config, out = result.config, Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path, same_config = _results_file(result.config, out)
-    append_document(path, build_document(result), same_config)
+    path = out / results_filename(config)
+    append_document(path, build_document(result), lambda old: check_results_file(config, out, old))
     for trial in result.trials:
-        write_subset_csv(out / subset_filename(result.config, trial.seed), trial.subset)
+        write_subset_csv(out / subset_filename(config, trial.seed), trial.subset)
     return path
 
 

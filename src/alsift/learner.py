@@ -396,6 +396,22 @@ def _accuracy(tensors, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.mean(np.argmax(probs, axis=-1) == labels, axis=-1)
 
 
+# the most layer-output values one evaluation pass over a run stack holds
+# (8 MiB of float64); see _by_run_groups
+_EVAL_VALUES = 1 << 20
+
+
+def _by_run_groups(evaluate, tensors, n_rows: int) -> np.ndarray:
+    """``evaluate(tensors)``, one value per run, taken over a run stack a
+    group of runs at a time, so that the layer outputs over ``n_rows`` rows
+    stay within ``_EVAL_VALUES`` however many runs the stack holds. Each
+    run's value is the same in a group of any size."""
+    width = sum(b.shape[-1] for b in tensors[1::2])
+    size = max(1, _EVAL_VALUES // max(1, n_rows * width))
+    groups = range(0, len(tensors[0]), size)
+    return np.concatenate([evaluate([t[lo : lo + size] for t in tensors]) for lo in groups])
+
+
 def train_runs(
     pool: LabeledPool,
     subset: SubsetState,
@@ -476,7 +492,9 @@ def train_runs(
 
     if max_epochs == 0:
         # nothing to optimize; snapshot the starting points
-        accs = _accuracy(tensors, val_features, val_labels).tolist()
+        accs = _by_run_groups(
+            lambda stack: _accuracy(stack, val_features, val_labels), tensors, len(val_labels)
+        ).tolist()
         for j, (seed, acc) in enumerate(zip(seeds, accs)):
             ckpt = Checkpoint(run_params(j).copy(), seed, 0, digest, acc)
             results[j] = TrainResult([ckpt], [], [acc])
@@ -502,13 +520,19 @@ def train_runs(
                     vel *= config.momentum
                     vel += grad
                     param -= lr * vel
-        losses = _loss(tensors, features, labels, class_weights, config.weight_decay)[0]
+        losses = _by_run_groups(
+            lambda stack: _loss(stack, features, labels, class_weights, config.weight_decay)[0],
+            tensors,
+            n_rows,
+        )
         if not np.isfinite(losses).all():
             raise RuntimeError(
                 "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
                 % (epoch, lr)
             )
-        accs = _accuracy(tensors, val_features, val_labels)
+        accs = _by_run_groups(
+            lambda stack: _accuracy(stack, val_features, val_labels), tensors, len(val_labels)
+        )
         keep = []
         for j, (i, epoch_loss, acc) in enumerate(zip(live, losses.tolist(), accs.tolist())):
             results[i].train_loss.append(epoch_loss)
@@ -667,7 +691,9 @@ class CheckpointStore:
 
         All or nothing: every file is written in full to its temporary file
         before any of them replaces its target, so a save that fails while
-        writing leaves the directory as it was. The directory then holds
+        writing leaves the directory as it was. Each temporary checkpoint
+        file is closed once written, so a save holds two files open
+        whatever the size of the store. The directory then holds
         exactly this store: ``.alck`` files left there by an earlier save
         are removed, so :meth:`load` cannot mix them in.
         """
@@ -682,7 +708,9 @@ class CheckpointStore:
                 writer.writerow([run, epoch, repr(ckpt.val_accuracy), ckpt.subset_digest])
                 name = checkpoint_filename(run, epoch)
                 names.add(name)
-                _write_alck(files.enter_context(atomic_file(out / name, binary=True)), ckpt)
+                fh = files.enter_context(atomic_file(out / name, binary=True))
+                _write_alck(fh, ckpt)
+                fh.close()  # renamed when the stack exits; closing again is a no-op
         for stale in out.glob("*.alck"):
             if stale.name not in names:
                 stale.unlink()

@@ -178,15 +178,15 @@ class TestTrials:
         assert timeless(serial) == timeless(parallel)
 
 
-def test_trial_workers_run_one_blas_thread(monkeypatch):
+def test_trial_workers_run_one_blas_thread_unless_the_environment_says_otherwise(monkeypatch):
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
     with alsift.experiment._trial_workers(2) as pool:
-        assert list(pool.map(os.getenv, names)) == ["1", "1", "1"]
+        assert list(pool.map(os.getenv, names)) == ["1", "1", "4"]
     # this process's environment is left as it was
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
-    assert "OMP_NUM_THREADS" not in os.environ
+    assert [os.getenv(name) for name in names] == [None, None, "4"]
 
 
 class TestResultsDocuments:

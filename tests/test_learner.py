@@ -485,7 +485,8 @@ class TestRunStack:
 
 class TestOneStackShape:
     """Epoch ends evaluate the whole run stack at once: one loss pass and one
-    accuracy pass per epoch, whatever the number of runs."""
+    accuracy pass per epoch, whatever the number of runs, while the stack's
+    layer outputs fit ``_EVAL_VALUES``; a larger stack goes in groups."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -518,6 +519,19 @@ class TestOneStackShape:
         results = train_runs(pool, repeated_subset(pool), cfg, range(runs))
         assert calls == {"_loss": [], "_accuracy": [(runs,)]}
         assert [c.epoch for r in results for c in r.checkpoints] == [0] * runs
+
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_a_stack_past_the_budget_goes_run_by_run_to_the_same_results(self, arch, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=3, weight_decay=1e-3)
+        whole = train_runs(pool, repeated_subset(pool), cfg, range(5))
+        monkeypatch.setattr(alsift.learner, "_EVAL_VALUES", 1)
+        calls = self.count_calls(monkeypatch)
+        grouped = train_runs(pool, repeated_subset(pool), cfg, range(5))
+        assert calls == {"_loss": [(1,)] * 15, "_accuracy": [(1,)] * 15}
+        for got, want in zip(grouped, whole):
+            assert_same_run(got, want)
 
 
 class TestEarlyStoppingNeedsHeldOutIds:
@@ -734,6 +748,29 @@ class TestCheckpointFiles:
             assert back.get(1, epoch).val_accuracy == old.get(1, epoch).val_accuracy
             for ta, tb in zip(back.get(1, epoch).params.tensors, old.get(1, epoch).params.tensors):
                 assert_array_equal(ta, tb.astype(np.float32).astype(np.float64))
+
+    def test_a_save_holds_two_files_open_whatever_the_store_size(self, tmp_path, monkeypatch):
+        # more checkpoints than the common default limit of 1,024 open files
+        params = init_params("logistic", 1, 2, 0, np.random.default_rng(0))
+        store = CheckpointStore()
+        for run in range(55):
+            for epoch in range(1, 21):
+                store.add(Checkpoint(params, run_seed=run, epoch=epoch))
+        real, handles, peak = alsift.learner.atomic_file, [], []
+
+        @contextmanager
+        def counted(path, binary=False):
+            with real(path, binary) as fh:
+                handles.append(fh)
+                peak.append(sum(not h.closed for h in handles))
+                yield fh
+
+        monkeypatch.setattr(alsift.learner, "atomic_file", counted)
+        store.save(tmp_path / "store")
+        monkeypatch.undo()
+        assert len(handles) == 1101 and max(peak) == 2
+        back = CheckpointStore.load(tmp_path / "store")
+        assert back.run_seeds() == list(range(55)) and back.epochs(54) == list(range(1, 21))
 
     def test_load_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
