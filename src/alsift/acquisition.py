@@ -28,7 +28,8 @@ SUM_TOL = 1e-6
 MI_CLAMP = 1e-9
 
 # Pool passes (prediction, validation, scoring, votes) walk the samples in
-# blocks of this many rows, so their float64 working set is
+# blocks of this many rows, so their working set, one float64 block of
+# probabilities that member inference computes in float32, is
 # O(BLOCK_ROWS * E * K) whatever the pool size.
 BLOCK_ROWS = 2048
 

@@ -14,7 +14,7 @@ import csv
 import math
 import struct
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -787,6 +787,21 @@ def build_ensemble(store: CheckpointStore, config: EnsembleConfig) -> list[Model
     return members
 
 
+# Why a value is refused where pool inference or an .alck file holds it as float32
+_FLOAT32_RANGE = "outside the float32 range (|x| <= %.8g)" % np.finfo(np.float32).max
+
+
+@contextmanager
+def _float32_range(what: str):
+    """Refuse, as ValueError naming ``what``, a float32 cast in the block
+    that rounds a finite value to an infinity."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError("%s %s" % (what, _FLOAT32_RANGE)) from None
+
+
 class PoolBlocks:
     """Member predictions over pool rows, computed one block of rows at a time.
 
@@ -796,6 +811,11 @@ class PoolBlocks:
     ``acquisition.pool_pass`` and ``analysis.evaluate_tensor`` take either,
     but it never holds an (N, E, K) array: each walk predicts its blocks
     afresh, and its working set is one float64 block.
+
+    Inference runs in float32, from member weights rounded to float32 as
+    ``.alck`` files store them, so a saved and reloaded ensemble predicts
+    the same bytes as the one it was saved from. Features, weights or
+    logits beyond the float32 range are refused with ValueError.
 
     Args:
         members: sequence of ModelParams sharing input width and class count.
@@ -838,22 +858,31 @@ class PoolBlocks:
     def blocks(self):
         """Yield ``(rows, block)`` as :meth:`PredictionTensor.blocks` does:
         ``rows`` a slice of at most ``BLOCK_ROWS`` samples, ``block`` their
-        member probabilities rounded to float32 (the values a tensor stores)
-        in a contiguous float64 (c, E, K) array that the next block
-        overwrites. Every block passes :func:`acquisition._check_rows`; an
-        empty source yields one empty block."""
+        member probabilities, computed in float32, in a contiguous float64
+        (c, E, K) array that the next block overwrites. Every block passes
+        :func:`acquisition._check_rows`; an empty source yields one empty
+        block."""
         n = self.n_samples
+        with _float32_range("member weights"):  # the values .alck files store
+            weights = [[t.astype(np.float32) for t in m.tensors] for m in self.members]
         buffer = np.empty((min(n, BLOCK_ROWS), self.n_members, self.n_classes))
         for lo in range(0, max(n, 1), BLOCK_ROWS):
             rows = slice(lo, min(lo + BLOCK_ROWS, n))
-            if self._rows is None:
-                features = self.pool.features[rows]
-            else:
-                features = self.pool.features[self._rows[rows]]
+            features = self.pool.features[rows if self._rows is None else self._rows[rows]]
+            with _float32_range("pool features"):
+                features = features.astype(np.float32)
             block = buffer[: rows.stop - lo]
-            for j, m in enumerate(self.members):
-                block[:, j] = predict_proba(m, features).astype(np.float32)
-            yield rows, _check_rows(block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, w in enumerate(weights):
+                    block[:, j] = _softmax(_forward(w, features)[1])
+            try:
+                _check_rows(block)
+            except ValueError:
+                if all(np.isfinite(t).all() for w in weights for t in w):
+                    # finite float32 inputs: only an overflowed logit breaks a row
+                    raise ValueError("member logits %s" % _FLOAT32_RANGE) from None
+                raise
+            yield rows, block
 
 
 def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
@@ -913,8 +942,9 @@ def _write_alck(fh, checkpoint: Checkpoint) -> None:
         checkpoint.epoch,
     )
     fh.write(header)
-    for tensor in params.tensors:
-        fh.write(tensor.astype("<f4").tobytes(order="C"))
+    with _float32_range("member weights"):
+        for tensor in params.tensors:
+            fh.write(tensor.astype("<f4").tobytes(order="C"))
 
 
 def read_checkpoint(path) -> Checkpoint:

@@ -30,21 +30,23 @@ def derive_seed(*parts: int) -> int:
 
 def id_array(ids) -> np.ndarray:
     """Sample ids (a sequence, a set or an array) as a uint64 array; an id
-    outside [0, 2**64) raises ValueError."""
+    that is not an integer in [0, 2**64) raises ValueError."""
     if isinstance(ids, Set):
         ids = list(ids)
-    elif isinstance(ids, np.ndarray) and ids.dtype.kind == "i" and (ids < 0).any():
-        ids = ids.tolist()  # astype would wrap the negative ids
-    try:
-        return np.asarray(ids, dtype=np.uint64)
-    except OverflowError:
-        list(map(parse_sample_id, ids))  # raises ValueError naming the first bad id
-        raise
+    values = np.asarray(ids)
+    if values.dtype.kind == "u" or values.dtype.kind == "i" and not (values < 0).any():
+        return values.astype(np.uint64, copy=False)
+    # negative, oversized or fractional ids, which a cast would wrap or truncate
+    items = values.tolist() if isinstance(ids, np.ndarray) else ids
+    return np.array([parse_sample_id(v) for v in items], dtype=np.uint64)
 
 
-def parse_sample_id(text) -> int:
-    """A sample id cell as an int; ValueError unless an integer in [0, 2**64)."""
-    sid = int(text)
+def parse_sample_id(value) -> int:
+    """A sample id cell or number as an int; ValueError unless an integer in
+    [0, 2**64)."""
+    sid = int(value)
+    if sid != value and not isinstance(value, str):
+        raise ValueError("sample id %s is not an integer" % value)
     if not 0 <= sid < 2**64:
         raise ValueError("sample id %d outside [0, 2**64)" % sid)
     return sid
@@ -86,9 +88,10 @@ class SubsetState:
     """
 
     def __init__(self, multiplicity: Mapping | None = None):
-        """Subset from a mapping of sample id to repeat count. An id outside
-        [0, 2**64), a count below 1 or an id given twice raises ValueError."""
-        pairs = sorted((int(sid), int(count)) for sid, count in (multiplicity or {}).items())
+        """Subset from a mapping of sample id to repeat count. An id that is
+        not an integer in [0, 2**64), a count below 1 or an id given twice
+        raises ValueError."""
+        pairs = sorted((parse_sample_id(sid), int(count)) for sid, count in (multiplicity or {}).items())
         for sid, count in pairs:
             if count < 1:
                 raise ValueError("multiplicity for sample %d must be >= 1" % sid)
@@ -105,8 +108,8 @@ class SubsetState:
 
     @classmethod
     def from_ids(cls, ids) -> "SubsetState":
-        """Subset with multiplicity 1 for each id; a repeated id or one
-        outside [0, 2**64) raises ValueError."""
+        """Subset with multiplicity 1 for each id; a repeated id or one that
+        is not an integer in [0, 2**64) raises ValueError."""
         ids = sorted_unique_ids(id_array(ids), "duplicate ids in subset initializer")
         return cls.__new__(cls)._hold(ids, np.ones(len(ids), dtype=np.int64))
 

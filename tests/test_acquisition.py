@@ -251,6 +251,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
             AcquisitionScores("entropy", [0.1, 0.2], np.array([-1, 0]))
 
+    def test_scores_refuse_fractional_sample_ids(self):
+        with pytest.raises(ValueError, match=r"^sample id 0\.9 is not an integer$"):
+            AcquisitionScores("entropy", [0.1, 0.2], np.array([0.9, 1.2]))
+        with pytest.raises(ValueError, match=r"^sample id 1\.5 is not an integer$"):
+            AcquisitionScores("entropy", [0.1, 0.2], [0, 1.5])
+
     def test_scores_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             AcquisitionScores("entropy", np.asarray([1.0, np.nan]), np.asarray([0, 1]))

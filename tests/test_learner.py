@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import alsift.learner
+from alsift.acquisition import pool_pass
 from alsift.learner import (
     Checkpoint,
     CheckpointStore,
@@ -33,6 +35,7 @@ from alsift.learner import (
     write_checkpoint,
 )
 from alsift.learner import _held_out
+from alsift.schemes import train_subset_ensemble
 from alsift.state import SubsetState
 
 
@@ -298,6 +301,14 @@ def test_pool_blocks_refuse_sample_ids_outside_uint64():
     member = init_params("logistic", pool.n_features, pool.n_classes, 0, np.random.default_rng(0))
     with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
         PoolBlocks([member], pool, np.array([-1, 0]))
+
+
+def test_pool_blocks_refuse_fractional_sample_ids():
+    pool = small_pool()
+    member = init_params("logistic", pool.n_features, pool.n_classes, 0, np.random.default_rng(0))
+    for ids in ([4, 1.5], np.array([4.0, 1.5])):
+        with pytest.raises(ValueError, match=r"^sample id 1\.5 is not an integer$"):
+            PoolBlocks([member], pool, ids)
 
 
 def test_hidden_width_is_checked_for_mlp_only():
@@ -668,6 +679,15 @@ class TestCheckpointFiles:
         for ta, tb in zip(back.params.tensors, params.tensors):
             assert_array_equal(ta, tb.astype(np.float32).astype(np.float64))
 
+    def test_weights_beyond_float32_are_refused_not_written_as_infinities(self, tmp_path):
+        params = init_params("logistic", 3, 2, 0, np.random.default_rng(0))
+        params.tensors[0][1, 0] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^member weights outside the float32 range"):
+                write_checkpoint(tmp_path / "c.alck", Checkpoint(params, 1, 1))
+        assert list(tmp_path.iterdir()) == []
+
     def test_magic_and_version_checked(self, tmp_path):
         path = tmp_path / "zz.alck"
         path.write_bytes(b"WXYZ" + b"\0" * 60)
@@ -683,6 +703,24 @@ class TestCheckpointFiles:
         before = predict_proba(ckpt.params, pool.features)
         after = predict_proba(back.params, pool.features)
         assert_allclose(after, before, atol=1e-6)
+
+    def test_reloaded_store_scores_like_the_in_memory_ensemble(self, tmp_path):
+        """Pool inference rounds weights to float32 as ``.alck`` stores them,
+        so a saved and reloaded ensemble scores and votes byte for byte like
+        the one it was saved from."""
+        pool = small_pool(seed=3, n=600, d=8, k=4)
+        trainer = TrainConfig(arch="mlp", hidden=12, max_epochs=5, batch_size=16)
+        ensemble = EnsembleConfig(mode="combined", runs=3, checkpoints_per_run=3)
+        store, members = train_subset_ensemble(pool, full_subset(pool), ensemble, trainer, seed=7)
+        store.save(tmp_path / "store")
+        reloaded = build_ensemble(CheckpointStore.load(tmp_path / "store"), ensemble)
+        assert len(reloaded) == len(members) == 9
+        for function_id in ("mutual_information", "entropy", "variation_ratios"):
+            want, want_votes = pool_pass(PoolBlocks(members, pool), function_id, votes=True)
+            got, got_votes = pool_pass(PoolBlocks(reloaded, pool), function_id, votes=True)
+            assert_array_equal(got.sample_ids, want.sample_ids)
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert got_votes.tobytes() == want_votes.tobytes()
 
     def test_store_save_load_round_trip(self, tmp_path):
         pool = small_pool()

@@ -15,6 +15,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -61,7 +62,6 @@ from alsift.learner import (
     ModelParams,
     init_params,
     predict_pool,
-    predict_proba,
     read_checkpoint,
     train,
     train_runs,
@@ -372,8 +372,18 @@ def _members(arch, d=6, k=4, e=5):
 
 
 def _stacked_reference(members, pool, ids):
-    features = pool.features[pool.rows_for(ids)]
-    return np.stack([predict_proba(m, features) for m in members], axis=1).astype(np.float32)
+    """Every member's probabilities from one float32 forward pass over all the
+    rows, with weights and features rounded to float32 first."""
+    features = pool.features[pool.rows_for(ids)].astype(np.float32)
+    probs = []
+    for m in members:
+        tensors = [t.astype(np.float32) for t in m.tensors]
+        out = features @ tensors[0] + tensors[1]
+        if m.arch == "mlp":
+            out = np.maximum(out, 0.0) @ tensors[2] + tensors[3]
+        out = np.exp(out - out.max(axis=1, keepdims=True))
+        probs.append(out / out.sum(axis=1, keepdims=True))
+    return np.stack(probs, axis=1)
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -572,6 +582,34 @@ def test_block_pass_refuses_a_member_with_a_nan_weight(function_id):
         pool_pass(source, votes=True)
     with pytest.raises(ValueError, match="invalid distribution: non-finite entries"):
         evaluate(members, pool)
+
+
+def test_block_pass_refuses_values_beyond_the_float32_range():
+    """Features of 1e39 are finite in float64 but not in float32, where pool
+    inference runs; so is a weight of -1e39, and weights of 1e38 overflow the
+    logits. Each is refused by name, without a RuntimeWarning."""
+    pool, members = _pool(C + 10), _members("mlp")
+    features = pool.features.copy()
+    features[C + 3, 2] = 1e39
+    wide = LabeledPool(features, pool.labels, pool.sample_ids, pool.n_classes)
+    big_weight, big_logits = _members("logistic"), _members("logistic")
+    big_weight[1].tensors[0][2, 0] = -1e39
+    big_logits[3].tensors[0][:] = 1e38
+    cases = [
+        (members, wide, "pool features"),
+        (big_weight, pool, "member weights"),
+        (big_logits, pool, "member logits"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ensemble, on, what in cases:
+            message = r"^%s outside the float32 range \(\|x\| <= 3\.4028235e\+38\)$" % what
+            with pytest.raises(ValueError, match=message):
+                pool_pass(PoolBlocks(ensemble, on), "mutual_information")
+            with pytest.raises(ValueError, match=message):
+                evaluate(ensemble, on)
+            with pytest.raises(ValueError, match=message):
+                predict_pool(ensemble, on)
 
 
 def test_block_pass_keeps_the_label_and_empty_set_checks():

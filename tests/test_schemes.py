@@ -54,6 +54,17 @@ class TestSubsetState:
         with pytest.raises(ValueError, match="duplicate"):
             SubsetState.from_ids([1, 2, 1])
 
+    def test_fractional_ids_are_refused_not_truncated(self):
+        for call in (
+            lambda: SubsetState.from_ids([3, 1.5]),
+            lambda: SubsetState.from_ids(np.array([3.0, 1.5])),
+            lambda: SubsetState({3: 1, 1.5: 2}),
+            lambda: SubsetState.from_ids([3]).with_new_ids([1.5]),
+        ):
+            with pytest.raises(ValueError, match=r"^sample id 1\.5 is not an integer$"):
+                call()
+        assert_array_equal(SubsetState.from_ids([3.0, 2**63 + 1]).ids(), [3, 2**63 + 1])
+
     def test_with_new_ids_rejects_existing(self):
         state = SubsetState.from_ids([1, 2])
         with pytest.raises(ValueError, match="already in the subset"):
