@@ -27,9 +27,9 @@ SUM_TOL = 1e-6
 # floating-point cancellation; anything in (-MI_CLAMP, 0) is clamped to 0.
 MI_CLAMP = 1e-9
 
-# Pool passes (prediction, validation, scoring, votes) walk the samples in
-# blocks of this many rows, so their working set, one float64 block of
-# probabilities that member inference computes in float32, is
+# Pool passes (prediction, validation, scoring, votes, consensus) walk the
+# samples in row_blocks of this many rows, so their working set, one float64
+# block of probabilities that member inference computes in float32, is
 # O(BLOCK_ROWS * E * K) whatever the pool size.
 BLOCK_ROWS = 2048
 
@@ -37,6 +37,18 @@ FUNCTION_IDS = ("entropy", "mutual_information", "variation_ratios", "error_coun
 
 # Functions applicable to detection heatmaps (no labels, no randomness).
 DETECTION_FUNCTION_IDS = ("entropy", "mutual_information", "variation_ratios")
+
+
+def row_blocks(shape):
+    """Yield ``(rows, block)`` for each run of at most ``BLOCK_ROWS`` samples of
+    an (N, E, K) ``shape``: the rows as a slice and an unfilled contiguous
+    float64 (c, E, K) view of one buffer, which the next block reuses. An
+    empty source yields one empty block, so per-block checks still run."""
+    n = shape[0]
+    buffer = np.empty((min(n, BLOCK_ROWS), *shape[1:]))
+    for lo in range(0, max(n, 1), BLOCK_ROWS):
+        rows = slice(lo, min(lo + BLOCK_ROWS, n))
+        yield rows, buffer[: rows.stop - lo]
 
 
 def _check_rows(probs: np.ndarray) -> np.ndarray:
@@ -112,19 +124,20 @@ def _clamp_mutual_information(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
-def _ensemble_scores(members: np.ndarray, function_id: str, labels=None) -> np.ndarray:
+def _ensemble_scores(members: np.ndarray, function_id: str, labels=None, mean=None) -> np.ndarray:
     """Score a float64 (..., E, K) stack of member rows over its last two axes.
 
     Handles ``entropy``, ``mutual_information``, ``variation_ratios`` and
-    ``error_count``; ``labels`` holds one class index per (E, K) ensemble.
+    ``error_count``; ``labels`` holds one class index per (E, K) ensemble,
+    and ``mean``, when given, the member mean ``members.mean(axis=-2)``.
     Member votes and the majority vote break argmax ties toward the lowest
     class index, so every score is deterministic.
     """
     n_members, n_classes = members.shape[-2:]
-    if function_id == "entropy":
-        return _entropy_rows(members.mean(axis=-2))
-    if function_id == "mutual_information":
-        total = _entropy_rows(members.mean(axis=-2))
+    if function_id in ("entropy", "mutual_information"):
+        total = _entropy_rows(members.mean(axis=-2) if mean is None else mean)
+        if function_id == "entropy":
+            return total
         expected = _entropy_rows(members).mean(axis=-1)
         return _clamp_mutual_information(total - expected)
     votes = np.argmax(members, axis=-1)
@@ -191,22 +204,15 @@ class PredictionTensor:
     def _checked(cls, data: np.ndarray, sample_ids: np.ndarray) -> "PredictionTensor":
         """Wrap arrays that already hold what the constructor checks: contiguous
         float32 (N, E, K) data whose blocks passed :func:`_check_rows`, and
-        unique uint64 ids. Nothing is copied or validated again."""
+        unique uint64 ids. Nothing is copied or validated again. Only
+        ``learner.predict_pool`` calls it; perfbench imports and wraps that."""
         tensor = cls.__new__(cls)
         tensor.data, tensor.sample_ids = data, sample_ids
         return tensor
 
     def blocks(self):
-        """Yield ``(rows, block)`` for each run of at most ``BLOCK_ROWS`` samples:
-        the rows as a slice and their values as a contiguous float64 (c, E, K)
-        array. Every block is a view of one buffer that the next block
-        overwrites. An empty tensor yields one empty block, so per-block
-        checks still run."""
-        n = self.n_samples
-        buffer = np.empty((min(n, BLOCK_ROWS), *self.data.shape[1:]))
-        for lo in range(0, max(n, 1), BLOCK_ROWS):
-            rows = slice(lo, min(lo + BLOCK_ROWS, n))
-            block = buffer[: rows.stop - lo]
+        """Yield the :func:`row_blocks` of the tensor, filled with its values."""
+        for rows, block in row_blocks(self.data.shape):
             block[...] = self.data[rows]
             yield rows, block
 
@@ -276,12 +282,15 @@ def pool_pass(source, function_id=None, labels=None, seed=None, votes=False):
     scored = function_id not in (None, "random")
     scores = np.empty(n) if scored else None
     fused = np.empty(n, dtype=np.int64) if votes else None
+    # one member mean per block serves both the entropies and the votes
+    averaged = votes or function_id in ("entropy", "mutual_information")
     for rows, block in source.blocks():
+        mean = block.mean(axis=1) if averaged else None
         if scored:
             block_labels = None if labels is None else labels[rows]
-            scores[rows] = _ensemble_scores(block, function_id, block_labels)
+            scores[rows] = _ensemble_scores(block, function_id, block_labels, mean)
         if votes:
-            fused[rows] = np.argmax(block.mean(axis=1), axis=1)
+            fused[rows] = np.argmax(mean, axis=1)
     if function_id == "random":
         scores = np.random.default_rng(seed).random(n)
     if function_id is not None:

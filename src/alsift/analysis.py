@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import PredictionTensor, pool_pass
-# predict_pool stays an attribute of this module although evaluate no
-# longer calls it: perfbench's traced spans wrap it here
+from .acquisition import pool_pass
+# predict_pool stays an attribute of this module although nothing here
+# calls it: perfbench's traced spans wrap it here
 from .learner import LabeledPool, PoolBlocks, predict_pool
 from .state import SubsetState
 
@@ -25,7 +25,7 @@ class ConsensusReport:
 
     ``cumulative[n-1]`` counts samples where members 1..n all predict the
     same class; ``pairwise[i]`` counts samples where members i and i+1
-    agree. Member order is the tensor's member axis order.
+    agree. Member order is the source's member axis order.
     """
 
     eval_size: int
@@ -33,28 +33,26 @@ class ConsensusReport:
     pairwise: tuple[int, ...]
 
 
-def consensus_counts(tensor: PredictionTensor, n_max: int) -> ConsensusReport:
-    """Count all-agree and consecutive-pair agreement over the member axis.
+def consensus_counts(source, n_max: int) -> ConsensusReport:
+    """Count all-agree and consecutive-pair agreement over the member axis,
+    adding up the member votes of one block at a time.
 
     Args:
-        tensor: pool predictions, (N, E, K).
+        source: a PredictionTensor or a ``learner.PoolBlocks``.
         n_max: deepest prefix to evaluate; cumulative counts cover
             n = 1..n_max. Must be within the member axis.
     """
     n_max = int(n_max)
-    if not 1 <= n_max <= tensor.n_members:
-        raise ValueError("n_max must be in [1, %d]" % tensor.n_members)
-    votes = np.argmax(tensor.data, axis=2)  # (N, E), ties toward class 0
-    base = votes[:, 0]
-    agree = np.ones(tensor.n_samples, dtype=bool)
-    cumulative = [tensor.n_samples]
-    for n in range(2, n_max + 1):
-        agree &= votes[:, n - 1] == base
-        cumulative.append(int(agree.sum()))
-    pairwise = tuple(
-        int((votes[:, i] == votes[:, i + 1]).sum()) for i in range(tensor.n_members - 1)
-    )
-    return ConsensusReport(tensor.n_samples, tuple(cumulative), pairwise)
+    if not 1 <= n_max <= source.n_members:
+        raise ValueError("n_max must be in [1, %d]" % source.n_members)
+    cumulative = np.zeros(n_max, dtype=np.int64)
+    pairwise = np.zeros(source.n_members - 1, dtype=np.int64)
+    for _, block in source.blocks():
+        votes = np.argmax(block, axis=2)  # (c, E), ties toward class 0
+        agree = np.logical_and.accumulate(votes[:, :n_max] == votes[:, :1], axis=1)
+        cumulative += agree.sum(axis=0)
+        pairwise += (votes[:, 1:] == votes[:, :-1]).sum(axis=0)
+    return ConsensusReport(source.n_samples, tuple(cumulative.tolist()), tuple(pairwise.tolist()))
 
 
 @dataclass

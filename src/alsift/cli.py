@@ -57,8 +57,10 @@ from .learner import (
     EnsembleConfig,
     PoolBlocks,
     build_ensemble,
-    predict_pool,
 )
+# predict_pool stays an attribute of this module although no verb calls it:
+# perfbench's traced spans wrap it here
+from .learner import predict_pool
 from .state import atomic_file, read_subset_csv, write_table_csv
 
 
@@ -229,6 +231,8 @@ def _cmd_analyze(args) -> int:
 
     if not args.pool or not args.checkpoints:
         raise ConfigError("analyze --what %s needs --pool and --checkpoints" % args.what)
+    if args.what == "consensus" and args.n_max is not None and args.n_max < 1:
+        raise ConfigError("--n-max must be >= 1")
     pool = read_pool_csv(args.pool)
     store = CheckpointStore.load(args.checkpoints)
 
@@ -238,9 +242,8 @@ def _cmd_analyze(args) -> int:
         epochs = store.epochs(run)
         # newest first, so a prefix of n members means the n latest snapshots
         members = [store.get(run, ep).params for ep in reversed(epochs)]
-        tensor = predict_pool(members, pool)
         n_max = args.n_max if args.n_max is not None else len(members)
-        report = consensus_counts(tensor, n_max)
+        report = consensus_counts(PoolBlocks(members, pool), n_max)
         for n, count in enumerate(report.cumulative, start=1):
             print("all-%d-agree: %d / %d" % (n, count, report.eval_size))
         doc_path = out / "analysis_consensus.txt"

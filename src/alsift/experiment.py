@@ -31,6 +31,7 @@ from .learner import EnsembleConfig, LabeledPool, TrainConfig
 from .schemes import (
     IterationRecord,
     SearchConfig,
+    check_runnable,
     random_subset_ids,
     run_scheme,
     train_subset_ensemble,
@@ -411,47 +412,20 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
     )
 
 
-def _check_epoch_span(search: SearchConfig) -> None:
-    """Refuse a trainer whose runs can never store the epoch span the
-    ensemble mode reads; a run of E epochs stores max(1, E) checkpoints.
-    Early stops under ``patience`` can only be found at run time."""
-    trainer, ensemble = search.trainer, search.ensemble
-    spans = {"trainer.max_epochs": trainer.max_epochs}
-    if search.scheme == "pretrain" and trainer.fine_tune_epochs is not None:
-        spans["trainer.fine_tune_epochs"] = trainer.fine_tune_epochs
-    for key, epochs in spans.items():
-        if max(1, epochs) < ensemble.epochs_needed:
-            raise ConfigError(
-                "%s = %d stores at most %d checkpoints per run, but ensemble.mode = %s with"
-                " ensemble.checkpoints_per_run = %d and ensemble.stride = %d"
-                " reads a span of %d epochs"
-                % (key, epochs, max(1, epochs), ensemble.mode, ensemble.checkpoints_per_run,
-                   ensemble.stride, ensemble.epochs_needed)
-            )
-
-
-def _check_validation(search: SearchConfig) -> None:
-    """Refuse early stopping with no held-out ids to validate on."""
-    trainer = search.trainer
-    if trainer.patience > 0 and trainer.val_fraction == 0.0:
-        raise ConfigError(
-            "trainer.patience = %d stops runs on held-out accuracy, but"
-            " trainer.val_fraction = 0 holds out nothing" % trainer.patience
-        )
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every trial seed, serially or across ``config.jobs`` processes.
 
     Trial results are deterministic either way; only wall time changes. A
-    trainer that cannot fill the ensemble's epoch span, or that stops
-    early with nothing held out, raises :class:`ConfigError` before any
-    training. With ``jobs > 1`` the trials run in spawned processes, which
-    import the calling script afresh: a script that calls this must do so
-    under ``if __name__ == "__main__":``.
+    search config that :func:`schemes.check_runnable` refuses raises
+    :class:`ConfigError` before any pool is drawn. With ``jobs > 1`` the
+    trials run in spawned processes, which import the calling script
+    afresh: a script that calls this must do so under
+    ``if __name__ == "__main__":``.
     """
-    _check_epoch_span(config.search)
-    _check_validation(config.search)
+    try:
+        check_runnable(config.search)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     seeds = config.seeds
     if config.jobs == 1 or len(seeds) == 1:
         trials = [run_trial(config, seed) for seed in seeds]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import BLOCK_ROWS, PredictionTensor, _check_rows, _unique_ids
+from .acquisition import PredictionTensor, _check_rows, _unique_ids, row_blocks
 from .state import SubsetState, _read_array, atomic_file, id_array, sorted_unique_ids, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
@@ -856,22 +856,15 @@ class PoolBlocks:
         return self.pool.labels if self._rows is None else self.pool.labels[self._rows]
 
     def blocks(self):
-        """Yield ``(rows, block)`` as :meth:`PredictionTensor.blocks` does:
-        ``rows`` a slice of at most ``BLOCK_ROWS`` samples, ``block`` their
-        member probabilities, computed in float32, in a contiguous float64
-        (c, E, K) array that the next block overwrites. Every block passes
-        :func:`acquisition._check_rows`; an empty source yields one empty
-        block."""
-        n = self.n_samples
+        """Yield the :func:`acquisition.row_blocks` of the source, filled with
+        the member probabilities of their rows, computed in float32. Every
+        block passes :func:`acquisition._check_rows`."""
         with _float32_range("member weights"):  # the values .alck files store
             weights = [[t.astype(np.float32) for t in m.tensors] for m in self.members]
-        buffer = np.empty((min(n, BLOCK_ROWS), self.n_members, self.n_classes))
-        for lo in range(0, max(n, 1), BLOCK_ROWS):
-            rows = slice(lo, min(lo + BLOCK_ROWS, n))
+        for rows, block in row_blocks((self.n_samples, self.n_members, self.n_classes)):
             features = self.pool.features[rows if self._rows is None else self._rows[rows]]
             with _float32_range("pool features"):
                 features = features.astype(np.float32)
-            block = buffer[: rows.stop - lo]
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, w in enumerate(weights):
                     block[:, j] = _softmax(_forward(w, features)[1])
@@ -888,8 +881,9 @@ class PoolBlocks:
 def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     """Stack member predictions over pool samples into a prediction tensor.
 
-    Only callers that keep the tensor need this (``.alpt`` files,
-    consensus); the blocks come from :class:`PoolBlocks`, which already
+    The library materialiser, for callers that keep a tensor (``.alpt``
+    files); the perfbench harness imports and wraps it, and no alsift code
+    path calls it. The blocks come from :class:`PoolBlocks`, which already
     validated them.
 
     Args:

@@ -98,6 +98,18 @@ def growth_schedule(target_size: int) -> list[int]:
     return [target_size // 8, target_size // 4, target_size // 2, target_size]
 
 
+def duplication_totals(config: "SearchConfig") -> list[int]:
+    """Multiset totals of automatic duplication: ``initial_size`` (an eighth
+    of the target by default), then steps of ``acquisition_batch``, the last
+    one shrunk to land on the target."""
+    initial = config.initial_size
+    if initial is None:
+        initial = max(1, config.target_size // 8)
+    if initial > config.target_size:
+        raise ValueError("initial size exceeds the target")
+    return [*range(initial, config.target_size, config.acquisition_batch), config.target_size]
+
+
 @dataclass
 class SearchConfig:
     """Everything a search scheme needs besides the pool itself."""
@@ -128,6 +140,37 @@ class SearchConfig:
             raise ValueError("initial size must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+
+def check_runnable(config: SearchConfig) -> None:
+    """Refuse, as ValueError before any training, a config its scheme cannot
+    run whatever the pool: a trainer whose runs can never store the epoch
+    span the ensemble mode reads (a run of E epochs stores max(1, E)
+    checkpoints), early stopping with no held-out ids, or subset sizes the
+    scheme's schedule refuses. Early stops under ``patience`` and a target
+    beyond the pool can only be found at run time."""
+    trainer, ensemble = config.trainer, config.ensemble
+    spans = {"trainer.max_epochs": trainer.max_epochs}
+    if config.scheme == "pretrain" and trainer.fine_tune_epochs is not None:
+        spans["trainer.fine_tune_epochs"] = trainer.fine_tune_epochs
+    for key, epochs in spans.items():
+        if max(1, epochs) < ensemble.epochs_needed:
+            raise ValueError(
+                "%s = %d stores at most %d checkpoints per run, but ensemble.mode = %s with"
+                " ensemble.checkpoints_per_run = %d and ensemble.stride = %d"
+                " reads a span of %d epochs"
+                % (key, epochs, max(1, epochs), ensemble.mode, ensemble.checkpoints_per_run,
+                   ensemble.stride, ensemble.epochs_needed)
+            )
+    if trainer.patience > 0 and trainer.val_fraction == 0.0:
+        raise ValueError(
+            "trainer.patience = %d stops runs on held-out accuracy, but"
+            " trainer.val_fraction = 0 holds out nothing" % trainer.patience
+        )
+    if config.scheme == "build_up":
+        growth_schedule(config.target_size)
+    elif config.scheme == "automatic_duplication":
+        duplication_totals(config)
 
 
 @dataclass
@@ -233,8 +276,10 @@ def random_subset_ids(pool: LabeledPool, size: int, seed: int) -> np.ndarray:
     return rng.choice(np.sort(pool.sample_ids), size=size, replace=False)
 
 
-def _acquire_once(pool: LabeledPool, config: SearchConfig):
-    """Full-pool ensemble, its scores, and the one-shot selection."""
+def _select_once(pool: LabeledPool, config: SearchConfig, fine_tune: bool) -> SubsetResult:
+    """Select once with a full-pool ensemble's scores, then train the subset's
+    ensemble: fine-tuned from the full-pool weights, or from scratch."""
+    check_runnable(config)
     if config.target_size > pool.n_samples:
         raise ValueError("target size exceeds the pool")
     full = SubsetState.from_ids(pool.sample_ids)
@@ -243,30 +288,25 @@ def _acquire_once(pool: LabeledPool, config: SearchConfig):
     )
     scores = _pool_pass(members, pool, config, 0, scores=True, votes=False)[0]
     chosen = outlier_window_select(scores, config.target_size, config.outlier_fraction)
-    return store, scores, chosen
+    state = SubsetState.from_ids(chosen)
+    starts = None
+    if fine_tune:
+        starts = [store.get(run, store.epochs(run)[-1]).params for run in store.run_seeds()]
+    sub_store, members = train_subset_ensemble(
+        pool, state, config.ensemble, config.trainer, config.seed, 0 if fine_tune else 1, starts
+    )
+    rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
+    return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
 
 
 def run_pretrain(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """Select once with a full-pool ensemble, then fine-tune it on the subset."""
-    store, scores, chosen = _acquire_once(pool, config)
-    state = SubsetState.from_ids(chosen)
-    starts = [store.get(run, store.epochs(run)[-1]).params for run in store.run_seeds()]
-    sub_store, members = train_subset_ensemble(
-        pool, state, config.ensemble, config.trainer, config.seed, 0, starts
-    )
-    rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
-    return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
+    return _select_once(pool, config, fine_tune=True)
 
 
 def run_compress(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """Select once with a full-pool ensemble, then train from scratch on the subset."""
-    _, scores, chosen = _acquire_once(pool, config)
-    state = SubsetState.from_ids(chosen)
-    sub_store, members = train_subset_ensemble(
-        pool, state, config.ensemble, config.trainer, config.seed, 1
-    )
-    rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
-    return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
+    return _select_once(pool, config, fine_tune=False)
 
 
 def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: bool) -> SubsetResult:
@@ -280,6 +320,7 @@ def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: boo
     With ``unseen`` the picks are ids outside the subset; otherwise each
     pick adds one more copy of its id.
     """
+    check_runnable(config)
     init = random_subset_ids(pool, sizes[0], derive_seed(config.seed, _ROLE_INIT))
     state = SubsetState.from_ids(init)
     scores, excluded, chosen = None, frozenset(), init
@@ -324,14 +365,7 @@ def run_automatic_duplication(pool: LabeledPool, config: SearchConfig) -> Subset
     occurrence (the final batch shrinks to land exactly on the target
     total count), and the ensemble retrains on the enlarged multiset.
     """
-    initial = config.initial_size
-    if initial is None:
-        initial = max(1, config.target_size // 8)
-    if initial > config.target_size:
-        raise ValueError("initial size exceeds the target")
-    totals = list(range(initial, config.target_size, config.acquisition_batch))
-    totals.append(config.target_size)
-    return _grow(pool, config, totals, unseen=False)
+    return _grow(pool, config, duplication_totals(config), unseen=False)
 
 
 _RUNNERS = {

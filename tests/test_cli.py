@@ -12,6 +12,7 @@ import pytest
 
 from dataclasses import replace
 
+import alsift.cli
 import alsift.experiment
 import alsift.schemes
 from alsift import state
@@ -355,6 +356,31 @@ class TestAnalyze:
         assert code == 2
         assert "line 3: expected 4 columns, found 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_n_max_below_one_is_a_usage_error(self, tmp_path, trained_store, monkeypatch, capsys, n_max):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("read the pool before the flag was refused")
+
+        _, pool_path, store_dir = trained_store
+        monkeypatch.setattr(alsift.cli, "read_pool_csv", no_pool)
+        code = main([
+            "analyze", "--what", "consensus", "--pool", str(pool_path),
+            "--checkpoints", str(store_dir), "--n-max", n_max, "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert "--n-max must be >= 1" in capsys.readouterr().err
+
+    def test_n_max_beyond_the_members_is_a_runtime_failure(self, tmp_path, trained_store, capsys):
+        _, pool_path, store_dir = trained_store
+        # run 11 stores 5 checkpoints
+        code = main([
+            "analyze", "--what", "consensus", "--pool", str(pool_path),
+            "--checkpoints", str(store_dir), "--run", "11", "--n-max", "6",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "n_max must be in [1, 5]" in capsys.readouterr().err
+
     def test_unknown_run_fails(self, tmp_path, trained_store, capsys):
         _, pool_path, store_dir = trained_store
         code = main([
@@ -496,7 +522,17 @@ class TestExitCodes:
              ("checkpoints_per_run = 3", "checkpoints_per_run = 10")],
             ["trainer.max_epochs = 5", "ensemble.checkpoints_per_run = 10"],
         ),
-    ], ids=["pretrain_fine_tune_epochs", "build_up_max_epochs"])
+        (
+            [("target_size = 32", "target_size = 4")],
+            ["growth schedule needs a target of at least 8"],
+        ),
+        (
+            [("scheme = build_up", "scheme = automatic_duplication"),
+             ("target_size = 32", "target_size = 10\nsearch.initial_size = 20\nsearch.acquisition_batch = 4")],
+            ["initial size exceeds the target"],
+        ),
+    ], ids=["pretrain_fine_tune_epochs", "build_up_max_epochs", "build_up_target_below_8",
+            "duplication_initial_above_target"])
     def test_epochs_short_of_ensemble_span_map_to_one(
         self, edits, keys, tmp_path, monkeypatch, capsys
     ):
@@ -636,3 +672,19 @@ class TestAtomicWrites:
                 if writes and id(node) not in exempt:
                     raw_writes.append("%s:%d" % (path.name, node.lineno))
         assert raw_writes == []
+
+    def test_no_source_file_calls_predict_pool_or_reads_tensor_data_but_acquisition(self):
+        """Every prediction reader walks blocks: nothing under ``src/alsift``
+        calls ``predict_pool``, and only ``acquisition.py`` reads a ``.data``
+        attribute, so no other module holds an (N, E, K) tensor's values."""
+        calls, reads = [], []
+        for path in sorted(Path(state.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name == "predict_pool":
+                        calls.append("%s:%d" % (path.name, node.lineno))
+                if isinstance(node, ast.Attribute) and node.attr == "data" and path.name != "acquisition.py":
+                    reads.append("%s:%d" % (path.name, node.lineno))
+        assert calls == []
+        assert reads == []

@@ -163,6 +163,21 @@ class TestTrials:
         assert "full_accuracy.mean" in agg
         assert 0 <= agg["wins_vs_random"] <= 2
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("max_epochs = 6", "max_epochs = 2", "trainer.max_epochs = 2"),
+        ("target_size = 32", "target_size = 4", "target of at least 8"),
+    ], ids=["max_epochs", "target_size"])
+    def test_config_the_scheme_cannot_run_is_refused_before_any_pool(
+        self, monkeypatch, old, new, message
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("drew a pool before the config was refused")
+
+        monkeypatch.setattr(alsift.experiment, "generate_pool", no_pool)
+        config = config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new)))
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(config)
+
     def test_parallel_jobs_match_serial(self):
         config = base_config()
         serial = run_experiment(replace(config, jobs=1))

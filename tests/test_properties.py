@@ -36,11 +36,12 @@ from alsift.acquisition import (
     mutual_information,
     pool_pass,
     read_prediction_tensor,
+    row_blocks,
     score_pool,
     variation_ratios,
     write_prediction_tensor,
 )
-from alsift.analysis import duplication_histogram, evaluate, evaluate_tensor
+from alsift.analysis import consensus_counts, duplication_histogram, evaluate, evaluate_tensor
 from alsift.cli import main
 from alsift.datagen import PoolMetadata, read_pool_csv, write_metadata_csv, write_pool_csv
 from alsift.experiment import (
@@ -623,6 +624,69 @@ def test_block_pass_keeps_the_label_and_empty_set_checks():
         evaluate_tensor(source, pool.labels[:-1])
     with pytest.raises(ValueError, match="empty evaluation id set"):
         evaluate(members, pool, ids=[])
+
+
+def _consensus_reference(data, n_max):
+    """Cumulative and pairwise agreement counts from the whole vote matrix."""
+    votes = data.argmax(axis=2)
+    cumulative = [int((votes[:, :n] == votes[:, :1]).all(axis=1).sum()) for n in range(1, n_max + 1)]
+    pairwise = [int((votes[:, i] == votes[:, i + 1]).sum()) for i in range(votes.shape[1] - 1)]
+    return len(votes), tuple(cumulative), tuple(pairwise)
+
+
+@pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1])
+def test_consensus_over_blocks_equals_consensus_over_the_tensor(n):
+    pool, members = _pool(n, k=3), _members("logistic", k=3, e=6)
+    tensor, source = predict_pool(members, pool), PoolBlocks(members, pool)
+    for n_max in range(1, len(members) + 1):
+        got = consensus_counts(source, n_max)
+        assert got == consensus_counts(tensor, n_max)
+        assert (got.eval_size, got.cumulative, got.pairwise) == _consensus_reference(tensor.data, n_max)
+    # members that disagree somewhere, so a misplaced count shows
+    assert 0 < got.cumulative[-1] < n or n == 1
+
+
+@pytest.mark.parametrize("function_id", ["entropy", "mutual_information"])
+def test_one_member_mean_serves_scores_and_votes(function_id):
+    pool, members = _pool(2 * C + 1), _members("mlp")
+    tensor = predict_pool(members, pool)
+    expected = _whole_tensor_scores(tensor.data, function_id, None)
+    for source in (PoolBlocks(members, pool), tensor):
+        scores, votes = pool_pass(source, function_id, votes=True)
+        alone, no_votes = pool_pass(source, function_id)
+        assert no_votes is None
+        assert scores.scores.tobytes() == alone.scores.tobytes() == expected.tobytes()
+        assert votes.tobytes() == pool_pass(source, votes=True)[1].tobytes()
+        assert votes.tobytes() == tensor.data.astype(np.float64).mean(axis=1).argmax(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, C, C + 1, 2 * C + 1])
+def test_row_blocks_cover_the_rows_once_in_one_buffer(n):
+    walked = list(row_blocks((n, 3, 4)))
+    assert [(rows.start, rows.stop) for rows, _ in walked] == (
+        [(lo, min(lo + C, n)) for lo in range(0, n, C)] or [(0, 0)]
+    )
+    for rows, block in walked:
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.shape == (rows.stop - rows.start, 3, 4)
+        assert np.shares_memory(block, walked[0][1]) or not block.size
+
+
+def test_an_empty_tensor_still_has_its_block_checked():
+    with pytest.raises(ValueError, match="no classes"):
+        PredictionTensor(np.zeros((0, 2, 0)), [])
+
+
+def test_consensus_working_set_is_below_the_tensor():
+    pool, members = _pool(4 * C + 1, k=10), _members("logistic", k=10, e=12)
+    tensor_bytes = pool.n_samples * len(members) * pool.n_classes * 4
+    tracemalloc.start()
+    try:
+        consensus_counts(PoolBlocks(members, pool), len(members))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes
 
 
 def _grow_and_evaluate_peaks(n):

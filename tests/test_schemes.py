@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import alsift.schemes
 from alsift import state as state_module
 from alsift.acquisition import AcquisitionScores
 from alsift.analysis import evaluate
@@ -321,6 +322,15 @@ class TestRunners:
             a.members[0].tensors[0], b.members[0].tensors[0]
         )
 
+    def test_one_shot_subset_runs_keep_their_seeds(self):
+        # pretrain fine-tunes under iteration 0's seeds, compress trains
+        # afresh under iteration 1's
+        pool, config = tiny_pool(), tiny_config("compress")
+        for runner, role, iteration in ((run_pretrain, 4, 0), (run_compress, 1, 1)):
+            result = runner(pool, config)
+            seeds = [derive_seed(config.seed, role, iteration, r) for r in range(2)]
+            assert result.store.run_seeds() == sorted(seeds)
+
     def test_single_pass_schemes_hit_target(self):
         pool = tiny_pool()
         for scheme, runner in (("pretrain", run_pretrain), ("compress", run_compress)):
@@ -401,6 +411,35 @@ class TestRunners:
         a = run_pretrain(pool, tiny_config("pretrain"))
         b = run_pretrain(pool, tiny_config("pretrain", outlier_fraction=0.3))
         assert a.state.multiplicity != b.state.multiplicity
+
+    REFUSED = (
+        ("pretrain", dict(ensemble=EnsembleConfig(mode="checkpoints", checkpoints_per_run=10),
+                          trainer=TrainConfig(max_epochs=3)), "trainer.max_epochs = 3"),
+        ("pretrain", dict(trainer=TrainConfig(max_epochs=8, fine_tune_epochs=2)),
+         "trainer.fine_tune_epochs = 2"),
+        ("compress", dict(trainer=TrainConfig(max_epochs=2)), "trainer.max_epochs = 2"),
+        ("build_up", dict(trainer=TrainConfig(patience=1, val_fraction=0.0)),
+         "trainer.val_fraction = 0"),
+        ("build_up", dict(target_size=4), "target of at least 8"),
+        ("automatic_duplication", dict(acquisition_batch=4, initial_size=41),
+         "initial size exceeds the target"),
+        ("automatic_duplication", dict(acquisition_batch=4, trainer=TrainConfig(max_epochs=2)),
+         "trainer.max_epochs = 2"),
+    )
+
+    @pytest.mark.parametrize("scheme, kwargs, message", REFUSED, ids=[
+        "pretrain_max_epochs", "pretrain_fine_tune_epochs", "compress_max_epochs",
+        "build_up_patience", "build_up_target", "duplication_initial", "duplication_max_epochs",
+    ])
+    def test_config_its_scheme_cannot_run_is_refused_before_training(
+        self, monkeypatch, scheme, kwargs, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was refused")
+
+        monkeypatch.setattr(alsift.schemes, "train_runs", no_training)
+        with pytest.raises(ValueError, match=message):
+            run_scheme(tiny_pool(), tiny_config(scheme, **kwargs))
 
     def test_train_subset_ensemble_member_count_and_determinism(self):
         pool = tiny_pool()
