@@ -210,7 +210,23 @@ def _cmd_search(args) -> int:
     return 0
 
 
+# the flags each analyze --what reads besides --csv and --out; any other
+# analyze flag given is a usage error
+_ANALYZE_READS = {
+    "histogram": {"subset"},
+    "consensus": {"pool", "checkpoints", "run", "n_max"},
+    "eval": {"pool", "checkpoints", "subset"},
+}
+
+
 def _cmd_analyze(args) -> int:
+    foreign = [
+        "--" + name.replace("_", "-")
+        for name in ("pool", "checkpoints", "run", "n_max", "subset")
+        if getattr(args, name) is not None and name not in _ANALYZE_READS[args.what]
+    ]
+    if foreign:
+        raise ConfigError("analyze --what %s does not read %s" % (args.what, ", ".join(foreign)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

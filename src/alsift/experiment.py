@@ -33,9 +33,14 @@ from .schemes import (
     SearchConfig,
     check_runnable,
     random_subset_ids,
-    run_scheme,
-    train_subset_ensemble,
+    run_lockstep,
+    scheme_steps,
 )
+
+# run_scheme and train_subset_ensemble (the one-step cases of run_lockstep)
+# stay attributes of this module although trials no longer call them:
+# perfbench's traced spans wrap them here
+from .schemes import run_scheme, train_subset_ensemble
 from .state import SubsetState, atomic_file, derive_seed, write_subset_csv
 
 SCHEMA_VERSION = 1
@@ -360,47 +365,47 @@ def pools_for_trial(
     if config.pool_file is not None:
         pool = read_pool_csv(config.pool_file)
         return pool, pool
+    return _draw(config, trial_seed), _draw(config, trial_seed, evaluation=True)
+
+
+def _draw(config: ExperimentConfig, trial_seed: int, evaluation: bool = False) -> LabeledPool:
+    """One trial's generated training pool, or its clean evaluation pool."""
     g = config.generator
-    pool = generate_pool(
-        replace(g, sample_seed=derive_seed(g.seed, _ROLE_POOL, trial_seed))
-    )
-    eval_pool = generate_pool(
-        replace(
-            g,
-            redundancy=0.0,
-            label_noise=0.0,
-            sample_seed=derive_seed(g.seed, _ROLE_EVAL_POOL, trial_seed),
-        )
-    )
-    return pool, eval_pool
+    if evaluation:
+        g = replace(g, redundancy=0.0, label_noise=0.0)
+    role = _ROLE_EVAL_POOL if evaluation else _ROLE_POOL
+    return generate_pool(replace(g, sample_seed=derive_seed(g.seed, role, trial_seed)))
 
 
-def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
-    """Run the scheme and its baselines for one trial seed."""
-    start = time.perf_counter()
-    pool, eval_pool = pools_for_trial(config, trial_seed)
+def _trial(config: ExperimentConfig, trial_seed: int, start: float, shared=None):
+    """One trial as a generator of training requests for
+    :func:`schemes.run_lockstep`: the scheme, then its baselines. Returns
+    the TrialRecord, timed from ``start``. ``shared`` is the pool loaded
+    from ``pool.file``, read once for all trials. A generated evaluation
+    pool is drawn after the trial's last training step, so that trials in
+    lockstep hold one evaluation pool at a time."""
+    pool = shared if shared is not None else _draw(config, trial_seed)
     search = replace(config.search, seed=derive_seed(trial_seed, _ROLE_SEARCH))
-    result = run_scheme(pool, search)
-    al_accuracy = evaluate(result.members, eval_pool).accuracy
+    result = yield from scheme_steps(pool, search)
 
-    def baseline_accuracy(ids, role: int) -> float:
-        _, members = train_subset_ensemble(
-            pool,
-            SubsetState.from_ids(ids),
-            search.ensemble,
-            search.trainer,
-            derive_seed(trial_seed, role),
-        )
-        return evaluate(members, eval_pool).accuracy
+    def baseline(pool, ids, role: int):
+        subset = SubsetState.from_ids(ids)
+        seed = derive_seed(trial_seed, role)
+        return (yield pool, subset, search.ensemble, search.trainer, seed, 0, None)[1]
 
-    random_accuracy = full_accuracy = None
+    random_members = full_members = None
     if config.baseline_random:
         size = min(search.target_size, pool.n_samples)
         ids = random_subset_ids(pool, size, derive_seed(trial_seed, _ROLE_RANDOM_IDS))
-        random_accuracy = baseline_accuracy(ids, _ROLE_RANDOM_TRAIN)
+        random_members = yield from baseline(pool, ids, _ROLE_RANDOM_TRAIN)
     if config.baseline_full:
-        full_accuracy = baseline_accuracy(pool.sample_ids, _ROLE_FULL_TRAIN)
-
+        full_members = yield from baseline(pool, pool.sample_ids, _ROLE_FULL_TRAIN)
+    del pool  # not held beside the evaluation pool
+    eval_pool = shared if shared is not None else _draw(config, trial_seed, evaluation=True)
+    al_accuracy, random_accuracy, full_accuracy = (
+        None if members is None else evaluate(members, eval_pool).accuracy
+        for members in (result.members, random_members, full_members)
+    )
     return TrialRecord(
         seed=int(trial_seed),
         iterations=result.records,
@@ -412,13 +417,30 @@ def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
     )
 
 
+def run_trials(config: ExperimentConfig, seeds) -> list[TrialRecord]:
+    """Run the trials of ``seeds`` in lockstep (:func:`schemes.run_lockstep`):
+    each round trains the equal-shape ensembles of every trial as one run
+    stack. Each record equals its trial run alone, but for ``wall_time_s``,
+    the time from this call's start to the trial's last step."""
+    start = time.perf_counter()
+    shared = None if config.pool_file is None else read_pool_csv(config.pool_file)
+    return run_lockstep(_trial(config, seed, start, shared) for seed in seeds)
+
+
+def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:
+    """Run the scheme and its baselines for one trial seed."""
+    return run_trials(config, [trial_seed])[0]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run every trial seed, serially or across ``config.jobs`` processes.
+    """Run every trial seed in lockstep (:func:`run_trials`), in one process
+    or split into ``config.jobs`` contiguous groups of seeds, one group per
+    process.
 
     Trial results are deterministic either way; only wall time changes. A
     search config that :func:`schemes.check_runnable` refuses raises
     :class:`ConfigError` before any pool is drawn. With ``jobs > 1`` the
-    trials run in spawned processes, which import the calling script
+    groups run in spawned processes, which import the calling script
     afresh: a script that calls this must do so under
     ``if __name__ == "__main__":``.
     """
@@ -426,12 +448,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         check_runnable(config.search)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    seeds = config.seeds
-    if config.jobs == 1 or len(seeds) == 1:
-        trials = [run_trial(config, seed) for seed in seeds]
-    else:
-        with _trial_workers(min(config.jobs, len(seeds))) as pool:
-            trials = list(pool.map(run_trial, [config] * len(seeds), seeds))
+    seeds = list(config.seeds)
+    jobs = min(config.jobs, len(seeds))
+    if jobs == 1:
+        return ExperimentResult(config, run_trials(config, seeds))
+    cuts = [len(seeds) * j // jobs for j in range(jobs + 1)]
+    groups = [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with _trial_workers(jobs) as pool:
+        trials = [t for group in pool.map(run_trials, [config] * jobs, groups) for t in group]
     return ExperimentResult(config, trials)
 
 

@@ -212,36 +212,22 @@ def inverse_frequency_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return weights
 
 
-def _probabilities(tensors, features, labels, class_weights):
-    """One forward pass to class probabilities, for one model or a run stack.
-
-    Returns ``(inputs, probs, sample_w)``: each layer's input, the class
-    probabilities and the per-sample class weights, which the backward
-    pass :func:`_gradients` reads.
-    """
-    inputs, logits = _forward(tensors, features)
-    if class_weights is None:
-        sample_w = np.ones(labels.shape)
-    else:
-        sample_w = np.asarray(class_weights, dtype=np.float64)[labels]
-    return inputs, _softmax(logits), sample_w
-
-
-def _loss(tensors, features, labels, class_weights=None, weight_decay: float = 0.0):
+def _loss(tensors, features, labels, sample_w, weight_decay: float = 0.0):
     """Regularized cross-entropy from one forward pass, for one model or a run stack.
 
     ``tensors`` and ``features`` may carry a leading run axis as in
-    :func:`_forward`; ``labels`` (n,) are shared by every run. Returns
-    ``(loss, inputs, probs, sample_w)``: the loss of each run (a 0-d value
-    without a run axis), then what the backward pass :func:`_gradients`
-    reads (each layer's input, the class probabilities and the per-sample
-    class weights).
+    :func:`_forward`; ``labels`` (n,) and their per-sample class weights
+    ``sample_w`` are shared by every run. Returns ``(loss, inputs, probs)``:
+    the loss of each run (a 0-d value without a run axis), then what the
+    backward pass :func:`_gradients` reads (each layer's input and the class
+    probabilities).
     """
     features = np.asarray(features, dtype=np.float64)
     n = labels.shape[-1]
     if n == 0:
         raise ValueError("empty batch")
-    inputs, probs, sample_w = _probabilities(tensors, features, labels, class_weights)
+    inputs, logits = _forward(tensors, features)
+    probs = _softmax(logits)
     # contiguous, so that each run's mean sums its rows as a lone run's would
     picked = np.ascontiguousarray(probs[..., np.arange(n), labels])
     log_probs = np.log(np.maximum(picked, 1e-300))
@@ -251,7 +237,7 @@ def _loss(tensors, features, labels, class_weights=None, weight_decay: float = 0
         for w in reversed(tensors[::2]):
             squares += (w * w).reshape(*w.shape[:-2], -1).sum(axis=-1)
         loss += 0.5 * weight_decay * squares
-    return loss, inputs, probs, sample_w
+    return loss, inputs, probs
 
 
 def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) -> list:
@@ -280,10 +266,10 @@ def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) ->
     return grads
 
 
-def _batch_gradients(tensors, features, labels, class_weights, weight_decay: float) -> list:
+def _batch_gradients(tensors, features, labels, sample_w, weight_decay: float) -> list:
     """Gradients of one SGD batch, without the loss, which no step reads."""
-    inputs, probs, sample_w = _probabilities(tensors, features, labels, class_weights)
-    return _gradients(tensors, inputs, probs, labels, sample_w, weight_decay)
+    inputs, logits = _forward(tensors, features)
+    return _gradients(tensors, inputs, _softmax(logits), labels, sample_w, weight_decay)
 
 
 def loss_and_gradients(
@@ -301,7 +287,11 @@ def loss_and_gradients(
     backward pass every SGD step takes, here without a run axis.
     """
     tensors, labels = params.tensors, np.asarray(labels, dtype=np.int64)
-    loss, inputs, probs, sample_w = _loss(tensors, features, labels, class_weights, weight_decay)
+    if class_weights is None:
+        sample_w = np.ones(labels.shape)
+    else:
+        sample_w = np.asarray(class_weights, dtype=np.float64)[labels]
+    loss, inputs, probs = _loss(tensors, features, labels, sample_w, weight_decay)
     return float(loss), tuple(_gradients(tensors, inputs, probs, labels, sample_w, weight_decay))
 
 
@@ -401,15 +391,35 @@ def _accuracy(tensors, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 _EVAL_VALUES = 1 << 20
 
 
-def _by_run_groups(evaluate, tensors, n_rows: int) -> np.ndarray:
-    """``evaluate(tensors)``, one value per run, taken over a run stack a
-    group of runs at a time, so that the layer outputs over ``n_rows`` rows
-    stay within ``_EVAL_VALUES`` however many runs the stack holds. Each
-    run's value is the same in a group of any size."""
+def _by_run_groups(evaluate, tensors, n_rows: int, owner) -> np.ndarray:
+    """``evaluate(tensors, s)``, one value per run, over each block of runs
+    that train on one subset ``s`` (``owner`` holds each run's), a group of
+    runs at a time, so that the layer outputs over ``n_rows`` rows stay
+    within ``_EVAL_VALUES`` however many runs the stack holds. Each run's
+    value is the same in a group of any size."""
     width = sum(b.shape[-1] for b in tensors[1::2])
     size = max(1, _EVAL_VALUES // max(1, n_rows * width))
-    groups = range(0, len(tensors[0]), size)
-    return np.concatenate([evaluate([t[lo : lo + size] for t in tensors]) for lo in groups])
+    cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1), len(owner)]
+    blocks = zip(cuts, cuts[1:])
+    groups = [(lo, min(lo + size, hi)) for first, hi in blocks for lo in range(first, hi, size)]
+    return np.concatenate([evaluate([t[lo:hi] for t in tensors], owner[lo]) for lo, hi in groups])
+
+
+def _subset_rows(pool: LabeledPool, subset: SubsetState, config: TrainConfig):
+    """One subset's bookkeeping: ``(pool, training rows, validation rows,
+    digest)``. The training rows repeat each id's row by its count; the
+    validation rows are those of the held-out ids, empty when none is."""
+    ids = subset.ids()
+    if not len(ids):
+        raise ValueError("empty training subset")
+    held = _held_out(ids, config.val_fraction)
+    if config.patience > 0 and not held.any():
+        raise ValueError(
+            "patience = %d needs held-out ids to validate on, but val_fraction = %g holds"
+            " out none of the subset's %d ids" % (config.patience, config.val_fraction, len(ids))
+        )
+    counts, rows = subset.counts(), pool.rows_for(ids)
+    return pool, np.repeat(rows[~held], counts[~held]), rows[held], subset_hash(subset)
 
 
 def train_runs(
@@ -429,50 +439,93 @@ def train_runs(
     :func:`train` does; with ``starts``, one ModelParams per seed, the runs
     fine-tune those weights as :func:`fine_tune` does. Under
     ``config.patience`` a run that stops early leaves the stack and the
-    others go on.
+    others go on. This is the one-part case of :func:`train_parts`.
 
     Returns:
         One TrainResult per seed, in seed order.
     """
-    seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        return []
-    ids = subset.ids()
-    if not len(ids):
-        raise ValueError("empty training subset")
-    held = _held_out(ids, config.val_fraction)
-    if config.patience > 0 and not held.any():
-        raise ValueError(
-            "patience = %d needs held-out ids to validate on, but val_fraction = %g holds"
-            " out none of the subset's %d ids" % (config.patience, config.val_fraction, len(ids))
-        )
-    counts = subset.counts()
-    rows = pool.rows_for(ids)
-    train_rows = np.repeat(rows[~held], counts[~held])
-    features, labels = pool.features[train_rows], pool.labels[train_rows]
-    if held.any():
-        val_features, val_labels = pool.features[rows[held]], pool.labels[rows[held]]
+    return train_parts([(pool, subset, seeds, starts)], config)[0]
+
+
+def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
+    """Train several parts, each ``(pool, subset, seeds, starts)`` as
+    :func:`train_runs` takes them, under one ``config``.
+
+    The parts must all train fresh weights or all fine-tune, at one model
+    shape. Each distinct (pool, subset) pair's held-out mask, rows, digest
+    and class weights are worked out once. The runs of all parts whose
+    subsets have equal training and validation row counts step through one
+    SGD loop as one stack; parts of other row counts stack apart. Each run
+    equals its part trained alone, byte for byte.
+
+    Returns:
+        Per part, one TrainResult per seed, in seed order.
+    """
+    subsets = {}  # (pool, subset) identity -> (bookkeeping, [(part, seed, start)])
+    for p, (pool, subset, seeds, starts) in enumerate(parts):
+        seeds = [int(seed) for seed in seeds]
+        starts = [None] * len(seeds) if starts is None else list(starts)
+        if len(starts) != len(seeds):
+            raise ValueError("%d starting models for %d run seeds" % (len(starts), len(seeds)))
+        if seeds:
+            key = id(pool), id(subset)
+            if key not in subsets:
+                subsets[key] = _subset_rows(pool, subset, config), []
+            subsets[key][1].extend(zip([p] * len(seeds), seeds, starts))
+    stacks = {}
+    for rows, runs in subsets.values():
+        stacks.setdefault((len(rows[1]), len(rows[2])), []).append((rows, runs))
+    results = [[] for _ in parts]
+    for stack in stacks.values():
+        runs = [(s, seed, start, p) for s, (_, rs) in enumerate(stack) for p, seed, start in rs]
+        for run, result in zip(runs, _train_stack([rows for rows, _ in stack], runs, config)):
+            results[run[3]].append(result)
+    return results
+
+
+def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
+    """The one SGD loop, over ``runs``, ``(s, seed, start, part)`` sorted by
+    ``s``: the index in ``subsets`` (each as :func:`_subset_rows` gives it,
+    all of one row count) of the subset the run trains on.
+
+    The subsets' rows are gathered once into (S, n, ...) arrays, and each
+    run's batches index its own subset's rows. Each epoch ends with one
+    loss pass and one validation pass per subset, over the block of live
+    runs that train on it.
+    """
+    pools = [pool for pool, *_ in subsets]
+    d, k = pools[0].n_features, pools[0].n_classes
+    if any((pool.n_features, pool.n_classes) != (d, k) for pool in pools):
+        raise ValueError("the parts of one stack must share one model shape")
+
+    def gather(column: str, at: int) -> np.ndarray:
+        first = getattr(pools[0], column)
+        out = np.empty((len(subsets), len(subsets[0][at]), *first.shape[1:]), first.dtype)
+        for s, sub in enumerate(subsets):
+            np.take(getattr(sub[0], column), sub[at], axis=0, out=out[s])
+        return out
+
+    features, labels = gather("features", 1), gather("labels", 1)
+    if len(subsets[0][2]):
+        val_features, val_labels = gather("features", 2), gather("labels", 2)
     else:
         val_features, val_labels = features, labels
-
-    class_weights = None
+    sample_w = np.ones(labels.shape)
     if config.class_weighting:
-        class_weights = inverse_frequency_weights(labels, pool.n_classes)
+        sample_w = np.stack([inverse_frequency_weights(y, k)[y] for y in labels])
 
+    owner = np.array([s for s, *_ in runs])
+    seeds = [seed for _, seed, _, _ in runs]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    if starts is None:
-        models = [
-            init_params(config.arch, pool.n_features, pool.n_classes, config.hidden, rng)
-            for rng in rngs
-        ]
+    if all(start is None for _, _, start, _ in runs):
+        models = [init_params(config.arch, d, k, config.hidden, rng) for rng in rngs]
         learning_rate, max_epochs = config.learning_rate, config.max_epochs
     else:
-        models = list(starts)
-        if len(models) != len(seeds):
-            raise ValueError("%d starting models for %d run seeds" % (len(models), len(seeds)))
-        for start in models:
-            if start.n_features != pool.n_features or start.n_classes != pool.n_classes:
-                raise ValueError("model shape does not match the pool")
+        models = [start for _, _, start, _ in runs]
+        if any(start is None for start in models):
+            raise ValueError("the runs of one stack must all train fresh or all fine-tune")
+        if any(start.n_features != d or start.n_classes != k for start in models):
+            raise ValueError("model shape does not match the pool")
         learning_rate, max_epochs = config.fine_tune_rate, config.fine_tune_epochs
         if max_epochs is None:
             max_epochs = config.max_epochs
@@ -483,27 +536,29 @@ def train_runs(
     velocity = [np.zeros_like(t) for t in tensors]
 
     def run_params(j: int) -> ModelParams:
-        views = tuple(t[j] for t in tensors)
-        return ModelParams(arch, pool.n_features, pool.n_classes, hidden, views)
+        return ModelParams(arch, d, k, hidden, tuple(t[j] for t in tensors))
 
-    digest = subset_hash(subset)
-    windows = [deque(maxlen=config.checkpoint_window) for _ in seeds]
-    results = [TrainResult([], [], []) for _ in seeds]
+    def validate(stack, s):
+        return _accuracy(stack, val_features[s], val_labels[s])
+
+    def loss(stack, s):
+        return _loss(stack, features[s], labels[s], sample_w[s], config.weight_decay)[0]
+
+    windows = [deque(maxlen=config.checkpoint_window) for _ in runs]
+    results = [TrainResult([], [], []) for _ in runs]
+    n_rows, n_val = labels.shape[1], val_labels.shape[1]
 
     if max_epochs == 0:
         # nothing to optimize; snapshot the starting points
-        accs = _by_run_groups(
-            lambda stack: _accuracy(stack, val_features, val_labels), tensors, len(val_labels)
-        ).tolist()
-        for j, (seed, acc) in enumerate(zip(seeds, accs)):
-            ckpt = Checkpoint(run_params(j).copy(), seed, 0, digest, acc)
+        for j, acc in enumerate(_by_run_groups(validate, tensors, n_val, owner).tolist()):
+            ckpt = Checkpoint(run_params(j).copy(), seeds[j], 0, subsets[owner[j]][3], acc)
             results[j] = TrainResult([ckpt], [], [acc])
         return results
 
-    live = list(range(len(seeds)))  # the run of each stack row
-    best = [-np.inf] * len(seeds)
-    stale = [0] * len(seeds)
-    n_rows = len(train_rows)
+    stacked = features.reshape(-1, d), labels.reshape(-1), sample_w.reshape(-1)
+    live = list(range(len(runs)))  # the run of each stack row
+    best = [-np.inf] * len(runs)
+    stale = [0] * len(runs)
     lr = learning_rate
     decay_at = set(config.decay_epochs)
     for epoch in range(1, max_epochs + 1):
@@ -511,33 +566,29 @@ def train_runs(
             lr *= config.lr_decay
         if learning_rate:  # at a zero rate no step would move the weights
             perms = np.stack([rngs[i].permutation(n_rows) for i in live])
+            perms += n_rows * owner[live, None]  # into the run's own subset's rows
             for lo in range(0, n_rows, config.batch_size):
                 batch = perms[:, lo : lo + config.batch_size]
                 grads = _batch_gradients(
-                    tensors, features[batch], labels[batch], class_weights, config.weight_decay
+                    tensors, *(a[batch] for a in stacked), config.weight_decay
                 )
                 for param, vel, grad in zip(tensors, velocity, grads):
                     vel *= config.momentum
                     vel += grad
                     param -= lr * vel
-        losses = _by_run_groups(
-            lambda stack: _loss(stack, features, labels, class_weights, config.weight_decay)[0],
-            tensors,
-            n_rows,
-        )
+        losses = _by_run_groups(loss, tensors, n_rows, owner[live])
         if not np.isfinite(losses).all():
             raise RuntimeError(
                 "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
                 % (epoch, lr)
             )
-        accs = _by_run_groups(
-            lambda stack: _accuracy(stack, val_features, val_labels), tensors, len(val_labels)
-        )
+        accs = _by_run_groups(validate, tensors, n_val, owner[live])
         keep = []
         for j, (i, epoch_loss, acc) in enumerate(zip(live, losses.tolist(), accs.tolist())):
             results[i].train_loss.append(epoch_loss)
             results[i].val_accuracy.append(acc)
-            windows[i].append(Checkpoint(run_params(j).copy(), seeds[i], epoch, digest, acc))
+            ckpt = Checkpoint(run_params(j).copy(), seeds[i], epoch, subsets[owner[i]][3], acc)
+            windows[i].append(ckpt)
             if acc > best[i]:
                 best[i] = acc
                 stale[i] = 0
@@ -980,6 +1031,7 @@ __all__ = [
     "loss_and_gradients",
     "train",
     "train_runs",
+    "train_parts",
     "fine_tune",
     "build_ensemble",
     "PoolBlocks",

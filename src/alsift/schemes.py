@@ -15,7 +15,7 @@ labeled pool:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .learner import (
     PoolBlocks,
     TrainConfig,
     build_ensemble,
-    train_runs,
+    train_parts,
 )
 
 # train and fine_tune (the one-run cases of train_runs), predict_pool and
@@ -211,22 +211,73 @@ def train_subset_ensemble(
 ) -> tuple[CheckpointStore, list[ModelParams]]:
     """Train the runs an ensemble mode needs and assemble its members.
 
-    The runs train in lockstep (:func:`learner.train_runs`). The trainer's
+    The runs train in lockstep (:func:`learner.train_parts`). The trainer's
     checkpoint window is widened if the mode reads back a longer epoch
     span than the window would keep. Run seeds derive from ``seed``, the
     search ``iteration`` and the run index. With ``starts``, one ModelParams
     per run, the runs fine-tune those weights instead of training fresh ones,
-    under seeds of the fine-tuning role.
+    under seeds of the fine-tuning role. This is the one-request case of
+    :func:`train_subset_ensembles`.
     """
-    if trainer.checkpoint_window < ensemble.epochs_needed:
-        # the rolling window must span what the ensemble mode will read back
-        trainer = replace(trainer, checkpoint_window=ensemble.epochs_needed)
-    role = _ROLE_TRAIN if starts is None else _ROLE_TUNE
-    seeds = [derive_seed(seed, role, iteration, r) for r in range(ensemble.runs_needed)]
-    store = CheckpointStore()
-    for result in train_runs(pool, subset, trainer, seeds, starts):
-        store.add_run(result.checkpoints)
-    return store, build_ensemble(store, ensemble)
+    return train_subset_ensembles([(pool, subset, ensemble, trainer, seed, iteration, starts)])[0]
+
+
+def train_subset_ensembles(requests) -> list[tuple[CheckpointStore, list[ModelParams]]]:
+    """:func:`train_subset_ensemble` for each request, a tuple of its
+    arguments ``(pool, subset, ensemble, trainer, seed, iteration, starts)``.
+
+    Requests that share a trainer, fresh or fine-tuned runs and a model
+    shape train in one :func:`learner.train_parts` call, which steps the
+    runs of equal training-row counts as one stack.
+    """
+    groups = {}
+    for i, (pool, subset, ensemble, trainer, seed, iteration, starts) in enumerate(requests):
+        if trainer.checkpoint_window < ensemble.epochs_needed:
+            # the rolling window must span what the ensemble mode will read back
+            trainer = replace(trainer, checkpoint_window=ensemble.epochs_needed)
+        role = _ROLE_TRAIN if starts is None else _ROLE_TUNE
+        seeds = [derive_seed(seed, role, iteration, r) for r in range(ensemble.runs_needed)]
+        key = astuple(trainer), starts is None, pool.n_features, pool.n_classes
+        group = groups.setdefault(key, (trainer, []))[1]
+        group.append((i, (pool, subset, seeds, starts)))
+    trained = [None] * len(requests)
+    for trainer, group in groups.values():
+        for (i, _), runs in zip(group, train_parts([part for _, part in group], trainer)):
+            store = CheckpointStore()
+            for result in runs:
+                store.add_run(result.checkpoints)
+            trained[i] = store, build_ensemble(store, requests[i][2])
+    return trained
+
+
+def run_lockstep(steps) -> list:
+    """Drive generators in lockstep and return what each returns.
+
+    Each step yields a :func:`train_subset_ensembles` request and is sent
+    back its ``(store, members)``. A round trains the pending requests of
+    every live step in one call, so that equal-shape ensembles of different
+    steps share one run stack. Each step's result equals driving it alone.
+    """
+    steps = list(steps)
+    returned, sent = [None] * len(steps), {}
+    live = range(len(steps))
+    while live:
+        requests = {}
+        for i in live:
+            try:
+                requests[i] = steps[i].send(sent.pop(i, None))
+            except StopIteration as stop:
+                returned[i] = stop.value
+        live = list(requests)
+        sent = dict(zip(live, train_subset_ensembles(list(requests.values()))))
+    return returned
+
+
+def _request(
+    pool: LabeledPool, subset: SubsetState, config: SearchConfig, iteration: int, starts=None
+):
+    """A search's :func:`train_subset_ensembles` request for the subset's ensemble."""
+    return pool, subset, config.ensemble, config.trainer, config.seed, iteration, starts
 
 
 def _pool_pass(
@@ -276,59 +327,54 @@ def random_subset_ids(pool: LabeledPool, size: int, seed: int) -> np.ndarray:
     return rng.choice(np.sort(pool.sample_ids), size=size, replace=False)
 
 
-def _select_once(pool: LabeledPool, config: SearchConfig, fine_tune: bool) -> SubsetResult:
+def _select_once(pool: LabeledPool, config: SearchConfig, fine_tune: bool):
     """Select once with a full-pool ensemble's scores, then train the subset's
-    ensemble: fine-tuned from the full-pool weights, or from scratch."""
+    ensemble: fine-tuned from the full-pool weights, or from scratch. A
+    generator of training requests (see :func:`run_lockstep`) that returns
+    the SubsetResult."""
     check_runnable(config)
     if config.target_size > pool.n_samples:
         raise ValueError("target size exceeds the pool")
     full = SubsetState.from_ids(pool.sample_ids)
-    store, members = train_subset_ensemble(
-        pool, full, config.ensemble, config.trainer, config.seed, 0
-    )
+    store, members = yield _request(pool, full, config, 0)
     scores = _pool_pass(members, pool, config, 0, scores=True, votes=False)[0]
     chosen = outlier_window_select(scores, config.target_size, config.outlier_fraction)
     state = SubsetState.from_ids(chosen)
     starts = None
     if fine_tune:
         starts = [store.get(run, store.epochs(run)[-1]).params for run in store.run_seeds()]
-    sub_store, members = train_subset_ensemble(
-        pool, state, config.ensemble, config.trainer, config.seed, 0 if fine_tune else 1, starts
-    )
+    sub_store, members = yield _request(pool, state, config, 0 if fine_tune else 1, starts)
     rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
     return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
 
 
-def run_pretrain(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Select once with a full-pool ensemble, then fine-tune it on the subset."""
-    return _select_once(pool, config, fine_tune=True)
+def _grow(pool: LabeledPool, config: SearchConfig, unseen: bool):
+    """The growth loop shared by build-up and automatic duplication, as a
+    generator of training requests (see :func:`run_lockstep`) that returns
+    the SubsetResult.
 
-
-def run_compress(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Select once with a full-pool ensemble, then train from scratch on the subset."""
-    return _select_once(pool, config, fine_tune=False)
-
-
-def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: bool) -> SubsetResult:
-    """The growth loop shared by build-up and automatic duplication.
-
-    Starts from a random subset of ``sizes[0]`` ids. Iteration t trains an
-    ensemble on the subset and walks the pool's member blocks once; that
-    one walk gives the votes behind the record's pool accuracy and, before
-    the last iteration, the scores whose ``sizes[t + 1] - sizes[t]`` picks
-    make iteration t + 1.
+    Grows through :func:`growth_schedule` sizes with ``unseen``, else
+    through :func:`duplication_totals`. Starts from a random subset of
+    ``sizes[0]`` ids. Iteration t trains an ensemble on the subset and
+    walks the pool's member blocks once; that one walk gives the votes
+    behind the record's pool accuracy and, before the last iteration, the
+    scores whose ``sizes[t + 1] - sizes[t]`` picks make iteration t + 1.
     With ``unseen`` the picks are ids outside the subset; otherwise each
     pick adds one more copy of its id.
     """
     check_runnable(config)
+    if unseen:
+        if config.target_size > pool.n_samples:
+            raise ValueError("target size exceeds the pool")
+        sizes = growth_schedule(config.target_size)
+    else:
+        sizes = duplication_totals(config)
     init = random_subset_ids(pool, sizes[0], derive_seed(config.seed, _ROLE_INIT))
     state = SubsetState.from_ids(init)
     scores, excluded, chosen = None, frozenset(), init
     records = []
     for iteration in range(len(sizes)):
-        store, members = train_subset_ensemble(
-            pool, state, config.ensemble, config.trainer, config.seed, iteration
-        )
+        store, members = yield _request(pool, state, config, iteration)
         last = iteration == len(sizes) - 1
         next_scores, votes = _pool_pass(members, pool, config, iteration + 1, not last, True)
         accuracy = float(np.mean(votes == pool.labels))
@@ -344,6 +390,24 @@ def _grow(pool: LabeledPool, config: SearchConfig, sizes: list[int], unseen: boo
     return SubsetResult(config.scheme, config.function_id, records, state, members, store)
 
 
+def scheme_steps(pool: LabeledPool, config: SearchConfig):
+    """The search ``config.scheme`` names, as a generator of training
+    requests for :func:`run_lockstep` that returns the SubsetResult."""
+    if config.scheme in ("pretrain", "compress"):
+        return _select_once(pool, config, fine_tune=config.scheme == "pretrain")
+    return _grow(pool, config, unseen=config.scheme == "build_up")
+
+
+def run_pretrain(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
+    """Select once with a full-pool ensemble, then fine-tune it on the subset."""
+    return run_lockstep([_select_once(pool, config, fine_tune=True)])[0]
+
+
+def run_compress(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
+    """Select once with a full-pool ensemble, then train from scratch on the subset."""
+    return run_lockstep([_select_once(pool, config, fine_tune=False)])[0]
+
+
 def run_build_up(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     """Grow a subset through the doubling schedule.
 
@@ -352,9 +416,7 @@ def run_build_up(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
     samples over until the schedule tops out at the target. The ensemble
     retrained after each growth step scores the next one.
     """
-    if config.target_size > pool.n_samples:
-        raise ValueError("target size exceeds the pool")
-    return _grow(pool, config, growth_schedule(config.target_size), unseen=True)
+    return run_lockstep([_grow(pool, config, unseen=True)])[0]
 
 
 def run_automatic_duplication(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
@@ -365,17 +427,9 @@ def run_automatic_duplication(pool: LabeledPool, config: SearchConfig) -> Subset
     occurrence (the final batch shrinks to land exactly on the target
     total count), and the ensemble retrains on the enlarged multiset.
     """
-    return _grow(pool, config, duplication_totals(config), unseen=False)
-
-
-_RUNNERS = {
-    "pretrain": run_pretrain,
-    "compress": run_compress,
-    "build_up": run_build_up,
-    "automatic_duplication": run_automatic_duplication,
-}
+    return run_lockstep([_grow(pool, config, unseen=False)])[0]
 
 
 def run_scheme(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Dispatch to the runner named by ``config.scheme``."""
-    return _RUNNERS[config.scheme](pool, config)
+    """Run the scheme named by ``config.scheme`` alone."""
+    return run_lockstep([scheme_steps(pool, config)])[0]

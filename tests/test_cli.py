@@ -243,6 +243,7 @@ class TestSearch:
 
         monkeypatch.setattr(alsift.schemes, "train_subset_ensemble", no_training)
         monkeypatch.setattr(alsift.experiment, "train_subset_ensemble", no_training)
+        monkeypatch.setattr(alsift.schemes, "train_parts", no_training)
         out = tmp_path / "runs"
         out.mkdir()
         results = out / ("results_%s.txt" % config_hash(replace(config_from_file(config_path), seeds=(1,))))
@@ -338,9 +339,13 @@ class TestAnalyze:
         _, pool_path, store_dir = trained_store
         subset = tmp_path / "subset.csv"
         subset.write_text("sample_id,multiplicity\n%d,1\n1,1\n" % sid)
+        # histogram reads only the subset; eval also reads the pool and store
+        sources = []
+        if what == "eval":
+            sources = ["--pool", str(pool_path), "--checkpoints", str(store_dir)]
         code = main([
-            "analyze", "--what", what, "--pool", str(pool_path),
-            "--checkpoints", str(store_dir), "--subset", str(subset), "--out", str(tmp_path / "x"),
+            "analyze", "--what", what, *sources,
+            "--subset", str(subset), "--out", str(tmp_path / "x"),
         ])
         assert code == 2
         assert capsys.readouterr().err == "error: line 2: sample id %d outside [0, 2**64)\n" % sid
@@ -380,6 +385,39 @@ class TestAnalyze:
         ])
         assert code == 2
         assert "n_max must be in [1, 5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what, flag", [
+        ("histogram", ["--pool", "p.csv"]),
+        ("histogram", ["--checkpoints", "ckpts"]),
+        ("histogram", ["--run", "11"]),
+        ("histogram", ["--n-max", "3"]),
+        ("consensus", ["--subset", "s.csv"]),
+        ("eval", ["--run", "11"]),
+        ("eval", ["--n-max", "3"]),
+        ("eval", ["--n-max", "0", "--run", "404"]),
+    ], ids=["histogram-pool", "histogram-checkpoints", "histogram-run", "histogram-n_max",
+            "consensus-subset", "eval-run", "eval-n_max", "eval-n_max_0-run_404"])
+    def test_flag_the_chosen_what_does_not_read_is_a_usage_error(
+        self, tmp_path, trained_store, monkeypatch, capsys, what, flag
+    ):
+        def no_file(*args, **kwargs):
+            raise AssertionError("read a file before the flag was refused")
+
+        _, pool_path, store_dir = trained_store
+        for name in ("read_pool_csv", "read_subset_csv"):
+            monkeypatch.setattr(alsift.cli, name, no_file)
+        monkeypatch.setattr(alsift.cli.CheckpointStore, "load", no_file)
+        reads = {
+            "histogram": ["--subset", "s.csv"],
+            "consensus": ["--pool", str(pool_path), "--checkpoints", str(store_dir)],
+            "eval": ["--pool", str(pool_path), "--checkpoints", str(store_dir)],
+        }[what]
+        out = tmp_path / "x"
+        assert main(["analyze", "--what", what, *reads, *flag, "--csv", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: analyze --what %s does not read " % what)
+        assert flag[0] in err
+        assert not out.exists()
 
     def test_unknown_run_fails(self, tmp_path, trained_store, capsys):
         _, pool_path, store_dir = trained_store
@@ -539,7 +577,7 @@ class TestExitCodes:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was refused")
 
-        monkeypatch.setattr(alsift.schemes, "train_runs", no_training)
+        monkeypatch.setattr(alsift.schemes, "train_parts", no_training)
         text = CONFIG_TEXT
         for old, new in edits:
             text = text.replace(old, new)
@@ -557,7 +595,7 @@ class TestExitCodes:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was refused")
 
-        monkeypatch.setattr(alsift.schemes, "train_runs", no_training)
+        monkeypatch.setattr(alsift.schemes, "train_parts", no_training)
         path = tmp_path / "blind.cfg"
         path.write_text(CONFIG_TEXT + "trainer.patience = 2\ntrainer.val_fraction = 0\n")
         out = tmp_path / "runs"

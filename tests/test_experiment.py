@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import alsift.experiment
+import alsift.learner
+from alsift.datagen import generate_pool, write_pool_csv
 from alsift.experiment import (
     ConfigError,
+    ExperimentResult,
     build_consensus_document,
     build_document,
     canonical_config_lines,
@@ -24,6 +29,8 @@ from alsift.experiment import (
     run_trial,
     write_results,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CONFIG = """
 # comment lines and blanks are ignored
@@ -191,6 +198,110 @@ class TestTrials:
             return [line for line in doc.splitlines() if not line.startswith("wall_time_s =")]
 
         assert timeless(serial) == timeless(parallel)
+
+
+def _count_stacks(monkeypatch) -> list[int]:
+    """The run count of every stack the trainer steps from now on, in this process."""
+    stacks = []
+    real = alsift.learner._train_stack
+
+    def counted(subsets, runs, config):
+        stacks.append(len(runs))
+        return real(subsets, runs, config)
+
+    monkeypatch.setattr(alsift.learner, "_train_stack", counted)
+    return stacks
+
+
+def _written(result, out) -> dict[str, str]:
+    """The files ``write_results`` writes, results documents without their
+    ``created`` and ``wall_time_s`` lines."""
+    write_results(result, out)
+    return {
+        path.name: "".join(
+            line for line in path.read_text().splitlines(keepends=True)
+            if not line.startswith(("created =", "wall_time_s ="))
+        )
+        for path in sorted(Path(out).iterdir())
+    }
+
+
+# (replacements in BASE_CONFIG, extra lines)
+LOCKSTEP_CASES = {
+    "build_up": ([], ""),
+    "automatic_duplication": (
+        [("scheme = build_up", "scheme = automatic_duplication")],
+        "search.acquisition_batch = 7\ntrainer.class_weighting = true\n",
+    ),
+    "pretrain": (
+        [("scheme = build_up", "scheme = pretrain"), ("function = variation_ratios", "function = entropy")],
+        "trainer.fine_tune_rate = 0.01\ntrainer.fine_tune_epochs = 4\n",
+    ),
+    "compress": (
+        [("scheme = build_up", "scheme = compress")],
+        "trainer.arch = mlp\ntrainer.hidden = 4\nsearch.outlier_fraction = 0.05\n",
+    ),
+    "pool_file": ([("scheme = build_up", "scheme = compress")], None),
+}
+
+
+def lockstep_config(case, tmp_path):
+    edits, extra = LOCKSTEP_CASES[case]
+    text = BASE_CONFIG
+    for old, new in edits:
+        text = text.replace(old, new)
+    if extra is None:  # the generator's pool, written to a file
+        pool_csv = tmp_path / "pool.csv"
+        write_pool_csv(pool_csv, generate_pool(base_config().generator))
+        lines = [line for line in text.splitlines() if not line.startswith("pool.")]
+        text = "\n".join(lines) + "\npool.file = %s\n" % pool_csv
+        extra = ""
+    config = config_from_mapping(parse_config_text(text + extra))
+    return replace(config, seeds=(1, 2, 3, 4, 5))
+
+
+class TestLockstep:
+    """Trials of one process train in lockstep, one run stack per round."""
+
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_lockstep_trials_equal_trials_run_one_by_one(self, case, tmp_path, monkeypatch):
+        config = lockstep_config(case, tmp_path)
+        serial = ExperimentResult(config, [run_trial(config, seed) for seed in config.seeds])
+        want = _written(serial, tmp_path / "serial")
+        assert len(want) == 6
+        stacks = _count_stacks(monkeypatch)
+        for jobs in (1, 2, 3):
+            got = _written(run_experiment(replace(config, jobs=jobs)), tmp_path / str(jobs))
+            assert got == want, "jobs = %d" % jobs
+        # five trials of two-run ensembles; only automatic duplication's
+        # unique counts, and so its training-row counts, differ across trials
+        if case == "automatic_duplication":
+            assert min(stacks) < 10 and sum(stacks) % 10 == 0
+        else:
+            assert set(stacks) == {10}
+
+    def test_a_pool_file_is_read_once_for_all_trials(self, tmp_path, monkeypatch):
+        config = replace(lockstep_config("pool_file", tmp_path), seeds=(1, 2, 3))
+        want = _written(ExperimentResult(config, [run_trial(config, s) for s in config.seeds]),
+                        tmp_path / "serial")
+        reads = []
+        real = alsift.experiment.read_pool_csv
+        monkeypatch.setattr(
+            alsift.experiment, "read_pool_csv", lambda path: reads.append(path) or real(path)
+        )
+        assert _written(run_experiment(config), tmp_path / "lockstep") == want
+        assert reads == [config.pool_file]
+
+    def test_readme_search_trains_one_stack_of_every_trial_per_round(self, monkeypatch):
+        text = re.search(r"cat > exp.cfg <<'EOF'\n(.*?)EOF", README.read_text(), re.S).group(1)
+        config = config_from_mapping(parse_config_text(text))
+        assert config.seeds == (1, 2, 3, 4, 5) and config.search.scheme == "build_up"
+        assert config.baseline_random and config.baseline_full and config.jobs == 1
+        stacks = _count_stacks(monkeypatch)
+        run_experiment(config)
+        # four build-up iterations, then the random and the full baseline:
+        # each round one stack of 5 trials x 3 runs
+        assert stacks == [15] * 6
 
 
 def test_trial_workers_run_one_blas_thread_unless_the_environment_says_otherwise(monkeypatch):

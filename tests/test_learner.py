@@ -31,6 +31,7 @@ from alsift.learner import (
     predict_proba,
     read_checkpoint,
     train,
+    train_parts,
     train_runs,
     write_checkpoint,
 )
@@ -492,6 +493,89 @@ class TestRunStack:
         assert digest.hexdigest() == (
             "61409606d728f29d7e4c5a0ed0920f3ca211ee6bac6c100f323ddc0977083a7f"
         )
+
+
+class TestParts:
+    """Several parts, each (pool, subset, seeds, starts), trained by one call."""
+
+    @staticmethod
+    def count_stacks(monkeypatch):
+        stacks = []
+        real = alsift.learner._train_stack
+
+        def counted(subsets, runs, config):
+            stacks.append((len(subsets), len(runs)))
+            return real(subsets, runs, config)
+
+        monkeypatch.setattr(alsift.learner, "_train_stack", counted)
+        return stacks
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_parts_of_other_pools_stop_early_unevenly_as_each_alone(self, arch, monkeypatch):
+        pools = [class_pool(3, seed=seed) for seed in (2, 3, 4)]
+        cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=30, val_fraction=0.2,
+                          patience=2, class_weighting=True)
+        parts = [
+            (pool, repeated_subset(pool), [11 + p, 21 + p], None) for p, pool in enumerate(pools)
+        ]
+        stacks = self.count_stacks(monkeypatch)
+        stacked = train_parts(parts, cfg)
+        assert stacks == [(3, 6)]
+        for (pool, subset, seeds, _), got in zip(parts, stacked):
+            for seed, run in zip(seeds, got, strict=True):
+                assert_same_run(run, train(pool, subset, cfg, seed=seed))
+        assert len({len(run.train_loss) for got in stacked for run in got}) > 1
+
+    def test_fine_tune_parts_equal_each_alone(self):
+        pools = [class_pool(4, seed=seed) for seed in (2, 3)]
+        cfg = TrainConfig(arch="mlp", hidden=5, batch_size=7, max_epochs=3, fine_tune_rate=1e-2)
+        parts = []
+        for p, pool in enumerate(pools):
+            starts = [r.final_params for r in train_runs(pool, full_subset(pool), cfg, [p, p + 5])]
+            parts.append((pool, repeated_subset(pool), [31 + p, 41 + p], starts))
+        for (pool, subset, seeds, starts), got in zip(parts, train_parts(parts, cfg)):
+            for seed, start, run in zip(seeds, starts, got, strict=True):
+                assert_same_run(run, fine_tune(pool, subset, start, cfg, seed=seed))
+
+    def test_row_counts_that_differ_stack_apart(self, monkeypatch):
+        pool = class_pool(3)
+        cfg = TrainConfig(batch_size=7, max_epochs=2)
+        small, large = (SubsetState.from_ids(pool.sample_ids[:n]) for n in (40, 60))
+        stacks = self.count_stacks(monkeypatch)
+        got = train_parts([(pool, small, [1], None), (pool, large, [2, 3], None),
+                           (pool, small, [4], None)], cfg)
+        assert sorted(stacks) == [(1, 2), (1, 2)]
+        assert [len(runs) for runs in got] == [1, 2, 1]
+        assert_same_run(got[2][0], train(pool, small, cfg, seed=4))
+
+    def test_a_shared_subset_is_worked_out_once(self, monkeypatch):
+        pool = class_pool(3)
+        subset = repeated_subset(pool)
+        calls = []
+        real = alsift.learner._held_out
+        monkeypatch.setattr(
+            alsift.learner, "_held_out", lambda ids, f: calls.append(len(ids)) or real(ids, f)
+        )
+        stacks = self.count_stacks(monkeypatch)
+        train_parts([(pool, subset, [1], None), (pool, subset, [2, 3], None)], TrainConfig(max_epochs=1))
+        assert calls == [pool.n_samples]
+        assert stacks == [(1, 3)]
+
+    def test_parts_must_share_fresh_or_fine_tuned_runs_and_a_model_shape(self):
+        pool, other = class_pool(3), class_pool(4)
+        cfg = TrainConfig(max_epochs=1)
+        start = init_params("logistic", pool.n_features, 3, 0, np.random.default_rng(0))
+        subset = full_subset(pool)
+        with pytest.raises(ValueError, match="all train fresh or all fine-tune"):
+            train_parts([(pool, subset, [1], None), (pool, subset, [2], [start])], cfg)
+        with pytest.raises(ValueError, match="share one model shape"):
+            train_parts([(pool, subset, [1], None), (other, full_subset(other), [2], None)], cfg)
+
+    def test_a_part_without_seeds_trains_nothing(self):
+        pool = class_pool(3)
+        got = train_parts([(pool, SubsetState(), [], None), (pool, full_subset(pool), [1], None)],
+                          TrainConfig(max_epochs=1))
+        assert got[0] == [] and len(got[1]) == 1
 
 
 class TestOneStackShape:

@@ -1,6 +1,7 @@
 """Property tests: score bounds and agreement, selection invariants, config key table
 round trip, the trainer's held-out ids and training expansion, the lockstep run stack
-against runs trained one by one, the row-blocked pool pass (prediction, validation,
+against runs trained one by one, a stack of several parts against each part trained
+alone, the row-blocked pool pass (prediction, validation,
 scores and votes) against whole-pool references, the tensor-free block pass against
 the tensor pass, the softmax's column-wise max against numpy's reduction, the pool CSV
 writers and reader against ``csv``-module references, subset accounting and the
@@ -65,6 +66,7 @@ from alsift.learner import (
     predict_pool,
     read_checkpoint,
     train,
+    train_parts,
     train_runs,
     write_checkpoint,
     _held_out,
@@ -356,6 +358,78 @@ def test_run_stack_equals_runs_trained_one_by_one(case):
         for a, b in zip(got.checkpoints, want.checkpoints):
             for ta, tb in zip(a.params.tensors, b.params.tensors):
                 assert ta.tobytes() == tb.tobytes()
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.train_loss == b.train_loss
+        assert a.val_accuracy == b.val_accuracy
+        assert [(c.run_seed, c.epoch, c.subset_digest, c.val_accuracy) for c in a.checkpoints] == [
+            (c.run_seed, c.epoch, c.subset_digest, c.val_accuracy) for c in b.checkpoints
+        ]
+        for ca, cb in zip(a.checkpoints, b.checkpoints):
+            for ta, tb in zip(ca.params.tensors, cb.params.tensors):
+                assert ta.tobytes() == tb.tobytes()
+
+
+@st.composite
+def stacked_parts(draw):
+    """One trainer and 1-5 parts over up to three pools of one shape. Subsets
+    draw from a few sizes, with or without repeats, so that some parts share
+    training-row counts and stack together and others stack apart; the last
+    part may train on the first part's subset again. All parts train fresh
+    weights or all fine-tune drawn ones."""
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pools = []
+    for p in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(20, 40))
+        features = rng.normal(0.0, 1.5, (n, 3))
+        pools.append(LabeledPool(features, rng.integers(0, k, n), np.arange(n) * 5 + p, k))
+    val_fraction = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    config = TrainConfig(
+        arch=draw(st.sampled_from(ARCHITECTURES)),
+        hidden=draw(st.integers(1, 5)),
+        batch_size=draw(st.integers(1, 12)),
+        max_epochs=draw(st.integers(0, 5)),
+        patience=draw(st.integers(0, 2)) if val_fraction else 0,
+        class_weighting=draw(st.booleans()),
+        weight_decay=draw(st.sampled_from([0.0, 1e-3])),
+        fine_tune_rate=draw(st.sampled_from([0.0, 1e-2])),
+        fine_tune_epochs=draw(st.sampled_from([None, 2])),
+        checkpoint_window=draw(st.integers(1, 6)),
+        val_fraction=val_fraction,
+    )
+    fine_tune = draw(st.booleans())
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = pools[draw(st.integers(0, len(pools) - 1))]
+        ids = rng.permutation(pool.sample_ids)[: draw(st.sampled_from([10, 10, 13]))]
+        counts = rng.integers(1, 3, len(ids)) if draw(st.booleans()) else np.ones(len(ids), int)
+        subset = SubsetState(dict(zip(ids.tolist(), counts.tolist())))
+        parts.append([pool, subset])
+    if draw(st.booleans()):
+        parts.append(list(parts[0]))
+    seeds = iter(draw(st.lists(st.integers(0, 2**32), min_size=4 * len(parts),
+                               max_size=4 * len(parts), unique=True)))
+    for part in parts:
+        part_seeds = [next(seeds) for _ in range(draw(st.integers(1, 3)))]
+        starts = None
+        if fine_tune:
+            starts = [init_params(config.arch, 3, k, config.hidden, rng) for _ in part_seeds]
+        part += [part_seeds, starts]
+    return [tuple(part) for part in parts], config
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_parts())
+def test_a_stack_of_parts_equals_each_part_trained_alone(case):
+    parts, config = case
+    stacked = train_parts(parts, config)
+    assert len(stacked) == len(parts)
+    for (pool, subset, seeds, starts), got in zip(parts, stacked):
+        _assert_same_results(got, train_runs(pool, subset, config, seeds, starts))
 
 
 # -- the row-blocked pool pass -------------------------------------------------

@@ -437,7 +437,7 @@ class TestRunners:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was refused")
 
-        monkeypatch.setattr(alsift.schemes, "train_runs", no_training)
+        monkeypatch.setattr(alsift.schemes, "train_parts", no_training)
         with pytest.raises(ValueError, match=message):
             run_scheme(tiny_pool(), tiny_config(scheme, **kwargs))
 
