@@ -5,6 +5,7 @@ prefixes (pool.*, search.*, ensemble.*, trainer.*, experiment.*). Running
 an experiment executes the configured search scheme over a list of trial
 seeds, trains baseline subsets for comparison, and appends one
 self-describing results document per run to a per-config results file.
+The trials of one process run in lockstep, sharing run stacks.
 Everything in a results document except the ``created`` timestamp and the
 ``wall_time_s`` lines is a pure function of the config.
 """
@@ -377,18 +378,17 @@ def _draw(config: ExperimentConfig, trial_seed: int, evaluation: bool = False) -
     return generate_pool(replace(g, sample_seed=derive_seed(g.seed, role, trial_seed)))
 
 
-def _trial(config: ExperimentConfig, trial_seed: int, start: float, shared=None):
-    """One trial as a generator of training requests for
+def _train_trial(config: ExperimentConfig, trial_seed: int, shared=None):
+    """One trial's training as a generator of training requests for
     :func:`schemes.run_lockstep`: the scheme, then its baselines. Returns
-    the TrialRecord, timed from ``start``. ``shared`` is the pool loaded
-    from ``pool.file``, read once for all trials. A generated evaluation
-    pool is drawn after the trial's last training step, so that trials in
-    lockstep hold one evaluation pool at a time."""
+    the SubsetResult and the members of the random and the full baseline
+    (None for one not configured). ``shared`` is the pool loaded from
+    ``pool.file``, read once for all trials."""
     pool = shared if shared is not None else _draw(config, trial_seed)
     search = replace(config.search, seed=derive_seed(trial_seed, _ROLE_SEARCH))
     result = yield from scheme_steps(pool, search)
 
-    def baseline(pool, ids, role: int):
+    def baseline(ids, role: int):
         subset = SubsetState.from_ids(ids)
         seed = derive_seed(trial_seed, role)
         return (yield pool, subset, search.ensemble, search.trainer, seed, 0, None)[1]
@@ -397,34 +397,42 @@ def _trial(config: ExperimentConfig, trial_seed: int, start: float, shared=None)
     if config.baseline_random:
         size = min(search.target_size, pool.n_samples)
         ids = random_subset_ids(pool, size, derive_seed(trial_seed, _ROLE_RANDOM_IDS))
-        random_members = yield from baseline(pool, ids, _ROLE_RANDOM_TRAIN)
+        random_members = yield from baseline(ids, _ROLE_RANDOM_TRAIN)
     if config.baseline_full:
-        full_members = yield from baseline(pool, pool.sample_ids, _ROLE_FULL_TRAIN)
-    del pool  # not held beside the evaluation pool
-    eval_pool = shared if shared is not None else _draw(config, trial_seed, evaluation=True)
-    al_accuracy, random_accuracy, full_accuracy = (
-        None if members is None else evaluate(members, eval_pool).accuracy
-        for members in (result.members, random_members, full_members)
-    )
-    return TrialRecord(
-        seed=int(trial_seed),
-        iterations=result.records,
-        subset=result.state,
-        al_accuracy=al_accuracy,
-        random_accuracy=random_accuracy,
-        full_accuracy=full_accuracy,
-        wall_time_s=time.perf_counter() - start,
-    )
+        full_members = yield from baseline(pool.sample_ids, _ROLE_FULL_TRAIN)
+    return result, random_members, full_members
 
 
 def run_trials(config: ExperimentConfig, seeds) -> list[TrialRecord]:
-    """Run the trials of ``seeds`` in lockstep (:func:`schemes.run_lockstep`):
-    each round trains the equal-shape ensembles of every trial as one run
-    stack. Each record equals its trial run alone, but for ``wall_time_s``,
-    the time from this call's start to the trial's last step."""
+    """Run the trials of ``seeds``: train them in lockstep
+    (:func:`schemes.run_lockstep`), each round training the equal-shape
+    ensembles of every trial as one run stack, then evaluate each trial's
+    ensembles. A generated evaluation pool is drawn once the training pools
+    are gone, one at a time. Each record equals its trial run alone, but
+    for ``wall_time_s``, the time from this call's start to the end of the
+    trial's evaluation."""
     start = time.perf_counter()
     shared = None if config.pool_file is None else read_pool_csv(config.pool_file)
-    return run_lockstep(_trial(config, seed, start, shared) for seed in seeds)
+    trained = run_lockstep(_train_trial(config, seed, shared) for seed in seeds)
+    trials = []
+    for seed, (result, *baselines) in zip(seeds, trained):
+        eval_pool = shared if shared is not None else _draw(config, seed, evaluation=True)
+        al_accuracy, random_accuracy, full_accuracy = (
+            None if members is None else evaluate(members, eval_pool).accuracy
+            for members in (result.members, *baselines)
+        )
+        trials.append(
+            TrialRecord(
+                seed=int(seed),
+                iterations=result.records,
+                subset=result.state,
+                al_accuracy=al_accuracy,
+                random_accuracy=random_accuracy,
+                full_accuracy=full_accuracy,
+                wall_time_s=time.perf_counter() - start,
+            )
+        )
+    return trials
 
 
 def run_trial(config: ExperimentConfig, trial_seed: int) -> TrialRecord:

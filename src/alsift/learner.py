@@ -3,7 +3,8 @@
 Models are multinomial logistic regression or a one-hidden-layer ReLU
 network, trained in float64 with momentum SGD, weight decay on weight
 matrices, and optional inverse-frequency class weighting. The runs of one
-ensemble train in lockstep, as one SGD loop over a stack of their weights.
+ensemble, and of ensembles of other subsets with as many training rows,
+train in lockstep, as one SGD loop over a stack of their weights.
 Each run keeps a rolling window of end-of-epoch checkpoints; ensembles are
 assembled from stored checkpoints across runs, across epochs, or both.
 """

@@ -11,6 +11,10 @@ labeled pool:
 * ``automatic_duplication``: like build-up, but every iteration scores the
   whole pool and re-selected samples gain multiplicity instead of being
   skipped.
+
+Each scheme is a generator of ensemble training requests;
+:func:`run_lockstep` drives one or many of them, so that the equal-shape
+requests of searches run together train as one run stack.
 """
 
 from __future__ import annotations
