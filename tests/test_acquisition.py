@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from alsift.acquisition import (
     entropy,
     error_count,
     mutual_information,
+    pool_pass,
     predictive_mean,
     read_prediction_tensor,
     read_prediction_tensor_csv,
@@ -25,6 +27,8 @@ from alsift.acquisition import (
     variation_ratios,
     write_prediction_tensor,
 )
+from alsift.datagen import GeneratorSpec, generate_pool
+from alsift.learner import PoolBlocks, init_params
 
 
 # -- oracle: slow per-sample reimplementation with plain math.log ------------
@@ -427,3 +431,66 @@ class TestTensorFiles:
         path.write_text("sample_id,member,p_0,p_1\n1,0,0.5,0.5\n\nx1,0,0.5,0.5\n")
         with pytest.raises(ValueError, match="line 4: invalid literal for int"):
             read_prediction_tensor_csv(path)
+
+
+# -- walk outputs pinned by value ----------------------------------------------
+
+
+def _walk_source(arch, n_classes, hidden, n_members):
+    """Members with fixed random weights over a fixed pool of two row blocks,
+    the second one partial. The weights are drawn, not trained, so the
+    digests below follow the walk kernels alone."""
+    per_cluster = -(-(BLOCK_ROWS + 500) // (2 * n_classes))
+    spec = GeneratorSpec(n_classes=n_classes, samples_per_cluster=per_cluster, n_features=6,
+                         label_noise=0.1, center_spread=2.0, seed=31)
+    pool = generate_pool(spec)
+    rng = np.random.default_rng(17)
+    members = [init_params(arch, 6, n_classes, hidden, rng) for _ in range(n_members)]
+    return PoolBlocks(members, pool)
+
+
+# sha256 of the score bytes, then the fused-vote bytes, of one pool_pass per
+# function, and of each detection heatmap; a kernel change that moves one bit
+# of any output fails here
+PINNED_WALKS = {
+    ("logistic", 4): {
+        "entropy": "bdb3f88c5ea526e8554588119ea85c50137f933e8845d7cbd564f83ca2e6ab5b",
+        "mutual_information": "bfb5bf8b58b8ae88810206701e4ae491f3ea74c00835479101fdcaeaadb3c137",
+        "variation_ratios": "e3cac7c45f0944334b038d2c0a162e4484aca8090a2ae137c274852083e3ee02",
+        "error_count": "de68b5c26f738163563d410c7509feb0ca4ad4e7055ae0495e6f694ad499225c",
+        "random": "e1420ff3dd3c5ab813ab01c4b7dae51d2b231636b9feb1a6898b290e4b7f67a6",
+    },
+    ("mlp", 10): {
+        "entropy": "4586874d801e31a7cc256ef6cdb6a2b4ed43c84fbffd16a5d42efe1957014343",
+        "mutual_information": "937454de24881db9c4dd7ede0724e29176790e84d53b2e63904233e7c915425f",
+        "variation_ratios": "156c55a391f433ecfdb38ea2555db028ef87213ae4f8eeb95488ae30e2039832",
+        "error_count": "ef7bc13e6e104a700827db413d143304900cc56bb30471ec3383635b8fe8c70f",
+        "random": "e531f8125c79e94ebb876258f3f77d60cdb7f8a0193a105a8623a07739a5006e",
+    },
+}
+PINNED_HEATMAPS = {
+    "entropy": "99060bbffe7a474812205b6dfd041d24b018da6a2413ec33864696b90dd34a31",
+    "mutual_information": "3c3f63cc4bde77f6b09771753c407424310b5e069c24f5edea9ffe3a87348aa7",
+    "variation_ratios": "ea3cd076b6107e0cc5cb9bcd099451baf8e1649fa23d87bb5c74ccc60352f013",
+}
+
+
+class TestPinnedWalks:
+    @pytest.mark.parametrize("arch, n_classes, hidden, n_members",
+                             [("logistic", 4, 0, 7), ("mlp", 10, 16, 12)])
+    def test_pool_pass_bytes(self, arch, n_classes, hidden, n_members):
+        source = _walk_source(arch, n_classes, hidden, n_members)
+        assert source.n_samples > BLOCK_ROWS
+        got = {}
+        for function_id in PINNED_WALKS[arch, n_classes]:
+            scores, votes = pool_pass(source, function_id, source.labels(), seed=3, votes=True)
+            got[function_id] = hashlib.sha256(scores.scores.tobytes() + votes.tobytes()).hexdigest()
+        assert got == PINNED_WALKS[arch, n_classes]
+
+    def test_detection_heatmap_bytes(self):
+        maps = np.random.default_rng(23).random((9, 3, 6, 7))
+        got = {
+            function_id: hashlib.sha256(detection_heatmaps(maps, function_id).tobytes()).hexdigest()
+            for function_id in PINNED_HEATMAPS
+        }
+        assert got == PINNED_HEATMAPS
