@@ -85,13 +85,61 @@ def _check_members(members: np.ndarray) -> np.ndarray:
     return _check_rows(members)
 
 
+# Class-axis kernels: numpy's reductions over a short last axis cost more per
+# row than their adds, so these run one whole-array operation per column or
+# member, in the order numpy adds, and give its bytes.
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """Each row's largest entry, shaped like ``max(axis=-1, keepdims=True)``.
+    Both propagate NaN and give equal values; only the sign of a zero maximum
+    may differ, which no softmax shows: ``x - 0.0`` equals ``x - -0.0`` for
+    every x but -0.0, whose exp is 1 either way."""
+    top = values[..., 0].copy()
+    for j in range(1, values.shape[-1]):
+        np.maximum(top, values[..., j], out=top)
+    return top[..., None]
+
+
+def _row_sum(values: np.ndarray) -> np.ndarray:
+    """Each row's sum, the bytes of ``sum(axis=-1, keepdims=True)`` but for a
+    NaN's sign, which numpy's loops leave to the operand order. Below 8
+    classes numpy adds a row's entries in order onto +0.0 (so rows of -0.0 sum
+    to +0.0), as this does a column at a time; from 8 on it adds in 8 partial
+    sums, so its own reduction runs."""
+    if values.shape[-1] >= 8:
+        return values.sum(axis=-1, keepdims=True)
+    total = values[..., :1] + 0.0
+    for j in range(1, values.shape[-1]):
+        total += values[..., j : j + 1]
+    return total
+
+
+def _member_mean(members: np.ndarray) -> np.ndarray:
+    """The mean over axis -2 of a (..., E, K) stack, the bytes of
+    ``mean(axis=-2)`` as :func:`_row_sum` gives a sum's: numpy adds the
+    members in order onto +0.0, then divides by E, as this does."""
+    total = members[..., 0, :] + 0.0
+    for j in range(1, members.shape[-2]):
+        total += members[..., j, :]
+    total /= members.shape[-2]
+    return total
+
+
+def _vote_counts(votes: np.ndarray, n_classes: int) -> np.ndarray:
+    """The (..., K) count of each class among each row's (..., E) member
+    votes, from one ``np.bincount`` of ``row * K + vote``."""
+    flat = votes.reshape(-1, votes.shape[-1])
+    cells = flat + n_classes * np.arange(len(flat))[:, None]
+    counts = np.bincount(cells.ravel(), minlength=len(flat) * n_classes)
+    return counts.reshape(*votes.shape[:-1], n_classes)
+
+
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Entropy in nats along the last axis, with 0 * log 0 = +0."""
     terms = np.maximum(probs, LOG_EPS)
     np.log(terms, out=terms)
     terms *= probs
     np.copyto(terms, 0.0, where=probs <= 0.0)
-    return -terms.sum(axis=-1)
+    return -_row_sum(terms)[..., 0]
 
 
 def predictive_mean(members: np.ndarray) -> np.ndarray:
@@ -103,8 +151,7 @@ def predictive_mean(members: np.ndarray) -> np.ndarray:
     Returns:
         Length-K marginal probability vector.
     """
-    members = _check_members(members)
-    return members.mean(axis=0)
+    return _member_mean(_check_members(members))
 
 
 def entropy(probs: np.ndarray) -> float:
@@ -124,33 +171,38 @@ def _clamp_mutual_information(values: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def _check_labels(labels, shape, n_classes: int) -> np.ndarray:
+    """``error_count``'s true class indices, refused when missing, of another
+    shape than ``shape`` or outside [0, n_classes)."""
+    if labels is None:
+        raise ValueError("error_count scoring requires labels")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != shape:
+        raise ValueError("labels length must match the sample axis")
+    if np.any(labels < 0) or np.any(labels >= n_classes):
+        raise ValueError("labels out of range [0, %d)" % n_classes)
+    return labels
+
+
 def _ensemble_scores(members: np.ndarray, function_id: str, labels=None, mean=None) -> np.ndarray:
     """Score a float64 (..., E, K) stack of member rows over its last two axes.
 
     Handles ``entropy``, ``mutual_information``, ``variation_ratios`` and
-    ``error_count``; ``labels`` holds one class index per (E, K) ensemble,
-    and ``mean``, when given, the member mean ``members.mean(axis=-2)``.
-    Member votes and the majority vote break argmax ties toward the lowest
-    class index, so every score is deterministic.
+    ``error_count``; ``labels`` holds one checked class index per (E, K)
+    ensemble, and ``mean``, when given, the :func:`_member_mean` of
+    ``members``. Member votes and the majority vote break argmax ties toward
+    the lowest class index, so every score is deterministic.
     """
     n_members, n_classes = members.shape[-2:]
     if function_id in ("entropy", "mutual_information"):
-        total = _entropy_rows(members.mean(axis=-2) if mean is None else mean)
+        total = _entropy_rows(_member_mean(members) if mean is None else mean)
         if function_id == "entropy":
             return total
         expected = _entropy_rows(members).mean(axis=-1)
         return _clamp_mutual_information(total - expected)
     votes = np.argmax(members, axis=-1)
     if function_id == "variation_ratios":
-        counts = (votes[..., None] == np.arange(n_classes)).sum(axis=-2)
-        return 1.0 - counts.max(axis=-1) / n_members
-    if labels is None:
-        raise ValueError("error_count scoring requires labels")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != members.shape[:-2]:
-        raise ValueError("labels length must match the sample axis")
-    if np.any(labels < 0) or np.any(labels >= n_classes):
-        raise ValueError("labels out of range [0, %d)" % n_classes)
+        return 1.0 - _row_max(_vote_counts(votes, n_classes))[..., 0] / n_members
     return 1.0 - (votes == labels[..., None]).sum(axis=-1) / n_members
 
 
@@ -175,7 +227,9 @@ def variation_ratios(members: np.ndarray) -> float:
 
 def error_count(members: np.ndarray, label: int) -> float:
     """Fraction of members whose top class differs from the true label."""
-    return float(_ensemble_scores(_check_members(members), "error_count", label))
+    members = _check_members(members)
+    label = _check_labels(label, (), members.shape[1])
+    return float(_ensemble_scores(members, "error_count", label))
 
 
 @dataclass
@@ -273,10 +327,8 @@ def pool_pass(source, function_id=None, labels=None, seed=None, votes=False):
         raise ValueError("unknown acquisition function %r" % function_id)
     if function_id == "random" and seed is None:
         raise ValueError("random scoring requires a seed")
-    if function_id == "error_count" and labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n,):
-            raise ValueError("labels length must match the sample axis")
+    if function_id == "error_count":
+        labels = _check_labels(labels, (n,), source.n_classes)
     else:
         labels = None  # only error_count reads labels
     scored = function_id not in (None, "random")
@@ -285,7 +337,7 @@ def pool_pass(source, function_id=None, labels=None, seed=None, votes=False):
     # one member mean per block serves both the entropies and the votes
     averaged = votes or function_id in ("entropy", "mutual_information")
     for rows, block in source.blocks():
-        mean = block.mean(axis=1) if averaged else None
+        mean = _member_mean(block) if averaged else None
         if scored:
             block_labels = None if labels is None else labels[rows]
             scores[rows] = _ensemble_scores(block, function_id, block_labels, mean)

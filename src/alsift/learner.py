@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import PredictionTensor, _check_rows, _unique_ids, row_blocks
+from .acquisition import (
+    PredictionTensor,
+    _check_rows,
+    _row_max,
+    _row_sum,
+    _unique_ids,
+    row_blocks,
+)
 from .state import SubsetState, _read_array, atomic_file, id_array, sorted_unique_ids, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
@@ -142,26 +149,12 @@ def init_params(
     return ModelParams(arch, n_features, n_classes, hidden if arch == "mlp" else 0, tuple(tensors))
 
 
-def _row_max(values: np.ndarray) -> np.ndarray:
-    """The largest entry of each row, shaped like ``max(axis=-1, keepdims=True)``.
-
-    A running ``np.maximum`` over the few columns of a class axis is several
-    times faster than numpy's last-axis reduction. Both propagate NaN and
-    give equal values; only the sign of a zero maximum may differ, which no
-    softmax shows: ``x - 0.0`` equals ``x - -0.0`` for every x but -0.0,
-    whose exp is 1 either way.
-    """
-    top = values[..., 0].copy()
-    for j in range(1, values.shape[-1]):
-        np.maximum(top, values[..., j], out=top)
-    return top[..., None]
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in ``logits``."""
+    """Row-wise softmax, computed in place in ``logits``, whose class-axis
+    kernels give the bytes of numpy's last-axis max and sum at less cost."""
     logits -= _row_max(logits)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= _row_sum(logits)
     return logits
 
 

@@ -230,6 +230,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="labels"):
             score_pool(tensor, "error_count")
 
+    def test_error_count_labels_are_checked_before_any_block(self):
+        class Unwalkable:
+            """A source whose blocks, each a full round of member forward
+            passes, must not be asked for."""
+            n_samples, n_members, n_classes = 3 * BLOCK_ROWS, 2, 3
+            sample_ids = np.arange(3 * BLOCK_ROWS, dtype=np.uint64)
+
+            def blocks(self):
+                raise AssertionError("blocks walked before the labels were checked")
+
+        source = Unwalkable()
+        labels = np.zeros(source.n_samples, dtype=np.int64)
+        with pytest.raises(ValueError, match="^error_count scoring requires labels$"):
+            pool_pass(source, "error_count")
+        with pytest.raises(ValueError, match="^labels length must match the sample axis$"):
+            pool_pass(source, "error_count", labels[1:])
+        labels[-1] = 3  # in the last block
+        with pytest.raises(ValueError, match=r"^labels out of range \[0, 3\)$"):
+            pool_pass(source, "error_count", labels)
+        labels[-1] = -1
+        with pytest.raises(ValueError, match=r"^labels out of range \[0, 3\)$"):
+            pool_pass(source, "error_count", labels, votes=True)
+
     def test_random_requires_seed(self):
         data = random_ensembles(np.random.default_rng(0), 4, 2, 3)
         tensor = PredictionTensor(data.astype(np.float32), np.arange(4))

@@ -3,7 +3,8 @@ round trip, the trainer's held-out ids and training expansion, the lockstep run 
 against runs trained one by one, a stack of several parts against each part trained
 alone, the row-blocked pool pass (prediction, validation,
 scores and votes) against whole-pool references, the tensor-free block pass against
-the tensor pass, the softmax's column-wise max against numpy's reduction, the pool CSV
+the tensor pass, the class-axis kernels (the softmax's column-wise max, the column sums,
+the member means and the vote counts) against numpy's reductions, the pool CSV
 writers and reader against ``csv``-module references, subset accounting and the
 pool index against dict models, and the binary ``.alck`` and ``.alpt`` files' exact
 round trips and refusals of cut and padded files."""
@@ -41,6 +42,11 @@ from alsift.acquisition import (
     score_pool,
     variation_ratios,
     write_prediction_tensor,
+    _ensemble_scores,
+    _member_mean,
+    _row_max,
+    _row_sum,
+    _vote_counts,
 )
 from alsift.analysis import consensus_counts, duplication_histogram, evaluate, evaluate_tensor
 from alsift.cli import main
@@ -71,7 +77,6 @@ from alsift.learner import (
     write_checkpoint,
     _held_out,
     _mix64,
-    _row_max,
     _softmax,
 )
 from alsift.schemes import SCHEMES, SearchConfig, outlier_window_select, run_scheme, select_top_k
@@ -830,6 +835,71 @@ def test_column_max_equals_the_last_axis_max(logits):
     with np.errstate(all="ignore"):
         want = _softmax_with_reduction_max(logits)
         assert _softmax(logits.copy()).tobytes() == want.tobytes()
+
+
+# -- the class-axis sums, member means and vote counts ---------------------------
+
+
+def _nan_bytes(values):
+    """The bytes of ``values`` with every NaN made the one ``np.nan``. A sum that
+    meets two NaNs (an input one and the -inf + inf one) keeps one of them, and
+    numpy's SIMD and scalar loops keep different ones, so only a NaN's sign
+    bit can differ; no NaN reaches an output, since probability rows and
+    training losses are checked for them."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(logit_arrays(), st.sampled_from([np.float32, np.float64]))
+def test_column_sum_equals_the_last_axis_sum(logits, dtype):
+    with np.errstate(all="ignore"):
+        values = logits.astype(dtype)
+        expected = values.sum(axis=-1, keepdims=True)
+        got = _row_sum(values)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert _nan_bytes(got) == _nan_bytes(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(logit_arrays(), st.integers(1, 4))
+def test_member_mean_equals_numpy_mean(logits, n_members):
+    # the member axis is the run axis of logit_arrays, or a repeat of the rows
+    members = logits if logits.ndim > 2 else np.stack([logits] * n_members, axis=-2)
+    with np.errstate(all="ignore"):
+        assert _nan_bytes(_member_mean(members)) == _nan_bytes(members.mean(axis=-2))
+        # the (C, H, W, E, 2) view that detection_heatmaps scores, members outermost
+        binary = np.moveaxis(np.stack([members, 1.0 - members], axis=-1), 0, -2)
+        assert _nan_bytes(_member_mean(binary)) == _nan_bytes(binary.mean(axis=-2))
+
+
+def test_member_mean_of_one_member_and_of_negative_zeros():
+    for members in (np.array([[[-0.0, 0.5, -0.0]]]), np.full((2, 3, 4), -0.0)):
+        assert _member_mean(members).tobytes() == members.mean(axis=-2).tobytes()
+    assert not np.signbit(_member_mean(np.full((2, 3, 4), -0.0))).any()
+
+
+@st.composite
+def member_votes(draw):
+    """(..., E, K) member rows from a few values, so argmax ties are common,
+    with one or many members and classes."""
+    n_members, n_classes = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (0,), (1,), (6,), (2, 3)]))
+    size = math.prod(lead) * n_members * n_classes
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=size, max_size=size))
+    return np.asarray(values).reshape(*lead, n_members, n_classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_votes())
+def test_vote_counts_equal_the_comparison_form(members):
+    n_classes = members.shape[-1]
+    votes = np.argmax(members, axis=-1)
+    expected = (votes[..., None] == np.arange(n_classes)).sum(axis=-2)
+    got = _vote_counts(votes, n_classes)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    ratios = 1.0 - expected.max(axis=-1) / members.shape[-2]
+    assert _ensemble_scores(members, "variation_ratios").tobytes() == ratios.tobytes()
 
 
 
