@@ -399,10 +399,11 @@ def _by_run_groups(evaluate, tensors, n_rows: int, owner) -> np.ndarray:
     return np.concatenate([evaluate([t[lo:hi] for t in tensors], owner[lo]) for lo, hi in groups])
 
 
-def _subset_rows(pool: LabeledPool, subset: SubsetState, config: TrainConfig):
+def _subset_rows(pool: LabeledPool, subset: SubsetState, config: TrainConfig, digest: str):
     """One subset's bookkeeping: ``(pool, training rows, validation rows,
-    digest)``. The training rows repeat each id's row by its count; the
-    validation rows are those of the held-out ids, empty when none is."""
+    digest)``, given its ``subset_hash``. The training rows repeat each id's
+    row by its count; the validation rows are those of the held-out ids,
+    empty when none is."""
     ids = subset.ids()
     if not len(ids):
         raise ValueError("empty training subset")
@@ -413,7 +414,7 @@ def _subset_rows(pool: LabeledPool, subset: SubsetState, config: TrainConfig):
             " out none of the subset's %d ids" % (config.patience, config.val_fraction, len(ids))
         )
     counts, rows = subset.counts(), pool.rows_for(ids)
-    return pool, np.repeat(rows[~held], counts[~held]), rows[held], subset_hash(subset)
+    return pool, np.repeat(rows[~held], counts[~held]), rows[held], digest
 
 
 def train_runs(
@@ -446,8 +447,9 @@ def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
     :func:`train_runs` takes them, under one ``config``.
 
     The parts must all train fresh weights or all fine-tune, at one model
-    shape. Each distinct (pool, subset) pair's held-out mask, rows, digest
-    and class weights are worked out once. The runs of all parts whose
+    shape. Each distinct pair of a pool and a subset's contents has its
+    held-out mask, rows, digest and class weights worked out once, and the
+    runs of every part on it index one block. The runs of all parts whose
     subsets have equal training and validation row counts step through one
     SGD loop as one stack; parts of other row counts stack apart. Each run
     equals its part trained alone, byte for byte.
@@ -455,16 +457,16 @@ def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
     Returns:
         Per part, one TrainResult per seed, in seed order.
     """
-    subsets = {}  # (pool, subset) identity -> (bookkeeping, [(part, seed, start)])
+    subsets = {}  # (pool identity, subset digest) -> (bookkeeping, [(part, seed, start)])
     for p, (pool, subset, seeds, starts) in enumerate(parts):
         seeds = [int(seed) for seed in seeds]
         starts = [None] * len(seeds) if starts is None else list(starts)
         if len(starts) != len(seeds):
             raise ValueError("%d starting models for %d run seeds" % (len(starts), len(seeds)))
         if seeds:
-            key = id(pool), id(subset)
+            key = id(pool), subset_hash(subset)
             if key not in subsets:
-                subsets[key] = _subset_rows(pool, subset, config), []
+                subsets[key] = _subset_rows(pool, subset, config, key[1]), []
             subsets[key][1].extend(zip([p] * len(seeds), seeds, starts))
     stacks = {}
     for rows, runs in subsets.values():

@@ -12,6 +12,7 @@ import pytest
 
 import alsift.experiment
 import alsift.learner
+import alsift.schemes
 from alsift.datagen import generate_pool, write_pool_csv
 from alsift.experiment import (
     ConfigError,
@@ -29,6 +30,7 @@ from alsift.experiment import (
     run_trial,
     write_results,
 )
+from alsift.state import subset_hash
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -291,6 +293,31 @@ class TestLockstep:
         )
         assert _written(run_experiment(config), tmp_path / "lockstep") == want
         assert reads == [config.pool_file]
+
+    def test_equal_subsets_of_a_pool_file_are_worked_out_once_a_round(self, tmp_path, monkeypatch):
+        config = lockstep_config("pool_file", tmp_path)
+        config = replace(config, seeds=(1, 2, 3), search=replace(config.search, scheme="pretrain"))
+        want = _written(ExperimentResult(config, [run_trial(config, s) for s in config.seeds]),
+                        tmp_path / "serial")
+        rounds = []
+        real_parts, real_rows = alsift.schemes.train_parts, alsift.learner._subset_rows
+
+        def parts(parts, trainer):
+            rounds.append([])
+            return real_parts(parts, trainer)
+
+        def rows(pool, subset, trainer, digest):
+            rounds[-1].append(subset_hash(subset))
+            return real_rows(pool, subset, trainer, digest)
+
+        monkeypatch.setattr(alsift.schemes, "train_parts", parts)
+        monkeypatch.setattr(alsift.learner, "_subset_rows", rows)
+        assert _written(run_experiment(config), tmp_path / "lockstep") == want
+        # each round works out each distinct subset once: the full pool that
+        # every trial pretrains on, the three fine-tuning subsets, the three
+        # random baselines and the full baseline
+        assert [len(set(digests)) for digests in rounds] == [1, 3, 3, 1]
+        assert [len(digests) for digests in rounds] == [1, 3, 3, 1]
 
     def test_readme_search_trains_one_stack_of_every_trial_per_round(self, monkeypatch):
         text = re.search(r"cat > exp.cfg <<'EOF'\n(.*?)EOF", README.read_text(), re.S).group(1)
