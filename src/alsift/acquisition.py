@@ -89,8 +89,8 @@ def _check_members(members: np.ndarray) -> np.ndarray:
 # row than their adds, so these run one whole-array operation per column or
 # member, in the order numpy adds, and give its bytes.
 def _row_max(values: np.ndarray) -> np.ndarray:
-    """Each row's largest entry, shaped like ``max(axis=-1, keepdims=True)``.
-    Both propagate NaN and give equal values; only the sign of a zero maximum
+    """Each row's largest entry, as ``max(axis=-1, keepdims=True)`` gives it:
+    both propagate NaN and give equal values; only the sign of a zero maximum
     may differ, which no softmax shows: ``x - 0.0`` equals ``x - -0.0`` for
     every x but -0.0, whose exp is 1 either way."""
     top = values[..., 0].copy()
