@@ -72,7 +72,6 @@ from .learner import (
     predict_proba,
     read_checkpoint,
     train,
-    train_runs,
     write_checkpoint,
 )
 from .schemes import (
@@ -82,10 +81,6 @@ from .schemes import (
     SubsetResult,
     growth_schedule,
     outlier_window_select,
-    run_automatic_duplication,
-    run_build_up,
-    run_compress,
-    run_pretrain,
     run_scheme,
     select_top_k,
     train_subset_ensemble,

@@ -327,6 +327,9 @@ def main(argv=None) -> int:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures keep a distinct exit code
+        # str() of a KeyError is its message's repr; print the message bare
+        if isinstance(exc, KeyError) and len(exc.args) == 1:
+            exc = exc.args[0]
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

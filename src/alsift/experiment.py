@@ -637,13 +637,14 @@ def read_results(path) -> list[ResultsDocument]:
     """Parse every document appended to a results file.
 
     A document not closed by ``[end]``, such as one cut short by a crash,
-    raises ``ValueError``.
+    raises ``ValueError``, as does a line that is not a banner, a ``#``
+    comment, a ``[section]``, ``[end]`` or ``key = value``.
     """
     documents: list[ResultsDocument] = []
     current: ResultsDocument | None = None
     section: dict[str, str] | None = None
     closed = True
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -667,6 +668,8 @@ def read_results(path) -> list[ResultsDocument]:
             section = {}
             current.sections.append((line[1:-1], section))
             continue
+        if "=" not in line:
+            raise ValueError("line %d: expected key = value" % lineno)
         key, _, value = line.partition("=")
         target = current.header if section is None else section
         target[key.strip()] = value.strip()

@@ -417,45 +417,41 @@ def _subset_rows(pool: LabeledPool, subset: SubsetState, config: TrainConfig, di
     return pool, np.repeat(rows[~held], counts[~held]), rows[held], digest
 
 
-def train_runs(
-    pool: LabeledPool,
-    subset: SubsetState,
-    config: TrainConfig,
-    seeds,
-    starts=None,
-) -> list[TrainResult]:
-    """Train one run per seed on one subset, all runs in lockstep.
-
-    The runs share the subset's training rows, validation rows and
-    digest, and step together through one SGD loop over an (R, ...)
-    parameter stack. Each run keeps its own ``default_rng(seed)`` for its
-    initialization and per-epoch shuffles, so its result equals training
-    it alone. Without ``starts`` every run trains fresh weights as
-    :func:`train` does; with ``starts``, one ModelParams per seed, the runs
-    fine-tune those weights as :func:`fine_tune` does. Under
-    ``config.patience`` a run that stops early leaves the stack and the
-    others go on. This is the one-part case of :func:`train_parts`.
-
-    Returns:
-        One TrainResult per seed, in seed order.
-    """
-    return train_parts([(pool, subset, seeds, starts)], config)[0]
-
-
 def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
-    """Train several parts, each ``(pool, subset, seeds, starts)`` as
-    :func:`train_runs` takes them, under one ``config``.
+    """Train one run per seed of each part ``(pool, subset, seeds, starts)``
+    under one ``config``, all runs in lockstep.
+
+    Each sample of a subset appears in every epoch as many times as its
+    multiplicity. A held-out part (``config.val_fraction`` of the unique
+    ids, chosen by an id-stable hash) drives early stopping when
+    ``config.patience`` > 0; early stopping with nothing held out is
+    refused with a ValueError. Without a held-out part the validation
+    accuracy is measured on the training rows. Each run keeps its own
+    ``default_rng(seed)`` for its initialization and per-epoch shuffles,
+    and the last ``config.checkpoint_window`` end-of-epoch checkpoints.
+
+    Without ``starts`` every run trains fresh weights. With ``starts``, one
+    ModelParams per seed, the runs fine-tune those weights at the fine-tune
+    rate. With ``config.fine_tune_epochs`` (or ``config.max_epochs``) equal
+    to 0, the input weights come back unchanged as an epoch-0 checkpoint.
+    With a fine-tune rate of 0 no SGD step runs: epochs 1..E each log the
+    loss and validation accuracy and store a checkpoint of the input
+    weights, so checkpoint ensembles read the same epoch span as at any
+    other rate.
 
     The parts must all train fresh weights or all fine-tune, at one model
     shape. Each distinct pair of a pool and a subset's contents has its
     held-out mask, rows, digest and class weights worked out once, and the
     runs of every part on it index one block. The runs of all parts whose
     subsets have equal training and validation row counts step through one
-    SGD loop as one stack; parts of other row counts stack apart. Each run
-    equals its part trained alone, byte for byte.
+    SGD loop over an (R, ...) parameter stack; parts of other row counts
+    stack apart. Under ``config.patience`` a run that stops early leaves
+    the stack and the others go on. Each run's result equals training it
+    alone, byte for byte.
 
     Returns:
-        Per part, one TrainResult per seed, in seed order.
+        Per part, one TrainResult per seed, in seed order: checkpoints plus
+        per-epoch loss and validation accuracy.
     """
     subsets = {}  # (pool identity, subset digest) -> (bookkeeping, [(part, seed, start)])
     for p, (pool, subset, seeds, starts) in enumerate(parts):
@@ -610,28 +606,9 @@ def train(
     config: TrainConfig,
     seed: int = 0,
 ) -> TrainResult:
-    """Train a fresh model on a subset of the pool.
-
-    Each sample appears in every epoch as many times as its multiplicity.
-    A held-out validation part (``config.val_fraction`` of the unique ids,
-    chosen by an id-stable hash) drives early stopping when
-    ``config.patience`` > 0; early stopping with nothing held out is
-    refused with a ValueError. Without a held-out part the validation
-    accuracy is measured on the training rows. The rolling checkpoint
-    window keeps the last ``config.checkpoint_window`` end-of-epoch
-    snapshots. This is the one-run case of :func:`train_runs`.
-
-    Args:
-        pool: the labeled pool the subset indexes into.
-        subset: training multiset of sample ids.
-        config: hyperparameters.
-        seed: run seed. Controls both the weight initialization and the
-            per-epoch shuffles.
-
-    Returns:
-        TrainResult with checkpoints plus per-epoch loss and accuracy.
-    """
-    return train_runs(pool, subset, config, [seed])[0]
+    """Train a fresh model on a subset of the pool under run seed ``seed``:
+    the one-run case of :func:`train_parts`."""
+    return train_parts([(pool, subset, [seed], None)], config)[0][0]
 
 
 def fine_tune(
@@ -641,16 +618,9 @@ def fine_tune(
     config: TrainConfig,
     seed: int = 0,
 ) -> TrainResult:
-    """Continue training existing weights on a subset at the fine-tune rate.
-
-    With ``config.fine_tune_epochs`` (or ``config.max_epochs``) equal to 0,
-    the input weights come back unchanged as an epoch-0 checkpoint. With a
-    fine-tune rate of 0 no SGD step runs: epochs 1..E each log the loss and
-    validation accuracy and store a checkpoint of the input weights, so
-    checkpoint ensembles read the same epoch span as at any other rate.
-    This is the one-run case of :func:`train_runs`.
-    """
-    return train_runs(pool, subset, config, [seed], [params])[0]
+    """Continue training ``params`` on a subset of the pool at the fine-tune
+    rate, under run seed ``seed``: the one-run case of :func:`train_parts`."""
+    return train_parts([(pool, subset, [seed], [params])], config)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -1026,7 +996,6 @@ __all__ = [
     "inverse_frequency_weights",
     "loss_and_gradients",
     "train",
-    "train_runs",
     "train_parts",
     "fine_tune",
     "build_ensemble",

@@ -36,7 +36,7 @@ from .learner import (
     train_parts,
 )
 
-# train and fine_tune (the one-run cases of train_runs), predict_pool and
+# train and fine_tune (the one-run cases of train_parts), predict_pool and
 # score_pool stay attributes of this module although the schemes no longer
 # call them: perfbench's traced spans wrap them here
 from .acquisition import score_pool
@@ -402,38 +402,8 @@ def scheme_steps(pool: LabeledPool, config: SearchConfig):
     return _grow(pool, config, unseen=config.scheme == "build_up")
 
 
-def run_pretrain(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Select once with a full-pool ensemble, then fine-tune it on the subset."""
-    return run_lockstep([_select_once(pool, config, fine_tune=True)])[0]
-
-
-def run_compress(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Select once with a full-pool ensemble, then train from scratch on the subset."""
-    return run_lockstep([_select_once(pool, config, fine_tune=False)])[0]
-
-
-def run_build_up(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Grow a subset through the doubling schedule.
-
-    Starts from a random subset of an eighth of the target, trains an
-    ensemble on it, and each iteration moves the highest-scoring unseen
-    samples over until the schedule tops out at the target. The ensemble
-    retrained after each growth step scores the next one.
-    """
-    return run_lockstep([_grow(pool, config, unseen=True)])[0]
-
-
-def run_automatic_duplication(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Grow a training multiset; re-selected samples gain multiplicity.
-
-    Every iteration scores the entire pool, including samples already in
-    the subset. The top ``acquisition_batch`` ids each receive one more
-    occurrence (the final batch shrinks to land exactly on the target
-    total count), and the ensemble retrains on the enlarged multiset.
-    """
-    return run_lockstep([_grow(pool, config, unseen=False)])[0]
-
-
 def run_scheme(pool: LabeledPool, config: SearchConfig) -> SubsetResult:
-    """Run the scheme named by ``config.scheme`` alone."""
+    """Run the scheme named by ``config.scheme`` alone: the one search
+    runner. Searches that should share run stacks go through
+    :func:`run_lockstep` over :func:`scheme_steps` instead."""
     return run_lockstep([scheme_steps(pool, config)])[0]

@@ -426,6 +426,19 @@ class TestAnalyze:
             "--checkpoints", str(store_dir), "--run", "404", "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+        # the KeyError's message, not its repr
+        assert capsys.readouterr().err == "error: no checkpoints stored for run 404\n"
+
+    def test_unknown_subset_id_fails(self, tmp_path, trained_store, capsys):
+        _, pool_path, store_dir = trained_store
+        subset_path = tmp_path / "subset.csv"
+        state.write_subset_csv(subset_path, SubsetState.from_ids([0, 404]))
+        code = main([
+            "analyze", "--what", "eval", "--pool", str(pool_path),
+            "--checkpoints", str(store_dir), "--subset", str(subset_path), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown sample id 404\n"
 
 
 class TestExport:

@@ -405,6 +405,14 @@ class TestResultsDocuments:
         with pytest.raises(ValueError):
             read_results(path)
 
+    def test_stray_line_rejected(self, tmp_path):
+        path = write_results(run_experiment(base_config()), tmp_path)
+        lines = path.read_text().splitlines()
+        at = lines.index("[aggregate]") + 1
+        path.write_text("\n".join([*lines[:at], "garbage line", *lines[at:]]) + "\n")
+        with pytest.raises(ValueError, match=r"^line %d: expected key = value$" % (at + 1)):
+            read_results(path)
+
     def test_document_without_end_rejected(self, tmp_path):
         path = write_results(run_experiment(base_config()), tmp_path)
         whole = path.read_text()

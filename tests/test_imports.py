@@ -1,0 +1,48 @@
+"""Every name an alsift module imports is used there, or wrapped there by perfbench."""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "alsift").glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.fixture(scope="module")
+def wrapped():
+    """``(module, name)`` for every site perfbench's spans wrap."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return {(owner, attr) for owner, attr, *_ in module.SITES}
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name the module's imports bind, with the line that binds it."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path, wrapped):
+    tree = ast.parse(path.read_text(), str(path))
+    module = "alsift." + path.stem
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        "line %d: %s" % (line, name)
+        for name, line in sorted(_imported(tree).items(), key=lambda item: item[1])
+        if name not in used and (module, name) not in wrapped
+    ]
+    assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))

@@ -32,7 +32,6 @@ from alsift.learner import (
     read_checkpoint,
     train,
     train_parts,
-    train_runs,
     write_checkpoint,
 )
 from alsift.learner import _held_out
@@ -255,7 +254,7 @@ class TestTraining:
         # a stack checks all its runs' losses at once, with the same message
         message = r"^non-finite training loss at epoch \d+ \(lr=1e\+12\); lower the learning rate$"
         with pytest.raises(RuntimeError, match=message):
-            train_runs(pool, full_subset(pool), cfg, [0, 1, 2])
+            train_parts([(pool, full_subset(pool), [0, 1, 2], None)], cfg)[0]
 
     def test_lr_decay_applies_at_given_epochs(self):
         pool = small_pool(9)
@@ -431,7 +430,7 @@ class TestRunStack:
         subset = repeated_subset(pool)
         cfg = replace(TrainConfig(batch_size=7, max_epochs=30, val_fraction=0.2), **overrides)
         seeds = [11 + r for r in range(runs)]
-        stacked = train_runs(pool, subset, cfg, seeds)
+        stacked = train_parts([(pool, subset, seeds, None)], cfg)[0]
         assert len(stacked) == runs
         for seed, got in zip(seeds, stacked):
             assert_same_run(got, train(pool, subset, cfg, seed=seed))
@@ -445,8 +444,9 @@ class TestRunStack:
         pool = class_pool(4)
         subset = repeated_subset(pool)
         cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=3, fine_tune_rate=rate)
-        starts = [r.final_params for r in train_runs(pool, full_subset(pool), cfg, [1, 2, 3])]
-        stacked = train_runs(pool, subset, cfg, [21, 22, 23], starts)
+        pretrained = train_parts([(pool, full_subset(pool), [1, 2, 3], None)], cfg)[0]
+        starts = [r.final_params for r in pretrained]
+        stacked = train_parts([(pool, subset, [21, 22, 23], starts)], cfg)[0]
         for seed, start, got in zip([21, 22, 23], starts, stacked):
             assert_same_run(got, fine_tune(pool, subset, start, cfg, seed=seed))
             assert [c.epoch for c in got.checkpoints] == [1, 2, 3]
@@ -457,9 +457,10 @@ class TestRunStack:
     def test_starts_are_not_written(self):
         pool = class_pool(3)
         cfg = TrainConfig(batch_size=7, max_epochs=2, fine_tune_rate=1e-2)
-        starts = [r.final_params for r in train_runs(pool, full_subset(pool), cfg, [1, 2])]
+        pretrained = train_parts([(pool, full_subset(pool), [1, 2], None)], cfg)[0]
+        starts = [r.final_params for r in pretrained]
         before = [[t.copy() for t in s.tensors] for s in starts]
-        train_runs(pool, full_subset(pool), cfg, [5, 6], starts)
+        train_parts([(pool, full_subset(pool), [5, 6], starts)], cfg)[0]
         for start, kept in zip(starts, before):
             for ta, tb in zip(start.tensors, kept):
                 assert_array_equal(ta, tb)
@@ -471,9 +472,9 @@ class TestRunStack:
         logistic = init_params("logistic", pool.n_features, 3, 0, rng)
         mlp = init_params("mlp", pool.n_features, 3, 4, rng)
         with pytest.raises(ValueError, match="2 starting models for 1 run seeds"):
-            train_runs(pool, full_subset(pool), cfg, [1], [logistic, logistic])
+            train_parts([(pool, full_subset(pool), [1], [logistic, logistic])], cfg)[0]
         with pytest.raises(ValueError, match="share one architecture"):
-            train_runs(pool, full_subset(pool), cfg, [1, 2], [logistic, mlp])
+            train_parts([(pool, full_subset(pool), [1, 2], [logistic, mlp])], cfg)[0]
 
     def test_pinned_mlp_run(self):
         # a one-run result fixed by value, so that the one-run case and the
@@ -531,7 +532,8 @@ class TestParts:
         cfg = TrainConfig(arch="mlp", hidden=5, batch_size=7, max_epochs=3, fine_tune_rate=1e-2)
         parts = []
         for p, pool in enumerate(pools):
-            starts = [r.final_params for r in train_runs(pool, full_subset(pool), cfg, [p, p + 5])]
+            pretrained = train_parts([(pool, full_subset(pool), [p, p + 5], None)], cfg)[0]
+            starts = [r.final_params for r in pretrained]
             parts.append((pool, repeated_subset(pool), [31 + p, 41 + p], starts))
         for (pool, subset, seeds, starts), got in zip(parts, train_parts(parts, cfg)):
             for seed, start, run in zip(seeds, starts, got, strict=True):
@@ -602,7 +604,7 @@ class TestOneStackShape:
         pool = class_pool(4)
         cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=4, weight_decay=1e-3)
         calls = self.count_calls(monkeypatch)
-        results = train_runs(pool, repeated_subset(pool), cfg, range(runs))
+        results = train_parts([(pool, repeated_subset(pool), range(runs), None)], cfg)[0]
         assert calls == {"_loss": [(runs,)] * 4, "_accuracy": [(runs,)] * 4}
         assert all(len(r.train_loss) == 4 for r in results)
 
@@ -611,7 +613,7 @@ class TestOneStackShape:
         pool = class_pool(4)
         cfg = TrainConfig(max_epochs=0)
         calls = self.count_calls(monkeypatch)
-        results = train_runs(pool, repeated_subset(pool), cfg, range(runs))
+        results = train_parts([(pool, repeated_subset(pool), range(runs), None)], cfg)[0]
         assert calls == {"_loss": [], "_accuracy": [(runs,)]}
         assert [c.epoch for r in results for c in r.checkpoints] == [0] * runs
 
@@ -620,10 +622,10 @@ class TestOneStackShape:
     def test_a_stack_past_the_budget_goes_run_by_run_to_the_same_results(self, arch, monkeypatch):
         pool = class_pool(4)
         cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=3, weight_decay=1e-3)
-        whole = train_runs(pool, repeated_subset(pool), cfg, range(5))
+        whole = train_parts([(pool, repeated_subset(pool), range(5), None)], cfg)[0]
         monkeypatch.setattr(alsift.learner, "_EVAL_VALUES", 1)
         calls = self.count_calls(monkeypatch)
-        grouped = train_runs(pool, repeated_subset(pool), cfg, range(5))
+        grouped = train_parts([(pool, repeated_subset(pool), range(5), None)], cfg)[0]
         assert calls == {"_loss": [(1,)] * 15, "_accuracy": [(1,)] * 15}
         for got, want in zip(grouped, whole):
             assert_same_run(got, want)

@@ -73,7 +73,6 @@ from alsift.learner import (
     read_checkpoint,
     train,
     train_parts,
-    train_runs,
     write_checkpoint,
     _held_out,
     _mix64,
@@ -353,7 +352,7 @@ def stacked_trainings(draw):
 @given(stacked_trainings())
 def test_run_stack_equals_runs_trained_one_by_one(case):
     pool, subset, config, seeds = case
-    for seed, got in zip(seeds, train_runs(pool, subset, config, seeds), strict=True):
+    for seed, got in zip(seeds, train_parts([(pool, subset, seeds, None)], config)[0], strict=True):
         want = train(pool, subset, config, seed=seed)
         assert got.train_loss == want.train_loss
         assert got.val_accuracy == want.val_accuracy
@@ -434,7 +433,7 @@ def test_a_stack_of_parts_equals_each_part_trained_alone(case):
     stacked = train_parts(parts, config)
     assert len(stacked) == len(parts)
     for (pool, subset, seeds, starts), got in zip(parts, stacked):
-        _assert_same_results(got, train_runs(pool, subset, config, seeds, starts))
+        _assert_same_results(got, train_parts([(pool, subset, seeds, starts)], config)[0])
 
 
 # -- the row-blocked pool pass -------------------------------------------------

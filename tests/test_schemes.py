@@ -1,8 +1,9 @@
-"""Selection primitives, subset state and the four search runners."""
+"""Selection primitives, subset state and the search runner over its four schemes."""
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 import pickle
 
 import numpy as np
@@ -19,10 +20,6 @@ from alsift.schemes import (
     SearchConfig,
     growth_schedule,
     outlier_window_select,
-    run_automatic_duplication,
-    run_build_up,
-    run_compress,
-    run_pretrain,
     run_scheme,
     select_top_k,
     train_subset_ensemble,
@@ -297,7 +294,7 @@ def tiny_config(scheme, **kwargs):
 class TestRunners:
     def test_build_up_follows_schedule(self):
         pool = tiny_pool()
-        result = run_build_up(pool, tiny_config("build_up"))
+        result = run_scheme(pool, tiny_config("build_up"))
         assert [r.unique_count for r in result.records] == [5, 10, 20, 40]
         assert [r.total_count for r in result.records] == [5, 10, 20, 40]
         assert result.state.unique_count == 40
@@ -305,7 +302,7 @@ class TestRunners:
 
     def test_build_up_additions_are_new_and_sized(self):
         pool = tiny_pool()
-        result = run_build_up(pool, tiny_config("build_up"))
+        result = run_scheme(pool, tiny_config("build_up"))
         seen: set[int] = set()
         for record, expected in zip(result.records, (5, 5, 10, 20)):
             assert len(record.added) == expected
@@ -314,8 +311,8 @@ class TestRunners:
 
     def test_pretrain_and_compress_select_identically(self):
         pool = tiny_pool()
-        a = run_pretrain(pool, tiny_config("pretrain"))
-        b = run_compress(pool, tiny_config("compress"))
+        a = run_scheme(pool, tiny_config("pretrain"))
+        b = run_scheme(pool, tiny_config("compress"))
         assert a.state.multiplicity == b.state.multiplicity
         # but train different subset models
         assert not np.array_equal(
@@ -326,15 +323,15 @@ class TestRunners:
         # pretrain fine-tunes under iteration 0's seeds, compress trains
         # afresh under iteration 1's
         pool, config = tiny_pool(), tiny_config("compress")
-        for runner, role, iteration in ((run_pretrain, 4, 0), (run_compress, 1, 1)):
-            result = runner(pool, config)
+        for scheme, role, iteration in (("pretrain", 4, 0), ("compress", 1, 1)):
+            result = run_scheme(pool, replace(config, scheme=scheme))
             seeds = [derive_seed(config.seed, role, iteration, r) for r in range(2)]
             assert result.store.run_seeds() == sorted(seeds)
 
     def test_single_pass_schemes_hit_target(self):
         pool = tiny_pool()
-        for scheme, runner in (("pretrain", run_pretrain), ("compress", run_compress)):
-            result = runner(pool, tiny_config(scheme))
+        for scheme in ("pretrain", "compress"):
+            result = run_scheme(pool, tiny_config(scheme))
             assert result.state.unique_count == 40
             assert len(result.records) == 1
             assert result.records[0].unique_count == 40
@@ -342,7 +339,7 @@ class TestRunners:
     def test_duplication_grows_multiset_to_target(self):
         pool = tiny_pool()
         cfg = tiny_config("automatic_duplication", acquisition_batch=10, initial_size=5)
-        result = run_automatic_duplication(pool, cfg)
+        result = run_scheme(pool, cfg)
         assert result.state.total_count == 40
         totals = [r.total_count for r in result.records]
         assert totals == [5, 15, 25, 35, 40]  # last batch clipped to 5
@@ -351,7 +348,7 @@ class TestRunners:
     def test_duplication_histogram_accounting(self):
         pool = tiny_pool()
         cfg = tiny_config("automatic_duplication", acquisition_batch=10, initial_size=5)
-        result = run_automatic_duplication(pool, cfg)
+        result = run_scheme(pool, cfg)
         for record in result.records:
             total = sum(m * c for m, c in record.histogram)
             unique = sum(c for _, c in record.histogram)
@@ -360,32 +357,26 @@ class TestRunners:
 
     def test_same_seed_reproduces_selection(self):
         pool = tiny_pool()
-        a = run_build_up(pool, tiny_config("build_up"))
-        b = run_build_up(pool, tiny_config("build_up"))
+        a = run_scheme(pool, tiny_config("build_up"))
+        b = run_scheme(pool, tiny_config("build_up"))
         assert a.state.multiplicity == b.state.multiplicity
         assert [r.added for r in a.records] == [r.added for r in b.records]
 
     def test_different_seed_changes_selection(self):
         pool = tiny_pool()
-        a = run_build_up(pool, tiny_config("build_up"))
-        b = run_build_up(pool, tiny_config("build_up", seed=6))
+        a = run_scheme(pool, tiny_config("build_up"))
+        b = run_scheme(pool, tiny_config("build_up", seed=6))
         assert a.state.multiplicity != b.state.multiplicity
-
-    def test_dispatcher_matches_direct_call(self):
-        pool = tiny_pool()
-        direct = run_pretrain(pool, tiny_config("pretrain"))
-        routed = run_scheme(pool, tiny_config("pretrain"))
-        assert direct.state.multiplicity == routed.state.multiplicity
 
     def test_member_count_matches_mode(self):
         pool = tiny_pool()
-        result = run_build_up(pool, tiny_config("build_up"))
+        result = run_scheme(pool, tiny_config("build_up"))
         assert len(result.members) == 6  # 2 runs x 3 checkpoints
 
     def test_target_exceeding_pool_rejected(self):
         pool = tiny_pool()
         with pytest.raises(ValueError, match="exceeds the pool"):
-            run_build_up(pool, tiny_config("build_up", target_size=pool.n_samples + 8))
+            run_scheme(pool, tiny_config("build_up", target_size=pool.n_samples + 8))
 
     def test_duplication_requires_batch(self):
         with pytest.raises(ValueError, match="acquisition_batch"):
@@ -397,19 +388,19 @@ class TestRunners:
 
     def test_random_function_runs_via_seeded_scores(self):
         pool = tiny_pool()
-        a = run_build_up(pool, tiny_config("build_up", function_id="random"))
-        b = run_build_up(pool, tiny_config("build_up", function_id="random"))
+        a = run_scheme(pool, tiny_config("build_up", function_id="random"))
+        b = run_scheme(pool, tiny_config("build_up", function_id="random"))
         assert a.state.multiplicity == b.state.multiplicity
 
     def test_error_count_function_uses_labels(self):
         pool = tiny_pool()
-        result = run_build_up(pool, tiny_config("build_up", function_id="error_count"))
+        result = run_scheme(pool, tiny_config("build_up", function_id="error_count"))
         assert result.state.unique_count == 40
 
     def test_outlier_fraction_changes_selection(self):
         pool = tiny_pool()
-        a = run_pretrain(pool, tiny_config("pretrain"))
-        b = run_pretrain(pool, tiny_config("pretrain", outlier_fraction=0.3))
+        a = run_scheme(pool, tiny_config("pretrain"))
+        b = run_scheme(pool, tiny_config("pretrain", outlier_fraction=0.3))
         assert a.state.multiplicity != b.state.multiplicity
 
     REFUSED = (
