@@ -111,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=EXPORT_KINDS)
     p.set_defaults(func=_cmd_export)
 
-    for p in sub.choices.values():
-        p.add_argument("--out", default=".", help="output directory")
+    for verb, p in sub.choices.items():
+        # search falls back on the config's experiment.out
+        p.add_argument("--out", default=None if verb == "search" else ".", help="output directory")
     return parser
 
 
@@ -162,6 +163,7 @@ def _cmd_score(args) -> int:
         if pool is None:
             raise ConfigError("error_count scoring needs --pool for labels")
         labels = pool.labels[pool.rows_for(source.sample_ids)]
+    # a PoolBlocks (no .data) skips score_pool: perfbench counts its rows by args[0].data.size
     if args.tensor:
         scores = score_pool(source, args.function, labels=labels, seed=args.seed)
     else:
@@ -183,7 +185,7 @@ def _cmd_search(args) -> int:
         config = replace(config, seeds=(args.seed,))
     if args.jobs is not None:
         config = replace(config, jobs=args.jobs)
-    if args.out != ".":
+    if args.out is not None:
         config = replace(config, out_dir=args.out)
     check_results_file(config, config.out_dir)
     result = run_experiment(config)

@@ -60,22 +60,27 @@ class ConfigError(Exception):
     """Raised for malformed or inconsistent experiment configuration."""
 
 
+def _key_value(target: dict[str, str], line: str, lineno: int, error) -> None:
+    """Store the stripped ``key = value`` line ``line`` in ``target``; a line
+    without ``=``, an empty key or a key ``target`` holds raises ``error``."""
+    key, equals, value = line.partition("=")
+    key = key.strip()
+    if not equals:
+        raise error("line %d: expected key = value" % lineno)
+    if not key:
+        raise error("line %d: empty key" % lineno)
+    if key in target:
+        raise error("line %d: duplicate key %r" % (lineno, key))
+    target[key] = value.strip()
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; ``#`` lines and blank lines are skipped."""
     data: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value" % lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError("line %d: empty key" % lineno)
-        if key in data:
-            raise ConfigError("line %d: duplicate key %r" % (lineno, key))
-        data[key] = value.strip()
+        if line and not line.startswith("#"):
+            _key_value(data, line, lineno, ConfigError)
     return data
 
 
@@ -496,21 +501,25 @@ def _trial_workers(count: int):
 # ---------------------------------------------------------------------------
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _document(identity: str, created: str | None, body: list[str]) -> str:
+    """One results document: the banner, ``schema_version``, the ``identity``
+    line, ``created`` (now, in UTC, when None), ``body`` and ``[end]``."""
+    if created is None:
+        created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    head = [RESULTS_BANNER, "schema_version = %d" % SCHEMA_VERSION, identity]
+    return "\n".join([*head, "created = " + created, *body, "[end]"]) + "\n"
+
+
+def _config_header(config: ExperimentConfig) -> list[str]:
+    """The ``config.<key> = value`` header lines of ``config``'s documents."""
+    return ["config." + line for line in canonical_config_lines(config)]
 
 
 def build_document(result: ExperimentResult, created: str | None = None) -> str:
     """Render one results document. Only ``created`` and ``wall_time_s``
     lines vary between identical runs."""
     config = result.config
-    lines = [
-        RESULTS_BANNER,
-        "schema_version = %d" % SCHEMA_VERSION,
-        "config_hash = %s" % config_hash(config),
-        "created = %s" % (created if created is not None else _utc_now()),
-    ]
-    lines.extend("config.%s" % line for line in canonical_config_lines(config))
+    lines = _config_header(config)
     for trial in result.trials:
         lines.append("[trial seed=%d]" % trial.seed)
         lines.append("wall_time_s = %s" % repr(round(trial.wall_time_s, 3)))
@@ -536,8 +545,7 @@ def build_document(result: ExperimentResult, created: str | None = None) -> str:
     lines.append("[aggregate]")
     for key in sorted(result.aggregate):
         lines.append("%s = %s" % (key, repr(result.aggregate[key])))
-    lines.append("[end]")
-    return "\n".join(lines) + "\n"
+    return _document("config_hash = %s" % config_hash(config), created, lines)
 
 
 def subset_filename(config: ExperimentConfig, seed: int) -> str:
@@ -582,7 +590,7 @@ def check_results_file(config: ExperimentConfig, out_dir, old: str | None = None
     path = Path(out_dir) / results_filename(config)
     if old is None:
         old = _appendable(path)
-    ours = ["config.%s" % line for line in canonical_config_lines(config)]
+    ours = _config_header(config)
     stored = [line for line in old.splitlines() if line.startswith("config.")]
     if old and stored[: len(ours)] != ours:
         raise ConfigError("results file %s holds a different configuration" % path.name)
@@ -636,46 +644,36 @@ class ResultsDocument:
 def read_results(path) -> list[ResultsDocument]:
     """Parse every document appended to a results file.
 
-    A document not closed by ``[end]``, such as one cut short by a crash,
-    raises ``ValueError``, as does a line that is not a banner, a ``#``
-    comment, a ``[section]``, ``[end]`` or ``key = value``.
+    Raises ``ValueError`` for a document not closed by ``[end]`` (cut short
+    by a crash), a line that is not a banner, ``#`` comment, ``[section]``,
+    ``[end]`` or ``key = value``, an empty key, a key repeated in one header
+    or section, and any line but a comment between ``[end]`` and a banner.
     """
     documents: list[ResultsDocument] = []
-    current: ResultsDocument | None = None
-    section: dict[str, str] | None = None
-    closed = True
+    target: dict[str, str] | None = None  # the open header or section; None outside a document
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
-        if not line:
-            continue
         if line == RESULTS_BANNER:
-            if not closed:
+            if target is not None:
                 raise ValueError("results document %d is not closed by [end]" % len(documents))
-            closed = False
-            current = ResultsDocument({}, [])
-            documents.append(current)
-            section = None
+            documents.append(ResultsDocument({}, []))
+            target = documents[-1].header
+        elif not line or line.startswith("#"):
             continue
-        if line.startswith("#"):
-            continue
-        if current is None:
+        elif not documents:
             raise ValueError("results file does not start with %r" % RESULTS_BANNER)
-        if line == "[end]":
-            section = None
-            closed = True
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = {}
-            current.sections.append((line[1:-1], section))
-            continue
-        if "=" not in line:
-            raise ValueError("line %d: expected key = value" % lineno)
-        key, _, value = line.partition("=")
-        target = current.header if section is None else section
-        target[key.strip()] = value.strip()
+        elif target is None:
+            raise ValueError("line %d: outside a results document" % lineno)
+        elif line == "[end]":
+            target = None
+        elif line.startswith("[") and line.endswith("]"):
+            target = {}
+            documents[-1].sections.append((line[1:-1], target))
+        else:
+            _key_value(target, line, lineno, ValueError)
     if not documents:
         raise ValueError("no results documents in file")
-    if not closed:
+    if target is not None:
         raise ValueError("results document %d is not closed by [end]" % len(documents))
     return documents
 
@@ -789,19 +787,7 @@ def _iteration_indices(trial_data: dict[str, str]) -> list[int]:
 
 def build_consensus_document(report, source: str, created: str | None = None) -> str:
     """Small analysis document holding one consensus report."""
-    lines = [
-        RESULTS_BANNER,
-        "schema_version = %d" % SCHEMA_VERSION,
-        "source = %s" % source,
-        "created = %s" % (created if created is not None else _utc_now()),
-        "[consensus]",
-        "eval_size = %d" % report.eval_size,
-    ]
-    lines.extend(
-        "cumulative.%d = %d" % (n + 1, count) for n, count in enumerate(report.cumulative)
-    )
-    lines.extend(
-        "pairwise.%d = %d" % (i + 1, count) for i, count in enumerate(report.pairwise)
-    )
-    lines.append("[end]")
-    return "\n".join(lines) + "\n"
+    lines = ["[consensus]", "eval_size = %d" % report.eval_size]
+    lines += ["cumulative.%d = %d" % item for item in enumerate(report.cumulative, 1)]
+    lines += ["pairwise.%d = %d" % item for item in enumerate(report.pairwise, 1)]
+    return _document("source = %s" % source, created, lines)

@@ -748,6 +748,8 @@ class CheckpointStore:
                 try:
                     for row in reader:
                         key = (int(row["run_seed"]), int(row["epoch"]))
+                        if key in meta:
+                            raise ValueError("duplicate row for run %d epoch %d" % key)
                         meta[key] = (float(row["val_accuracy"]), row["subset_digest"])
                 except (TypeError, ValueError) as exc:
                     raise ValueError("%s line %d: %s" % (meta_path, reader.line_num, exc)) from None

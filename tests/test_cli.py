@@ -210,6 +210,13 @@ class TestSearch:
         docs = read_results(out / ("results_%s.txt" % config_hash(config)))
         assert [seed for seed, _ in docs[0].trials()] == [9]
 
+    def test_out_dot_wins_over_experiment_out(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["search", "--config", str(config_path), "--seed", "1", "--out", "."]) == 0
+        config = replace(config_from_file(config_path), seeds=(1,))
+        assert (tmp_path / ("results_%s.txt" % config_hash(config))).exists()
+        assert not (tmp_path / config.out_dir).exists()
+
     def test_config_required(self, capsys):
         assert main(["search"]) == 1
         assert "config" in capsys.readouterr().err

@@ -413,6 +413,23 @@ class TestResultsDocuments:
         with pytest.raises(ValueError, match=r"^line %d: expected key = value$" % (at + 1)):
             read_results(path)
 
+    @pytest.mark.parametrize("after, line, message", [
+        ("[consensus]", "= 5", "empty key"),
+        ("eval_size = 10", "eval_size = 3", "duplicate key 'eval_size'"),
+        ("[end]", "stray = 7", "outside a results document"),
+        ("[end]", "[late]", "outside a results document"),
+    ])
+    def test_line_no_writer_writes_is_refused_with_its_number(self, tmp_path, after, line, message):
+        from alsift.analysis import ConsensusReport
+
+        doc = build_consensus_document(ConsensusReport(10, (10, 8), (8,)), source="run5", created="X")
+        lines = (doc + doc).splitlines()
+        at = lines.index(after) + 1
+        path = tmp_path / "analysis.txt"
+        path.write_text("\n".join([*lines[:at], line, *lines[at:]]) + "\n")
+        with pytest.raises(ValueError, match=r"^line %d: %s$" % (at + 1, message)):
+            read_results(path)
+
     def test_document_without_end_rejected(self, tmp_path):
         path = write_results(run_experiment(base_config()), tmp_path)
         whole = path.read_text()

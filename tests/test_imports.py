@@ -1,9 +1,12 @@
-"""Every name an alsift module imports is used there, or wrapped there by perfbench."""
+"""Every name an alsift module imports is used there, or wrapped there by perfbench;
+every ``module.name`` the README lists as a library entry point exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -46,3 +49,15 @@ def test_no_unused_imports(path, wrapped):
         if name not in used and (module, name) not in wrapped
     ]
     assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
+
+
+def test_readme_entry_points_exist():
+    readme = (ROOT / "README.md").read_text()
+    listed = readme.split("### Library entry points", 1)[1].split("\n## ", 1)[0]
+    stems = {path.stem for path in MODULES}
+    names = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)[`(]", listed) if m in stems]
+    assert len(names) >= 10
+    missing = [
+        "%s.%s" % (m, n) for m, n in names if not hasattr(importlib.import_module("alsift." + m), n)
+    ]
+    assert not missing, "README lists entry points that do not exist: %s" % ", ".join(missing)

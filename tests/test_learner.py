@@ -915,6 +915,7 @@ class TestCheckpointFiles:
         ("1,2,abc,ab", "could not convert string to float: 'abc'"),
         ("x,2,0.5,ab", "invalid literal for int() with base 10: 'x'"),
         ("1", "int() argument must be"),
+        ("1,1,0.99,zzz", "duplicate row for run 1 epoch 1"),
     ])
     def test_store_meta_with_a_bad_cell_names_the_file_and_line(self, tmp_path, row, message):
         store_with_runs(small_pool(), (1,), epochs=2, window=2).save(tmp_path / "store")

@@ -1,13 +1,13 @@
 """Property tests: score bounds and agreement, selection invariants, config key table
-round trip, the trainer's held-out ids and training expansion, the lockstep run stack
-against runs trained one by one, a stack of several parts against each part trained
-alone, the row-blocked pool pass (prediction, validation,
-scores and votes) against whole-pool references, the tensor-free block pass against
-the tensor pass, the class-axis kernels (the softmax's column-wise max, the column sums,
-the member means and the vote counts) against numpy's reductions, the pool CSV
-writers and reader against ``csv``-module references, subset accounting and the
-pool index against dict models, and the binary ``.alck`` and ``.alpt`` files' exact
-round trips and refusals of cut and padded files."""
+round trip, results documents framed from drawn sections, the trainer's held-out ids
+and training expansion, the lockstep run stack against runs trained one by one, a
+stack of several parts against each part trained alone, the row-blocked pool pass
+(prediction, validation, scores and votes) against whole-pool references, the
+tensor-free block pass against the tensor pass, the class-axis kernels (the softmax's
+column-wise max, the column sums, the member means and the vote counts) against
+numpy's reductions, the pool CSV writers and reader against ``csv``-module references,
+subset accounting and the pool index against dict models, and the binary ``.alck`` and
+``.alpt`` files' exact round trips and refusals of cut and padded files."""
 
 from __future__ import annotations
 
@@ -57,6 +57,8 @@ from alsift.experiment import (
     config_from_mapping,
     config_hash,
     parse_config_text,
+    read_results,
+    _document,
 )
 from alsift.learner import (
     ARCHITECTURES,
@@ -266,6 +268,28 @@ def test_readme_config_hash_is_pinned():
     text = re.search(r"cat > exp.cfg <<'EOF'\n(.*?)EOF", README.read_text(), re.S).group(1)
     config = config_from_mapping(parse_config_text(text))
     assert config_hash(config) == "6c71b4dd53f5de3c"
+
+
+# the k and s prefixes keep drawn keys off the frame's own header keys and
+# drawn section names off [end]
+_doc_keys = st.text("abcxyz019_.", min_size=1, max_size=10).map(lambda k: "k" + k)
+_doc_values = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map(str.strip)
+_doc_dicts = st.dictionaries(_doc_keys, _doc_values, max_size=5)
+_section_names = st.text("abenxyz09_. =", max_size=10).map(lambda n: "s" + n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_doc_dicts, st.lists(st.tuples(_section_names, _doc_dicts), max_size=4), _doc_values)
+def test_a_framed_document_reads_back_its_header_and_sections(header, sections, source):
+    body = ["%s = %s" % item for item in header.items()]
+    for name, data in sections:
+        body += ["[%s]" % name, *("%s = %s" % item for item in data.items())]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.txt"
+        path.write_text(_document("source = " + source, "X", body) * 2)
+        documents = read_results(path)
+    framed = {"schema_version": "1", "source": source, "created": "X", **header}
+    assert [(d.header, d.sections) for d in documents] == [(framed, sections)] * 2
 
 
 # Reference for the trainer's validation split: scalar splitmix64 over
