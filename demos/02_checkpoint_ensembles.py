@@ -36,7 +36,7 @@ store = CheckpointStore()
 for run_seed in (101, 102, 103):
     result = train(pool, everything, trainer, seed=run_seed)
     store.add_run(result.checkpoints)
-    print("run %d: final train loss %.4f, val accuracy %.3f"
+    print("run %d: last epoch's running train loss %.4f, val accuracy %.3f"
           % (run_seed, result.train_loss[-1], result.val_accuracy[-1]))
 print()
 

@@ -647,7 +647,9 @@ def read_results(path) -> list[ResultsDocument]:
     Raises ``ValueError`` for a document not closed by ``[end]`` (cut short
     by a crash), a line that is not a banner, ``#`` comment, ``[section]``,
     ``[end]`` or ``key = value``, an empty key, a key repeated in one header
-    or section, and any line but a comment between ``[end]`` and a banner.
+    or section, a section name repeated in one document, a ``[trial seed=S]``
+    section whose seed is not an integer, and any line but a comment between
+    ``[end]`` and a banner.
     """
     documents: list[ResultsDocument] = []
     target: dict[str, str] | None = None  # the open header or section; None outside a document
@@ -667,8 +669,19 @@ def read_results(path) -> list[ResultsDocument]:
         elif line == "[end]":
             target = None
         elif line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            if any(name == seen for seen, _ in documents[-1].sections):
+                raise ValueError("line %d: duplicate section [%s]" % (lineno, name))
+            if name.startswith("trial seed="):
+                seed = name.split("=", 1)[1]
+                try:
+                    int(seed)
+                except ValueError:
+                    raise ValueError(
+                        "line %d: trial seed %r is not an integer" % (lineno, seed)
+                    ) from None
             target = {}
-            documents[-1].sections.append((line[1:-1], target))
+            documents[-1].sections.append((name, target))
         else:
             _key_value(target, line, lineno, ValueError)
     if not documents:

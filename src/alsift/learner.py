@@ -224,14 +224,23 @@ def _loss(tensors, features, labels, sample_w, weight_decay: float = 0.0):
     probs = _softmax(logits)
     # contiguous, so that each run's mean sums its rows as a lone run's would
     picked = np.ascontiguousarray(probs[..., np.arange(n), labels])
-    log_probs = np.log(np.maximum(picked, 1e-300))
-    loss = -(sample_w * log_probs).mean(axis=-1)
+    loss = -(sample_w * _log(picked)).mean(axis=-1)
     if weight_decay:
-        squares = 0.0
-        for w in reversed(tensors[::2]):
-            squares += (w * w).reshape(*w.shape[:-2], -1).sum(axis=-1)
-        loss += 0.5 * weight_decay * squares
+        loss += _decay_term(tensors, weight_decay)
     return loss, inputs, probs
+
+
+def _log(picked: np.ndarray) -> np.ndarray:
+    """Log of the picked class probabilities, clamped away from log(0)."""
+    return np.log(np.maximum(picked, 1e-300))
+
+
+def _decay_term(tensors, weight_decay: float):
+    """(wd / 2) * the sum of squared weight matrix entries, of each run of a stack."""
+    squares = 0.0
+    for w in reversed(tensors[::2]):
+        squares += (w * w).reshape(*w.shape[:-2], -1).sum(axis=-1)
+    return 0.5 * weight_decay * squares
 
 
 def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) -> list:
@@ -260,10 +269,16 @@ def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) ->
     return grads
 
 
-def _batch_gradients(tensors, features, labels, sample_w, weight_decay: float) -> list:
-    """Gradients of one SGD batch, without the loss, which no step reads."""
+def _batch_gradients(tensors, features, labels, sample_w, weight_decay: float):
+    """Gradients of one SGD batch of a run stack, and each run's summed
+    weighted log-likelihood of its batch rows, read from the forward pass
+    before the backward pass overwrites its probabilities."""
     inputs, logits = _forward(tensors, features)
-    return _gradients(tensors, inputs, _softmax(logits), labels, sample_w, weight_decay)
+    probs = _softmax(logits)
+    flat = probs.reshape(-1, probs.shape[-1])
+    picked = flat[np.arange(len(flat)), labels.ravel()].reshape(labels.shape)
+    log_likelihood = (sample_w * _log(picked)).sum(axis=-1)
+    return _gradients(tensors, inputs, probs, labels, sample_w, weight_decay), log_likelihood
 
 
 def loss_and_gradients(
@@ -356,6 +371,16 @@ class Checkpoint:
 
 @dataclass
 class TrainResult:
+    """One run's kept checkpoints, and per epoch its training loss and
+    validation accuracy.
+
+    ``train_loss[e]`` is the running loss of epoch e: the class-weighted
+    mean cross-entropy of the epoch's batches, each taken at the weights its
+    SGD step started from, plus the weight-decay term at the epoch's end
+    weights. When no step runs (a zero fine-tune rate) it is the full
+    objective at the unchanged weights.
+    """
+
     checkpoints: list[Checkpoint]
     train_loss: list[float]
     val_accuracy: list[float]
@@ -375,9 +400,11 @@ def _held_out(ids: np.ndarray, fraction: float) -> np.ndarray:
 
 
 def _accuracy(tensors, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Top-class accuracy on shared rows, of one model or of each run of a stack."""
+    """Top-class accuracy on shared rows, of one model or of each run of a
+    stack; NaN for a run whose probabilities are not all finite."""
     probs = _softmax(_forward(tensors, features)[1])
-    return np.mean(np.argmax(probs, axis=-1) == labels, axis=-1)
+    accuracy = np.mean(np.argmax(probs, axis=-1) == labels, axis=-1)
+    return np.where(np.isfinite(probs).all(axis=(-2, -1)), accuracy, np.nan)
 
 
 # the most layer-output values one evaluation pass over a run stack holds
@@ -451,7 +478,10 @@ def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
 
     Returns:
         Per part, one TrainResult per seed, in seed order: checkpoints plus
-        per-epoch loss and validation accuracy.
+        per-epoch loss and validation accuracy. The loss of an epoch is its
+        running loss, the mean over its batches as the SGD steps saw them
+        (see :class:`TrainResult`); a run whose loss or validation
+        probabilities are not finite raises RuntimeError.
     """
     subsets = {}  # (pool identity, subset digest) -> (bookkeeping, [(part, seed, start)])
     for p, (pool, subset, seeds, starts) in enumerate(parts):
@@ -481,9 +511,11 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     all of one row count) of the subset the run trains on.
 
     The subsets' rows are gathered once into (S, n, ...) arrays, and each
-    run's batches index its own subset's rows. Each epoch ends with one
-    loss pass and one validation pass per subset, over the block of live
-    runs that train on it.
+    run's batches index its own subset's rows. Each run's ``train_loss``
+    adds up the log-likelihoods that its batch steps' forward passes give,
+    so the epoch ends with only one validation pass per subset, over the
+    block of live runs that train on it. At a zero rate no step runs, and
+    one loss pass before the first epoch gives every epoch's loss.
     """
     pools = [pool for pool, *_ in subsets]
     d, k = pools[0].n_features, pools[0].n_classes
@@ -547,6 +579,8 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
             results[j] = TrainResult([ckpt], [], [acc])
         return results
 
+    if not learning_rate:  # the weights never move: one loss for every epoch
+        still = _by_run_groups(loss, tensors, n_rows, owner)
     stacked = features.reshape(-1, d), labels.reshape(-1), sample_w.reshape(-1)
     live = list(range(len(runs)))  # the run of each stack row
     best = [-np.inf] * len(runs)
@@ -559,22 +593,30 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
         if learning_rate:  # at a zero rate no step would move the weights
             perms = np.stack([rngs[i].permutation(n_rows) for i in live])
             perms += n_rows * owner[live, None]  # into the run's own subset's rows
+            total = np.zeros(len(live))
             for lo in range(0, n_rows, config.batch_size):
                 batch = perms[:, lo : lo + config.batch_size]
-                grads = _batch_gradients(
+                grads, log_likelihood = _batch_gradients(
                     tensors, *(a[batch] for a in stacked), config.weight_decay
                 )
+                total += log_likelihood
                 for param, vel, grad in zip(tensors, velocity, grads):
                     vel *= config.momentum
                     vel += grad
                     param -= lr * vel
-        losses = _by_run_groups(loss, tensors, n_rows, owner[live])
-        if not np.isfinite(losses).all():
+            losses = -total / n_rows
+            if config.weight_decay:
+                losses += _decay_term(tensors, config.weight_decay)
+        else:
+            losses = still[live]
+        accs = _by_run_groups(validate, tensors, n_val, owner[live])
+        # a blow-up in the epoch's last step shows only in the end weights'
+        # validation probabilities
+        if not (np.isfinite(losses).all() and np.isfinite(accs).all()):
             raise RuntimeError(
                 "non-finite training loss at epoch %d (lr=%g); lower the learning rate"
                 % (epoch, lr)
             )
-        accs = _by_run_groups(validate, tensors, n_val, owner[live])
         keep = []
         for j, (i, epoch_loss, acc) in enumerate(zip(live, losses.tolist(), accs.tolist())):
             results[i].train_loss.append(epoch_loss)

@@ -524,6 +524,20 @@ class TestExitCodes:
         assert code == 2
         assert "error: line 3: expected 4 columns, found 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, message", [
+        ("[aggregate]", "line 7: duplicate section [aggregate]"),
+        ("[trial seed=one]", "line 7: trial seed 'one' is not an integer"),
+    ])
+    def test_export_refuses_a_section_no_writer_writes(self, section, message, tmp_path, capsys):
+        results = tmp_path / "results_x.txt"
+        results.write_text(
+            "# subset-search results\nschema_version = 1\ncreated = X\n"
+            "[aggregate]\ntrials = 1.0\n\n%s\ntrials = 2.0\n[end]\n" % section
+        )
+        argv = ["export", "--results", str(results), "--kind", "learning_curve"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
     def test_tensor_csv_id_past_uint64_names_its_line(self, tmp_path, capsys):
         bad = tmp_path / "preds.csv"
         bad.write_text("sample_id,member,p_0,p_1\n18446744073709551616,0,0.5,0.5\n")

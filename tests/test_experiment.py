@@ -418,6 +418,8 @@ class TestResultsDocuments:
         ("eval_size = 10", "eval_size = 3", "duplicate key 'eval_size'"),
         ("[end]", "stray = 7", "outside a results document"),
         ("[end]", "[late]", "outside a results document"),
+        ("pairwise.1 = 8", "[consensus]", r"duplicate section \[consensus\]"),
+        ("eval_size = 10", "[trial seed=one]", "trial seed 'one' is not an integer"),
     ])
     def test_line_no_writer_writes_is_refused_with_its_number(self, tmp_path, after, line, message):
         from alsift.analysis import ConsensusReport

@@ -256,6 +256,18 @@ class TestTraining:
         with pytest.raises(RuntimeError, match=message):
             train_parts([(pool, full_subset(pool), [0, 1, 2], None)], cfg)[0]
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.1])
+    def test_a_blow_up_in_the_last_step_is_refused(self, val_fraction):
+        # one full-batch step: every batch loss is taken before the weights
+        # blow up, so only the epoch end can see it
+        pool = small_pool()
+        cfg = TrainConfig(learning_rate=1e308, momentum=0.0, weight_decay=0.0,
+                          batch_size=10_000, max_epochs=1, val_fraction=val_fraction)
+        with pytest.raises(RuntimeError, match=r"^non-finite training loss at epoch 1 "):
+            train(pool, full_subset(pool), cfg, seed=0)
+
     def test_lr_decay_applies_at_given_epochs(self):
         pool = small_pool(9)
         base = TrainConfig(
@@ -265,9 +277,15 @@ class TestTraining:
         decayed = replace(base, decay_epochs=(2,), lr_decay=0.5)
         plain = train(pool, full_subset(pool), base, seed=5)
         scaled = train(pool, full_subset(pool), decayed, seed=5)
-        # first epoch identical, second epoch takes a smaller step
-        assert plain.train_loss[0] == scaled.train_loss[0]
-        assert plain.train_loss[1] != scaled.train_loss[1]
+        # first epoch identical, second epoch takes a step half as long
+        (one, two), (scaled_one, scaled_two) = plain.checkpoints, scaled.checkpoints
+        for ta, tb in zip(one.params.tensors, scaled_one.params.tensors):
+            assert_array_equal(ta, tb)
+        for start, end, scaled_end in zip(
+            one.params.tensors, two.params.tensors, scaled_two.params.tensors
+        ):
+            assert not np.array_equal(end, scaled_end)
+            assert_allclose(2 * (start - scaled_end), start - end, rtol=1e-9)
 
 
 def count_gradient_batches(monkeypatch):
@@ -320,15 +338,23 @@ def test_hidden_width_is_checked_for_mlp_only():
 class TestEpochLoss:
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
     def test_logged_loss_is_the_full_objective_without_a_gradient_pass(self, arch, monkeypatch):
+        # full batch, no momentum: epoch e's one step sees the full objective's
+        # data term at the weights epoch e starts from; the decay term is taken
+        # at the epoch's end weights
         pool = small_pool()
-        cfg = TrainConfig(arch=arch, hidden=6, max_epochs=4, batch_size=16, val_fraction=0.0,
-                          weight_decay=1e-3, class_weighting=True)
+        cfg = TrainConfig(arch=arch, hidden=6, max_epochs=4, batch_size=10_000, momentum=0.0,
+                          val_fraction=0.0, weight_decay=1e-3, class_weighting=True)
         rows = count_gradient_batches(monkeypatch)
         result = train(pool, full_subset(pool), cfg, seed=4)
-        assert rows == [16, 16, 16, 12] * 4
+        assert rows == [pool.n_samples] * 4
         weights = inverse_frequency_weights(pool.labels, pool.n_classes)
-        full, _ = loss_and_gradients(result.final_params, pool.features, pool.labels, weights, 1e-3)
-        assert result.train_loss[-1] == full
+        first = init_params(arch, pool.n_features, pool.n_classes, 6, np.random.default_rng(4))
+        starts = [first, *(c.params for c in result.checkpoints[:-1])]
+        for logged, start, end in zip(result.train_loss, starts, result.checkpoints, strict=True):
+            data, _ = loss_and_gradients(start, pool.features, pool.labels, weights)
+            decay = 0.5 * 1e-3 * sum((w * w).sum() for w in end.params.tensors[::2])
+            # the shuffled rows add up in another order than the pool's
+            assert logged == pytest.approx(data + decay, rel=1e-12)
 
 
 class TestFineTuning:
@@ -489,10 +515,14 @@ class TestRunStack:
             digest.update(b"%d" % ckpt.epoch)
             for tensor in ckpt.params.tensors:
                 digest.update(tensor.tobytes())
-        digest.update(np.asarray(result.train_loss).tobytes())
         digest.update(np.asarray(result.val_accuracy).tobytes())
         assert digest.hexdigest() == (
-            "61409606d728f29d7e4c5a0ed0920f3ca211ee6bac6c100f323ddc0977083a7f"
+            "ebce3fb1d1b3834a9d91352163bb29b5526c07bfc9f4a1d0dd52ec2187bff4ac"
+        )
+        # the running loss, pinned apart: it changed meaning while the weights
+        # and accuracies above kept their bytes
+        assert hashlib.sha256(np.asarray(result.train_loss).tobytes()).hexdigest() == (
+            "a05a6d1c6bae21b8a0d86175548010b1c9bad89671273c3dc8c6547589e14c0f"
         )
 
 
@@ -581,9 +611,10 @@ class TestParts:
 
 
 class TestOneStackShape:
-    """Epoch ends evaluate the whole run stack at once: one loss pass and one
-    accuracy pass per epoch, whatever the number of runs, while the stack's
-    layer outputs fit ``_EVAL_VALUES``; a larger stack goes in groups."""
+    """Epoch ends evaluate the whole run stack at once: one accuracy pass per
+    epoch, whatever the number of runs, while the stack's layer outputs fit
+    ``_EVAL_VALUES``; a larger stack goes in groups. The epoch's loss comes
+    from the batch steps, so no loss pass runs unless the rate is zero."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -605,7 +636,7 @@ class TestOneStackShape:
         cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=4, weight_decay=1e-3)
         calls = self.count_calls(monkeypatch)
         results = train_parts([(pool, repeated_subset(pool), range(runs), None)], cfg)[0]
-        assert calls == {"_loss": [(runs,)] * 4, "_accuracy": [(runs,)] * 4}
+        assert calls == {"_loss": [], "_accuracy": [(runs,)] * 4}
         assert all(len(r.train_loss) == 4 for r in results)
 
     @pytest.mark.parametrize("runs", [1, 3, 5])
@@ -617,6 +648,16 @@ class TestOneStackShape:
         assert calls == {"_loss": [], "_accuracy": [(runs,)]}
         assert [c.epoch for r in results for c in r.checkpoints] == [0] * runs
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_zero_rate_fine_tune_makes_one_loss_call(self, runs, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(batch_size=7, max_epochs=3, fine_tune_rate=0.0, weight_decay=1e-3)
+        pretrained = train_parts([(pool, full_subset(pool), range(runs), None)], cfg)[0]
+        starts = [r.final_params for r in pretrained]
+        calls = self.count_calls(monkeypatch)
+        results = train_parts([(pool, repeated_subset(pool), range(runs), starts)], cfg)[0]
+        assert calls == {"_loss": [(runs,)], "_accuracy": [(runs,)] * 3}
+        assert all(len(set(r.train_loss)) == 1 and len(r.train_loss) == 3 for r in results)
 
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
     def test_a_stack_past_the_budget_goes_run_by_run_to_the_same_results(self, arch, monkeypatch):
@@ -626,7 +667,7 @@ class TestOneStackShape:
         monkeypatch.setattr(alsift.learner, "_EVAL_VALUES", 1)
         calls = self.count_calls(monkeypatch)
         grouped = train_parts([(pool, repeated_subset(pool), range(5), None)], cfg)[0]
-        assert calls == {"_loss": [(1,)] * 15, "_accuracy": [(1,)] * 15}
+        assert calls == {"_loss": [], "_accuracy": [(1,)] * 15}
         for got, want in zip(grouped, whole):
             assert_same_run(got, want)
 

@@ -271,7 +271,7 @@ def test_readme_config_hash_is_pinned():
 
 
 # the k and s prefixes keep drawn keys off the frame's own header keys and
-# drawn section names off [end]
+# drawn section names off [end]; one document's section names are distinct
 _doc_keys = st.text("abcxyz019_.", min_size=1, max_size=10).map(lambda k: "k" + k)
 _doc_values = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map(str.strip)
 _doc_dicts = st.dictionaries(_doc_keys, _doc_values, max_size=5)
@@ -279,7 +279,11 @@ _section_names = st.text("abenxyz09_. =", max_size=10).map(lambda n: "s" + n)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_doc_dicts, st.lists(st.tuples(_section_names, _doc_dicts), max_size=4), _doc_values)
+@given(
+    _doc_dicts,
+    st.lists(st.tuples(_section_names, _doc_dicts), max_size=4, unique_by=lambda s: s[0]),
+    _doc_values,
+)
 def test_a_framed_document_reads_back_its_header_and_sections(header, sections, source):
     body = ["%s = %s" % item for item in header.items()]
     for name, data in sections:
