@@ -103,6 +103,12 @@ def _tensor_shapes(arch: str, d: int, k: int, hidden: int) -> list[tuple[int, ..
     return [shape for n_in, n_out in zip(widths, widths[1:]) for shape in ((n_in, n_out), (n_out,))]
 
 
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of ``shapes``' tensors laid end to end on the last axis of ``flat``."""
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1], axis=-1)
+    return [part.reshape(*flat.shape[:-1], *shape) for part, shape in zip(parts, shapes)]
+
+
 @dataclass
 class ModelParams:
     """Weights of one classifier.
@@ -158,23 +164,23 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward(tensors, features: np.ndarray):
+def _forward(tensors, features: np.ndarray, out=None):
     """The input of each layer, then the logits; a ReLU joins two layers.
 
     ``tensors`` are ordered like ``ModelParams.tensors``. They may carry a
     leading run axis, (R, D, H) weights and (R, H) biases, with
     ``features`` stacked to (R, n, D). Every layer output is a new array,
-    updated in place; ``features`` is never written.
+    updated in place, or the logits go to ``out``; ``features`` is never written.
     """
     inputs = []
-    out = features
+    x = features
     for w, b in zip(tensors[::2], tensors[1::2]):
         if inputs:
-            np.maximum(out, 0.0, out=out)
-        inputs.append(out)
-        out = out @ w
-        out += b[..., None, :]
-    return inputs, out
+            np.maximum(x, 0.0, out=x)
+        inputs.append(x)
+        x = np.matmul(x, w, out=out if 2 * len(inputs) == len(tensors) else None)
+        x += b[..., None, :]
+    return inputs, x
 
 
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -206,7 +212,7 @@ def inverse_frequency_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return weights
 
 
-def _loss(tensors, features, labels, sample_w, weight_decay: float = 0.0):
+def _loss(tensors, weight_decay: float, features, labels, sample_w=None):
     """Regularized cross-entropy from one forward pass, for one model or a run stack.
 
     ``tensors`` and ``features`` may carry a leading run axis as in
@@ -214,8 +220,7 @@ def _loss(tensors, features, labels, sample_w, weight_decay: float = 0.0):
     ``sample_w`` are shared by every run. Returns ``(loss, inputs, probs)``:
     the loss of each run (a 0-d value without a run axis), then what the
     backward pass :func:`_gradients` reads (each layer's input and the class
-    probabilities).
-    """
+    probabilities). Without ``sample_w`` every sample weighs 1."""
     features = np.asarray(features, dtype=np.float64)
     n = labels.shape[-1]
     if n == 0:
@@ -224,15 +229,17 @@ def _loss(tensors, features, labels, sample_w, weight_decay: float = 0.0):
     probs = _softmax(logits)
     # contiguous, so that each run's mean sums its rows as a lone run's would
     picked = np.ascontiguousarray(probs[..., np.arange(n), labels])
-    loss = -(sample_w * _log(picked)).mean(axis=-1)
+    loss = -_log(picked, sample_w).mean(axis=-1)
     if weight_decay:
         loss += _decay_term(tensors, weight_decay)
     return loss, inputs, probs
 
 
-def _log(picked: np.ndarray) -> np.ndarray:
-    """Log of the picked class probabilities, clamped away from log(0)."""
-    return np.log(np.maximum(picked, 1e-300))
+def _log(picked: np.ndarray, sample_w=None) -> np.ndarray:
+    """Log of the picked class probabilities, clamped away from log(0), times
+    each sample's class weight if ``sample_w`` is given."""
+    logs = np.log(np.maximum(picked, 1e-300))
+    return logs if sample_w is None else sample_w * logs
 
 
 def _decay_term(tensors, weight_decay: float):
@@ -243,8 +250,9 @@ def _decay_term(tensors, weight_decay: float):
     return 0.5 * weight_decay * squares
 
 
-def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) -> list:
-    """Gradients of every tensor from one forward pass, ordered like ``tensors``.
+def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float, grads):
+    """Gradients of every tensor from one forward pass, ordered like ``tensors``,
+    written into ``grads``.
 
     The one backward pass, for one model or a run stack: arrays may carry
     a leading run axis as in :func:`_forward`. ``probs`` (fresh from
@@ -253,32 +261,32 @@ def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float) ->
     n = labels.shape[-1]
     flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is contiguous
     flat[np.arange(len(flat)), labels.ravel()] -= 1.0
-    probs *= (sample_w / n)[..., None]
+    probs *= 1.0 / n if sample_w is None else (sample_w / n)[..., None]
 
-    grads = []
     delta = probs
-    for w in reversed(tensors[::2]):
+    for w, grad_w, grad_b in zip(tensors[-2::-2], grads[-2::-2], grads[::-2]):
         layer_input = inputs.pop()
-        grad_w = np.swapaxes(layer_input, -1, -2) @ delta
+        np.matmul(np.swapaxes(layer_input, -1, -2), delta, out=grad_w)
         if weight_decay:
             grad_w += weight_decay * w
-        grads[:0] = (grad_w, delta.sum(axis=-2))
+        delta.sum(axis=-2, out=grad_b)
         if inputs:  # this layer's input is a ReLU output: backpropagate through it
             delta = delta @ np.swapaxes(w, -1, -2)
             np.putmask(delta, layer_input <= 0.0, 0.0)
     return grads
 
 
-def _batch_gradients(tensors, features, labels, sample_w, weight_decay: float):
-    """Gradients of one SGD batch of a run stack, and each run's summed
-    weighted log-likelihood of its batch rows, read from the forward pass
-    before the backward pass overwrites its probabilities."""
+def _batch_gradients(tensors, grads, weight_decay: float, features, labels, sample_w=None):
+    """Write the gradients of one SGD batch of a run stack into ``grads``; return
+    each run's summed weighted log-likelihood of its batch rows, read from the
+    forward pass before the backward pass overwrites its probabilities."""
     inputs, logits = _forward(tensors, features)
     probs = _softmax(logits)
     flat = probs.reshape(-1, probs.shape[-1])
     picked = flat[np.arange(len(flat)), labels.ravel()].reshape(labels.shape)
-    log_likelihood = (sample_w * _log(picked)).sum(axis=-1)
-    return _gradients(tensors, inputs, probs, labels, sample_w, weight_decay), log_likelihood
+    log_likelihood = _log(picked, sample_w).sum(axis=-1)
+    _gradients(tensors, inputs, probs, labels, sample_w, weight_decay, grads)
+    return log_likelihood
 
 
 def loss_and_gradients(
@@ -296,12 +304,11 @@ def loss_and_gradients(
     backward pass every SGD step takes, here without a run axis.
     """
     tensors, labels = params.tensors, np.asarray(labels, dtype=np.int64)
-    if class_weights is None:
-        sample_w = np.ones(labels.shape)
-    else:
-        sample_w = np.asarray(class_weights, dtype=np.float64)[labels]
-    loss, inputs, probs = _loss(tensors, features, labels, sample_w, weight_decay)
-    return float(loss), tuple(_gradients(tensors, inputs, probs, labels, sample_w, weight_decay))
+    sample_w = None if class_weights is None else np.asarray(class_weights, np.float64)[labels]
+    loss, inputs, probs = _loss(tensors, weight_decay, features, labels, sample_w)
+    grads = [np.empty(t.shape) for t in tensors]
+    _gradients(tensors, inputs, probs, labels, sample_w, weight_decay, grads)
+    return float(loss), tuple(grads)
 
 
 @dataclass
@@ -515,7 +522,10 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     adds up the log-likelihoods that its batch steps' forward passes give,
     so the epoch ends with only one validation pass per subset, over the
     block of live runs that train on it. At a zero rate no step runs, and
-    one loss pass before the first epoch gives every epoch's loss.
+    one loss and one validation pass before the first epoch serve every
+    epoch. The stack's weights, velocities and gradients are one flat (R, P)
+    array each, with the layer tensors as views, so that a step's momentum
+    update is three whole-stack operations.
     """
     pools = [pool for pool, *_ in subsets]
     d, k = pools[0].n_features, pools[0].n_classes
@@ -534,9 +544,10 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
         val_features, val_labels = gather("features", 2), gather("labels", 2)
     else:
         val_features, val_labels = features, labels
-    sample_w = np.ones(labels.shape)
+    per_subset = [features, labels]  # and the sample weights, unless all are 1
     if config.class_weighting:
-        sample_w = np.stack([inverse_frequency_weights(y, k)[y] for y in labels])
+        per_subset.append(np.stack([inverse_frequency_weights(y, k)[y] for y in labels]))
+    stacked = [a.reshape(-1, *a.shape[2:]) for a in per_subset]
 
     owner = np.array([s for s, *_ in runs])
     seeds = [seed for _, seed, _, _ in runs]
@@ -556,17 +567,19 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     arch, hidden = models[0].arch, models[0].hidden
     if any((m.arch, m.hidden) != (arch, hidden) for m in models):
         raise ValueError("the runs of one stack must share one architecture")
-    tensors = [np.stack(stack) for stack in zip(*(m.tensors for m in models))]
-    velocity = [np.zeros_like(t) for t in tensors]
+    shapes = _tensor_shapes(arch, d, k, hidden)
+    weights = np.stack([np.concatenate([t.ravel() for t in m.tensors]) for m in models])
+    velocity, grads = np.zeros_like(weights), np.empty_like(weights)
+    tensors, grad_views = _views(weights, shapes), _views(grads, shapes)
 
-    def run_params(j: int) -> ModelParams:
-        return ModelParams(arch, d, k, hidden, tuple(t[j] for t in tensors))
+    def run_params(j: int) -> ModelParams:  # a copy of run j's weights
+        return ModelParams(arch, d, k, hidden, tuple(t[j].copy() for t in tensors))
 
     def validate(stack, s):
         return _accuracy(stack, val_features[s], val_labels[s])
 
     def loss(stack, s):
-        return _loss(stack, features[s], labels[s], sample_w[s], config.weight_decay)[0]
+        return _loss(stack, config.weight_decay, *(a[s] for a in per_subset))[0]
 
     windows = [deque(maxlen=config.checkpoint_window) for _ in runs]
     results = [TrainResult([], [], []) for _ in runs]
@@ -575,13 +588,13 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     if max_epochs == 0:
         # nothing to optimize; snapshot the starting points
         for j, acc in enumerate(_by_run_groups(validate, tensors, n_val, owner).tolist()):
-            ckpt = Checkpoint(run_params(j).copy(), seeds[j], 0, subsets[owner[j]][3], acc)
+            ckpt = Checkpoint(run_params(j), seeds[j], 0, subsets[owner[j]][3], acc)
             results[j] = TrainResult([ckpt], [], [acc])
         return results
 
-    if not learning_rate:  # the weights never move: one loss for every epoch
+    if not learning_rate:  # the weights never move: one loss and accuracy for every epoch
         still = _by_run_groups(loss, tensors, n_rows, owner)
-    stacked = features.reshape(-1, d), labels.reshape(-1), sample_w.reshape(-1)
+        still_accs = _by_run_groups(validate, tensors, n_val, owner)
     live = list(range(len(runs)))  # the run of each stack row
     best = [-np.inf] * len(runs)
     stale = [0] * len(runs)
@@ -596,20 +609,18 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
             total = np.zeros(len(live))
             for lo in range(0, n_rows, config.batch_size):
                 batch = perms[:, lo : lo + config.batch_size]
-                grads, log_likelihood = _batch_gradients(
-                    tensors, *(a[batch] for a in stacked), config.weight_decay
+                total += _batch_gradients(
+                    tensors, grad_views, config.weight_decay, *(a.take(batch, 0) for a in stacked)
                 )
-                total += log_likelihood
-                for param, vel, grad in zip(tensors, velocity, grads):
-                    vel *= config.momentum
-                    vel += grad
-                    param -= lr * vel
+                velocity *= config.momentum
+                velocity += grads
+                weights -= lr * velocity
             losses = -total / n_rows
             if config.weight_decay:
                 losses += _decay_term(tensors, config.weight_decay)
+            accs = _by_run_groups(validate, tensors, n_val, owner[live])
         else:
-            losses = still[live]
-        accs = _by_run_groups(validate, tensors, n_val, owner[live])
+            losses, accs = still[live], still_accs[live]
         # a blow-up in the epoch's last step shows only in the end weights'
         # validation probabilities
         if not (np.isfinite(losses).all() and np.isfinite(accs).all()):
@@ -621,7 +632,7 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
         for j, (i, epoch_loss, acc) in enumerate(zip(live, losses.tolist(), accs.tolist())):
             results[i].train_loss.append(epoch_loss)
             results[i].val_accuracy.append(acc)
-            ckpt = Checkpoint(run_params(j).copy(), seeds[i], epoch, subsets[owner[i]][3], acc)
+            ckpt = Checkpoint(run_params(j), seeds[i], epoch, subsets[owner[i]][3], acc)
             windows[i].append(ckpt)
             if acc > best[i]:
                 best[i] = acc
@@ -633,8 +644,8 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
         if not keep:
             break
         if len(keep) < len(live):
-            tensors = [t[keep] for t in tensors]
-            velocity = [v[keep] for v in velocity]
+            weights, velocity, grads = weights[keep], velocity[keep], grads[keep]
+            tensors, grad_views = _views(weights, shapes), _views(grads, shapes)
             live = [live[j] for j in keep]
 
     for result, window in zip(results, windows):
@@ -885,6 +896,8 @@ class PoolBlocks:
             order.
     """
 
+    _LOGITS = 1 << 18  # logits per softmax (1 MiB of float32): a member group that stays in cache
+
     def __init__(self, members, pool: LabeledPool, ids=None):
         self.members = list(members)
         if not self.members:
@@ -919,16 +932,24 @@ class PoolBlocks:
     def blocks(self):
         """Yield the :func:`acquisition.row_blocks` of the source, filled with
         the member probabilities of their rows, computed in float32. Every
-        block passes :func:`acquisition._check_rows`."""
+        block passes :func:`acquisition._check_rows`. Each group of members
+        that fills a member-major float32 buffer of ``_LOGITS`` logits takes
+        one row-wise softmax and one transposing copy into the block."""
         with _float32_range("member weights"):  # the values .alck files store
             weights = [[t.astype(np.float32) for t in m.tensors] for m in self.members]
         for rows, block in row_blocks((self.n_samples, self.n_members, self.n_classes)):
             features = self.pool.features[rows if self._rows is None else self._rows[rows]]
             with _float32_range("pool features"):
                 features = features.astype(np.float32)
+            size = max(1, self._LOGITS // max(1, len(block) * self.n_classes))
+            logits = np.empty((min(size, self.n_members), len(block), self.n_classes), np.float32)
             with np.errstate(over="ignore", invalid="ignore"):
-                for j, w in enumerate(weights):
-                    block[:, j] = _softmax(_forward(w, features)[1])
+                for lo in range(0, self.n_members, size):
+                    group = logits[: self.n_members - lo]
+                    for j, w in enumerate(weights[lo : lo + size]):
+                        _forward(w, features, out=group[j])
+                    block[:, lo : lo + size] = _softmax(group).swapaxes(0, 1)
+            del logits, group  # the buffer is not held while the block is read
             try:
                 _check_rows(block)
             except ValueError:

@@ -232,7 +232,8 @@ def train_subset_ensembles(requests) -> list[tuple[CheckpointStore, list[ModelPa
 
     Requests that share a trainer, fresh or fine-tuned runs and a model
     shape train in one :func:`learner.train_parts` call, which steps the
-    runs of equal training-row counts as one stack.
+    runs of equal training-row counts as one stack. A run stopped early with
+    fewer checkpoints than its ensemble mode reads is refused by name.
     """
     groups = {}
     for i, (pool, subset, ensemble, trainer, seed, iteration, starts) in enumerate(requests):
@@ -247,10 +248,18 @@ def train_subset_ensembles(requests) -> list[tuple[CheckpointStore, list[ModelPa
     trained = [None] * len(requests)
     for trainer, group in groups.values():
         for (i, _), runs in zip(group, train_parts([part for _, part in group], trainer)):
-            store = CheckpointStore()
-            for result in runs:
+            ensemble, store = requests[i][2], CheckpointStore()
+            for r, result in enumerate(runs):
+                if len(result.checkpoints) < ensemble.epochs_needed:
+                    raise ValueError(
+                        "search iteration %d: run %d stopped at epoch %d under trainer.patience"
+                        " = %d, but ensemble.mode = %s with ensemble.checkpoints_per_run = %d and"
+                        " ensemble.stride = %d reads a span of %d epochs" % (
+                            requests[i][5], r + 1, len(result.train_loss), trainer.patience,
+                            ensemble.mode, ensemble.checkpoints_per_run, ensemble.stride,
+                            ensemble.epochs_needed))
                 store.add_run(result.checkpoints)
-            trained[i] = store, build_ensemble(store, requests[i][2])
+            trained[i] = store, build_ensemble(store, ensemble)
     return trained
 
 

@@ -625,6 +625,22 @@ class TestExitCodes:
             assert key in err
         assert not out.exists()
 
+    def test_early_stop_short_of_the_ensemble_span_names_its_cause(self, tmp_path, capsys):
+        # a 360-sample pool; a run of the first iteration stops at epoch 3 and
+        # stores 3 checkpoints where the combined mode reads 4
+        text = CONFIG_TEXT.replace("samples_per_cluster = 30", "samples_per_cluster = 120")
+        text = text.replace("target_size = 32", "target_size = 80")
+        text = text.replace("checkpoints_per_run = 3", "checkpoints_per_run = 4")
+        text = text.replace("max_epochs = 6", "max_epochs = 10")
+        text = text.replace("seeds = 1,2", "seeds = 1,2,3")
+        path = tmp_path / "stops.cfg"
+        path.write_text(text + "trainer.patience = 2\ntrainer.val_fraction = 0.2\n")
+        assert main(["search", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "run 1 stopped at epoch 3 under trainer.patience = 2" in err
+        assert ("ensemble.mode = combined with ensemble.checkpoints_per_run = 4 and"
+                " ensemble.stride = 1 reads a span of 4 epochs") in err
+
     def test_patience_without_held_out_ids_maps_to_one(self, tmp_path, monkeypatch, capsys):
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the config was refused")

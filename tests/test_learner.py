@@ -525,6 +525,27 @@ class TestRunStack:
             "a05a6d1c6bae21b8a0d86175548010b1c9bad89671273c3dc8c6547589e14c0f"
         )
 
+    def test_pinned_unweighted_logistic_stack(self):
+        # a three-run stack fixed by value, without class weighting; the
+        # middle run stops early at epoch 3 and leaves the stack, the others
+        # run all six epochs and roll their four-checkpoint windows
+        pool = class_pool(4)
+        cfg = TrainConfig(batch_size=7, max_epochs=6, weight_decay=1e-3, patience=2,
+                          val_fraction=0.2, checkpoint_window=4)
+        results = train_parts([(pool, repeated_subset(pool), [10, 11, 12], None)], cfg)[0]
+        assert [len(r.train_loss) for r in results] == [6, 3, 6]
+        digest = hashlib.sha256()
+        for result in results:
+            for ckpt in result.checkpoints:
+                digest.update(b"%d" % ckpt.epoch)
+                for tensor in ckpt.params.tensors:
+                    digest.update(tensor.tobytes())
+            digest.update(np.asarray(result.val_accuracy).tobytes())
+            digest.update(np.asarray(result.train_loss).tobytes())
+        assert digest.hexdigest() == (
+            "0b7bf70eb27e8a688e7743856fb8d3ab2f75a825199c3539a6f30e2414673991"
+        )
+
 
 class TestParts:
     """Several parts, each (pool, subset, seeds, starts), trained by one call."""
@@ -650,14 +671,16 @@ class TestOneStackShape:
 
     @pytest.mark.parametrize("runs", [1, 3])
     def test_zero_rate_fine_tune_makes_one_loss_call(self, runs, monkeypatch):
+        # the weights never move, so one loss and one accuracy pass serve every epoch
         pool = class_pool(4)
         cfg = TrainConfig(batch_size=7, max_epochs=3, fine_tune_rate=0.0, weight_decay=1e-3)
         pretrained = train_parts([(pool, full_subset(pool), range(runs), None)], cfg)[0]
         starts = [r.final_params for r in pretrained]
         calls = self.count_calls(monkeypatch)
         results = train_parts([(pool, repeated_subset(pool), range(runs), starts)], cfg)[0]
-        assert calls == {"_loss": [(runs,)], "_accuracy": [(runs,)] * 3}
+        assert calls == {"_loss": [(runs,)], "_accuracy": [(runs,)]}
         assert all(len(set(r.train_loss)) == 1 and len(r.train_loss) == 3 for r in results)
+        assert all(len(set(r.val_accuracy)) == 1 and len(r.val_accuracy) == 3 for r in results)
 
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
     def test_a_stack_past_the_budget_goes_run_by_run_to_the_same_results(self, arch, monkeypatch):

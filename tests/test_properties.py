@@ -666,6 +666,47 @@ def test_block_pass_blocks_equal_the_tensor_blocks():
         assert got.tobytes() == want.tobytes()
 
 
+def _member_block_reference(members, features):
+    """A (c, E, K) block as one float32 forward pass and one softmax per
+    member gives it, in plain numpy: a reference that reads no alsift code."""
+    x = features.astype(np.float32)
+    block = np.empty((len(x), len(members), members[0].n_classes))
+    for j, member in enumerate(members):
+        out = x
+        tensors = [t.astype(np.float32) for t in member.tensors]
+        for layer, (w, b) in enumerate(zip(tensors[::2], tensors[1::2])):
+            if layer:
+                out = np.maximum(out, 0.0)
+            out = out @ w + b
+        out = np.exp(out - out.max(axis=-1, keepdims=True))
+        block[:, j] = out / out.sum(axis=-1, keepdims=True)
+    return block
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@pytest.mark.parametrize("k", [3, 10])
+@pytest.mark.parametrize("n", [1, C - 1, C + 1])
+@pytest.mark.parametrize("group", [None, 1, 2], ids=["all_members", "one_member", "two_members"])
+def test_pool_blocks_equal_a_per_member_reference(arch, k, n, group, monkeypatch):
+    # members go through the softmax in groups of at most PoolBlocks._LOGITS
+    # logits; smaller groups split the 5 members of a full block 1+1+1+1+1 or 2+2+1
+    if group is not None:
+        monkeypatch.setattr(PoolBlocks, "_LOGITS", group * C * k, raising=False)
+    pool, members = _pool(n, k=k), _members(arch, k=k)
+    shuffled = np.random.default_rng(n).permutation(pool.sample_ids)
+    for ids in (None, shuffled):
+        source = PoolBlocks(members, pool, ids)
+        rows = np.arange(n) if ids is None else pool.rows_for(shuffled)
+        walked = 0
+        for block_rows, block in source.blocks():
+            want = _member_block_reference(members, pool.features[rows[block_rows]])
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+            walked += len(block)
+        assert walked == n
+
+
 def test_block_pass_refuses_repeated_ids():
     pool, members = _pool(C + 10), _members("logistic")
     ids = [5, 8, 5]
