@@ -14,12 +14,12 @@ import numpy as np
 from alsift import (
     AcquisitionScores,
     GeneratorSpec,
+    PoolBlocks,
     SubsetState,
     TrainConfig,
     consensus_counts,
     generate_pool,
     outlier_window_select,
-    predict_pool,
     train,
 )
 
@@ -37,8 +37,7 @@ result = train(pool, SubsetState.from_ids(pool.sample_ids), trainer, seed=77)
 
 # newest checkpoint first, so "first n" always means the n latest epochs
 params = [c.params for c in sorted(result.checkpoints, key=lambda c: -c.epoch)]
-tensor = predict_pool(params, holdout)
-report = consensus_counts(tensor, n_max=8)
+report = consensus_counts(PoolBlocks(params, holdout), n_max=8)
 print("samples on which the n newest checkpoints all agree (of %d):"
       % report.eval_size)
 for n, count in enumerate(report.cumulative, start=1):

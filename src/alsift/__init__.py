@@ -69,7 +69,6 @@ from .learner import (
     build_ensemble,
     fine_tune,
     predict_pool,
-    predict_proba,
     read_checkpoint,
     train,
     write_checkpoint,

@@ -9,12 +9,11 @@ a pool of predictions is an (N, E, K) tensor wrapped in
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state import _read_array, atomic_file, id_array, parse_sample_id, sorted_unique_ids
+from .state import BinaryFrame, atomic_file, id_array, parse_sample_id, sorted_unique_ids
 
 # Clamp applied inside logarithms. Exact zeros still contribute exactly 0
 # to entropies via the 0 * log 0 convention.
@@ -248,6 +247,8 @@ class PredictionTensor:
         self.sample_ids = np.ascontiguousarray(id_array(self.sample_ids))
         if self.data.ndim != 3:
             raise ValueError("prediction tensor must be (samples, members, classes)")
+        if self.data.shape[1] < 1:
+            raise ValueError("empty ensemble")
         if self.sample_ids.shape != (self.data.shape[0],):
             raise ValueError("sample_ids length must match the sample axis")
         _unique_ids(self.sample_ids)
@@ -420,40 +421,21 @@ def detection_image_score(maps, function_id: str) -> float:
 # Prediction tensor files
 # ---------------------------------------------------------------------------
 
-_ALPT_MAGIC = b"ALPT"
-_ALPT_VERSION = 1
-_ALPT_HEADER = struct.Struct("<4sHIII")
+_ALPT = BinaryFrame(b"ALPT", "III", "prediction tensor", "sample ids")
 
 
 def write_prediction_tensor(path, tensor: PredictionTensor) -> None:
-    """Write a tensor in the binary pool-prediction format.
-
-    Layout: magic ``ALPT``, u16 version, u32 N, u32 E, u32 K, then
-    N*E*K little-endian f32 in (sample, member, class) order, then N
-    little-endian u64 sample ids.
-    """
-    n, e, k = tensor.data.shape
+    """Write a tensor as an ``.alpt`` file: header fields N, E, K, then N*E*K
+    float32 in (sample, member, class) order, then N u64 sample ids."""
     with atomic_file(path, binary=True) as fh:
-        fh.write(_ALPT_HEADER.pack(_ALPT_MAGIC, _ALPT_VERSION, n, e, k))
-        # contiguous little-endian arrays are written without a copy
-        fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
-        fh.write(np.ascontiguousarray(tensor.sample_ids, dtype="<u8"))
+        _ALPT.write(fh, tensor.data.shape, [(tensor.data, "<f4"), (tensor.sample_ids, "<u8")])
 
 
 def read_prediction_tensor(path) -> PredictionTensor:
-    with open(path, "rb") as fh:
-        header = fh.read(_ALPT_HEADER.size)
-        if len(header) < _ALPT_HEADER.size:
-            raise ValueError("truncated prediction tensor file")
-        magic, version, n, e, k = _ALPT_HEADER.unpack(header)
-        if magic != _ALPT_MAGIC:
-            raise ValueError("not a prediction tensor file (bad magic)")
-        if version != _ALPT_VERSION:
-            raise ValueError("unsupported prediction tensor version %d" % version)
-        data = _read_array(fh, (n, e, k), "<f4", "truncated prediction tensor data")
-        ids = _read_array(fh, (n,), "<u8", "truncated sample id block")
-        if fh.read(1):
-            raise ValueError("trailing bytes after the prediction tensor file's sample ids")
+    _, (data, ids) = _ALPT.read(path, lambda n, e, k: [
+        ((n, e, k), "<f4", "truncated prediction tensor data"),
+        ((n,), "<u8", "truncated sample id block"),
+    ])
     return PredictionTensor(data, ids)
 
 

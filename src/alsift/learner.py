@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .acquisition import (
     _unique_ids,
     row_blocks,
 )
-from .state import SubsetState, _read_array, atomic_file, id_array, sorted_unique_ids, subset_hash
+from .state import BinaryFrame, SubsetState, atomic_file, id_array, sorted_unique_ids, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
 ENSEMBLE_MODES = ("single", "seeds", "checkpoints", "combined")
@@ -181,21 +180,6 @@ def _forward(tensors, features: np.ndarray, out=None):
         x = np.matmul(x, w, out=out if 2 * len(inputs) == len(tensors) else None)
         x += b[..., None, :]
     return inputs, x
-
-
-def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector or a (N, D) batch."""
-    features = np.asarray(features, dtype=np.float64)
-    single = features.ndim == 1
-    if single:
-        features = features[None, :]
-    if features.shape[1] != params.n_features:
-        raise ValueError(
-            "feature width %d does not match model width %d"
-            % (features.shape[1], params.n_features)
-        )
-    probs = _softmax(_forward(params.tensors, features)[1])
-    return probs[0] if single else probs
 
 
 def inverse_frequency_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -987,9 +971,9 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
 # Checkpoint files
 # ---------------------------------------------------------------------------
 
-_ALCK_MAGIC = b"ALCK"
-_ALCK_VERSION = 1
-_ALCK_HEADER = struct.Struct("<4sH8sIIIQI")
+# header: architecture tag, D, K, hidden width, run seed, epoch; then the
+# float32 tensors in ``ModelParams.tensors`` order
+_ALCK = BinaryFrame(b"ALCK", "8sIIIQI", "checkpoint", "tensors")
 
 
 def checkpoint_filename(run_seed: int, epoch: int) -> str:
@@ -1007,43 +991,24 @@ def _write_alck(fh, checkpoint: Checkpoint) -> None:
     arch_tag = params.arch.encode()
     if len(arch_tag) > 8:
         raise ValueError("architecture tag too long")
-    header = _ALCK_HEADER.pack(
-        _ALCK_MAGIC,
-        _ALCK_VERSION,
-        arch_tag.ljust(8, b"\0"),
-        params.n_features,
-        params.n_classes,
-        params.hidden,
-        checkpoint.run_seed,
-        checkpoint.epoch,
-    )
-    fh.write(header)
+    fields = (arch_tag.ljust(8, b"\0"), params.n_features, params.n_classes, params.hidden,
+              checkpoint.run_seed, checkpoint.epoch)
     with _float32_range("member weights"):
-        for tensor in params.tensors:
-            fh.write(tensor.astype("<f4").tobytes(order="C"))
+        _ALCK.write(fh, fields, [(tensor, "<f4") for tensor in params.tensors])
+
+
+def _alck_tensors(tag: bytes, d: int, k: int, hidden: int, *_):
+    """The arrays an ``.alck`` header describes; an unknown tag is refused."""
+    arch = tag.rstrip(b"\0").decode()
+    if arch not in ARCHITECTURES:
+        raise ValueError("unknown architecture tag %r" % arch)
+    return [(shape, "<f4", "truncated checkpoint tensors") for shape in _tensor_shapes(arch, d, k, hidden)]
 
 
 def read_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        raw = fh.read(_ALCK_HEADER.size)
-        if len(raw) < _ALCK_HEADER.size:
-            raise ValueError("truncated checkpoint file")
-        magic, version, arch_tag, d, k, hidden, run_seed, epoch = _ALCK_HEADER.unpack(raw)
-        if magic != _ALCK_MAGIC:
-            raise ValueError("not a checkpoint file (bad magic)")
-        if version != _ALCK_VERSION:
-            raise ValueError("unsupported checkpoint version %d" % version)
-        arch = arch_tag.rstrip(b"\0").decode()
-        if arch not in ARCHITECTURES:
-            raise ValueError("unknown architecture tag %r" % arch)
-        tensors = tuple(
-            _read_array(fh, shape, "<f4", "truncated checkpoint tensors").astype(np.float64)
-            for shape in _tensor_shapes(arch, d, k, hidden)
-        )
-        if fh.read(1):
-            raise ValueError("trailing bytes after the checkpoint file's tensors")
-    params = ModelParams(arch, d, k, hidden, tensors)
-    return Checkpoint(params, run_seed, epoch)
+    (tag, d, k, hidden, run_seed, epoch), tensors = _ALCK.read(path, _alck_tensors)
+    tensors = tuple(t.astype(np.float64) for t in tensors)
+    return Checkpoint(ModelParams(tag.rstrip(b"\0").decode(), d, k, hidden, tensors), run_seed, epoch)
 
 
 __all__ = [
@@ -1057,7 +1022,6 @@ __all__ = [
     "CheckpointStore",
     "EnsembleConfig",
     "init_params",
-    "predict_proba",
     "inverse_frequency_weights",
     "loss_and_gradients",
     "train",

@@ -1,5 +1,5 @@
 """Training-subset bookkeeping shared by the trainer and the search schemes,
-the atomic writer every output file goes through, and the binary array reader."""
+the atomic writer every output file goes through, and the binary file frame."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import hashlib
 import math
 import os
 import secrets
+import struct
 from collections.abc import Mapping, Set
 from contextlib import contextmanager, suppress
 from functools import cached_property
@@ -16,6 +17,7 @@ import numpy as np
 
 # rows formatted per write call: bounds the line strings held at once
 _WRITE_ROWS = 1024
+_FRAME_VERSION = 1
 
 
 def derive_seed(*parts: int) -> int:
@@ -198,17 +200,50 @@ def atomic_file(path, binary: bool = False):
         raise
 
 
-def _read_array(fh, shape: tuple[int, ...], dtype: str, message: str) -> np.ndarray:
-    """Fill a new array of ``shape`` straight from the file, or raise ``message``
-    if the file is shorter; a short file allocates nothing, whatever its
-    header claims."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
-        raise ValueError(message)
-    out = np.empty(shape, dtype=dtype)
-    if fh.readinto(out) != nbytes:
-        raise ValueError(message)
-    return out
+class BinaryFrame:
+    """The frame of alsift's binary files: a 4-byte magic, a u16 version (1),
+    fixed little-endian header fields, then arrays back to back, and no byte
+    after them. ``kind`` names the file in each refusal, ``last`` its final
+    array in the trailing-byte one."""
+
+    def __init__(self, magic: bytes, fields: str, kind: str, last: str):
+        self.magic, self.kind, self.last = magic, kind, last
+        self._header = struct.Struct("<4sH" + fields)
+
+    def write(self, fh, fields, arrays) -> None:
+        """Write the header holding ``fields``, then each (values, dtype) pair
+        of ``arrays`` in C order; contiguous values of ``dtype`` are not copied."""
+        fh.write(self._header.pack(self.magic, _FRAME_VERSION, *fields))
+        for values, dtype in arrays:
+            fh.write(np.ascontiguousarray(values, dtype=dtype))
+
+    def read(self, path, layout) -> tuple[tuple, list[np.ndarray]]:
+        """The header fields and arrays of the file at ``path``.
+
+        ``layout(*fields)`` gives each array's (shape, dtype, message), and may
+        raise to refuse the header; a file too short for an array raises its
+        ``message``, before allocating anything, whatever the header claims.
+        """
+        with open(path, "rb") as fh:
+            raw = fh.read(self._header.size)
+            if len(raw) < self._header.size:
+                raise ValueError("truncated %s file" % self.kind)
+            magic, version, *fields = self._header.unpack(raw)
+            if magic != self.magic:
+                raise ValueError("not a %s file (bad magic)" % self.kind)
+            if version != _FRAME_VERSION:
+                raise ValueError("unsupported %s version %d" % (self.kind, version))
+            arrays = []
+            for shape, dtype, message in layout(*fields):
+                nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+                if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
+                    raise ValueError(message)
+                arrays.append(np.empty(shape, dtype=dtype))
+                if fh.readinto(arrays[-1]) != nbytes:
+                    raise ValueError(message)
+            if fh.read(1):
+                raise ValueError("trailing bytes after the %s file's %s" % (self.kind, self.last))
+        return tuple(fields), arrays
 
 
 def write_table_csv(path, header, int_columns, floats=None) -> None:

@@ -270,6 +270,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="unique"):
             PredictionTensor(data.astype(np.float32), np.asarray([1, 1, 2]))
 
+    def test_tensor_refuses_an_empty_member_axis(self):
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="^empty ensemble$"):
+                PredictionTensor(np.empty((n, 0, 2), dtype=np.float32), np.arange(n))
+
     def test_tensor_refuses_sample_ids_outside_uint64(self):
         with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
             PredictionTensor(np.full((2, 1, 2), 0.5), np.array([-1, 0]))
@@ -408,6 +413,14 @@ class TestTensorFiles:
         assert write_peak < 0.1 * tensor.data.nbytes
         # the tensor itself plus one float64 block being validated
         assert read_peak < 1.6 * tensor.data.nbytes
+
+    def test_file_with_no_members_is_refused(self, tmp_path):
+        # header N = 2, E = 0, K = 3; no probabilities, then two sample ids
+        path = tmp_path / "empty.alpt"
+        header = b"ALPT" + (1).to_bytes(2, "little") + b"".join(v.to_bytes(4, "little") for v in (2, 0, 3))
+        path.write_bytes(header + np.array([4, 7], dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match="^empty ensemble$"):
+            read_prediction_tensor(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.alpt"

@@ -524,6 +524,15 @@ class TestExitCodes:
         assert code == 2
         assert "error: line 3: expected 4 columns, found 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("function", ["entropy", "variation_ratios"])
+    def test_tensor_file_with_no_members_maps_to_two(self, function, tmp_path, capsys):
+        path = tmp_path / "empty.alpt"
+        header = b"ALPT" + (1).to_bytes(2, "little") + b"".join(v.to_bytes(4, "little") for v in (2, 0, 3))
+        path.write_bytes(header + np.array([4, 7], dtype="<u8").tobytes())
+        code = main(["score", "--tensor", str(path), "--function", function, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: empty ensemble\n"
+
     @pytest.mark.parametrize("section, message", [
         ("[aggregate]", "line 7: duplicate section [aggregate]"),
         ("[trial seed=one]", "line 7: trial seed 'one' is not an integer"),
@@ -760,6 +769,22 @@ class TestAtomicWrites:
                 if writes and id(node) not in exempt:
                     raw_writes.append("%s:%d" % (path.name, node.lineno))
         assert raw_writes == []
+
+    def test_no_source_file_imports_struct_but_the_binary_frame(self):
+        """Only ``state.py``, home of ``BinaryFrame``, imports ``struct``: a
+        binary header packed by hand anywhere else fails here."""
+        importers = set()
+        for path in sorted(Path(state.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module]
+                else:
+                    continue
+                if "struct" in modules:
+                    importers.add(path.name)
+        assert importers == {"state.py"}
 
     def test_no_source_file_calls_predict_pool_or_reads_tensor_data_but_acquisition(self):
         """Every prediction reader walks blocks: nothing under ``src/alsift``

@@ -28,13 +28,12 @@ from alsift.learner import (
     inverse_frequency_weights,
     loss_and_gradients,
     predict_pool,
-    predict_proba,
     read_checkpoint,
     train,
     train_parts,
     write_checkpoint,
 )
-from alsift.learner import _held_out
+from alsift.learner import _forward, _held_out, _softmax
 from alsift.schemes import train_subset_ensemble
 from alsift.state import SubsetState
 
@@ -44,6 +43,12 @@ def _validation_split(ids, fraction):
     ids = np.asarray(sorted(ids), dtype=np.uint64)
     held = _held_out(ids, fraction)
     return ids[~held].tolist(), ids[held].tolist()
+
+
+def reference_proba(params, features):
+    """Float64 class probabilities of one model over a (N, D) batch: the
+    trainer's own forward pass and softmax."""
+    return _softmax(_forward(params.tensors, np.asarray(features, dtype=np.float64))[1])
 
 
 def small_pool(seed=0, n=60, d=5, k=3):
@@ -103,7 +108,7 @@ class TestGradients:
 
     def test_zero_init_logistic_predicts_uniform(self):
         params = ModelParams("logistic", 4, 5, 0, (np.zeros((4, 5)), np.zeros(5)))
-        probs = predict_proba(params, np.random.default_rng(0).normal(0, 1, (8, 4)))
+        probs = reference_proba(params, np.random.default_rng(0).normal(0, 1, (8, 4)))
         assert_allclose(probs, 0.2, atol=1e-15)
 
     def test_bias_not_decayed(self):
@@ -714,7 +719,7 @@ class TestEarlyStoppingNeedsHeldOutIds:
         pool = small_pool()
         cfg = TrainConfig(max_epochs=2, val_fraction=0.0)
         result = train(pool, full_subset(pool), cfg, seed=1)
-        want = np.mean(np.argmax(predict_proba(result.final_params, pool.features), axis=1)
+        want = np.mean(np.argmax(reference_proba(result.final_params, pool.features), axis=1)
                        == pool.labels)
         assert result.val_accuracy[-1] == want
 
@@ -811,7 +816,7 @@ class TestEnsembles:
         assert tensor.data.dtype == np.float32
         assert [int(i) for i in tensor.sample_ids] == [5, 3, 8]
         assert_allclose(tensor.data.sum(axis=2), 1.0, atol=1e-6)
-        direct = predict_proba(members[0], pool.features[pool.rows_for([3])])
+        direct = reference_proba(members[0], pool.features[pool.rows_for([3])])
         assert_allclose(tensor.data[1, 0], direct[0], atol=1e-7)
 
 
@@ -850,8 +855,8 @@ class TestCheckpointFiles:
         ckpt = result.checkpoints[-1]
         write_checkpoint(tmp_path / "c.alck", ckpt)
         back = read_checkpoint(tmp_path / "c.alck")
-        before = predict_proba(ckpt.params, pool.features)
-        after = predict_proba(back.params, pool.features)
+        before = reference_proba(ckpt.params, pool.features)
+        after = reference_proba(back.params, pool.features)
         assert_allclose(after, before, atol=1e-6)
 
     def test_reloaded_store_scores_like_the_in_memory_ensemble(self, tmp_path):

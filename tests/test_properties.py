@@ -1312,32 +1312,78 @@ def test_checkpoint_files_round_trip_exactly(ckpt):
         assert got.tobytes() == want.tobytes()
 
 
+def _small_tensor(seed: int) -> PredictionTensor:
+    """A prediction tensor of at most 3 samples, members and classes."""
+    rng = np.random.default_rng(seed)
+    n, e, k = rng.integers(0, 4), rng.integers(1, 4), rng.integers(1, 4)
+    return PredictionTensor(rng.dirichlet(np.ones(k), (n, e)).astype(np.float32), rng.permutation(n))
+
+
 @settings(max_examples=25, deadline=None)
-@given(checkpoints())
-def test_checkpoint_cut_at_any_byte_is_refused(ckpt):
+@given(checkpoints(), st.integers(0, 2**32 - 1))
+def test_checkpoint_cut_at_any_byte_is_refused(ckpt, seed):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "c.alck")
-        write_checkpoint(path, ckpt)
-        raw = path.read_bytes()
-        for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
-            with pytest.raises(ValueError, match="^truncated checkpoint (file|tensors)$"):
-                read_checkpoint(path)
+        alck, alpt = Path(tmp, "c.alck"), Path(tmp, "p.alpt")
+        write_checkpoint(alck, ckpt)
+        write_prediction_tensor(alpt, _small_tensor(seed))
+        files = [
+            (alck, read_checkpoint, "^truncated checkpoint (file|tensors)$"),
+            (alpt, read_prediction_tensor, "^truncated (prediction tensor (file|data)|sample id block)$"),
+        ]
+        for path, read, message in files:
+            raw = path.read_bytes()
+            for cut in range(len(raw)):
+                path.write_bytes(raw[:cut])
+                with pytest.raises(ValueError, match=message):
+                    read(path)
 
 
 @settings(max_examples=100, deadline=None)
 @given(checkpoints(), st.integers(0, 2**32 - 1), st.binary(min_size=1, max_size=40))
 def test_bytes_after_either_binary_file_are_refused(ckpt, seed, suffix):
-    rng = np.random.default_rng(seed)
-    n, e, k = rng.integers(0, 4), rng.integers(1, 4), rng.integers(1, 4)
-    tensor = PredictionTensor(rng.dirichlet(np.ones(k), (n, e)).astype(np.float32), rng.permutation(n))
     with tempfile.TemporaryDirectory() as tmp:
         alck, alpt = Path(tmp, "c.alck"), Path(tmp, "p.alpt")
         write_checkpoint(alck, ckpt)
-        write_prediction_tensor(alpt, tensor)
+        write_prediction_tensor(alpt, _small_tensor(seed))
         files = [(alck, read_checkpoint, "checkpoint"), (alpt, read_prediction_tensor, "prediction tensor")]
         for path, read, name in files:
             read(path)
             path.write_bytes(path.read_bytes() + suffix)
             with pytest.raises(ValueError, match="^trailing bytes after the %s file's" % name):
+                read(path)
+
+
+def test_binary_files_keep_their_pinned_bytes():
+    # digests of files written before the binary frame moved to one helper
+    logistic = Checkpoint(init_params("logistic", 3, 2, 0, np.random.default_rng(0)), 2**64 - 1, 7)
+    mlp = Checkpoint(init_params("mlp", 4, 3, 5, np.random.default_rng(1)), 12, 2**32 - 1)
+    probs = np.random.default_rng(2).dirichlet(np.ones(4), (5, 3)).astype(np.float32)
+    tensor = PredictionTensor(probs, [2**64 - 1, 0, 7, 3, 9])
+    files = [
+        ("l.alck", write_checkpoint, logistic, "711c39a48adbf3709b133aa140c2b6654e7387ab1ea4ee0aa5c533d2fcff82b1"),
+        ("m.alck", write_checkpoint, mlp, "37adb55a519e8e46479b562986cd06845e33f7b3709f8c8f8136aa16d281f763"),
+        ("p.alpt", write_prediction_tensor, tensor, "21b252ee64dc8dc999010ef1062659de14002a4184c4a35d601a8a0f3e6af351"),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write, value, digest in files:
+            write(Path(tmp, name), value)
+            assert hashlib.sha256(Path(tmp, name).read_bytes()).hexdigest() == digest, name
+
+
+def test_binary_files_refuse_another_version_and_an_unknown_architecture():
+    ckpt = Checkpoint(init_params("logistic", 3, 2, 0, np.random.default_rng(0)), 1, 1)
+    tensor = PredictionTensor(np.full((2, 1, 2), 0.5, dtype=np.float32), [4, 7])
+    with tempfile.TemporaryDirectory() as tmp:
+        alck, alpt = Path(tmp, "c.alck"), Path(tmp, "p.alpt")
+        write_checkpoint(alck, ckpt)
+        write_prediction_tensor(alpt, tensor)
+        raw = alck.read_bytes()
+        alck.write_bytes(raw[:6] + b"cnn".ljust(8, b"\0") + raw[14:])
+        with pytest.raises(ValueError, match="^unknown architecture tag 'cnn'$"):
+            read_checkpoint(alck)
+        files = [(alck, read_checkpoint, "checkpoint"), (alpt, read_prediction_tensor, "prediction tensor")]
+        for path, read, name in files:
+            raw = path.read_bytes()
+            path.write_bytes(raw[:4] + (2).to_bytes(2, "little") + raw[6:])
+            with pytest.raises(ValueError, match="^unsupported %s version 2$" % name):
                 read(path)
