@@ -117,12 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed_flag(args) -> int | None:
+    """The ``--seed`` flag; a negative seed is a config problem."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be non-negative, got %d" % args.seed)
+    return args.seed
+
+
 def _cmd_gen_data(args) -> int:
     if args.config:
         spec = generator_from_mapping(parse_config_file(args.config))
     else:
         spec = generator_from_mapping({})
-    if args.seed is not None:
+    if _seed_flag(args) is not None:
         spec = replace(spec, seed=args.seed)
     pool, meta = generate_pool_with_metadata(spec)
     out = Path(args.out)
@@ -134,7 +141,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    if args.function == "random" and args.seed is None:
+    if _seed_flag(args) is None and args.function == "random":
         raise ConfigError("random scoring needs --seed")
     pool = read_pool_csv(args.pool) if args.pool else None
     if args.tensor:
@@ -181,7 +188,7 @@ def _cmd_search(args) -> int:
     if not args.config:
         raise ConfigError("search needs --config")
     config = config_from_file(args.config)
-    if args.seed is not None:
+    if _seed_flag(args) is not None:
         config = replace(config, seeds=(args.seed,))
     if args.jobs is not None:
         config = replace(config, jobs=args.jobs)
@@ -200,8 +207,8 @@ def _cmd_search(args) -> int:
             "seed=%d subset=%d/%d al=%.4f%s"
             % (
                 trial.seed,
-                trial.subset_unique,
-                trial.subset_total,
+                trial.subset.unique_count,
+                trial.subset.total_count,
                 trial.al_accuracy,
                 extras,
             )

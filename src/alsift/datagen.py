@@ -69,6 +69,10 @@ class GeneratorSpec:
                 raise ValueError("class_ratios must be positive")
         if self.cluster_std <= 0.0 or self.center_spread <= 0.0:
             raise ValueError("cluster_std and center_spread must be positive")
+        if self.seed < 0:
+            raise ValueError("pool.seed must be non-negative, got %d" % self.seed)
+        if self.sample_seed is not None and self.sample_seed < 0:
+            raise ValueError("sample_seed must be non-negative, got %d" % self.sample_seed)
 
 
 @dataclass

@@ -221,6 +221,8 @@ class ExperimentConfig:
             raise ConfigError("configure either a generator or pool.file, not both")
         if not self.seeds:
             raise ConfigError("experiment.seeds must not be empty")
+        if min(self.seeds) < 0:
+            raise ConfigError("experiment.seeds must be non-negative, got %d" % min(self.seeds))
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("experiment.seeds must be distinct")
         if self.jobs < 1:
@@ -321,14 +323,6 @@ class TrialRecord:
     random_accuracy: float | None
     full_accuracy: float | None
     wall_time_s: float
-
-    @property
-    def subset_unique(self) -> int:
-        return self.subset.unique_count
-
-    @property
-    def subset_total(self) -> int:
-        return self.subset.total_count
 
 
 @dataclass
@@ -523,8 +517,8 @@ def build_document(result: ExperimentResult, created: str | None = None) -> str:
     for trial in result.trials:
         lines.append("[trial seed=%d]" % trial.seed)
         lines.append("wall_time_s = %s" % repr(round(trial.wall_time_s, 3)))
-        lines.append("subset_unique = %d" % trial.subset_unique)
-        lines.append("subset_total = %d" % trial.subset_total)
+        lines.append("subset_unique = %d" % trial.subset.unique_count)
+        lines.append("subset_total = %d" % trial.subset.total_count)
         lines.append("subset_file = %s" % subset_filename(config, trial.seed))
         lines.append("al_accuracy = %s" % repr(trial.al_accuracy))
         if trial.random_accuracy is not None:

@@ -133,15 +133,6 @@ class ModelParams:
         if got != expected:
             raise ValueError("tensor shapes %s do not match %s" % (got, expected))
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.arch,
-            self.n_features,
-            self.n_classes,
-            self.hidden,
-            tuple(t.copy() for t in self.tensors),
-        )
-
 
 def init_params(
     arch: str, n_features: int, n_classes: int, hidden: int, rng: np.random.Generator
@@ -339,6 +330,8 @@ class TrainConfig:
         if self.checkpoint_window < 1:
             raise ValueError("checkpoint window must be >= 1")
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
+        if self.decay_epochs and min(self.decay_epochs) < 1:
+            raise ValueError("decay epochs must be >= 1, got %d" % min(self.decay_epochs))
 
 
 @dataclass
@@ -375,10 +368,6 @@ class TrainResult:
     checkpoints: list[Checkpoint]
     train_loss: list[float]
     val_accuracy: list[float]
-
-    @property
-    def final_params(self) -> ModelParams:
-        return self.checkpoints[-1].params
 
 
 def _held_out(ids: np.ndarray, fraction: float) -> np.ndarray:
@@ -695,10 +684,6 @@ class EnsembleConfig:
         return self.checkpoints_per_run if self.mode in ("checkpoints", "combined") else 1
 
     @property
-    def member_count(self) -> int:
-        return self.runs_needed * self.per_run
-
-    @property
     def epochs_needed(self) -> int:
         """Stored-epoch span the mode reads from each run."""
         return (self.per_run - 1) * self.stride + 1
@@ -760,7 +745,7 @@ class CheckpointStore:
             for run, epoch in sorted(self._items):
                 ckpt = self._items[(run, epoch)]
                 writer.writerow([run, epoch, repr(ckpt.val_accuracy), ckpt.subset_digest])
-                name = checkpoint_filename(run, epoch)
+                name = "run%d_ep%d.alck" % (run, epoch)
                 names.add(name)
                 fh = files.enter_context(atomic_file(out / name, binary=True))
                 _write_alck(fh, ckpt)
@@ -976,10 +961,6 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
 _ALCK = BinaryFrame(b"ALCK", "8sIIIQI", "checkpoint", "tensors")
 
 
-def checkpoint_filename(run_seed: int, epoch: int) -> str:
-    return "run%d_ep%d.alck" % (run_seed, epoch)
-
-
 def write_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Binary checkpoint: header then float32 tensors in declared order."""
     with atomic_file(path, binary=True) as fh:
@@ -1010,27 +991,3 @@ def read_checkpoint(path) -> Checkpoint:
     tensors = tuple(t.astype(np.float64) for t in tensors)
     return Checkpoint(ModelParams(tag.rstrip(b"\0").decode(), d, k, hidden, tensors), run_seed, epoch)
 
-
-__all__ = [
-    "ARCHITECTURES",
-    "ENSEMBLE_MODES",
-    "LabeledPool",
-    "ModelParams",
-    "TrainConfig",
-    "TrainResult",
-    "Checkpoint",
-    "CheckpointStore",
-    "EnsembleConfig",
-    "init_params",
-    "inverse_frequency_weights",
-    "loss_and_gradients",
-    "train",
-    "train_parts",
-    "fine_tune",
-    "build_ensemble",
-    "PoolBlocks",
-    "predict_pool",
-    "checkpoint_filename",
-    "write_checkpoint",
-    "read_checkpoint",
-]

@@ -196,8 +196,6 @@ class IterationRecord:
 class SubsetResult:
     """Final state of a search run plus its per-iteration trail."""
 
-    scheme: str
-    function_id: str
     records: list[IterationRecord]
     state: SubsetState
     members: list[ModelParams]
@@ -358,7 +356,7 @@ def _select_once(pool: LabeledPool, config: SearchConfig, fine_tune: bool):
         starts = [store.get(run, store.epochs(run)[-1]).params for run in store.run_seeds()]
     sub_store, members = yield _request(pool, state, config, 0 if fine_tune else 1, starts)
     rec = _record(0, state, scores, frozenset(), chosen, evaluate(members, pool).accuracy)
-    return SubsetResult(config.scheme, config.function_id, [rec], state, members, sub_store)
+    return SubsetResult([rec], state, members, sub_store)
 
 
 def _grow(pool: LabeledPool, config: SearchConfig, unseen: bool):
@@ -400,7 +398,7 @@ def _grow(pool: LabeledPool, config: SearchConfig, unseen: bool):
         k = sizes[iteration + 1] - sizes[iteration]
         chosen = outlier_window_select(scores, k, config.outlier_fraction, excluded)
         state = state.with_new_ids(chosen) if unseen else state.with_added_copies(chosen)
-    return SubsetResult(config.scheme, config.function_id, records, state, members, store)
+    return SubsetResult(records, state, members, store)
 
 
 def scheme_steps(pool: LabeledPool, config: SearchConfig):

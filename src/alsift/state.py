@@ -158,11 +158,8 @@ class SubsetState:
 
     def with_added_copies(self, ids) -> "SubsetState":
         """Copy with one more occurrence of each given id (new ids start at 1)."""
-        expansion = np.sort(np.concatenate([self.as_training_ids(), id_array(ids)]))
-        # a run of equal ids starts wherever the sorted expansion changes value
-        starts = np.flatnonzero(np.diff(expansion, prepend=expansion[:1] + 1))
-        counts = np.diff(starts, append=len(expansion))
-        return SubsetState.__new__(SubsetState)._hold(expansion[starts], counts)
+        expansion = np.concatenate([self.as_training_ids(), id_array(ids)])
+        return SubsetState.__new__(SubsetState)._hold(*np.unique(expansion, return_counts=True))
 
     def __eq__(self, other):
         if not isinstance(other, SubsetState):

@@ -533,6 +533,23 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: empty ensemble\n"
 
+    @pytest.mark.parametrize("argv, edit, message", [
+        (["search"], ("pool.seed = 7", "pool.seed = -1"), "pool.seed must be non-negative, got -1"),
+        (["search"], ("seeds = 1,2", "seeds = -3"), "experiment.seeds must be non-negative, got -3"),
+        (["gen-data", "--seed", "-2"], None, "--seed must be non-negative, got -2"),
+        (["search", "--seed", "-5"], None, "--seed must be non-negative, got -5"),
+        (["score", "--function", "random", "--seed", "-1"], None, "--seed must be non-negative, got -1"),
+        (["search"], ("trainer.batch_size = 16", "trainer.decay_epochs = 0"), "decay epochs must be >= 1, got 0"),
+    ], ids=["pool.seed", "experiment.seeds", "gen-data", "search", "score", "decay_epochs"])
+    def test_negative_seed_or_decay_epoch_maps_to_one(self, argv, edit, message, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text(CONFIG_TEXT.replace(*edit) if edit else CONFIG_TEXT)
+        if argv[0] != "score":
+            argv = argv + ["--config", str(config)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, message", [
         ("[aggregate]", "line 7: duplicate section [aggregate]"),
         ("[trial seed=one]", "line 7: trial seed 'one' is not an integer"),

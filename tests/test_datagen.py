@@ -111,6 +111,10 @@ class TestGeneration:
             spec(class_ratios=(1.0, 1.0))
         with pytest.raises(ValueError):
             spec(n_classes=1)
+        with pytest.raises(ValueError, match=r"^pool\.seed must be non-negative, got -1$"):
+            spec(seed=-1)
+        with pytest.raises(ValueError, match=r"^sample_seed must be non-negative, got -2$"):
+            spec(sample_seed=-2)
 
 
 class TestPoolFiles:

@@ -95,6 +95,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="required"):
             config_from_mapping(parse_config_text("pool.classes = 3\n"))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("pool.seed = 7", "pool.seed = -1", r"^pool\.seed must be non-negative, got -1$"),
+        ("seeds = 1,2", "seeds = 1,-3", r"^experiment\.seeds must be non-negative, got -3$"),
+        ("batch_size = 16", "decay_epochs = 3,0", r"^decay epochs must be >= 1, got 0$"),
+    ], ids=["pool.seed", "experiment.seeds", "trainer.decay_epochs"])
+    def test_value_out_of_range_is_a_config_error(self, old, new, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new)))
+
     def test_pool_file_excludes_generator_keys(self):
         text = "pool.file = p.csv\npool.classes = 3\n" \
                "search.scheme = pretrain\nsearch.function = entropy\nsearch.target_size = 5\n"
@@ -148,7 +157,7 @@ class TestTrials:
     def test_trial_record_contents(self):
         record = run_trial(base_config(), 1)
         assert record.seed == 1
-        assert record.subset_unique == record.subset_total == 32
+        assert record.subset.unique_count == record.subset.total_count == 32
         assert 0.0 <= record.al_accuracy <= 1.0
         assert record.random_accuracy is not None
         assert record.full_accuracy is not None

@@ -1,5 +1,6 @@
 """Every name an alsift module imports is used there, or wrapped there by perfbench;
-every ``module.name`` the README lists as a library entry point exists."""
+every ``module.name`` the README lists as a library entry point exists, and its
+Config reference names every config key."""
 
 from __future__ import annotations
 
@@ -61,3 +62,16 @@ def test_readme_entry_points_exist():
         "%s.%s" % (m, n) for m, n in names if not hasattr(importlib.import_module("alsift." + m), n)
     ]
     assert not missing, "README lists entry points that do not exist: %s" % ", ".join(missing)
+
+
+def test_readme_config_reference_names_every_key():
+    from alsift.experiment import CONFIG_KEYS
+
+    reference = (ROOT / "README.md").read_text().split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    missing = []
+    for key in CONFIG_KEYS:
+        section, name = key.split(".", 1)
+        paragraph = reference.partition("**%s.**" % section)[2].split("\n\n", 1)[0]
+        if "`%s`" % name not in paragraph:
+            missing.append(key)
+    assert not missing, "README Config reference omits: %s" % ", ".join(missing)

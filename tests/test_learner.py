@@ -157,7 +157,7 @@ class TestTraining:
         cfg = TrainConfig(max_epochs=4, batch_size=16)
         a = train(pool, full_subset(pool), cfg, seed=1)
         b = train(pool, full_subset(pool), cfg, seed=2)
-        assert not np.array_equal(a.final_params.tensors[0], b.final_params.tensors[0])
+        assert not np.array_equal(a.checkpoints[-1].params.tensors[0], b.checkpoints[-1].params.tensors[0])
 
     def test_full_batch_descent_is_monotone(self):
         pool = small_pool(3)
@@ -194,7 +194,7 @@ class TestTraining:
         )
         got = train(pool_a, SubsetState({0: 1, 1: 2, 2: 1, 3: 1}), cfg, seed=8)
         want = train(pool_b, SubsetState.from_ids(range(5)), cfg, seed=8)
-        for ta, tb in zip(got.final_params.tensors, want.final_params.tensors):
+        for ta, tb in zip(got.checkpoints[-1].params.tensors, want.checkpoints[-1].params.tensors):
             assert_array_equal(ta, tb)
 
     def test_rolling_window_keeps_last_epochs(self):
@@ -236,7 +236,7 @@ class TestTraining:
         assert [c.epoch for c in result.checkpoints] == [0]
         direct = init_params("logistic", pool.n_features, pool.n_classes, 16,
                              np.random.default_rng(3))
-        for ta, tb in zip(result.final_params.tensors, direct.tensors):
+        for ta, tb in zip(result.checkpoints[-1].params.tensors, direct.tensors):
             assert_array_equal(ta, tb)
 
     def test_empty_subset_rejected(self):
@@ -340,6 +340,13 @@ def test_hidden_width_is_checked_for_mlp_only():
     assert TrainConfig(arch="logistic", hidden=0).hidden == 0
 
 
+
+def test_decay_epochs_count_from_one():
+    for epochs, low in (((0, -3), -3), ((2, 0), 0)):
+        with pytest.raises(ValueError, match=r"^decay epochs must be >= 1, got %d$" % low):
+            TrainConfig(decay_epochs=epochs)
+    assert TrainConfig(decay_epochs=(1, 4)).decay_epochs == (1, 4)
+
 class TestEpochLoss:
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
     def test_logged_loss_is_the_full_objective_without_a_gradient_pass(self, arch, monkeypatch):
@@ -366,7 +373,7 @@ class TestFineTuning:
     def test_zero_rate_runs_no_step_and_stores_every_epoch(self, monkeypatch):
         pool = small_pool()
         cfg = TrainConfig(max_epochs=3, fine_tune_rate=0.0, batch_size=16)
-        start = train(pool, full_subset(pool), cfg, seed=1).final_params
+        start = train(pool, full_subset(pool), cfg, seed=1).checkpoints[-1].params
         rows = count_gradient_batches(monkeypatch)
         tuned = fine_tune(pool, full_subset(pool), start, cfg, seed=2)
         assert rows == []
@@ -379,26 +386,26 @@ class TestFineTuning:
     def test_zero_rate_keeps_weights(self):
         pool = small_pool()
         cfg = TrainConfig(max_epochs=3, fine_tune_rate=0.0, batch_size=16)
-        start = train(pool, full_subset(pool), cfg, seed=1).final_params
+        start = train(pool, full_subset(pool), cfg, seed=1).checkpoints[-1].params
         tuned = fine_tune(pool, full_subset(pool), start, cfg, seed=2)
-        for ta, tb in zip(tuned.final_params.tensors, start.tensors):
+        for ta, tb in zip(tuned.checkpoints[-1].params.tensors, start.tensors):
             assert_array_equal(ta, tb)
 
     def test_zero_epochs_keeps_weights(self):
         pool = small_pool()
         cfg = TrainConfig(max_epochs=3, fine_tune_epochs=0, batch_size=16)
-        start = train(pool, full_subset(pool), cfg, seed=1).final_params
+        start = train(pool, full_subset(pool), cfg, seed=1).checkpoints[-1].params
         tuned = fine_tune(pool, full_subset(pool), start, cfg, seed=2)
         assert tuned.checkpoints[-1].epoch == 0
-        for ta, tb in zip(tuned.final_params.tensors, start.tensors):
+        for ta, tb in zip(tuned.checkpoints[-1].params.tensors, start.tensors):
             assert_array_equal(ta, tb)
 
     def test_fine_tune_moves_weights_at_positive_rate(self):
         pool = small_pool()
         cfg = TrainConfig(max_epochs=3, fine_tune_rate=1e-2, batch_size=16)
-        start = train(pool, full_subset(pool), cfg, seed=1).final_params
+        start = train(pool, full_subset(pool), cfg, seed=1).checkpoints[-1].params
         tuned = fine_tune(pool, full_subset(pool), start, cfg, seed=2)
-        assert not np.array_equal(tuned.final_params.tensors[0], start.tensors[0])
+        assert not np.array_equal(tuned.checkpoints[-1].params.tensors[0], start.tensors[0])
 
     def test_shape_mismatch_rejected(self):
         pool = small_pool()
@@ -476,20 +483,20 @@ class TestRunStack:
         subset = repeated_subset(pool)
         cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=3, fine_tune_rate=rate)
         pretrained = train_parts([(pool, full_subset(pool), [1, 2, 3], None)], cfg)[0]
-        starts = [r.final_params for r in pretrained]
+        starts = [r.checkpoints[-1].params for r in pretrained]
         stacked = train_parts([(pool, subset, [21, 22, 23], starts)], cfg)[0]
         for seed, start, got in zip([21, 22, 23], starts, stacked):
             assert_same_run(got, fine_tune(pool, subset, start, cfg, seed=seed))
             assert [c.epoch for c in got.checkpoints] == [1, 2, 3]
             if rate == 0.0:
-                for ta, tb in zip(got.final_params.tensors, start.tensors):
+                for ta, tb in zip(got.checkpoints[-1].params.tensors, start.tensors):
                     assert_array_equal(ta, tb)
 
     def test_starts_are_not_written(self):
         pool = class_pool(3)
         cfg = TrainConfig(batch_size=7, max_epochs=2, fine_tune_rate=1e-2)
         pretrained = train_parts([(pool, full_subset(pool), [1, 2], None)], cfg)[0]
-        starts = [r.final_params for r in pretrained]
+        starts = [r.checkpoints[-1].params for r in pretrained]
         before = [[t.copy() for t in s.tensors] for s in starts]
         train_parts([(pool, full_subset(pool), [5, 6], starts)], cfg)[0]
         for start, kept in zip(starts, before):
@@ -589,7 +596,7 @@ class TestParts:
         parts = []
         for p, pool in enumerate(pools):
             pretrained = train_parts([(pool, full_subset(pool), [p, p + 5], None)], cfg)[0]
-            starts = [r.final_params for r in pretrained]
+            starts = [r.checkpoints[-1].params for r in pretrained]
             parts.append((pool, repeated_subset(pool), [31 + p, 41 + p], starts))
         for (pool, subset, seeds, starts), got in zip(parts, train_parts(parts, cfg)):
             for seed, start, run in zip(seeds, starts, got, strict=True):
@@ -680,7 +687,7 @@ class TestOneStackShape:
         pool = class_pool(4)
         cfg = TrainConfig(batch_size=7, max_epochs=3, fine_tune_rate=0.0, weight_decay=1e-3)
         pretrained = train_parts([(pool, full_subset(pool), range(runs), None)], cfg)[0]
-        starts = [r.final_params for r in pretrained]
+        starts = [r.checkpoints[-1].params for r in pretrained]
         calls = self.count_calls(monkeypatch)
         results = train_parts([(pool, repeated_subset(pool), range(runs), starts)], cfg)[0]
         assert calls == {"_loss": [(runs,)], "_accuracy": [(runs,)]}
@@ -719,7 +726,7 @@ class TestEarlyStoppingNeedsHeldOutIds:
         pool = small_pool()
         cfg = TrainConfig(max_epochs=2, val_fraction=0.0)
         result = train(pool, full_subset(pool), cfg, seed=1)
-        want = np.mean(np.argmax(reference_proba(result.final_params, pool.features), axis=1)
+        want = np.mean(np.argmax(reference_proba(result.checkpoints[-1].params, pool.features), axis=1)
                        == pool.labels)
         assert result.val_accuracy[-1] == want
 
@@ -744,7 +751,7 @@ class TestEnsembles:
             (EnsembleConfig(mode="combined", runs=2, checkpoints_per_run=3), 6, 2, 3, 3),
         ]
         for cfg, count, runs, per_run, epochs in cases:
-            assert cfg.member_count == count
+            assert cfg.runs_needed * cfg.per_run == count
             assert (cfg.runs_needed, cfg.per_run, cfg.epochs_needed) == (runs, per_run, epochs)
             assert len(build_ensemble(store, cfg)) == count
         # the stride widens the epoch span only where a run gives several members
@@ -757,7 +764,7 @@ class TestEnsembles:
         for mode, expected in strided.items():
             cfg = EnsembleConfig(mode=mode, runs=2, checkpoints_per_run=3, stride=2)
             assert (cfg.runs_needed, cfg.per_run, cfg.epochs_needed) == expected
-            assert cfg.member_count == expected[0] * expected[1]
+            assert cfg.runs_needed * cfg.per_run == expected[0] * expected[1]
 
     def test_checkpoints_mode_takes_newest_with_stride(self):
         pool = small_pool()
