@@ -27,9 +27,9 @@ SUM_TOL = 1e-6
 MI_CLAMP = 1e-9
 
 # Pool passes (prediction, validation, scoring, votes, consensus) walk the
-# samples in row_blocks of this many rows, so their working set, one float64
-# block of probabilities that member inference computes in float32, is
-# O(BLOCK_ROWS * E * K) whatever the pool size.
+# samples in row_blocks of this many rows, each as member-major float32 groups
+# reduced while in cache, so a pass holds one group and O(BLOCK_ROWS * (E + K))
+# float64 values whatever the pool size, never a float64 (rows, E, K) block.
 BLOCK_ROWS = 2048
 
 FUNCTION_IDS = ("entropy", "mutual_information", "variation_ratios", "error_count", "random")
@@ -38,21 +38,16 @@ FUNCTION_IDS = ("entropy", "mutual_information", "variation_ratios", "error_coun
 DETECTION_FUNCTION_IDS = ("entropy", "mutual_information", "variation_ratios")
 
 
-def row_blocks(shape):
-    """Yield ``(rows, block)`` for each run of at most ``BLOCK_ROWS`` samples of
-    an (N, E, K) ``shape``: the rows as a slice and an unfilled contiguous
-    float64 (c, E, K) view of one buffer, which the next block reuses. An
-    empty source yields one empty block, so per-block checks still run."""
-    n = shape[0]
-    buffer = np.empty((min(n, BLOCK_ROWS), *shape[1:]))
+def row_blocks(n: int):
+    """Yield each run of at most ``BLOCK_ROWS`` of ``n`` samples as a slice. An
+    empty source yields one empty slice, so per-block checks still run."""
     for lo in range(0, max(n, 1), BLOCK_ROWS):
-        rows = slice(lo, min(lo + BLOCK_ROWS, n))
-        yield rows, buffer[: rows.stop - lo]
+        yield slice(lo, min(lo + BLOCK_ROWS, n))
 
 
 def _check_rows(probs: np.ndarray) -> np.ndarray:
-    """Validate an array whose last axis holds probability vectors."""
-    probs = np.asarray(probs, dtype=np.float64)
+    """Validate an array whose last axis holds probability vectors, float32 or
+    float64; the row sums are float64."""
     if probs.shape[-1] < 1:
         raise ValueError("invalid distribution: no classes")
     # min and max propagate NaN, so one test covers both conditions
@@ -60,9 +55,10 @@ def _check_rows(probs: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(probs)):
             raise ValueError("invalid distribution: non-finite entries")
         raise ValueError("invalid distribution: entries outside [0, 1]")
-    # a matrix-vector product adds K-wide rows several times faster than a
-    # last-axis sum; the order of addition does not matter at SUM_TOL
-    sums = probs @ np.ones(probs.shape[-1])
+    # float64 column adds, with no float64 copy of float32 rows; order does not matter at SUM_TOL
+    sums = np.add(probs[..., 0], 0.0, dtype=np.float64)
+    for j in range(1, probs.shape[-1]):
+        sums += probs[..., j]
     if np.any(np.abs(sums - 1.0) > SUM_TOL):
         raise ValueError("invalid distribution: rows must sum to 1 within %g" % SUM_TOL)
     return probs
@@ -100,26 +96,24 @@ def _row_max(values: np.ndarray) -> np.ndarray:
 
 def _row_sum(values: np.ndarray) -> np.ndarray:
     """Each row's sum, the bytes of ``sum(axis=-1, keepdims=True)`` but for a
-    NaN's sign, which numpy's loops leave to the operand order. Below 8
-    classes numpy adds a row's entries in order onto +0.0 (so rows of -0.0 sum
-    to +0.0), as this does a column at a time; from 8 on it adds in 8 partial
-    sums, so its own reduction runs."""
-    if values.shape[-1] >= 8:
+    NaN's sign. Onto +0.0 numpy adds a row shorter than 8 in order; one of 8
+    to 128 as 8 partial sums over runs of 8, added as a tree, then the rest in
+    order, as this does a column at a time; a longer one in halves, so its own
+    reduction runs."""
+    k = values.shape[-1]
+    if k > 128:
         return values.sum(axis=-1, keepdims=True)
-    total = values[..., :1] + 0.0
-    for j in range(1, values.shape[-1]):
+    if k < 8:
+        total, done = values[..., :1] + 0.0, 1
+    else:
+        parts = [values[..., j : j + 1] for j in range(8)]
+        for lo in range(8, k - k % 8, 8):
+            parts = [p + values[..., lo + j : lo + j + 1] for j, p in enumerate(parts)]
+        while len(parts) > 1:
+            parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
+        total, done = parts[0] + 0.0, k - k % 8
+    for j in range(done, k):
         total += values[..., j : j + 1]
-    return total
-
-
-def _member_mean(members: np.ndarray) -> np.ndarray:
-    """The mean over axis -2 of a (..., E, K) stack, the bytes of
-    ``mean(axis=-2)`` as :func:`_row_sum` gives a sum's: numpy adds the
-    members in order onto +0.0, then divides by E, as this does."""
-    total = members[..., 0, :] + 0.0
-    for j in range(1, members.shape[-2]):
-        total += members[..., j, :]
-    total /= members.shape[-2]
     return total
 
 
@@ -133,8 +127,8 @@ def _vote_counts(votes: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Entropy in nats along the last axis, with 0 * log 0 = +0."""
-    terms = np.maximum(probs, LOG_EPS)
+    """Entropy in nats along the last axis, with 0 * log 0 = +0, in float64."""
+    terms = np.maximum(probs, LOG_EPS, dtype=np.float64)
     np.log(terms, out=terms)
     terms *= probs
     np.copyto(terms, 0.0, where=probs <= 0.0)
@@ -150,7 +144,8 @@ def predictive_mean(members: np.ndarray) -> np.ndarray:
     Returns:
         Length-K marginal probability vector.
     """
-    return _member_mean(_check_members(members))
+    members = _check_members(members)
+    return _reduce_block([members[:, None]], (1, *members.shape), mean=True)[1][0]
 
 
 def entropy(probs: np.ndarray) -> float:
@@ -183,26 +178,50 @@ def _check_labels(labels, shape, n_classes: int) -> np.ndarray:
     return labels
 
 
-def _ensemble_scores(members: np.ndarray, function_id: str, labels=None, mean=None) -> np.ndarray:
-    """Score a float64 (..., E, K) stack of member rows over its last two axes.
-
-    Handles ``entropy``, ``mutual_information``, ``variation_ratios`` and
-    ``error_count``; ``labels`` holds one checked class index per (E, K)
-    ensemble, and ``mean``, when given, the :func:`_member_mean` of
-    ``members``. Member votes and the majority vote break argmax ties toward
-    the lowest class index, so every score is deterministic.
-    """
-    n_members, n_classes = members.shape[-2:]
+def _reduce_block(groups, shape, function_id=None, labels=None, mean=False, votes=False,
+                  order="C"):
+    """``(scores, mean, votes)`` of one block of ``shape`` (c, E, K) from its
+    member-major (E_g, c, K) float32 or float64 groups, members in order, each
+    reduced in float64 while in cache: into a member sum added in member order
+    onto +0.0, member entropies (c, E) in ``order`` for ``mutual_information``
+    and member votes (c, E), argmax ties toward the lowest class. The scores of
+    ``function_id`` (None for none; ``labels`` holds ``error_count``'s checked
+    classes) come from them; the mean and votes come back if used, else None."""
+    n_rows, n_members, n_classes = shape
+    mean = mean or function_id in ("entropy", "mutual_information")
+    votes = votes or function_id in ("variation_ratios", "error_count")
+    total = np.zeros((n_rows, n_classes)) if mean else None
+    spread = np.empty(shape[:2], order=order) if function_id == "mutual_information" else None
+    member_votes = np.empty(shape[:2], np.intp) if votes else None
+    lo = 0
+    for group in groups:
+        for p in group if mean else ():
+            total += p
+        if spread is not None:
+            spread[:, lo : lo + len(group)] = _entropy_rows(group).T
+        if votes:
+            member_votes[:, lo : lo + len(group)] = np.argmax(group, axis=-1).T
+        lo += len(group)
+    if mean:
+        total /= n_members
+    scores = None
     if function_id in ("entropy", "mutual_information"):
-        total = _entropy_rows(_member_mean(members) if mean is None else mean)
-        if function_id == "entropy":
-            return total
-        expected = _entropy_rows(members).mean(axis=-1)
-        return _clamp_mutual_information(total - expected)
-    votes = np.argmax(members, axis=-1)
-    if function_id == "variation_ratios":
-        return 1.0 - _row_max(_vote_counts(votes, n_classes))[..., 0] / n_members
-    return 1.0 - (votes == labels[..., None]).sum(axis=-1) / n_members
+        scores = _entropy_rows(total)
+        if spread is not None:
+            scores = _clamp_mutual_information(scores - spread.mean(axis=-1))
+    elif function_id == "variation_ratios":
+        scores = 1.0 - _row_max(_vote_counts(member_votes, n_classes))[..., 0] / n_members
+    elif function_id == "error_count":
+        scores = 1.0 - (member_votes == labels[..., None]).sum(axis=-1) / n_members
+    return scores, total, member_votes
+
+
+def _ensemble_score(members: np.ndarray, function_id: str, label=None) -> float:
+    """The score of one (E, K) ensemble, the one (E, 1, K) group of a one-row block."""
+    members = _check_members(members)
+    if function_id == "error_count":
+        label = _check_labels(label, (), members.shape[1])[None]
+    return float(_reduce_block([members[:, None]], (1, *members.shape), function_id, label)[0][0])
 
 
 def mutual_information(members: np.ndarray) -> float:
@@ -212,7 +231,7 @@ def mutual_information(members: np.ndarray) -> float:
     one is); large when members disagree. Tiny negative values from
     floating-point cancellation are clamped to 0.
     """
-    return float(_ensemble_scores(_check_members(members), "mutual_information"))
+    return _ensemble_score(members, "mutual_information")
 
 
 def variation_ratios(members: np.ndarray) -> float:
@@ -221,14 +240,12 @@ def variation_ratios(members: np.ndarray) -> float:
     Per-member argmax ties and majority-vote ties both resolve to the
     lowest class index, so the score is deterministic.
     """
-    return float(_ensemble_scores(_check_members(members), "variation_ratios"))
+    return _ensemble_score(members, "variation_ratios")
 
 
 def error_count(members: np.ndarray, label: int) -> float:
     """Fraction of members whose top class differs from the true label."""
-    members = _check_members(members)
-    label = _check_labels(label, (), members.shape[1])
-    return float(_ensemble_scores(members, "error_count", label))
+    return _ensemble_score(members, "error_count", label)
 
 
 @dataclass
@@ -252,13 +269,13 @@ class PredictionTensor:
         if self.sample_ids.shape != (self.data.shape[0],):
             raise ValueError("sample_ids length must match the sample axis")
         _unique_ids(self.sample_ids)
-        for _, block in self.blocks():
-            _check_rows(block)
+        for _, (group,) in self.blocks():
+            _check_rows(group)
 
     @classmethod
     def _checked(cls, data: np.ndarray, sample_ids: np.ndarray) -> "PredictionTensor":
         """Wrap arrays that already hold what the constructor checks: contiguous
-        float32 (N, E, K) data whose blocks passed :func:`_check_rows`, and
+        float32 (N, E, K) data whose groups passed :func:`_check_rows`, and
         unique uint64 ids. Nothing is copied or validated again. Only
         ``learner.predict_pool`` calls it; perfbench imports and wraps that."""
         tensor = cls.__new__(cls)
@@ -266,10 +283,11 @@ class PredictionTensor:
         return tensor
 
     def blocks(self):
-        """Yield the :func:`row_blocks` of the tensor, filled with its values."""
-        for rows, block in row_blocks(self.data.shape):
-            block[...] = self.data[rows]
-            yield rows, block
+        """Yield ``(rows, groups)`` for each :func:`row_blocks` run of the
+        tensor: the rows, and their members as one member-major (E, c, K)
+        group, a view of the tensor."""
+        for rows in row_blocks(self.n_samples):
+            yield rows, [self.data[rows].swapaxes(0, 1)]
 
     @property
     def n_samples(self) -> int:
@@ -308,8 +326,10 @@ def pool_pass(source, function_id=None, labels=None, seed=None, votes=False):
 
     Args:
         source: a :class:`PredictionTensor` or a ``learner.PoolBlocks``;
-            anything with ``n_samples``, ``sample_ids`` and a ``blocks()``
-            that yields ``(rows, block)`` pairs covering the samples.
+            anything with ``n_samples``, ``n_members``, ``n_classes``,
+            ``sample_ids`` and a ``blocks()`` that yields, for row slices that
+            cover the samples, ``(rows, groups)``: member-major (E_g, c, K)
+            probability groups that hold every member in order.
         function_id: one of ``FUNCTION_IDS``, or None for no scores.
         labels: true class indices, required for ``error_count``.
         seed: RNG seed, required for ``random``, whose scores are seeded
@@ -335,13 +355,13 @@ def pool_pass(source, function_id=None, labels=None, seed=None, votes=False):
     scored = function_id not in (None, "random")
     scores = np.empty(n) if scored else None
     fused = np.empty(n, dtype=np.int64) if votes else None
-    # one member mean per block serves both the entropies and the votes
-    averaged = votes or function_id in ("entropy", "mutual_information")
-    for rows, block in source.blocks():
-        mean = _member_mean(block) if averaged else None
+    for rows, groups in source.blocks():
+        shape = (rows.stop - rows.start, source.n_members, source.n_classes)
+        block_labels = None if labels is None else labels[rows]
+        # one member mean per block serves both the entropies and the votes
+        block_scores, mean, _ = _reduce_block(groups, shape, function_id, block_labels, mean=votes)
         if scored:
-            block_labels = None if labels is None else labels[rows]
-            scores[rows] = _ensemble_scores(block, function_id, block_labels, mean)
+            scores[rows] = block_scores
         if votes:
             fused[rows] = np.argmax(mean, axis=1)
     if function_id == "random":
@@ -406,10 +426,11 @@ def detection_heatmaps(maps, function_id: str) -> np.ndarray:
             "function %r not applicable to detection maps" % function_id
         )
     stack = _as_heatmap_stack(maps)
-    # (C, H, W, E, 2) view; members stay outermost in memory, so the
-    # member means add in member order
-    binary = np.moveaxis(np.stack([stack, 1.0 - stack], axis=-1), 0, -2)
-    return _ensemble_scores(binary, function_id)
+    # one member-major (E, cells, 2) group; the member entropies keep members
+    # outermost in memory, so their mean adds in member order as it always has
+    binary = np.stack([stack, 1.0 - stack], axis=-1).reshape(len(stack), -1, 2)
+    scores = _reduce_block([binary], (binary.shape[1], len(stack), 2), function_id, order="F")[0]
+    return scores.reshape(stack.shape[1:])
 
 
 def detection_image_score(maps, function_id: str) -> float:

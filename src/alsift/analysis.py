@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import pool_pass
+from .acquisition import _reduce_block, pool_pass
 # predict_pool stays an attribute of this module although nothing here
 # calls it: perfbench's traced spans wrap it here
 from .learner import LabeledPool, PoolBlocks, predict_pool
@@ -47,8 +47,9 @@ def consensus_counts(source, n_max: int) -> ConsensusReport:
         raise ValueError("n_max must be in [1, %d]" % source.n_members)
     cumulative = np.zeros(n_max, dtype=np.int64)
     pairwise = np.zeros(source.n_members - 1, dtype=np.int64)
-    for _, block in source.blocks():
-        votes = np.argmax(block, axis=2)  # (c, E), ties toward class 0
+    for rows, groups in source.blocks():
+        shape = (rows.stop - rows.start, source.n_members, source.n_classes)
+        votes = _reduce_block(groups, shape, votes=True)[2]  # (c, E), ties toward class 0
         agree = np.logical_and.accumulate(votes[:, :n_max] == votes[:, :1], axis=1)
         cumulative += agree.sum(axis=0)
         pairwise += (votes[:, 1:] == votes[:, :-1]).sum(axis=0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learner import LabeledPool
-from .state import parse_sample_id, write_table_csv
+from .state import FieldError, parse_sample_id, write_table_csv
 
 # jitter applied to near-duplicate copies, relative to the cluster spread
 _DUPLICATE_JITTER = 0.01
@@ -52,23 +52,25 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ValueError("need at least two classes")
+            raise FieldError("n_classes", "need at least two classes")
         if self.clusters_per_class < 1 or self.samples_per_cluster < 1:
-            raise ValueError("cluster layout must be positive")
+            bad = "clusters_per_class" if self.clusters_per_class < 1 else "samples_per_cluster"
+            raise FieldError(bad, "cluster layout must be positive")
         if self.n_features < 1:
-            raise ValueError("need at least one feature")
+            raise FieldError("n_features", "need at least one feature")
         if not 0.0 <= self.redundancy < 1.0:
-            raise ValueError("redundancy must be in [0, 1)")
+            raise FieldError("redundancy", "redundancy must be in [0, 1)")
         if not 0.0 <= self.label_noise < 1.0:
-            raise ValueError("label noise must be in [0, 1)")
+            raise FieldError("label_noise", "label noise must be in [0, 1)")
         if self.class_ratios is not None:
             self.class_ratios = tuple(float(r) for r in self.class_ratios)
             if len(self.class_ratios) != self.n_classes:
-                raise ValueError("class_ratios length must equal n_classes")
+                raise FieldError("class_ratios", "class_ratios length must equal n_classes")
             if min(self.class_ratios) <= 0.0:
-                raise ValueError("class_ratios must be positive")
+                raise FieldError("class_ratios", "class_ratios must be positive")
         if self.cluster_std <= 0.0 or self.center_spread <= 0.0:
-            raise ValueError("cluster_std and center_spread must be positive")
+            bad = "cluster_std" if self.cluster_std <= 0.0 else "center_spread"
+            raise FieldError(bad, "cluster_std and center_spread must be positive")
         if self.seed < 0:
             raise ValueError("pool.seed must be non-negative, got %d" % self.seed)
         if self.sample_seed is not None and self.sample_seed < 0:

@@ -196,11 +196,15 @@ def _reject_unknown(data: dict[str, str]) -> None:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
 
 
-def _generator(data: dict[str, str]) -> GeneratorSpec:
+def _build(cls, data: dict[str, str], owner: str, **parts):
+    """``cls`` from the keys under ``owner`` and ``parts``. Its ValueError
+    becomes a ConfigError, led by the key of the field a FieldError names."""
     try:
-        return GeneratorSpec(**_fields(data, "generator"))
+        return cls(**_fields(data, owner), **parts)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        path = "%s.%s" % (owner, getattr(exc, "field", ""))
+        keys = [key for key, (at, _) in CONFIG_KEYS.items() if at == path]
+        raise ConfigError(": ".join(keys + [str(exc)])) from None
 
 
 @dataclass
@@ -237,7 +241,7 @@ def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
     """
     generator = None
     if not data.get("pool.file"):
-        generator = _generator(data)
+        generator = _build(GeneratorSpec, data, "generator")
     else:
         for key in data:
             if key.startswith("pool.") and key != "pool.file" and data[key]:
@@ -246,18 +250,13 @@ def config_from_mapping(data: dict[str, str]) -> ExperimentConfig:
     search = _fields(data, "search")
     if not {"scheme", "function_id", "target_size"} <= search.keys():
         raise ConfigError("search.scheme, search.function and search.target_size are required")
-    try:
-        config = ExperimentConfig(
-            search=SearchConfig(
-                ensemble=EnsembleConfig(**_fields(data, "search.ensemble")),
-                trainer=TrainConfig(**_fields(data, "search.trainer")),
-                **search,
-            ),
-            generator=generator,
-            **_fields(data, ""),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    ensemble = _build(EnsembleConfig, data, "search.ensemble")
+    trainer = _build(TrainConfig, data, "search.trainer")
+    config = ExperimentConfig(
+        search=_build(SearchConfig, data, "search", ensemble=ensemble, trainer=trainer),
+        generator=generator,
+        **_fields(data, ""),
+    )
     _reject_unknown(data)
     return config
 
@@ -274,7 +273,7 @@ def generator_from_mapping(data: dict[str, str]) -> GeneratorSpec:
     data = {k: v for k, v in data.items() if k.startswith("pool.")}
     if data.get("pool.file"):
         raise ConfigError("pool.file points at an existing pool; nothing to generate")
-    spec = _generator(data)
+    spec = _build(GeneratorSpec, data, "generator")
     _reject_unknown(data)
     return spec
 

@@ -28,7 +28,7 @@ from .acquisition import (
     _unique_ids,
     row_blocks,
 )
-from .state import BinaryFrame, SubsetState, atomic_file, id_array, sorted_unique_ids, subset_hash
+from .state import BinaryFrame, FieldError, SubsetState, atomic_file, id_array, sorted_unique_ids, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
 ENSEMBLE_MODES = ("single", "seeds", "checkpoints", "combined")
@@ -308,27 +308,28 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
-            raise ValueError("unknown architecture %r" % self.arch)
+            raise FieldError("arch", "unknown architecture %r" % self.arch)
         if self.arch == "mlp" and self.hidden < 1:
-            raise ValueError("mlp needs a positive hidden width")
+            raise FieldError("hidden", "mlp needs a positive hidden width")
         if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+            raise FieldError("learning_rate", "learning rate must be positive")
         if self.fine_tune_rate < 0.0:
-            raise ValueError("fine-tune rate must be non-negative")
+            raise FieldError("fine_tune_rate", "fine-tune rate must be non-negative")
         if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr decay factor must be in (0, 1]")
+            raise FieldError("lr_decay", "lr decay factor must be in (0, 1]")
         if self.momentum < 0.0 or self.momentum >= 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise FieldError("momentum", "momentum must be in [0, 1)")
         if self.weight_decay < 0.0:
-            raise ValueError("weight decay must be non-negative")
-        if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 0:
-            raise ValueError("batch size, epochs and patience must be non-negative")
+            raise FieldError("weight_decay", "weight decay must be non-negative")
+        for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 0)):
+            if getattr(self, name) < low:
+                raise FieldError(name, "batch size, epochs and patience must be non-negative")
         if self.fine_tune_epochs is not None and self.fine_tune_epochs < 0:
-            raise ValueError("fine-tune epochs must be non-negative")
+            raise FieldError("fine_tune_epochs", "fine-tune epochs must be non-negative")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("validation fraction must be in [0, 1)")
+            raise FieldError("val_fraction", "validation fraction must be in [0, 1)")
         if self.checkpoint_window < 1:
-            raise ValueError("checkpoint window must be >= 1")
+            raise FieldError("checkpoint_window", "checkpoint window must be >= 1")
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
         if self.decay_epochs and min(self.decay_epochs) < 1:
             raise ValueError("decay epochs must be >= 1, got %d" % min(self.decay_epochs))
@@ -669,9 +670,10 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.mode not in ENSEMBLE_MODES:
-            raise ValueError("unknown ensemble mode %r" % self.mode)
-        if self.runs < 1 or self.checkpoints_per_run < 1 or self.stride < 1:
-            raise ValueError("runs, checkpoints per run and stride must be >= 1")
+            raise FieldError("mode", "unknown ensemble mode %r" % self.mode)
+        for name in ("runs", "checkpoints_per_run", "stride"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, "runs, checkpoints per run and stride must be >= 1")
 
     @property
     def runs_needed(self) -> int:
@@ -851,7 +853,7 @@ class PoolBlocks:
     ``n_samples``, ``n_members``, ``n_classes`` and ``blocks()``), so
     ``acquisition.pool_pass`` and ``analysis.evaluate_tensor`` take either,
     but it never holds an (N, E, K) array: each walk predicts its blocks
-    afresh, and its working set is one float64 block.
+    afresh, one float32 group of members at a time.
 
     Inference runs in float32, from member weights rounded to float32 as
     ``.alck`` files store them, so a saved and reloaded ensemble predicts
@@ -899,34 +901,36 @@ class PoolBlocks:
         return self.pool.labels if self._rows is None else self.pool.labels[self._rows]
 
     def blocks(self):
-        """Yield the :func:`acquisition.row_blocks` of the source, filled with
-        the member probabilities of their rows, computed in float32. Every
-        block passes :func:`acquisition._check_rows`. Each group of members
-        that fills a member-major float32 buffer of ``_LOGITS`` logits takes
-        one row-wise softmax and one transposing copy into the block."""
+        """Yield ``(rows, groups)`` for each :func:`acquisition.row_blocks` run
+        of the source: the rows, and a generator of their member probabilities,
+        computed in float32. Each group of members that fills a member-major
+        (E_g, c, K) buffer of ``_LOGITS`` logits takes one row-wise softmax and
+        passes :func:`acquisition._check_rows`; the next group overwrites it."""
         with _float32_range("member weights"):  # the values .alck files store
             weights = [[t.astype(np.float32) for t in m.tensors] for m in self.members]
-        for rows, block in row_blocks((self.n_samples, self.n_members, self.n_classes)):
+        for rows in row_blocks(self.n_samples):
             features = self.pool.features[rows if self._rows is None else self._rows[rows]]
             with _float32_range("pool features"):
                 features = features.astype(np.float32)
-            size = max(1, self._LOGITS // max(1, len(block) * self.n_classes))
-            logits = np.empty((min(size, self.n_members), len(block), self.n_classes), np.float32)
+            yield rows, self._groups(weights, features)
+
+    def _groups(self, weights, features):
+        size = max(1, self._LOGITS // max(1, len(features) * self.n_classes))
+        logits = np.empty((min(size, self.n_members), len(features), self.n_classes), np.float32)
+        for lo in range(0, self.n_members, size):
+            group = logits[: self.n_members - lo]
             with np.errstate(over="ignore", invalid="ignore"):
-                for lo in range(0, self.n_members, size):
-                    group = logits[: self.n_members - lo]
-                    for j, w in enumerate(weights[lo : lo + size]):
-                        _forward(w, features, out=group[j])
-                    block[:, lo : lo + size] = _softmax(group).swapaxes(0, 1)
-            del logits, group  # the buffer is not held while the block is read
+                for j, w in enumerate(weights[lo : lo + size]):
+                    _forward(w, features, out=group[j])
+                _softmax(group)
             try:
-                _check_rows(block)
+                _check_rows(group)
             except ValueError:
                 if all(np.isfinite(t).all() for w in weights for t in w):
                     # finite float32 inputs: only an overflowed logit breaks a row
                     raise ValueError("member logits %s" % _FLOAT32_RANGE) from None
                 raise
-            yield rows, block
+            yield group
 
 
 def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
@@ -934,7 +938,7 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
 
     The library materialiser, for callers that keep a tensor (``.alpt``
     files); the perfbench harness imports and wraps it, and no alsift code
-    path calls it. The blocks come from :class:`PoolBlocks`, which already
+    path calls it. The groups come from :class:`PoolBlocks`, which already
     validated them.
 
     Args:
@@ -947,8 +951,11 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     """
     source = PoolBlocks(members, pool, ids)
     data = np.empty((source.n_samples, source.n_members, source.n_classes), dtype=np.float32)
-    for rows, block in source.blocks():
-        data[rows] = block
+    for rows, groups in source.blocks():
+        lo = 0
+        for group in groups:
+            data[rows, lo : lo + len(group)] = group.swapaxes(0, 1)
+            lo += len(group)
     return PredictionTensor._checked(data, source.sample_ids)
 
 

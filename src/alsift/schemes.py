@@ -41,7 +41,7 @@ from .learner import (
 # call them: perfbench's traced spans wrap them here
 from .acquisition import score_pool
 from .learner import fine_tune, predict_pool, train
-from .state import SubsetState, derive_seed, id_array
+from .state import FieldError, SubsetState, derive_seed, id_array
 
 SCHEMES = ("pretrain", "compress", "build_up", "automatic_duplication")
 
@@ -130,18 +130,18 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError("unknown scheme %r" % self.scheme)
+            raise FieldError("scheme", "unknown scheme %r" % self.scheme)
         if self.function_id not in FUNCTION_IDS:
-            raise ValueError("unknown acquisition function %r" % self.function_id)
+            raise FieldError("function_id", "unknown acquisition function %r" % self.function_id)
         if self.target_size < 1:
-            raise ValueError("target size must be positive")
+            raise FieldError("target_size", "target size must be positive")
         if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValueError("outlier fraction must be in [0, 1)")
+            raise FieldError("outlier_fraction", "outlier fraction must be in [0, 1)")
         if self.scheme == "automatic_duplication":
             if self.acquisition_batch is None or self.acquisition_batch < 1:
-                raise ValueError("automatic duplication needs a positive acquisition_batch")
+                raise FieldError("acquisition_batch", "automatic duplication needs a positive acquisition_batch")
         if self.initial_size is not None and self.initial_size < 1:
-            raise ValueError("initial size must be positive")
+            raise FieldError("initial_size", "initial size must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

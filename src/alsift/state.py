@@ -20,6 +20,14 @@ _WRITE_ROWS = 1024
 _FRAME_VERSION = 1
 
 
+class FieldError(ValueError):
+    """A refused value of the dataclass field named ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def derive_seed(*parts: int) -> int:
     """Deterministic child seed from integer context parts.
 

@@ -550,6 +550,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: %s\n" % message
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ("trainer.learning_rate = 0", "trainer.learning_rate: learning rate must be positive"),
+        ("ensemble.runs = 0", "ensemble.runs: runs, checkpoints per run and stride must be >= 1"),
+        ("ensemble.checkpoints_per_run = 0",
+         "ensemble.checkpoints_per_run: runs, checkpoints per run and stride must be >= 1"),
+        ("ensemble.stride = 0", "ensemble.stride: runs, checkpoints per run and stride must be >= 1"),
+        ("trainer.patience = -1",
+         "trainer.patience: batch size, epochs and patience must be non-negative"),
+        ("search.function = nope", "search.function: unknown acquisition function 'nope'"),
+        # pinned word for word by test_negative_seed_or_decay_epoch_maps_to_one
+        ("trainer.decay_epochs = 0", "decay epochs must be >= 1, got 0"),
+    ], ids=["learning_rate", "runs", "checkpoints_per_run", "stride", "patience", "function",
+            "decay_epochs"])
+    def test_config_error_names_its_key(self, edit, message, tmp_path, capsys):
+        key = edit.split(" = ")[0]
+        lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(key + " ")]
+        config = tmp_path / "exp.cfg"
+        config.write_text("\n".join(lines + [edit, ""]))
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, message", [
         ("[aggregate]", "line 7: duplicate section [aggregate]"),
         ("[trial seed=one]", "line 7: trial seed 'one' is not an integer"),

@@ -104,6 +104,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message):
             config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new)))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("batch_size = 16", "learning_rate = 0", r"^trainer\.learning_rate: learning rate must be positive$"),
+        ("runs = 2", "runs = 0", r"^ensemble\.runs: runs, checkpoints per run and stride must be >= 1$"),
+        ("scheme = build_up", "scheme = automatic_duplication",
+         r"^search\.acquisition_batch: automatic duplication needs a positive acquisition_batch$"),
+        ("max_epochs = 6", "arch = mlp\ntrainer.hidden = 0", r"^trainer\.hidden: mlp needs a positive hidden width$"),
+        ("classes = 3", "classes = 1", r"^pool\.classes: need at least two classes$"),
+        ("center_spread = 1.5", "center_spread = 0",
+         r"^pool\.center_spread: cluster_std and center_spread must be positive$"),
+        ("batch_size = 16", "decay_epochs = 0", r"^decay epochs must be >= 1, got 0$"),
+    ], ids=["trainer.learning_rate", "ensemble.runs", "search.acquisition_batch", "trainer.hidden",
+            "pool.classes", "pool.center_spread", "trainer.decay_epochs"])
+    def test_refused_field_is_named_by_its_key(self, old, new, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new)))
+
     def test_pool_file_excludes_generator_keys(self):
         text = "pool.file = p.csv\npool.classes = 3\n" \
                "search.scheme = pretrain\nsearch.function = entropy\nsearch.target_size = 5\n"

@@ -42,8 +42,7 @@ from alsift.acquisition import (
     score_pool,
     variation_ratios,
     write_prediction_tensor,
-    _ensemble_scores,
-    _member_mean,
+    _reduce_block,
     _row_max,
     _row_sum,
     _vote_counts,
@@ -662,8 +661,10 @@ def test_block_pass_blocks_equal_the_tensor_blocks():
     tensor = predict_pool(members, pool)
     for (rows, got), (want_rows, want) in zip(PoolBlocks(members, pool).blocks(), tensor.blocks()):
         assert rows == want_rows
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        (got,), (want,) = [group.copy() for group in got], list(want)
+        assert got.dtype == want.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == want.shape == (len(members), rows.stop - rows.start, pool.n_classes)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def _member_block_reference(members, features):
@@ -698,13 +699,106 @@ def test_pool_blocks_equal_a_per_member_reference(arch, k, n, group, monkeypatch
         source = PoolBlocks(members, pool, ids)
         rows = np.arange(n) if ids is None else pool.rows_for(shuffled)
         walked = 0
-        for block_rows, block in source.blocks():
+        for block_rows, groups in source.blocks():
             want = _member_block_reference(members, pool.features[rows[block_rows]])
-            assert block.dtype == np.float64 and block.flags.c_contiguous
+            size = max(1, PoolBlocks._LOGITS // (len(want) * k))
+            got = []
+            for group in groups:
+                assert group.dtype == np.float32 and group.flags.c_contiguous
+                got.append(group.swapaxes(0, 1).astype(np.float64))
+            assert [g.shape[1] for g in got] == [min(size, 5 - lo) for lo in range(0, 5, size)]
+            block = np.concatenate(got, axis=1)
             assert block.shape == want.shape
             assert block.tobytes() == want.tobytes()
             walked += len(block)
         assert walked == n
+
+
+def _float64_block_reference(probs, labels, seed):
+    """Scores of every function, fused votes, consensus counts and accuracy of
+    (N, E, K) member probabilities, from float64 (c, E, K) blocks of
+    ``BLOCK_ROWS`` rows in plain numpy, as the walk once computed them."""
+    def entropies(q):
+        return -np.where(q > 0.0, q * np.log(np.maximum(q, 1e-12)), 0.0).sum(axis=-1)
+
+    n, n_members, n_classes = probs.shape
+    scores = {f: np.empty(n) for f in FUNCTION_IDS}
+    fused = np.empty(n, dtype=np.int64)
+    votes = np.empty((n, n_members), dtype=np.int64)
+    for lo in range(0, n, C):
+        rows = slice(lo, min(lo + C, n))
+        block = probs[rows].astype(np.float64)
+        mean = block.mean(axis=1)
+        votes[rows] = block.argmax(axis=2)
+        counts = np.stack([(votes[rows] == c).sum(axis=1) for c in range(n_classes)], axis=1)
+        scores["entropy"][rows] = entropies(mean)
+        scores["mutual_information"][rows] = np.maximum(
+            entropies(mean) - entropies(block).mean(axis=1), 0.0
+        )
+        scores["variation_ratios"][rows] = 1.0 - counts.max(axis=1) / n_members
+        scores["error_count"][rows] = 1.0 - (votes[rows] == labels[rows, None]).sum(axis=1) / n_members
+        fused[rows] = mean.argmax(axis=1)
+    scores["random"] = np.random.default_rng(seed).random(n)
+    consensus = [
+        (n, tuple(int(np.all(votes[:, :m] == votes[:, :1], axis=1).sum()) for m in range(1, n_max + 1)),
+         tuple(int((votes[:, i] == votes[:, i + 1]).sum()) for i in range(n_members - 1)))
+        for n_max in range(1, n_members + 1)
+    ]
+    return scores, fused, consensus, float(np.mean(fused == labels))
+
+
+GROUP = 3  # members per softmax group in a full block, by a small PoolBlocks._LOGITS
+
+
+@pytest.mark.parametrize("k", [2, 4, 7, 8, 10, 17])
+@pytest.mark.parametrize("n", [1, C - 1, C + 1])
+def test_grouped_walk_equals_a_float64_block_reference(k, n, monkeypatch):
+    # one member, and one member below and above a group boundary
+    monkeypatch.setattr(PoolBlocks, "_LOGITS", GROUP * C * k, raising=False)
+    arch = ARCHITECTURES[k % 2]
+    pool = _pool(n, k=k, seed=k)
+    shuffled = np.random.default_rng(n + k).permutation(pool.sample_ids)
+    for n_members in (1, GROUP - 1, GROUP + 1):
+        members = _members(arch, k=k, e=n_members)
+        for ids in (None, shuffled):
+            rows = np.arange(n) if ids is None else pool.rows_for(ids)
+            probs = _member_block_reference(members, pool.features[rows])
+            labels = pool.labels[rows]
+            scores, fused, consensus, accuracy = _float64_block_reference(probs, labels, seed=5)
+            blocks = PoolBlocks(members, pool, ids)
+            tensor = predict_pool(members, pool, ids)
+            assert tensor.data.tobytes() == probs.astype(np.float32).tobytes()
+            for source in (blocks, PredictionTensor(probs, blocks.sample_ids)):
+                for function_id in FUNCTION_IDS:
+                    got, votes = pool_pass(source, function_id, labels, seed=5, votes=True)
+                    assert got.scores.tobytes() == scores[function_id].tobytes(), function_id
+                    assert votes.tobytes() == fused.tobytes()
+                for n_max, want in enumerate(consensus, 1):
+                    got = consensus_counts(source, n_max)
+                    assert (got.eval_size, got.cumulative, got.pairwise) == want
+                assert evaluate_tensor(source, labels).accuracy == accuracy
+            assert evaluate(members, pool, ids) == evaluate_tensor(tensor, labels)
+
+
+def test_walk_never_holds_a_float64_block():
+    """A 50-member, 10-class walk over three blocks peaks below one float64
+    (BLOCK_ROWS, E, K) block: groups are reduced as they come."""
+    pool, members = _pool(2 * C + 1, k=10), _members("logistic", k=10, e=50)
+    block_bytes = C * 50 * 10 * 8
+    walks = [
+        lambda: pool_pass(PoolBlocks(members, pool), "mutual_information", votes=True),
+        lambda: pool_pass(PoolBlocks(members, pool), "error_count", pool.labels),
+        lambda: consensus_counts(PoolBlocks(members, pool), 50),
+        lambda: evaluate(members, pool),
+    ]
+    for walk in walks:
+        tracemalloc.start()
+        try:
+            walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes
 
 
 def test_block_pass_refuses_repeated_ids():
@@ -808,15 +902,18 @@ def test_one_member_mean_serves_scores_and_votes(function_id):
 
 
 @pytest.mark.parametrize("n", [0, 1, C, C + 1, 2 * C + 1])
-def test_row_blocks_cover_the_rows_once_in_one_buffer(n):
-    walked = list(row_blocks((n, 3, 4)))
-    assert [(rows.start, rows.stop) for rows, _ in walked] == (
+def test_row_blocks_cover_the_rows_once_in_one_buffer(n, monkeypatch):
+    walked = list(row_blocks(n))
+    assert [(rows.start, rows.stop) for rows in walked] == (
         [(lo, min(lo + C, n)) for lo in range(0, n, C)] or [(0, 0)]
     )
-    for rows, block in walked:
-        assert block.dtype == np.float64 and block.flags.c_contiguous
-        assert block.shape == (rows.stop - rows.start, 3, 4)
-        assert np.shares_memory(block, walked[0][1]) or not block.size
+    # the member groups of one PoolBlocks block take turns in one buffer
+    monkeypatch.setattr(PoolBlocks, "_LOGITS", 2 * C * 4, raising=False)
+    pool = _pool(max(n, 1))
+    for rows, groups in PoolBlocks(_members("logistic"), pool).blocks():
+        first = next(groups)
+        for group in groups:
+            assert np.shares_memory(group, first)
 
 
 def test_an_empty_tensor_still_has_its_block_checked():
@@ -928,22 +1025,48 @@ def test_column_sum_equals_the_last_axis_sum(logits, dtype):
     assert _nan_bytes(got) == _nan_bytes(expected)
 
 
+def _walk_stack(members, function_id=None, parts=1):
+    """Scores and member mean of a (..., E, K) stack of member rows from one
+    walk block, its members split into ``parts`` member-major groups."""
+    *lead, e, k = members.shape
+    group = np.moveaxis(members, -2, 0).reshape(e, -1, k)
+    shape = (group.shape[1], e, k)
+    scores, mean, _ = _reduce_block(np.array_split(group, parts), shape, function_id, mean=True)
+    return None if scores is None else scores.reshape(lead), mean.reshape(*lead, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 200), st.sampled_from([(), (3,), (2, 5)]), st.sampled_from([np.float32, np.float64]),
+       st.integers(0, 2**32 - 1))
+def test_column_sum_equals_the_last_axis_sum_of_long_rows(k, lead, dtype, seed):
+    # 8 to 128 entries are added in numpy's partial-sum order, longer rows by numpy
+    rng = np.random.default_rng(seed)
+    values = (rng.normal(size=(*lead, k)) * 10.0 ** rng.integers(-3, 4, size=(*lead, k))).astype(dtype)
+    values[..., rng.integers(0, k, size=k // 4)] = -0.0
+    expected = values.sum(axis=-1, keepdims=True)
+    got = _row_sum(values)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert _row_sum(np.full((2, k), -0.0, dtype)).tobytes() == np.zeros((2, 1), dtype).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(logit_arrays(), st.integers(1, 4))
 def test_member_mean_equals_numpy_mean(logits, n_members):
     # the member axis is the run axis of logit_arrays, or a repeat of the rows
     members = logits if logits.ndim > 2 else np.stack([logits] * n_members, axis=-2)
     with np.errstate(all="ignore"):
-        assert _nan_bytes(_member_mean(members)) == _nan_bytes(members.mean(axis=-2))
-        # the (C, H, W, E, 2) view that detection_heatmaps scores, members outermost
+        for parts in {1, 2, members.shape[-2]}:
+            assert _nan_bytes(_walk_stack(members, parts=parts)[1]) == _nan_bytes(members.mean(axis=-2))
+        # the (C, H, W, E, 2) stack that detection_heatmaps scores
         binary = np.moveaxis(np.stack([members, 1.0 - members], axis=-1), 0, -2)
-        assert _nan_bytes(_member_mean(binary)) == _nan_bytes(binary.mean(axis=-2))
+        assert _nan_bytes(_walk_stack(binary)[1]) == _nan_bytes(binary.mean(axis=-2))
 
 
 def test_member_mean_of_one_member_and_of_negative_zeros():
     for members in (np.array([[[-0.0, 0.5, -0.0]]]), np.full((2, 3, 4), -0.0)):
-        assert _member_mean(members).tobytes() == members.mean(axis=-2).tobytes()
-    assert not np.signbit(_member_mean(np.full((2, 3, 4), -0.0))).any()
+        assert _walk_stack(members)[1].tobytes() == members.mean(axis=-2).tobytes()
+    assert not np.signbit(_walk_stack(np.full((2, 3, 4), -0.0))[1]).any()
 
 
 @st.composite
@@ -967,7 +1090,7 @@ def test_vote_counts_equal_the_comparison_form(members):
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
     ratios = 1.0 - expected.max(axis=-1) / members.shape[-2]
-    assert _ensemble_scores(members, "variation_ratios").tobytes() == ratios.tobytes()
+    assert _walk_stack(members, "variation_ratios")[0].tobytes() == ratios.tobytes()
 
 
 
