@@ -479,9 +479,6 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
         if [h.strip() for h in header[2:]] != ["p_%d" % i for i in range(n_classes)]:
             raise ValueError("probability columns must be named p_0..p_%d" % (n_classes - 1))
         rows: dict[tuple[int, int], list[float]] = {}
-        order: list[int] = []
-        seen: set[int] = set()
-        max_member = -1
         for row in reader:
             if not row:
                 continue
@@ -496,13 +493,10 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
                 rows[(sid, member)] = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
-            if sid not in seen:
-                seen.add(sid)
-                order.append(sid)
-            max_member = max(max_member, member)
-    n_members = max_member + 1
-    if n_members < 1 or not order:
+    if not rows:
         raise ValueError("empty prediction tensor CSV")
+    order = list(dict.fromkeys(sid for sid, _ in rows))  # in order of first appearance
+    n_members = max(member for _, member in rows) + 1
     data = np.empty((len(order), n_members, n_classes), dtype=np.float32)
     for i, sid in enumerate(order):
         for e in range(n_members):

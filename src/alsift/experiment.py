@@ -328,11 +328,10 @@ class TrialRecord:
 class ExperimentResult:
     config: ExperimentConfig
     trials: list[TrialRecord]
-    aggregate: dict[str, float] = field(default_factory=dict)
+    aggregate: dict[str, float] = field(init=False)
 
     def __post_init__(self):
-        if not self.aggregate:
-            self.aggregate = _aggregate(self.trials)
+        self.aggregate = _aggregate(self.trials)
 
 
 def _aggregate(trials: list[TrialRecord]) -> dict[str, float]:

@@ -187,34 +187,40 @@ def inverse_frequency_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return weights
 
 
-def _loss(tensors, weight_decay: float, features, labels, sample_w=None):
-    """Regularized cross-entropy from one forward pass, for one model or a run stack.
+def _log_likelihood(tensors, features, labels, sample_w=None):
+    """The one forward pass over labelled rows, for one model or a run stack:
+    ``(log_likelihood, inputs, probs)``, each run's sum of its labels' log
+    probabilities (clamped away from log(0), times the per-sample class
+    weights ``sample_w`` if given), then what :func:`_gradients` reads.
 
     ``tensors`` and ``features`` may carry a leading run axis as in
-    :func:`_forward`; ``labels`` (n,) and their per-sample class weights
-    ``sample_w`` are shared by every run. Returns ``(loss, inputs, probs)``:
-    the loss of each run (a 0-d value without a run axis), then what the
-    backward pass :func:`_gradients` reads (each layer's input and the class
-    probabilities). Without ``sample_w`` every sample weighs 1."""
+    :func:`_forward`; ``labels`` have the probabilities' shape without the
+    class axis, and ``sample_w`` broadcasts to it."""
+    inputs, logits = _forward(tensors, features)
+    probs = _softmax(logits)
+    flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is contiguous
+    logs = flat[np.arange(len(flat)), labels.ravel()].reshape(labels.shape)
+    np.log(np.maximum(logs, 1e-300, out=logs), out=logs)
+    if sample_w is not None:
+        logs *= sample_w
+    return logs.sum(axis=-1), inputs, probs
+
+
+def _loss(tensors, weight_decay: float, features, labels, sample_w=None):
+    """Regularized cross-entropy of each run, 0-d without a run axis, from
+    :func:`_log_likelihood` over ``labels`` (n,) and their class weights
+    ``sample_w``, which every run shares: ``(loss, inputs, probs)``."""
     features = np.asarray(features, dtype=np.float64)
     n = labels.shape[-1]
     if n == 0:
         raise ValueError("empty batch")
-    inputs, logits = _forward(tensors, features)
-    probs = _softmax(logits)
-    # contiguous, so that each run's mean sums its rows as a lone run's would
-    picked = np.ascontiguousarray(probs[..., np.arange(n), labels])
-    loss = -_log(picked, sample_w).mean(axis=-1)
+    # one label row per run, as the SGD step's batches carry
+    labels = np.broadcast_to(labels, tensors[0].shape[:-2] + labels.shape)
+    log_likelihood, inputs, probs = _log_likelihood(tensors, features, labels, sample_w)
+    loss = -log_likelihood / n
     if weight_decay:
         loss += _decay_term(tensors, weight_decay)
     return loss, inputs, probs
-
-
-def _log(picked: np.ndarray, sample_w=None) -> np.ndarray:
-    """Log of the picked class probabilities, clamped away from log(0), times
-    each sample's class weight if ``sample_w`` is given."""
-    logs = np.log(np.maximum(picked, 1e-300))
-    return logs if sample_w is None else sample_w * logs
 
 
 def _decay_term(tensors, weight_decay: float):
@@ -225,7 +231,7 @@ def _decay_term(tensors, weight_decay: float):
     return 0.5 * weight_decay * squares
 
 
-def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float, grads):
+def _gradients(tensors, inputs, probs, labels, weight_decay: float, grads, sample_w=None):
     """Gradients of every tensor from one forward pass, ordered like ``tensors``,
     written into ``grads``.
 
@@ -251,19 +257,6 @@ def _gradients(tensors, inputs, probs, labels, sample_w, weight_decay: float, gr
     return grads
 
 
-def _batch_gradients(tensors, grads, weight_decay: float, features, labels, sample_w=None):
-    """Write the gradients of one SGD batch of a run stack into ``grads``; return
-    each run's summed weighted log-likelihood of its batch rows, read from the
-    forward pass before the backward pass overwrites its probabilities."""
-    inputs, logits = _forward(tensors, features)
-    probs = _softmax(logits)
-    flat = probs.reshape(-1, probs.shape[-1])
-    picked = flat[np.arange(len(flat)), labels.ravel()].reshape(labels.shape)
-    log_likelihood = _log(picked, sample_w).sum(axis=-1)
-    _gradients(tensors, inputs, probs, labels, sample_w, weight_decay, grads)
-    return log_likelihood
-
-
 def loss_and_gradients(
     params: ModelParams,
     features: np.ndarray,
@@ -282,7 +275,7 @@ def loss_and_gradients(
     sample_w = None if class_weights is None else np.asarray(class_weights, np.float64)[labels]
     loss, inputs, probs = _loss(tensors, weight_decay, features, labels, sample_w)
     grads = [np.empty(t.shape) for t in tensors]
-    _gradients(tensors, inputs, probs, labels, sample_w, weight_decay, grads)
+    _gradients(tensors, inputs, probs, labels, weight_decay, grads, sample_w)
     return float(loss), tuple(grads)
 
 
@@ -332,7 +325,7 @@ class TrainConfig:
             raise FieldError("checkpoint_window", "checkpoint window must be >= 1")
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
         if self.decay_epochs and min(self.decay_epochs) < 1:
-            raise ValueError("decay epochs must be >= 1, got %d" % min(self.decay_epochs))
+            raise FieldError("decay_epochs", "decay epochs must be >= 1, got %d" % min(self.decay_epochs))
 
 
 @dataclass
@@ -492,14 +485,15 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     all of one row count) of the subset the run trains on.
 
     The subsets' rows are gathered once into (S, n, ...) arrays, and each
-    run's batches index its own subset's rows. Each run's ``train_loss``
-    adds up the log-likelihoods that its batch steps' forward passes give,
-    so the epoch ends with only one validation pass per subset, over the
-    block of live runs that train on it. At a zero rate no step runs, and
-    one loss and one validation pass before the first epoch serve every
-    epoch. The stack's weights, velocities and gradients are one flat (R, P)
-    array each, with the layer tensors as views, so that a step's momentum
-    update is three whole-stack operations.
+    run's batches index its own subset's rows. A step takes one forward
+    pass, :func:`_log_likelihood`, then one backward pass. Each run's
+    ``train_loss`` adds up the log-likelihoods of its steps, so the epoch
+    ends with only one validation pass per subset, over the block of live
+    runs that train on it. At a zero rate no step runs, and one loss and one
+    validation pass before the first epoch serve every epoch. The stack's
+    weights, velocities and gradients are one flat (R, P) array each, with
+    the layer tensors as views, so that a step's momentum update is three
+    whole-stack operations.
     """
     pools = [pool for pool, *_ in subsets]
     d, k = pools[0].n_features, pools[0].n_classes
@@ -583,9 +577,12 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
             total = np.zeros(len(live))
             for lo in range(0, n_rows, config.batch_size):
                 batch = perms[:, lo : lo + config.batch_size]
-                total += _batch_gradients(
-                    tensors, grad_views, config.weight_decay, *(a.take(batch, 0) for a in stacked)
-                )
+                x, y, *w = (a.take(batch, 0) for a in stacked)  # w: the sample weights, if any
+                log_likelihood, inputs, probs = _log_likelihood(tensors, x, y, *w)
+                total += log_likelihood
+                _gradients(tensors, inputs, probs, y, config.weight_decay, grad_views, *w)
+                # held into the next step, these arrays make every step fault memory back in
+                del x, y, w, inputs, probs
                 velocity *= config.momentum
                 velocity += grads
                 weights -= lr * velocity

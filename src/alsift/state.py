@@ -12,6 +12,7 @@ import struct
 from collections.abc import Mapping, Set
 from contextlib import contextmanager, suppress
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,25 +71,6 @@ def sorted_unique_ids(ids: np.ndarray, message: str) -> np.ndarray:
     return ids
 
 
-class _CountView(Mapping):
-    """Read-only ``sample id -> count`` lookups over a subset's arrays."""
-
-    def __init__(self, ids: np.ndarray, counts: np.ndarray):
-        self._ids, self._counts = ids, counts
-
-    def __getitem__(self, sid) -> int:
-        i = int(self._ids.searchsorted(sid))
-        if i < len(self._ids) and self._ids[i] == sid:
-            return int(self._counts[i])
-        raise KeyError(sid)
-
-    def __iter__(self):
-        return iter(self._ids.tolist())
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
 class SubsetState:
     """A multiset of pool sample ids, held as two aligned read-only arrays.
 
@@ -112,6 +94,9 @@ class SubsetState:
         ids.flags.writeable = counts.flags.writeable = False
         self._ids, self._counts = ids, counts
         return self
+
+    def __getstate__(self):  # the arrays alone: a cached multiplicity view does not pickle
+        return {"_ids": self._ids, "_counts": self._counts}
 
     def __setstate__(self, state):  # unpickled arrays come back writable
         self._hold(state["_ids"], state["_counts"])
@@ -142,7 +127,7 @@ class SubsetState:
     @cached_property
     def multiplicity(self) -> Mapping:
         """Read-only mapping of sample id to repeat count, for lookups by id."""
-        return _CountView(self._ids, self._counts)
+        return MappingProxyType(dict(zip(self._ids.tolist(), self._counts.tolist())))
 
     def as_training_ids(self) -> np.ndarray:
         """Expanded id list with each id repeated by its multiplicity.

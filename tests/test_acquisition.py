@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -467,6 +468,33 @@ class TestTensorFiles:
         path.write_text("sample_id,member,p_0,p_1\n1,0,0.5,0.5\n\nx1,0,0.5,0.5\n")
         with pytest.raises(ValueError, match="line 4: invalid literal for int"):
             read_prediction_tensor_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected header sample_id, member, p_0..p_{K-1}"),
+        ("sample_id,member\n1,0\n", "expected header sample_id, member, p_0..p_{K-1}"),
+        ("id,member,p_0,p_1\n1,0,0.5,0.5\n", "expected header sample_id, member, p_0..p_{K-1}"),
+        ("sample_id,member,p_0,q_1\n1,0,0.5,0.5\n", "probability columns must be named p_0..p_1"),
+        ("sample_id,member,p_0,p_1\n", "empty prediction tensor CSV"),
+        ("# no rows yet\nsample_id,member,p_0,p_1\n# none\n\n", "empty prediction tensor CSV"),
+        ("sample_id,member,p_0,p_1\n1,0,0.5,0.5\n# again\n1,0,0.4,0.6\n",
+         "line 4: duplicate row for sample 1 member 0"),
+        ("# written by hand\nsample_id,member,p_0,p_1\n1,0,0.5,0.5\n2,1,0.5,0.5\n2,1,0.4,0.6\n",
+         "line 5: duplicate row for sample 2 member 1"),
+    ], ids=["empty_file", "short_header", "misnamed_id", "misnamed_probability", "no_rows",
+            "comments_only", "duplicate", "duplicate_after_a_comment"])
+    def test_csv_refusals_name_what_is_wrong(self, tmp_path, text, message):
+        path = tmp_path / "preds.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            read_prediction_tensor_csv(path)
+
+    def test_csv_comment_before_the_header_is_skipped(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("# from a notebook\nsample_id,member,p_0,p_1\n"
+                        "7,1,0.25,0.75\n3,0,0.5,0.5\n7,0,1.0,0.0\n3,1,0.125,0.875\n")
+        back = read_prediction_tensor_csv(path)
+        assert back.sample_ids.tolist() == [7, 3]
+        assert back.data.tolist() == [[[1.0, 0.0], [0.25, 0.75]], [[0.5, 0.5], [0.125, 0.875]]]
 
 
 # -- walk outputs pinned by value ----------------------------------------------

@@ -539,7 +539,8 @@ class TestExitCodes:
         (["gen-data", "--seed", "-2"], None, "--seed must be non-negative, got -2"),
         (["search", "--seed", "-5"], None, "--seed must be non-negative, got -5"),
         (["score", "--function", "random", "--seed", "-1"], None, "--seed must be non-negative, got -1"),
-        (["search"], ("trainer.batch_size = 16", "trainer.decay_epochs = 0"), "decay epochs must be >= 1, got 0"),
+        (["search"], ("trainer.batch_size = 16", "trainer.decay_epochs = 0"),
+         "trainer.decay_epochs: decay epochs must be >= 1, got 0"),
     ], ids=["pool.seed", "experiment.seeds", "gen-data", "search", "score", "decay_epochs"])
     def test_negative_seed_or_decay_epoch_maps_to_one(self, argv, edit, message, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
@@ -559,8 +560,7 @@ class TestExitCodes:
         ("trainer.patience = -1",
          "trainer.patience: batch size, epochs and patience must be non-negative"),
         ("search.function = nope", "search.function: unknown acquisition function 'nope'"),
-        # pinned word for word by test_negative_seed_or_decay_epoch_maps_to_one
-        ("trainer.decay_epochs = 0", "decay epochs must be >= 1, got 0"),
+        ("trainer.decay_epochs = 0", "trainer.decay_epochs: decay epochs must be >= 1, got 0"),
     ], ids=["learning_rate", "runs", "checkpoints_per_run", "stride", "patience", "function",
             "decay_epochs"])
     def test_config_error_names_its_key(self, edit, message, tmp_path, capsys):

@@ -98,7 +98,7 @@ class TestParsing:
     @pytest.mark.parametrize("old, new, message", [
         ("pool.seed = 7", "pool.seed = -1", r"^pool\.seed must be non-negative, got -1$"),
         ("seeds = 1,2", "seeds = 1,-3", r"^experiment\.seeds must be non-negative, got -3$"),
-        ("batch_size = 16", "decay_epochs = 3,0", r"^decay epochs must be >= 1, got 0$"),
+        ("batch_size = 16", "decay_epochs = 3,0", r"^trainer\.decay_epochs: decay epochs must be >= 1, got 0$"),
     ], ids=["pool.seed", "experiment.seeds", "trainer.decay_epochs"])
     def test_value_out_of_range_is_a_config_error(self, old, new, message):
         with pytest.raises(ConfigError, match=message):
@@ -113,7 +113,7 @@ class TestParsing:
         ("classes = 3", "classes = 1", r"^pool\.classes: need at least two classes$"),
         ("center_spread = 1.5", "center_spread = 0",
          r"^pool\.center_spread: cluster_std and center_spread must be positive$"),
-        ("batch_size = 16", "decay_epochs = 0", r"^decay epochs must be >= 1, got 0$"),
+        ("batch_size = 16", "decay_epochs = 0", r"^trainer\.decay_epochs: decay epochs must be >= 1, got 0$"),
     ], ids=["trainer.learning_rate", "ensemble.runs", "search.acquisition_batch", "trainer.hidden",
             "pool.classes", "pool.center_spread", "trainer.decay_epochs"])
     def test_refused_field_is_named_by_its_key(self, old, new, message):

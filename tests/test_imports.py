@@ -75,3 +75,32 @@ def test_readme_config_reference_names_every_key():
         if "`%s`" % name not in paragraph:
             missing.append(key)
     assert not missing, "README Config reference omits: %s" % ", ".join(missing)
+
+
+# parenthesised README defaults that describe a default rather than give its value
+PROSE_DEFAULTS = ("none", "unset", "required", "max_epochs", "target/8")
+
+
+def test_readme_config_reference_gives_every_default():
+    from operator import attrgetter
+
+    from alsift.experiment import CONFIG_KEYS, config_from_mapping
+
+    reference = (ROOT / "README.md").read_text().split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    required = {"search.scheme": "pretrain", "search.function": "entropy", "search.target_size": "1"}
+    defaults = config_from_mapping(required)
+    checked, wrong = [], []
+    for key, (path, parse) in CONFIG_KEYS.items():
+        section, name = key.split(".", 1)
+        paragraph = reference.partition("**%s.**" % section)[2].split("\n\n", 1)[0]
+        given = re.search(r"`%s`\s*\(([^;)]*)" % re.escape(name), paragraph)
+        assert given, "README Config reference gives no default for %s" % key
+        # up to the first ", ", so that a list such as 1,2,3,4,5 stays whole
+        text = " ".join(given.group(1).split()).split(", ", 1)[0].strip("`")
+        if text.startswith(PROSE_DEFAULTS):
+            continue
+        checked.append(key)
+        if parse(key, text) != attrgetter(path)(defaults):
+            wrong.append("%s (%s, default %r)" % (key, text, attrgetter(path)(defaults)))
+    assert not wrong, "README Config reference misstates: %s" % ", ".join(wrong)
+    assert len(checked) >= 25

@@ -707,6 +707,56 @@ class TestOneStackShape:
             assert_same_run(got, want)
 
 
+class TestOneForwardPath:
+    """Only ``_log_likelihood`` computes the log probabilities of labelled
+    rows: an SGD step takes it once before its one backward pass, and the
+    zero-rate loss and ``loss_and_gradients`` take it through ``_loss``."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = []
+        for name in ("_log_likelihood", "_gradients"):
+            real = getattr(alsift.learner, name)
+
+            def counted(tensors, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, tensors[0].shape[:-2]))
+                return _real(tensors, *args, **kwargs)
+
+            monkeypatch.setattr(alsift.learner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_a_step_takes_one_forward_and_one_backward_pass(self, arch, runs, weighted, monkeypatch):
+        pool, epochs = class_pool(4), 2
+        subset = repeated_subset(pool)
+        cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=epochs,
+                          class_weighting=weighted)
+        n_rows = len(alsift.learner._subset_rows(pool, subset, cfg, "")[1])
+        calls = self.count_passes(monkeypatch)
+        train_parts([(pool, subset, range(runs), None)], cfg)
+        step = [("_log_likelihood", (runs,)), ("_gradients", (runs,))]
+        assert calls == step * (epochs * math.ceil(n_rows / 7))
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_a_zero_rate_fine_tune_takes_one_forward_pass(self, runs, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(batch_size=7, max_epochs=3, fine_tune_rate=0.0, class_weighting=True)
+        pretrained = train_parts([(pool, full_subset(pool), range(runs), None)], cfg)[0]
+        starts = [r.checkpoints[-1].params for r in pretrained]
+        calls = self.count_passes(monkeypatch)
+        train_parts([(pool, repeated_subset(pool), range(runs), starts)], cfg)
+        assert calls == [("_log_likelihood", (runs,))]
+
+    def test_loss_and_gradients_take_one_pass_each(self, monkeypatch):
+        pool = small_pool()
+        params = init_params("mlp", pool.n_features, pool.n_classes, 4, np.random.default_rng(0))
+        calls = self.count_passes(monkeypatch)
+        loss_and_gradients(params, pool.features, pool.labels, np.ones(pool.n_classes), 1e-3)
+        assert calls == [("_log_likelihood", ()), ("_gradients", ())]
+
+
 class TestEarlyStoppingNeedsHeldOutIds:
     def test_patience_without_validation_fraction_is_refused(self):
         pool = small_pool()

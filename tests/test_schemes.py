@@ -132,6 +132,7 @@ class TestSubsetState:
         assert state.multiplicity is state.multiplicity
         assert dict(state.multiplicity) == {1: 1, 4: 2, 9: 3}
         assert 2 not in state.multiplicity and -1 not in state.multiplicity
+        assert pickle.loads(pickle.dumps(state)).multiplicity == state.multiplicity
 
     def test_failed_subset_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "subset.csv"
