@@ -82,12 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", help="pool CSV (features and labels)")
     p.add_argument("--checkpoints", help="checkpoint directory to build members from")
     p.add_argument("--tensor", help="prediction tensor file (.alpt or .csv)")
+    # None marks a flag not given, which score --tensor refuses
     p.add_argument(
-        "--mode", default="seeds", choices=ENSEMBLE_MODES, help="ensemble mode for --checkpoints"
+        "--mode", choices=ENSEMBLE_MODES, help="ensemble mode for --checkpoints (default: seeds)"
     )
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--checkpoints-per-run", type=int, default=1)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--runs", type=int, help="(default: 1)")
+    p.add_argument("--checkpoints-per-run", type=int, help="(default: 1)")
+    p.add_argument("--stride", type=int, help="(default: 1)")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("search", help="run the configured subset search")
@@ -143,6 +144,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_score(args) -> int:
     if _seed_flag(args) is None and args.function == "random":
         raise ConfigError("random scoring needs --seed")
+    if args.tensor:
+        _refuse_unread(args, "score --tensor")
     pool = read_pool_csv(args.pool) if args.pool else None
     if args.tensor:
         if args.tensor.endswith(".csv"):
@@ -150,13 +153,11 @@ def _cmd_score(args) -> int:
         else:
             source = read_prediction_tensor(args.tensor)
     elif args.checkpoints and pool is not None:
+        # an unset flag means one checkpoint of one run, ensembled by seeds
+        unset = {"mode": "seeds", "runs": 1, "checkpoints_per_run": 1, "stride": 1}
+        given = {name: getattr(args, name) for name in unset if getattr(args, name) is not None}
         try:
-            ensemble = EnsembleConfig(
-                mode=args.mode,
-                runs=args.runs,
-                checkpoints_per_run=args.checkpoints_per_run,
-                stride=args.stride,
-            )
+            ensemble = EnsembleConfig(**{**unset, **given})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         members = build_ensemble(CheckpointStore.load(args.checkpoints), ensemble)
@@ -219,23 +220,24 @@ def _cmd_search(args) -> int:
     return 0
 
 
-# the flags each analyze --what reads besides --csv and --out; any other
-# analyze flag given is a usage error
-_ANALYZE_READS = {
-    "histogram": {"subset"},
-    "consensus": {"pool", "checkpoints", "run", "n_max"},
-    "eval": {"pool", "checkpoints", "subset"},
+# the flags each use of a verb does not read; giving one is a usage error,
+# refused before any file is read
+_UNREAD = {
+    "score --tensor": ("checkpoints", "mode", "runs", "checkpoints_per_run", "stride"),
+    "analyze --what histogram": ("pool", "checkpoints", "run", "n_max"),
+    "analyze --what consensus": ("subset",),
+    "analyze --what eval": ("run", "n_max"),
 }
 
 
+def _refuse_unread(args, use: str) -> None:
+    given = ["--" + n.replace("_", "-") for n in _UNREAD[use] if getattr(args, n) is not None]
+    if given:
+        raise ConfigError("%s does not read %s" % (use, ", ".join(given)))
+
+
 def _cmd_analyze(args) -> int:
-    foreign = [
-        "--" + name.replace("_", "-")
-        for name in ("pool", "checkpoints", "run", "n_max", "subset")
-        if getattr(args, name) is not None and name not in _ANALYZE_READS[args.what]
-    ]
-    if foreign:
-        raise ConfigError("analyze --what %s does not read %s" % (args.what, ", ".join(foreign)))
+    _refuse_unread(args, "analyze --what %s" % args.what)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -284,23 +286,18 @@ def _cmd_analyze(args) -> int:
     members = [
         store.get(run, store.epochs(run)[-1]).params for run in store.run_seeds()
     ]
-    rows: list[tuple[str, str, float, int]] = []
     if args.subset:
-        state = read_subset_csv(args.subset)
-        sel, unsel = selected_unselected_gap(members, pool, state)
-        print("selected:   n=%d accuracy=%.4f" % (sel.n_samples, sel.accuracy))
-        print("unselected: n=%d accuracy=%.4f" % (unsel.n_samples, unsel.accuracy))
-        for name, rep in (("selected", sel), ("unselected", unsel)):
-            rows.append((name, "all", rep.accuracy, rep.n_samples))
-            rows.extend(
-                (name, str(cls), acc, rep.n_samples) for cls, acc in sorted(rep.per_class.items())
-            )
+        selected = selected_unselected_gap(members, pool, read_subset_csv(args.subset))
+        reports = dict(zip(("selected", "unselected"), selected))
     else:
-        rep = evaluate(members, pool)
-        print("pool: n=%d accuracy=%.4f" % (rep.n_samples, rep.accuracy))
-        rows.append(("pool", "all", rep.accuracy, rep.n_samples))
+        reports = {"pool": evaluate(members, pool)}
+    width = max(map(len, reports)) + 1
+    rows: list[tuple[str, str, float, int]] = []
+    for name, rep in reports.items():
+        print("%-*s n=%d accuracy=%.4f" % (width, name + ":", rep.n_samples, rep.accuracy))
+        rows.append((name, "all", rep.accuracy, rep.n_samples))
         rows.extend(
-            ("pool", str(cls), acc, rep.n_samples) for cls, acc in sorted(rep.per_class.items())
+            (name, str(cls), acc, rep.n_samples) for cls, acc in sorted(rep.per_class.items())
         )
     if args.csv:
         path = out / "eval.csv"

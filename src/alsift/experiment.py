@@ -16,6 +16,7 @@ import csv
 import hashlib
 import multiprocessing
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -687,7 +688,17 @@ def read_results(path) -> list[ResultsDocument]:
 # Plot data exports
 # ---------------------------------------------------------------------------
 
-EXPORT_KINDS = ("learning_curve", "histogram", "consensus", "scheme_comparison")
+# the aggregate keys a scheme comparison tabulates, each a column with "_" for "."
+_COMPARED = [b + "_accuracy." + stat for b in ("al", "random", "full") for stat in ("mean", "std")]
+# the columns of each export kind, whose rows _export_rows gives
+_EXPORT_HEADERS = {
+    "learning_curve": ["config_hash", "trial_seed", "iteration", "subset_total", "pool_accuracy"],
+    "histogram": ["config_hash", "trial_seed", "iteration", "multiplicity", "count"],
+    "consensus": ["source", "series", "index", "count"],
+    "scheme_comparison": ["config_hash", "scheme", "function", "target_size"]
+    + [key.replace(".", "_") for key in _COMPARED],
+}
+EXPORT_KINDS = tuple(_EXPORT_HEADERS)
 
 
 def export_plot_data(documents: list[ResultsDocument], kind: str, out_dir) -> Path:
@@ -696,98 +707,64 @@ def export_plot_data(documents: list[ResultsDocument], kind: str, out_dir) -> Pa
     ``learning_curve`` and ``histogram`` flatten per-iteration trial
     lines; ``consensus`` reads consensus sections produced by the analyze
     step; ``scheme_comparison`` tabulates aggregate accuracies of any
-    number of documents side by side.
+    number of documents side by side. ``histogram`` and ``consensus`` rows
+    are sorted by every column but the count, ties in document order.
     """
     if kind not in EXPORT_KINDS:
         raise ValueError("unknown export kind %r" % kind)
+    rows = [row for doc in documents for row in _export_rows(doc, kind)]
+    if kind in ("histogram", "consensus"):
+        rows.sort(key=lambda row: row[:-1])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / ("%s.csv" % kind)
-    rows: list[list] = []
-
-    if kind == "learning_curve":
-        header = ["config_hash", "trial_seed", "iteration", "subset_total", "pool_accuracy"]
-        for doc in documents:
-            chash = doc.header.get("config_hash", "")
-            for seed, data in doc.trials():
-                for it in _iteration_indices(data):
-                    rows.append(
-                        [
-                            chash,
-                            seed,
-                            it,
-                            data["iteration.%d.total" % it],
-                            data["iteration.%d.pool_accuracy" % it],
-                        ]
-                    )
-    elif kind == "histogram":
-        header = ["config_hash", "trial_seed", "iteration", "multiplicity", "count"]
-        for doc in documents:
-            chash = doc.header.get("config_hash", "")
-            for seed, data in doc.trials():
-                for key in sorted(data):
-                    parts = key.split(".")
-                    if len(parts) == 4 and parts[0] == "iteration" and parts[2] == "hist":
-                        rows.append([chash, seed, int(parts[1]), int(parts[3]), data[key]])
-        rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    elif kind == "consensus":
-        header = ["source", "series", "index", "count"]
-        for doc in documents:
-            source = doc.header.get("config_hash", doc.header.get("source", ""))
-            for name, data in doc.sections:
-                if name != "consensus":
-                    continue
-                for key in sorted(data):
-                    for series in ("cumulative", "pairwise"):
-                        prefix = series + "."
-                        if key.startswith(prefix):
-                            rows.append([source, series, int(key[len(prefix) :]), data[key]])
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    else:
-        header = [
-            "config_hash",
-            "scheme",
-            "function",
-            "target_size",
-            "al_accuracy_mean",
-            "al_accuracy_std",
-            "random_accuracy_mean",
-            "random_accuracy_std",
-            "full_accuracy_mean",
-            "full_accuracy_std",
-        ]
-        for doc in documents:
-            cfg = doc.config()
-            agg = doc.aggregate()
-            rows.append(
-                [
-                    doc.header.get("config_hash", ""),
-                    cfg.get("search.scheme", ""),
-                    cfg.get("search.function", ""),
-                    cfg.get("search.target_size", ""),
-                    agg.get("al_accuracy.mean", ""),
-                    agg.get("al_accuracy.std", ""),
-                    agg.get("random_accuracy.mean", ""),
-                    agg.get("random_accuracy.std", ""),
-                    agg.get("full_accuracy.mean", ""),
-                    agg.get("full_accuracy.std", ""),
-                ]
-            )
-
     with atomic_file(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_EXPORT_HEADERS[kind])
         writer.writerows(rows)
     return path
 
 
-def _iteration_indices(trial_data: dict[str, str]) -> list[int]:
-    found = set()
-    for key in trial_data:
-        parts = key.split(".")
-        if len(parts) >= 3 and parts[0] == "iteration" and parts[2] == "total":
-            found.add(int(parts[1]))
-    return sorted(found)
+def _export_rows(doc: ResultsDocument, kind: str) -> list[list]:
+    """One document's rows of an export kind."""
+    chash = doc.header.get("config_hash", "")
+    if kind == "scheme_comparison":
+        cfg, agg = doc.config(), doc.aggregate()
+        searched = [cfg.get("search." + key, "") for key in ("scheme", "function", "target_size")]
+        return [[chash, *searched, *(agg.get(key, "") for key in _COMPARED)]]
+    if kind == "consensus":
+        source = doc.header.get("config_hash", doc.header.get("source", ""))
+        return [
+            [source, series, index, count]
+            for name, data in doc.sections
+            if name == "consensus"
+            for series in ("cumulative", "pairwise")
+            for index, count in _numbered(data, series + r"\.([^.]*)")
+        ]
+    if kind == "learning_curve":
+        return [
+            [chash, seed, it, total, data["iteration.%d.pool_accuracy" % it]]
+            for seed, data in doc.trials()
+            for it, total in _numbered(data, r"iteration\.([^.]*)\.total")
+        ]
+    return [
+        [chash, seed, it, mult, count]
+        for seed, data in doc.trials()
+        for it, mult, count in _numbered(data, r"iteration\.([^.]*)\.hist\.([^.]*)")
+    ]
+
+
+def _numbered(data: dict[str, str], pattern: str) -> list[tuple]:
+    """``(indices..., value)`` for each key of ``data`` that ``pattern``
+    matches in full, its groups read as integers, sorted by the indices.
+    A group that is not an integer raises ``ValueError``."""
+    fullmatch = re.compile(pattern).fullmatch
+    found = [
+        (*map(int, match.groups()), value)
+        for key, value in data.items()
+        if (match := fullmatch(key))
+    ]
+    return sorted(found, key=lambda item: item[:-1])
 
 
 def build_consensus_document(report, source: str, created: str | None = None) -> str:

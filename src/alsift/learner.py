@@ -316,7 +316,9 @@ class TrainConfig:
             raise FieldError("weight_decay", "weight decay must be non-negative")
         for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 0)):
             if getattr(self, name) < low:
-                raise FieldError(name, "batch size, epochs and patience must be non-negative")
+                raise FieldError(
+                    name, "%s must be >= %d, got %d" % (name.replace("_", " "), low, getattr(self, name))
+                )
         if self.fine_tune_epochs is not None and self.fine_tune_epochs < 0:
             raise FieldError("fine_tune_epochs", "fine-tune epochs must be non-negative")
         if not 0.0 <= self.val_fraction < 1.0:

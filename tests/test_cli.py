@@ -491,6 +491,29 @@ class TestFlags:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--checkpoints", "ckpts"],
+        ["--mode", "combined"],
+        ["--runs", "7"],
+        ["--checkpoints-per-run", "2"],
+        ["--stride", "2"],
+        ["--mode", "combined", "--runs", "7"],
+    ], ids=["checkpoints", "mode", "runs", "checkpoints_per_run", "stride", "mode-runs"])
+    def test_score_tensor_refuses_the_checkpoint_flags(self, tmp_path, monkeypatch, capsys, flag):
+        def no_file(*args, **kwargs):
+            raise AssertionError("read a file before the flag was refused")
+
+        for name in ("read_pool_csv", "read_prediction_tensor", "read_prediction_tensor_csv"):
+            monkeypatch.setattr(alsift.cli, name, no_file)
+        monkeypatch.setattr(alsift.cli.CheckpointStore, "load", no_file)
+        out = tmp_path / "x"
+        argv = ["score", "--function", "entropy", "--tensor", "t.alpt", "--pool", "p.csv", *flag]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: score --tensor does not read ")
+        assert flag[0] in err
+        assert not out.exists()
+
     def test_search_reads_config_seed_and_jobs(self, tmp_path, config_path):
         out = tmp_path / "runs"
         argv = ["search", "--config", str(config_path), "--seed", "3", "--jobs", "2"]
@@ -557,12 +580,12 @@ class TestExitCodes:
         ("ensemble.checkpoints_per_run = 0",
          "ensemble.checkpoints_per_run: runs, checkpoints per run and stride must be >= 1"),
         ("ensemble.stride = 0", "ensemble.stride: runs, checkpoints per run and stride must be >= 1"),
-        ("trainer.patience = -1",
-         "trainer.patience: batch size, epochs and patience must be non-negative"),
+        ("trainer.patience = -1", "trainer.patience: patience must be >= 0, got -1"),
         ("search.function = nope", "search.function: unknown acquisition function 'nope'"),
         ("trainer.decay_epochs = 0", "trainer.decay_epochs: decay epochs must be >= 1, got 0"),
+        ("trainer.batch_size = 0", "trainer.batch_size: batch size must be >= 1, got 0"),
     ], ids=["learning_rate", "runs", "checkpoints_per_run", "stride", "patience", "function",
-            "decay_epochs"])
+            "decay_epochs", "batch_size"])
     def test_config_error_names_its_key(self, edit, message, tmp_path, capsys):
         key = edit.split(" = ")[0]
         lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(key + " ")]

@@ -17,6 +17,7 @@ from alsift.datagen import generate_pool, write_pool_csv
 from alsift.experiment import (
     ConfigError,
     ExperimentResult,
+    append_document,
     build_consensus_document,
     build_document,
     canonical_config_lines,
@@ -512,6 +513,92 @@ class TestExports:
         path, out = results_path
         with pytest.raises(ValueError, match="unknown export kind"):
             export_plot_data(read_results(path), "pie_chart", out)
+
+    def test_every_kind_keeps_its_bytes(self, tmp_path):
+        from alsift.analysis import ConsensusReport
+
+        # twelve iterations (2, 4, ..., 24 samples), so iteration 10 sorts after 9
+        text = BASE_CONFIG.replace("build_up", "automatic_duplication").replace(
+            "target_size = 32", "target_size = 24\nsearch.initial_size = 2\nsearch.acquisition_batch = 2"
+        )
+        result = run_experiment(config_from_mapping(parse_config_text(text)))
+        path = write_results(result, tmp_path)
+        write_results(result, tmp_path)
+        docs = read_results(path)
+        assert len(docs) == 2
+        chash = docs[0].header["config_hash"]
+        trials, agg = docs[0].trials(), docs[0].aggregate()
+        # the first of two documents of one source has indices up to 11
+        first = ConsensusReport(12, tuple(range(12, 1, -1)), tuple(range(20, 10, -1)))
+        second = ConsensusReport(12, (12, 10), (10,))
+        consensus_path = tmp_path / "analysis_consensus.txt"
+        for report in (first, second):
+            append_document(consensus_path, build_consensus_document(report, "run5", created="X"))
+        consensus_docs = read_results(consensus_path)
+
+        # rows spelled out in the order each kind promises; ties keep document order
+        curve = [
+            [chash, seed, it, data["iteration.%d.total" % it], data["iteration.%d.pool_accuracy" % it]]
+            for _ in docs
+            for seed, data in trials
+            for it in range(12)
+        ]
+        hist = [
+            [chash, seed, it, mult, data["iteration.%d.hist.%d" % (it, mult)]]
+            for seed, data in trials
+            for it in range(12)
+            for mult in range(1, 25)
+            if "iteration.%d.hist.%d" % (it, mult) in data
+            for _ in docs
+        ]
+        assert max(row[3] for row in hist) > 1
+        consensus = [
+            ["run5", series, index, getattr(report, series)[index - 1]]
+            for series in ("cumulative", "pairwise")
+            for index in range(1, 12)
+            for report in (first, second)
+            if index <= len(getattr(report, series))
+        ]
+        comparison = [
+            [chash, "automatic_duplication", "variation_ratios", "24"]
+            + [agg[key] for key in ("al_accuracy.mean", "al_accuracy.std", "random_accuracy.mean")]
+            + [agg[key] for key in ("random_accuracy.std", "full_accuracy.mean", "full_accuracy.std")]
+            for _ in docs
+        ]
+        expected = {
+            "learning_curve": (
+                docs, "config_hash,trial_seed,iteration,subset_total,pool_accuracy", curve
+            ),
+            "histogram": (docs, "config_hash,trial_seed,iteration,multiplicity,count", hist),
+            "consensus": (docs + consensus_docs, "source,series,index,count", consensus),
+            "scheme_comparison": (
+                docs,
+                "config_hash,scheme,function,target_size,al_accuracy_mean,al_accuracy_std,"
+                "random_accuracy_mean,random_accuracy_std,full_accuracy_mean,full_accuracy_std",
+                comparison,
+            ),
+        }
+        for kind, (documents, header, rows) in expected.items():
+            lines = [header] + [",".join(map(str, row)) for row in rows]
+            csv_path = export_plot_data(documents, kind, tmp_path / "plots")
+            assert csv_path.read_bytes() == "".join(line + "\r\n" for line in lines).encode(), kind
+
+    @pytest.mark.parametrize("kind, key, bad", [
+        ("learning_curve", "iteration.2.total", "iteration.x.total"),
+        ("histogram", "iteration.2.hist.1", "iteration.2.hist.y"),
+        ("consensus", "cumulative.2", "cumulative.x"),
+    ])
+    def test_non_integer_index_is_refused(self, tmp_path, kind, key, bad):
+        from alsift.analysis import ConsensusReport
+
+        if kind == "consensus":
+            path = tmp_path / "analysis.txt"
+            path.write_text(build_consensus_document(ConsensusReport(10, (10, 8), (8,)), "run5", "X"))
+        else:
+            path = write_results(run_experiment(base_config()), tmp_path)
+        path.write_text(path.read_text().replace(key, bad))
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            export_plot_data(read_results(path), kind, tmp_path)
 
     def test_numbers_round_trip_exactly(self, results_path):
         path, out = results_path

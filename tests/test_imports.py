@@ -1,6 +1,6 @@
 """Every name an alsift module imports is used there, or wrapped there by perfbench;
-every ``module.name`` the README lists as a library entry point exists, and its
-Config reference names every config key."""
+every ``module.name`` the README lists as a library entry point exists, its
+Config reference names every config key, and its Verbs section every CLI flag."""
 
 from __future__ import annotations
 
@@ -104,3 +104,26 @@ def test_readme_config_reference_gives_every_default():
             wrong.append("%s (%s, default %r)" % (key, text, attrgetter(path)(defaults)))
     assert not wrong, "README Config reference misstates: %s" % ", ".join(wrong)
     assert len(checked) >= 25
+
+
+def test_readme_verbs_name_every_flag():
+    import argparse
+
+    from alsift.cli import build_parser
+
+    verbs = (ROOT / "README.md").read_text().split("### Verbs", 1)[1].split("\n## ", 1)[0]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [
+        (verb, flag)
+        for verb, parser in sub.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    ]
+    assert len(flags) >= 20
+    missing = [
+        "%s %s" % (verb, flag)
+        for verb, flag in flags
+        if not re.search(r"(?<![\w-])%s(?![\w-])" % re.escape(flag), verbs)
+    ]
+    assert not missing, "README Verbs omits: %s" % ", ".join(missing)
