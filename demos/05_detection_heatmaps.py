@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from alsift import detection_heatmaps, detection_image_score
+from alsift import detection_heatmaps
 
 rng = np.random.default_rng(5)
 members, height, width = 6, 12, 12
@@ -39,9 +39,9 @@ def render(grid):
 
 
 for function_id in ("entropy", "mutual_information", "variation_ratios"):
-    heat = detection_heatmaps(maps, function_id)[0]
-    print("%s (image score %.3f)" % (function_id, detection_image_score(maps, function_id)))
-    render(heat)
+    heat = detection_heatmaps(maps, function_id)
+    print("%s (image score %.3f)" % (function_id, heat.max()))
+    render(heat[0])
     print()
 
 print("the agreed object at (3, 3) cools down in the disagreement maps;")

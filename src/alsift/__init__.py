@@ -13,16 +13,10 @@ from .acquisition import (
     FUNCTION_IDS,
     PredictionTensor,
     detection_heatmaps,
-    detection_image_score,
-    entropy,
-    error_count,
-    mutual_information,
     pool_pass,
-    predictive_mean,
     read_prediction_tensor,
     read_prediction_tensor_csv,
     score_pool,
-    variation_ratios,
     write_prediction_tensor,
 )
 from .analysis import (

@@ -1,9 +1,9 @@
-"""Ensemble uncertainty scores for classification vectors and detection maps.
+"""Ensemble uncertainty scores for pools of predictions and for detection maps.
 
-Everything in this module is a pure function over probability arrays. An
-ensemble prediction is an (E, K) matrix with one probability row per member;
-a pool of predictions is an (N, E, K) tensor wrapped in
-:class:`PredictionTensor`. Scores use natural logarithms throughout.
+One walk, :func:`pool_pass`, scores a pool block by block from a (N, E, K)
+:class:`PredictionTensor` (:func:`score_pool`) or a ``learner.PoolBlocks``;
+one reducer serves it and :func:`detection_heatmaps`. Scores use natural
+logarithms throughout.
 """
 
 from __future__ import annotations
@@ -71,15 +71,6 @@ def _unique_ids(sample_ids) -> np.ndarray:
     return sample_ids
 
 
-def _check_members(members: np.ndarray) -> np.ndarray:
-    members = np.asarray(members, dtype=np.float64)
-    if members.ndim != 2:
-        raise ValueError("ensemble must be a 2-D (members, classes) array")
-    if members.shape[0] < 1:
-        raise ValueError("empty ensemble")
-    return _check_rows(members)
-
-
 # Class-axis kernels: numpy's reductions over a short last axis cost more per
 # row than their adds, so these run one whole-array operation per column or
 # member, in the order numpy adds, and give its bytes.
@@ -133,28 +124,6 @@ def _entropy_rows(probs: np.ndarray) -> np.ndarray:
     terms *= probs
     np.copyto(terms, 0.0, where=probs <= 0.0)
     return -_row_sum(terms)[..., 0]
-
-
-def predictive_mean(members: np.ndarray) -> np.ndarray:
-    """Element-wise mean of the member distributions.
-
-    Args:
-        members: (E, K) array, one probability row per ensemble member.
-
-    Returns:
-        Length-K marginal probability vector.
-    """
-    members = _check_members(members)
-    return _reduce_block([members[:, None]], (1, *members.shape), mean=True)[1][0]
-
-
-def entropy(probs: np.ndarray) -> float:
-    """Entropy of a single probability vector, in nats."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ValueError("invalid distribution: expected a 1-D vector")
-    probs = _check_rows(probs)
-    return float(_entropy_rows(probs))
 
 
 def _clamp_mutual_information(values: np.ndarray) -> np.ndarray:
@@ -214,38 +183,6 @@ def _reduce_block(groups, shape, function_id=None, labels=None, mean=False, vote
     elif function_id == "error_count":
         scores = 1.0 - (member_votes == labels[..., None]).sum(axis=-1) / n_members
     return scores, total, member_votes
-
-
-def _ensemble_score(members: np.ndarray, function_id: str, label=None) -> float:
-    """The score of one (E, K) ensemble, the one (E, 1, K) group of a one-row block."""
-    members = _check_members(members)
-    if function_id == "error_count":
-        label = _check_labels(label, (), members.shape[1])[None]
-    return float(_reduce_block([members[:, None]], (1, *members.shape), function_id, label)[0][0])
-
-
-def mutual_information(members: np.ndarray) -> float:
-    """Entropy of the mean prediction minus the mean member entropy.
-
-    Zero when all members agree exactly (regardless of how uncertain each
-    one is); large when members disagree. Tiny negative values from
-    floating-point cancellation are clamped to 0.
-    """
-    return _ensemble_score(members, "mutual_information")
-
-
-def variation_ratios(members: np.ndarray) -> float:
-    """Fraction of members whose top class differs from the majority vote.
-
-    Per-member argmax ties and majority-vote ties both resolve to the
-    lowest class index, so the score is deterministic.
-    """
-    return _ensemble_score(members, "variation_ratios")
-
-
-def error_count(members: np.ndarray, label: int) -> float:
-    """Fraction of members whose top class differs from the true label."""
-    return _ensemble_score(members, "error_count", label)
 
 
 @dataclass
@@ -431,11 +368,6 @@ def detection_heatmaps(maps, function_id: str) -> np.ndarray:
     binary = np.stack([stack, 1.0 - stack], axis=-1).reshape(len(stack), -1, 2)
     scores = _reduce_block([binary], (binary.shape[1], len(stack), 2), function_id, order="F")[0]
     return scores.reshape(stack.shape[1:])
-
-
-def detection_image_score(maps, function_id: str) -> float:
-    """Single image-level score: the maximum cell value over all classes."""
-    return float(detection_heatmaps(maps, function_id).max())
 
 
 # ---------------------------------------------------------------------------

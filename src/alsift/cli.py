@@ -144,8 +144,8 @@ def _cmd_gen_data(args) -> int:
 def _cmd_score(args) -> int:
     if _seed_flag(args) is None and args.function == "random":
         raise ConfigError("random scoring needs --seed")
-    if args.tensor:
-        _refuse_unread(args, "score --tensor")
+    uses = ["score --tensor", "score --tensor --function %s" % args.function] if args.tensor else []
+    _refuse_unread(args, "score --function %s" % args.function, *uses)
     pool = read_pool_csv(args.pool) if args.pool else None
     if args.tensor:
         if args.tensor.endswith(".csv"):
@@ -221,19 +221,24 @@ def _cmd_search(args) -> int:
 
 
 # the flags each use of a verb does not read; giving one is a usage error,
-# refused before any file is read
+# refused before any file is read. Only random reads --seed; with --tensor,
+# only error_count reads --pool
 _UNREAD = {
     "score --tensor": ("checkpoints", "mode", "runs", "checkpoints_per_run", "stride"),
+    **{"score --function %s" % f: ("seed",) for f in FUNCTION_IDS if f != "random"},
+    **{"score --tensor --function %s" % f: ("pool",) for f in FUNCTION_IDS if f != "error_count"},
     "analyze --what histogram": ("pool", "checkpoints", "run", "n_max"),
     "analyze --what consensus": ("subset",),
     "analyze --what eval": ("run", "n_max"),
 }
 
 
-def _refuse_unread(args, use: str) -> None:
-    given = ["--" + n.replace("_", "-") for n in _UNREAD[use] if getattr(args, n) is not None]
-    if given:
-        raise ConfigError("%s does not read %s" % (use, ", ".join(given)))
+def _refuse_unread(args, *uses: str) -> None:
+    for use in uses:
+        unread = _UNREAD.get(use, ())
+        given = ["--" + n.replace("_", "-") for n in unread if getattr(args, n) is not None]
+        if given:
+            raise ConfigError("%s does not read %s" % (use, ", ".join(given)))
 
 
 def _cmd_analyze(args) -> int:

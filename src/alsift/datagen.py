@@ -66,8 +66,8 @@ class GeneratorSpec:
             self.class_ratios = tuple(float(r) for r in self.class_ratios)
             if len(self.class_ratios) != self.n_classes:
                 raise FieldError("class_ratios", "class_ratios length must equal n_classes")
-            if min(self.class_ratios) <= 0.0:
-                raise FieldError("class_ratios", "class_ratios must be positive")
+            if not all(0.0 < ratio < np.inf for ratio in self.class_ratios):
+                raise FieldError("class_ratios", "class_ratios must be positive and finite")
         if self.cluster_std <= 0.0 or self.center_spread <= 0.0:
             bad = "cluster_std" if self.cluster_std <= 0.0 else "center_spread"
             raise FieldError(bad, "cluster_std and center_spread must be positive")

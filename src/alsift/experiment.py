@@ -93,10 +93,17 @@ def parse_config_file(path) -> dict[str, str]:
     return parse_config_text(text)
 
 
+def _finite(key: str, number):
+    """``number``, refused if a NaN or infinite float, which range checks miss."""
+    if isinstance(number, float) and not np.isfinite(number):
+        raise ConfigError("%s must be finite, got %r" % (key, number))
+    return number
+
+
 def _number(kind, noun):
     def parse(key: str, value: str):
         try:
-            return kind(value)
+            return _finite(key, kind(value))
         except ValueError:
             raise ConfigError("%s must be %s, got %r" % (key, noun, value)) from None
 
@@ -106,7 +113,7 @@ def _number(kind, noun):
 def _number_list(kind, noun):
     def parse(key: str, value: str):
         try:
-            return tuple(kind(part.strip()) for part in value.split(",") if part.strip())
+            return tuple(_finite(key, kind(part.strip())) for part in value.split(",") if part.strip())
         except ValueError:
             raise ConfigError("%s must be a comma-separated %s list" % (key, noun)) from None
 

@@ -16,20 +16,16 @@ from alsift.acquisition import (
     AcquisitionScores,
     PredictionTensor,
     detection_heatmaps,
-    detection_image_score,
-    entropy,
-    error_count,
-    mutual_information,
     pool_pass,
-    predictive_mean,
     read_prediction_tensor,
     read_prediction_tensor_csv,
     score_pool,
-    variation_ratios,
     write_prediction_tensor,
 )
 from alsift.datagen import GeneratorSpec, generate_pool
 from alsift.learner import PoolBlocks, init_params
+
+from _scoring import reduce_one
 
 
 # -- oracle: slow per-sample reimplementation with plain math.log ------------
@@ -76,28 +72,28 @@ def random_ensembles(rng, n, n_members, n_classes):
 
 class TestFrozenValues:
     def test_entropy_spot_value(self):
-        assert entropy([0.7, 0.2, 0.1]) == pytest.approx(0.8018185525433372, abs=1e-15)
+        assert reduce_one([0.7, 0.2, 0.1], "entropy") == pytest.approx(0.8018185525433372, abs=1e-15)
 
     def test_entropy_uniform_is_log_k(self):
-        assert entropy([0.25] * 4) == pytest.approx(math.log(4), abs=1e-15)
+        assert reduce_one([0.25] * 4, "entropy") == pytest.approx(math.log(4), abs=1e-15)
 
     def test_entropy_one_hot_is_zero(self):
-        assert entropy([0.0, 1.0, 0.0]) == 0.0
+        assert reduce_one([0.0, 1.0, 0.0], "entropy") == 0.0
 
     def test_predictive_mean_two_members(self):
-        mean = predictive_mean([[0.6, 0.4], [0.2, 0.8]])
+        mean = reduce_one([[0.6, 0.4], [0.2, 0.8]])
         assert_allclose(mean, [0.4, 0.6], atol=1e-15)
 
     def test_mutual_information_spot_value(self):
-        got = mutual_information([[0.9, 0.1], [0.5, 0.5]])
+        got = reduce_one([[0.9, 0.1], [0.5, 0.5]], "mutual_information")
         assert got == pytest.approx(0.10174922507919681, abs=1e-15)
 
     def test_mutual_information_certain_disagreement_is_log2(self):
-        got = mutual_information([[1.0, 0.0], [0.0, 1.0]])
+        got = reduce_one([[1.0, 0.0], [0.0, 1.0]], "mutual_information")
         assert got == pytest.approx(math.log(2), abs=1e-12)
 
     def test_mutual_information_identical_members_is_zero(self):
-        assert mutual_information([[0.3, 0.7]] * 5 ) == 0.0
+        assert reduce_one([[0.3, 0.7]] * 5, "mutual_information") == 0.0
 
     def test_variation_ratios_vote_split(self):
         # votes 0,0,0,1,2 -> 2 of 5 off the mode
@@ -108,16 +104,16 @@ class TestFrozenValues:
             [0.2, 0.7, 0.1],
             [0.1, 0.2, 0.7],
         ]
-        assert variation_ratios(members) == pytest.approx(0.4, abs=0)
+        assert reduce_one(members, "variation_ratios") == pytest.approx(0.4, abs=0)
 
     def test_variation_ratios_mode_tie_breaks_low(self):
         # one vote each; mode falls to class 0, so 1 of 2 agrees
-        assert variation_ratios([[0.9, 0.1], [0.1, 0.9]]) == pytest.approx(0.5, abs=0)
+        assert reduce_one([[0.9, 0.1], [0.1, 0.9]], "variation_ratios") == pytest.approx(0.5, abs=0)
 
     def test_error_count_spot_value(self):
         members = [[0.8, 0.2], [0.7, 0.3], [0.2, 0.8]]
-        assert error_count(members, 0) == pytest.approx(1 / 3, abs=1e-15)
-        assert error_count(members, 1) == pytest.approx(2 / 3, abs=1e-15)
+        assert reduce_one(members, "error_count", 0) == pytest.approx(1 / 3, abs=1e-15)
+        assert reduce_one(members, "error_count", 1) == pytest.approx(2 / 3, abs=1e-15)
 
 
 class TestOracleEquivalence:
@@ -149,7 +145,7 @@ class TestOracleEquivalence:
         promoted = tensor.data.astype(np.float64)
         pooled = score_pool(tensor, "mutual_information").scores
         for i in range(20):
-            assert mutual_information(promoted[i]) == pytest.approx(pooled[i], abs=1e-12)
+            assert reduce_one(promoted[i], "mutual_information") == pytest.approx(pooled[i], abs=1e-12)
 
 
 class TestInvariants:
@@ -208,22 +204,22 @@ class TestInvariants:
 class TestValidation:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="invalid distribution"):
-            entropy([-0.1, 0.6, 0.5])
+            reduce_one([-0.1, 0.6, 0.5], "entropy")
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="invalid distribution"):
-            entropy([0.5, 0.4])
+            reduce_one([0.5, 0.4], "entropy")
 
     def test_accepts_sum_within_tolerance(self):
-        entropy([0.5, 0.5 + 5e-7])
+        reduce_one([0.5, 0.5 + 5e-7], "entropy")
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError, match="empty ensemble"):
-            predictive_mean(np.empty((0, 3)))
+            PredictionTensor(np.empty((1, 0, 3)), [0])
 
     def test_error_count_rejects_bad_label(self):
         with pytest.raises(ValueError, match="out of range"):
-            error_count([[0.5, 0.5]], 2)
+            score_pool(PredictionTensor([[[0.5, 0.5]]], [0]), "error_count", labels=[2])
 
     def test_error_count_requires_labels(self):
         data = random_ensembles(np.random.default_rng(0), 4, 2, 3)
@@ -312,7 +308,8 @@ class TestDetection:
         rng = np.random.default_rng(5)
         maps = rng.random((4, 3, 6, 6))
         grids = detection_heatmaps(maps, "variation_ratios")
-        assert detection_image_score(maps, "variation_ratios") == grids.max()
+        per_class = [detection_heatmaps(maps[:, [c]], "variation_ratios").max() for c in range(3)]
+        assert max(per_class) == grids.max()
 
     def test_variation_ratios_counts_majority_on_threshold(self):
         maps = np.zeros((5, 1, 1, 2))
@@ -326,7 +323,7 @@ class TestDetection:
         rng = np.random.default_rng(9)
         one = rng.random((1, 2, 3, 3))
         maps = np.repeat(one, 4, axis=0)
-        assert detection_image_score(maps, "mutual_information") == 0.0
+        assert detection_heatmaps(maps, "mutual_information").max() == 0.0
 
     def test_rejects_mismatched_shapes(self):
         ragged = [np.zeros((1, 2, 2)), np.zeros((1, 3, 2))]

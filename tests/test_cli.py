@@ -480,6 +480,17 @@ class TestExport:
         assert len(lines) == 3
 
 
+@pytest.fixture()
+def no_file_reads(monkeypatch):
+    """Fail the test on any read of a pool, tensor or checkpoint file."""
+    def no_file(*args, **kwargs):
+        raise AssertionError("read a file before the flag was refused")
+
+    for name in ("read_pool_csv", "read_prediction_tensor", "read_prediction_tensor_csv"):
+        monkeypatch.setattr(alsift.cli, name, no_file)
+    monkeypatch.setattr(alsift.cli.CheckpointStore, "load", no_file)
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["export", "--results", "r.txt", "--kind", "histogram", "--seed", "1"],
@@ -512,6 +523,30 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("config error: score --tensor does not read ")
         assert flag[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("function", ["entropy", "mutual_information", "variation_ratios", "error_count"])
+    @pytest.mark.parametrize("source", [
+        ["--tensor", "t.alpt"],
+        ["--pool", "p.csv", "--checkpoints", "ckpts"],
+    ], ids=["tensor", "checkpoints"])
+    def test_score_refuses_seed_unless_random(self, tmp_path, no_file_reads, capsys, function, source):
+        out = tmp_path / "x"
+        argv = ["score", "--function", function, *source, "--seed", "3"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: score --function %s does not read --seed\n" % function
+        assert not out.exists()
+
+    @pytest.mark.parametrize("function", [
+        ["entropy"], ["mutual_information"], ["variation_ratios"], ["random", "--seed", "3"],
+    ], ids=lambda f: f[0])
+    def test_score_tensor_refuses_pool_unless_error_count(self, tmp_path, no_file_reads, capsys, function):
+        out = tmp_path / "x"
+        argv = ["score", "--function", *function, "--tensor", "t.alpt", "--pool", "p.csv"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: score --tensor --function %s does not read --pool\n" % function[0]
         assert not out.exists()
 
     def test_search_reads_config_seed_and_jobs(self, tmp_path, config_path):
@@ -594,6 +629,21 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["search", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        key for key, (_, parse) in alsift.experiment.CONFIG_KEYS.items()
+        if parse in (alsift.experiment._FLOAT, alsift.experiment._FLOATS)
+    ])
+    def test_non_finite_number_names_its_key(self, key, value, tmp_path, capsys):
+        lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(key + " ")]
+        text = "1,%s,1" % value if key == "pool.class_ratios" else value
+        config = tmp_path / "exp.cfg"
+        config.write_text("\n".join(lines + ["%s = %s" % (key, text), ""]))
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: %s must be finite, got %s\n" % (key, value)
         assert not out.exists()
 
     @pytest.mark.parametrize("section, message", [

@@ -109,6 +109,9 @@ class TestGeneration:
             spec(label_noise=-0.1)
         with pytest.raises(ValueError):
             spec(class_ratios=(1.0, 1.0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                spec(class_ratios=(1.0, bad, 1.0, 1.0))
         with pytest.raises(ValueError):
             spec(n_classes=1)
         with pytest.raises(ValueError, match=r"^pool\.seed must be non-negative, got -1$"):

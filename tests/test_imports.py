@@ -1,6 +1,8 @@
 """Every name an alsift module imports is used there, or wrapped there by perfbench;
-every ``module.name`` the README lists as a library entry point exists, its
-Config reference names every config key, and its Verbs section every CLI flag."""
+every public function or class has a caller outside the tests, or is a README
+library entry point; every ``module.name`` the README lists as a library entry
+point exists, its Config reference names every config key, and its Verbs section
+every CLI flag."""
 
 from __future__ import annotations
 
@@ -52,11 +54,46 @@ def test_no_unused_imports(path, wrapped):
     assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
 
 
-def test_readme_entry_points_exist():
+def _entry_points() -> list[tuple[str, str]]:
+    """``(module, name)`` of each alsift name the README's Library entry points list."""
     readme = (ROOT / "README.md").read_text()
     listed = readme.split("### Library entry points", 1)[1].split("\n## ", 1)[0]
     stems = {path.stem for path in MODULES}
-    names = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)[`(]", listed) if m in stems]
+    return [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)[`(]", listed) if m in stems]
+
+
+def _referenced(paths) -> set[str]:
+    """Every name and attribute the code in ``paths`` refers to."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests(wrapped):
+    """A public top-level function or class that only tests call is a second
+    entry to something the library already does another way."""
+    outside = [*MODULES, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = _referenced(outside) | {attr for _, attr in wrapped}
+    kept = set(_entry_points())
+    orphans = [
+        "%s.%s" % (path.stem, node.name)
+        for path in MODULES
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and (path.stem, node.name) not in kept
+    ]
+    assert not orphans, "only tests reach: %s" % ", ".join(orphans)
+
+
+def test_readme_entry_points_exist():
+    names = _entry_points()
     assert len(names) >= 10
     missing = [
         "%s.%s" % (m, n) for m, n in names if not hasattr(importlib.import_module("alsift." + m), n)

@@ -34,13 +34,10 @@ from alsift.acquisition import (
     AcquisitionScores,
     PredictionTensor,
     detection_heatmaps,
-    error_count,
-    mutual_information,
     pool_pass,
     read_prediction_tensor,
     row_blocks,
     score_pool,
-    variation_ratios,
     write_prediction_tensor,
     _reduce_block,
     _row_max,
@@ -81,6 +78,8 @@ from alsift.learner import (
 )
 from alsift.schemes import SCHEMES, SearchConfig, outlier_window_select, run_scheme, select_top_k
 from alsift.state import SubsetState, read_subset_csv, subset_hash, write_subset_csv
+
+from _scoring import reduce_one
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -139,9 +138,9 @@ def test_scores_bounded_and_equal_to_single_ensemble_scores(case):
     ec = score_pool(tensor, "error_count", labels=labels).scores
     members = tensor.data.astype(np.float64)
     for i in range(tensor.n_samples):
-        assert mutual_information(members[i]) == mi[i]
-        assert variation_ratios(members[i]) == vr[i]
-        assert error_count(members[i], labels[i]) == ec[i]
+        assert reduce_one(members[i], "mutual_information") == mi[i]
+        assert reduce_one(members[i], "variation_ratios") == vr[i]
+        assert reduce_one(members[i], "error_count", labels[i]) == ec[i]
     assert np.all(0.0 <= mi) and np.all(mi <= h) and np.all(h <= math.log(k) + 1e-12)
     assert np.all(0.0 <= vr) and np.all(vr <= 1.0 - 1.0 / e)
     assert np.all(np.isin(ec, [1.0 - m / e for m in range(e + 1)]))
