@@ -118,11 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_flag(args) -> int | None:
-    """The ``--seed`` flag; a negative seed is a config problem."""
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("--seed must be non-negative, got %d" % args.seed)
-    return args.seed
+def _non_negative_flag(args, name: str) -> int | None:
+    """The ``--<name>`` flag; a negative value is a config problem."""
+    value = getattr(args, name)
+    if value is not None and value < 0:
+        raise ConfigError("--%s must be non-negative, got %d" % (name, value))
+    return value
 
 
 def _cmd_gen_data(args) -> int:
@@ -130,7 +131,7 @@ def _cmd_gen_data(args) -> int:
         spec = generator_from_mapping(parse_config_file(args.config))
     else:
         spec = generator_from_mapping({})
-    if _seed_flag(args) is not None:
+    if _non_negative_flag(args, "seed") is not None:
         spec = replace(spec, seed=args.seed)
     pool, meta = generate_pool_with_metadata(spec)
     out = Path(args.out)
@@ -142,7 +143,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    if _seed_flag(args) is None and args.function == "random":
+    if _non_negative_flag(args, "seed") is None and args.function == "random":
         raise ConfigError("random scoring needs --seed")
     uses = ["score --tensor", "score --tensor --function %s" % args.function] if args.tensor else []
     _refuse_unread(args, "score --function %s" % args.function, *uses)
@@ -159,7 +160,7 @@ def _cmd_score(args) -> int:
         try:
             ensemble = EnsembleConfig(**{**unset, **given})
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError("--%s: %s" % (exc.field.replace("_", "-"), exc)) from None
         members = build_ensemble(CheckpointStore.load(args.checkpoints), ensemble)
         # scored block by block, with no prediction tensor
         source = PoolBlocks(members, pool)
@@ -189,7 +190,7 @@ def _cmd_search(args) -> int:
     if not args.config:
         raise ConfigError("search needs --config")
     config = config_from_file(args.config)
-    if _seed_flag(args) is not None:
+    if _non_negative_flag(args, "seed") is not None:
         config = replace(config, seeds=(args.seed,))
     if args.jobs is not None:
         config = replace(config, jobs=args.jobs)
@@ -243,6 +244,7 @@ def _refuse_unread(args, *uses: str) -> None:
 
 def _cmd_analyze(args) -> int:
     _refuse_unread(args, "analyze --what %s" % args.what)
+    _non_negative_flag(args, "run")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learner import LabeledPool
-from .state import FieldError, parse_sample_id, write_table_csv
+from .state import FieldError, parse_sample_id, refuse_non_finite_fields, write_table_csv
 
 # jitter applied to near-duplicate copies, relative to the cluster spread
 _DUPLICATE_JITTER = 0.01
@@ -51,6 +51,9 @@ class GeneratorSpec:
     sample_seed: int | None = None
 
     def __post_init__(self):
+        if self.class_ratios is not None:
+            self.class_ratios = tuple(float(r) for r in self.class_ratios)
+        refuse_non_finite_fields(self)
         if self.n_classes < 2:
             raise FieldError("n_classes", "need at least two classes")
         if self.clusters_per_class < 1 or self.samples_per_cluster < 1:
@@ -62,12 +65,10 @@ class GeneratorSpec:
             raise FieldError("redundancy", "redundancy must be in [0, 1)")
         if not 0.0 <= self.label_noise < 1.0:
             raise FieldError("label_noise", "label noise must be in [0, 1)")
-        if self.class_ratios is not None:
-            self.class_ratios = tuple(float(r) for r in self.class_ratios)
-            if len(self.class_ratios) != self.n_classes:
-                raise FieldError("class_ratios", "class_ratios length must equal n_classes")
-            if not all(0.0 < ratio < np.inf for ratio in self.class_ratios):
-                raise FieldError("class_ratios", "class_ratios must be positive and finite")
+        if self.class_ratios is not None and len(self.class_ratios) != self.n_classes:
+            raise FieldError("class_ratios", "class_ratios length must equal n_classes")
+        if self.class_ratios is not None and min(self.class_ratios) <= 0.0:
+            raise FieldError("class_ratios", "class_ratios must be positive")
         if self.cluster_std <= 0.0 or self.center_spread <= 0.0:
             bad = "cluster_std" if self.cluster_std <= 0.0 else "center_spread"
             raise FieldError(bad, "cluster_std and center_spread must be positive")

@@ -33,7 +33,6 @@ from .learner import EnsembleConfig, LabeledPool, TrainConfig
 from .schemes import (
     IterationRecord,
     SearchConfig,
-    check_runnable,
     random_subset_ids,
     run_lockstep,
     scheme_steps,
@@ -93,17 +92,10 @@ def parse_config_file(path) -> dict[str, str]:
     return parse_config_text(text)
 
 
-def _finite(key: str, number):
-    """``number``, refused if a NaN or infinite float, which range checks miss."""
-    if isinstance(number, float) and not np.isfinite(number):
-        raise ConfigError("%s must be finite, got %r" % (key, number))
-    return number
-
-
 def _number(kind, noun):
     def parse(key: str, value: str):
         try:
-            return _finite(key, kind(value))
+            return kind(value)
         except ValueError:
             raise ConfigError("%s must be %s, got %r" % (key, noun, value)) from None
 
@@ -113,7 +105,7 @@ def _number(kind, noun):
 def _number_list(kind, noun):
     def parse(key: str, value: str):
         try:
-            return tuple(_finite(key, kind(part.strip())) for part in value.split(",") if part.strip())
+            return tuple(kind(part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
             raise ConfigError("%s must be a comma-separated %s list" % (key, noun)) from None
 
@@ -450,17 +442,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     or split into ``config.jobs`` contiguous groups of seeds, one group per
     process.
 
-    Trial results are deterministic either way; only wall time changes. A
-    search config that :func:`schemes.check_runnable` refuses raises
-    :class:`ConfigError` before any pool is drawn. With ``jobs > 1`` the
-    groups run in spawned processes, which import the calling script
-    afresh: a script that calls this must do so under
+    Trial results are deterministic either way; only wall time changes.
+    With ``jobs > 1`` the groups run in spawned processes, which import the
+    calling script afresh: a script that calls this must do so under
     ``if __name__ == "__main__":``.
     """
-    try:
-        check_runnable(config.search)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     seeds = list(config.seeds)
     jobs = min(config.jobs, len(seeds))
     if jobs == 1:

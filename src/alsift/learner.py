@@ -28,7 +28,8 @@ from .acquisition import (
     _unique_ids,
     row_blocks,
 )
-from .state import BinaryFrame, FieldError, SubsetState, atomic_file, id_array, sorted_unique_ids, subset_hash
+from .state import BinaryFrame, FieldError, SubsetState, atomic_file, id_array, refuse_non_finite_fields
+from .state import sorted_unique_ids, subset_hash
 
 ARCHITECTURES = ("logistic", "mlp")
 ENSEMBLE_MODES = ("single", "seeds", "checkpoints", "combined")
@@ -300,6 +301,7 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        refuse_non_finite_fields(self)
         if self.arch not in ARCHITECTURES:
             raise FieldError("arch", "unknown architecture %r" % self.arch)
         if self.arch == "mlp" and self.hidden < 1:
@@ -668,6 +670,7 @@ class EnsembleConfig:
     stride: int = 1
 
     def __post_init__(self):
+        refuse_non_finite_fields(self)
         if self.mode not in ENSEMBLE_MODES:
             raise FieldError("mode", "unknown ensemble mode %r" % self.mode)
         for name in ("runs", "checkpoints_per_run", "stride"):

@@ -41,7 +41,7 @@ from .learner import (
 # call them: perfbench's traced spans wrap them here
 from .acquisition import score_pool
 from .learner import fine_tune, predict_pool, train
-from .state import FieldError, SubsetState, derive_seed, id_array
+from .state import FieldError, SubsetState, derive_seed, id_array, refuse_non_finite_fields
 
 SCHEMES = ("pretrain", "compress", "build_up", "automatic_duplication")
 
@@ -98,7 +98,7 @@ def growth_schedule(target_size: int) -> list[int]:
     """Doubling subset sizes ending at the target: [t/8, t/4, t/2, t]."""
     target_size = int(target_size)
     if target_size < 8:
-        raise ValueError("growth schedule needs a target of at least 8")
+        raise FieldError("target_size", "growth schedule needs a target of at least 8")
     return [target_size // 8, target_size // 4, target_size // 2, target_size]
 
 
@@ -110,13 +110,17 @@ def duplication_totals(config: "SearchConfig") -> list[int]:
     if initial is None:
         initial = max(1, config.target_size // 8)
     if initial > config.target_size:
-        raise ValueError("initial size exceeds the target")
+        raise FieldError("initial_size", "initial size exceeds the target")
     return [*range(initial, config.target_size, config.acquisition_batch), config.target_size]
 
 
 @dataclass
 class SearchConfig:
-    """Everything a search scheme needs besides the pool itself."""
+    """Everything a search scheme needs besides the pool itself. A config its
+    scheme cannot run whatever the pool is refused when built: runs that can
+    never store the epoch span the ensemble mode reads (a run of E epochs
+    stores max(1, E)), patience with nothing held out, or subset sizes the
+    scheme's schedule refuses."""
 
     scheme: str
     function_id: str
@@ -129,6 +133,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        refuse_non_finite_fields(self)
         if self.scheme not in SCHEMES:
             raise FieldError("scheme", "unknown scheme %r" % self.scheme)
         if self.function_id not in FUNCTION_IDS:
@@ -144,37 +149,28 @@ class SearchConfig:
             raise FieldError("initial_size", "initial size must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-def check_runnable(config: SearchConfig) -> None:
-    """Refuse, as ValueError before any training, a config its scheme cannot
-    run whatever the pool: a trainer whose runs can never store the epoch
-    span the ensemble mode reads (a run of E epochs stores max(1, E)
-    checkpoints), early stopping with no held-out ids, or subset sizes the
-    scheme's schedule refuses. Early stops under ``patience`` and a target
-    beyond the pool can only be found at run time."""
-    trainer, ensemble = config.trainer, config.ensemble
-    spans = {"trainer.max_epochs": trainer.max_epochs}
-    if config.scheme == "pretrain" and trainer.fine_tune_epochs is not None:
-        spans["trainer.fine_tune_epochs"] = trainer.fine_tune_epochs
-    for key, epochs in spans.items():
-        if max(1, epochs) < ensemble.epochs_needed:
+        trainer, ensemble = self.trainer, self.ensemble
+        spans = {"trainer.max_epochs": trainer.max_epochs}
+        if self.scheme == "pretrain" and trainer.fine_tune_epochs is not None:
+            spans["trainer.fine_tune_epochs"] = trainer.fine_tune_epochs
+        for key, epochs in spans.items():
+            if max(1, epochs) < ensemble.epochs_needed:
+                raise ValueError(
+                    "%s = %d stores at most %d checkpoints per run, but ensemble.mode = %s with"
+                    " ensemble.checkpoints_per_run = %d and ensemble.stride = %d"
+                    " reads a span of %d epochs"
+                    % (key, epochs, max(1, epochs), ensemble.mode, ensemble.checkpoints_per_run,
+                       ensemble.stride, ensemble.epochs_needed)
+                )
+        if trainer.patience > 0 and trainer.val_fraction == 0.0:
             raise ValueError(
-                "%s = %d stores at most %d checkpoints per run, but ensemble.mode = %s with"
-                " ensemble.checkpoints_per_run = %d and ensemble.stride = %d"
-                " reads a span of %d epochs"
-                % (key, epochs, max(1, epochs), ensemble.mode, ensemble.checkpoints_per_run,
-                   ensemble.stride, ensemble.epochs_needed)
+                "trainer.patience = %d stops runs on held-out accuracy, but"
+                " trainer.val_fraction = 0 holds out nothing" % trainer.patience
             )
-    if trainer.patience > 0 and trainer.val_fraction == 0.0:
-        raise ValueError(
-            "trainer.patience = %d stops runs on held-out accuracy, but"
-            " trainer.val_fraction = 0 holds out nothing" % trainer.patience
-        )
-    if config.scheme == "build_up":
-        growth_schedule(config.target_size)
-    elif config.scheme == "automatic_duplication":
-        duplication_totals(config)
+        if self.scheme == "build_up":
+            growth_schedule(self.target_size)
+        elif self.scheme == "automatic_duplication":
+            duplication_totals(self)
 
 
 @dataclass
@@ -343,9 +339,6 @@ def _select_once(pool: LabeledPool, config: SearchConfig, fine_tune: bool):
     ensemble: fine-tuned from the full-pool weights, or from scratch. A
     generator of training requests (see :func:`run_lockstep`) that returns
     the SubsetResult."""
-    check_runnable(config)
-    if config.target_size > pool.n_samples:
-        raise ValueError("target size exceeds the pool")
     full = SubsetState.from_ids(pool.sample_ids)
     store, members = yield _request(pool, full, config, 0)
     scores = _pool_pass(members, pool, config, 0, scores=True, votes=False)[0]
@@ -373,13 +366,7 @@ def _grow(pool: LabeledPool, config: SearchConfig, unseen: bool):
     With ``unseen`` the picks are ids outside the subset; otherwise each
     pick adds one more copy of its id.
     """
-    check_runnable(config)
-    if unseen:
-        if config.target_size > pool.n_samples:
-            raise ValueError("target size exceeds the pool")
-        sizes = growth_schedule(config.target_size)
-    else:
-        sizes = duplication_totals(config)
+    sizes = growth_schedule(config.target_size) if unseen else duplication_totals(config)
     init = random_subset_ids(pool, sizes[0], derive_seed(config.seed, _ROLE_INIT))
     state = SubsetState.from_ids(init)
     scores, excluded, chosen = None, frozenset(), init
@@ -403,7 +390,10 @@ def _grow(pool: LabeledPool, config: SearchConfig, unseen: bool):
 
 def scheme_steps(pool: LabeledPool, config: SearchConfig):
     """The search ``config.scheme`` names, as a generator of training
-    requests for :func:`run_lockstep` that returns the SubsetResult."""
+    requests for :func:`run_lockstep` that returns the SubsetResult. Only
+    automatic duplication may reach a target beyond the pool."""
+    if config.scheme != "automatic_duplication" and config.target_size > pool.n_samples:
+        raise ValueError("target size exceeds the pool")
     if config.scheme in ("pretrain", "compress"):
         return _select_once(pool, config, fine_tune=config.scheme == "pretrain")
     return _grow(pool, config, unseen=config.scheme == "build_up")

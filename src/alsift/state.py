@@ -29,6 +29,16 @@ class FieldError(ValueError):
         self.field = field
 
 
+def refuse_non_finite_fields(settings) -> None:
+    """Refuse a NaN or infinite float field of the dataclass ``settings``, or
+    such an entry of a tuple field, with a FieldError naming the field: a
+    range check written as a comparison lets NaN through."""
+    for name, value in vars(settings).items():
+        for number in value if isinstance(value, tuple) else (value,):
+            if isinstance(number, (float, np.floating)) and not math.isfinite(number):
+                raise FieldError(name, "%s must be finite, got %r" % (name.replace("_", " "), float(number)))
+
+
 def derive_seed(*parts: int) -> int:
     """Deterministic child seed from integer context parts.
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import builtins
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -643,7 +645,9 @@ class TestExitCodes:
         config.write_text("\n".join(lines + ["%s = %s" % (key, text), ""]))
         out = tmp_path / "out"
         assert main(["search", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "config error: %s must be finite, got %s\n" % (key, value)
+        words = alsift.experiment.CONFIG_KEYS[key][0].rpartition(".")[2].replace("_", " ")
+        expected = "config error: %s: %s must be finite, got %s\n" % (key, words, value)
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     @pytest.mark.parametrize("section, message", [
@@ -686,7 +690,9 @@ class TestExitCodes:
             "--function", "entropy", flag, "0", "--out", str(tmp_path / "x"),
         ])
         assert code == 1
-        assert "config error: runs, checkpoints per run and stride" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: %s: runs, checkpoints per run and stride must be >= 1\n" % flag
+        )
 
     def test_zero_jobs_maps_to_one(self, tmp_path, config_path, capsys):
         out = tmp_path / "runs"
@@ -776,6 +782,138 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert "trainer.patience = 2" in err and "trainer.val_fraction = 0" in err
         assert not out.exists()
+
+
+# the run-time refusals of a search that the README lists (exit 2)
+_RUNTIME_REFUSALS = (
+    "target size exceeds the pool",
+    "needs held-out ids to validate on",
+    "under trainer.patience",
+    "non-finite training loss",
+    "features must be finite",
+)
+# refusals that depend on what the given files hold, not on a flag value alone (exit 2)
+_FILE_REFUSALS = (
+    r"store holds \d+ runs; \d+ requested",
+    r"run \d+ stores \d+ checkpoints; \d+ at stride \d+ requested",
+    r"no checkpoints stored for run \d+",
+    r"n_max must be in \[1, \d+\]",
+)
+_PATH_FLAGS = ("--config", "--pool", "--checkpoints", "--tensor", "--subset", "--results")
+
+# the base invocation, which exits 0, that each value-taking flag is tried in
+_FLAG_BASES = {
+    "gen-data": ["gen-data", "--config", "{cfg}", "--seed", "1"],
+    "score-checkpoints": [
+        "score", "--function", "entropy", "--pool", "{pool}", "--checkpoints", "{store}",
+        "--mode", "combined", "--runs", "1", "--checkpoints-per-run", "1", "--stride", "1",
+    ],
+    "score-tensor": ["score", "--function", "random", "--seed", "1", "--tensor", "{tensor}"],
+    "search": ["search", "--config", "{cfg}", "--seed", "1", "--jobs", "1"],
+    "consensus": [
+        "analyze", "--what", "consensus", "--pool", "{pool}", "--checkpoints", "{store}",
+        "--run", "11", "--n-max", "2",
+    ],
+    "eval": ["analyze", "--what", "eval", "--pool", "{pool}", "--checkpoints", "{store}", "--subset", "{subset}"],
+    "export": ["export", "--results", "{results}", "--kind", "learning_curve"],
+}
+_FLAG_GRID = [
+    *(("gen-data", flag) for flag in ("--config", "--seed", "--out")),
+    ("score-tensor", "--seed"),
+    *(("score-checkpoints", flag) for flag in ("--function", "--pool", "--checkpoints")),
+    ("score-tensor", "--tensor"),
+    *(("score-checkpoints", flag) for flag in ("--mode", "--runs", "--checkpoints-per-run", "--stride")),
+    ("score-tensor", "--out"),
+    *(("search", flag) for flag in ("--config", "--seed", "--jobs", "--out")),
+    *(("consensus", flag) for flag in ("--what", "--pool", "--checkpoints", "--run", "--n-max", "--out")),
+    ("eval", "--subset"),
+    *(("export", flag) for flag in ("--results", "--kind", "--out")),
+]
+
+
+@pytest.fixture(scope="class")
+def flag_files(tmp_path_factory):
+    """A config, pool, checkpoint store, tensor, subset and results file that
+    every base invocation of the flag grid reads."""
+    root = tmp_path_factory.mktemp("files")
+    pool = generate_pool(GeneratorSpec(
+        n_classes=3, clusters_per_class=1, samples_per_cluster=20, n_features=4, center_spread=1.5, seed=3,
+    ))
+    write_pool_csv(root / "pool.csv", pool)
+    store = CheckpointStore()
+    for run_seed in (11, 12):
+        everything = SubsetState.from_ids(pool.sample_ids)
+        store.add_run(train(pool, everything, TrainConfig(max_epochs=5, batch_size=16), seed=run_seed).checkpoints)
+    store.save(root / "ckpts")
+    members = build_ensemble(store, EnsembleConfig(runs=2))
+    write_prediction_tensor(root / "t.alpt", predict_pool(members, pool))
+    state.write_subset_csv(root / "subset.csv", SubsetState.from_ids(pool.sample_ids[:10]))
+    (root / "exp.cfg").write_text(CONFIG_TEXT.replace("seeds = 1,2", "seeds = 1"))
+    assert main(["search", "--config", str(root / "exp.cfg"), "--out", str(root / "runs")]) == 0
+    results, = (root / "runs").glob("results_*.txt")
+    names = dict(cfg="exp.cfg", pool="pool.csv", store="ckpts", tensor="t.alpt", subset="subset.csv")
+    return {name: str(root / file) for name, file in names.items()} | {"results": str(results)}
+
+
+class TestExitCodeContract:
+    """Every value of every config key and flag exits 0, exits 1 naming what
+    was refused, or exits 2 with a refusal only a run or the files can find."""
+
+    # a finite value that makes training diverge overflows on its way to exit 2
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("key", [key for key in alsift.experiment.CONFIG_KEYS
+                                     if key not in ("pool.file", "experiment.out")])
+    def test_every_config_value_keeps_the_exit_code_contract(self, key, tmp_path, capsys):
+        lines = CONFIG_TEXT.replace("seeds = 1,2", "seeds = 1").splitlines()
+        lines = [line for line in lines if not line.startswith(key + " ")]
+        broken = []
+        for i, value in enumerate(["0", "-1", "1", "2", "nan", "inf", "-inf", "1e308", "", "x"]):
+            config = tmp_path / ("%d.cfg" % i)
+            config.write_text("\n".join(lines + ["%s = %s" % (key, value), ""]))
+            code = main(["search", "--config", str(config), "--out", str(tmp_path / str(i))])
+            err = capsys.readouterr().err
+            if not (code == 0 or code == 1 and key in err
+                    or code == 2 and any(refusal in err for refusal in _RUNTIME_REFUSALS)):
+                broken.append((value, code, err))
+        assert broken == []
+
+    @pytest.mark.parametrize("base, flag", _FLAG_GRID)
+    def test_every_flag_value_keeps_the_exit_code_contract(
+        self, base, flag, flag_files, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # where a relative --out value writes
+        broken = []
+        for i, value in enumerate(["0", "-1", "1", "99", "x", ""]):
+            argv = [arg.format(**flag_files) for arg in _FLAG_BASES[base]]
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+            if flag != "--out":
+                argv += ["--out", str(tmp_path / ("out%d" % i))]
+            code = main(argv)
+            err = capsys.readouterr().err
+            # search --jobs sets the experiment.jobs key
+            named = flag in err or flag == "--jobs" and "experiment.jobs" in err
+            found = any(re.search(refusal, err) for refusal in _FILE_REFUSALS)
+            missing = re.escape(value or ".")
+            unreadable = flag in _PATH_FLAGS and re.search(
+                r"(\[Errno \d+\] [^:]+: '%s'|no checkpoint files under %s)$" % (missing, missing), err
+            )
+            if not (code == 0 or code == 1 and (named or unreadable) or code == 2 and (found or unreadable)):
+                broken.append((value, code, err))
+        assert broken == []
+
+    def test_the_flag_grid_names_every_flag_of_the_parser(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            (verb, flag)
+            for verb, parser in sub.choices.items()
+            for action in parser._actions
+            if action.nargs != 0
+            for flag in action.option_strings
+        }
+        assert {(_FLAG_BASES[base][0], flag) for base, flag in _FLAG_GRID} == flags
 
 
 class _TornHandle:

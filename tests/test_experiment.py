@@ -13,7 +13,7 @@ import pytest
 import alsift.experiment
 import alsift.learner
 import alsift.schemes
-from alsift.datagen import generate_pool, write_pool_csv
+from alsift.datagen import GeneratorSpec, generate_pool, write_pool_csv
 from alsift.experiment import (
     ConfigError,
     ExperimentResult,
@@ -31,7 +31,9 @@ from alsift.experiment import (
     run_trial,
     write_results,
 )
-from alsift.state import subset_hash
+from alsift.learner import TrainConfig
+from alsift.schemes import SearchConfig
+from alsift.state import FieldError, subset_hash
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -115,11 +117,31 @@ class TestParsing:
         ("center_spread = 1.5", "center_spread = 0",
          r"^pool\.center_spread: cluster_std and center_spread must be positive$"),
         ("batch_size = 16", "decay_epochs = 0", r"^trainer\.decay_epochs: decay epochs must be >= 1, got 0$"),
+        ("target_size = 32", "target_size = 4",
+         r"^search\.target_size: growth schedule needs a target of at least 8$"),
+        ("scheme = build_up", "scheme = automatic_duplication\nsearch.acquisition_batch = 4\n"
+         "search.initial_size = 33", r"^search\.initial_size: initial size exceeds the target$"),
     ], ids=["trainer.learning_rate", "ensemble.runs", "search.acquisition_batch", "trainer.hidden",
-            "pool.classes", "pool.center_spread", "trainer.decay_epochs"])
+            "pool.classes", "pool.center_spread", "trainer.decay_epochs", "search.target_size",
+            "search.initial_size"])
     def test_refused_field_is_named_by_its_key(self, old, new, message):
         with pytest.raises(ConfigError, match=message):
             config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new)))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float32("nan")],
+                             ids=["nan", "inf", "-inf", "float32-nan"])
+    @pytest.mark.parametrize("key", [
+        key for key, (_, parse) in alsift.experiment.CONFIG_KEYS.items()
+        if parse in (alsift.experiment._FLOAT, alsift.experiment._FLOATS)
+    ])
+    def test_settings_class_refuses_a_non_finite_float_as_the_config_does(self, key, value):
+        owner, _, name = alsift.experiment.CONFIG_KEYS[key][0].rpartition(".")
+        cls = {"generator": GeneratorSpec, "search": SearchConfig, "search.trainer": TrainConfig}[owner]
+        required = dict(scheme="build_up", function_id="entropy", target_size=32) if cls is SearchConfig else {}
+        given = (1.0, value, 1.0, 1.0) if name == "class_ratios" else value
+        with pytest.raises(FieldError) as refused:
+            cls(**required, **{name: given})
+        assert refused.value.field == name
 
     def test_pool_file_excludes_generator_keys(self):
         text = "pool.file = p.csv\npool.classes = 3\n" \
@@ -209,9 +231,8 @@ class TestTrials:
             raise AssertionError("drew a pool before the config was refused")
 
         monkeypatch.setattr(alsift.experiment, "generate_pool", no_pool)
-        config = config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new)))
         with pytest.raises(ConfigError, match=message):
-            run_experiment(config)
+            run_experiment(config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new))))
 
     def test_parallel_jobs_match_serial(self):
         config = base_config()

@@ -182,7 +182,8 @@ def _int_lists(lo, hi, min_size=0, unique=False):
 _BOOLS = st.sampled_from(["true", "false", "1", "0", "yes", "no", "TRUE"])
 
 # Valid raw values for every key of the table except the ones drawn jointly
-# (pool.file, pool.classes with pool.class_ratios, the required search keys).
+# (pool.file, pool.classes with pool.class_ratios, the required search keys,
+# and the keys SearchConfig judges together for runnability).
 OPTIONAL_KEYS = {
     "pool.clusters_per_class": _ints(1, 4),
     "pool.samples_per_cluster": _ints(1, 200),
@@ -193,7 +194,6 @@ OPTIONAL_KEYS = {
     "pool.center_spread": _floats(1e-3, 10.0),
     "pool.seed": _ints(0, 2**31),
     "search.outlier_fraction": _floats(0.0, 1.0, exclude_max=True),
-    "search.initial_size": _ints(1, 500),
     "ensemble.mode": st.sampled_from(ENSEMBLE_MODES),
     "ensemble.runs": _ints(1, 10),
     "ensemble.checkpoints_per_run": _ints(1, 30),
@@ -206,13 +206,9 @@ OPTIONAL_KEYS = {
     "trainer.batch_size": _ints(1, 256),
     "trainer.lr_decay": _floats(0.0, 1.0, exclude_min=True),
     "trainer.decay_epochs": _int_lists(1, 100),
-    "trainer.max_epochs": _ints(0, 100),
-    "trainer.patience": _ints(0, 10),
     "trainer.fine_tune_rate": _floats(0.0, 1.0),
-    "trainer.fine_tune_epochs": _ints(0, 100),
     "trainer.class_weighting": _BOOLS,
     "trainer.checkpoint_window": _ints(1, 40),
-    "trainer.val_fraction": _floats(0.0, 1.0, exclude_max=True),
     "experiment.seeds": _int_lists(0, 1000, min_size=1, unique=True),
     "experiment.baseline_random": _BOOLS,
     "experiment.baseline_full": _BOOLS,
@@ -222,6 +218,8 @@ OPTIONAL_KEYS = {
 JOINT_KEYS = {
     "pool.file", "pool.classes", "pool.class_ratios",
     "search.scheme", "search.function", "search.target_size", "search.acquisition_batch",
+    "search.initial_size", "trainer.max_epochs", "trainer.fine_tune_epochs", "trainer.patience",
+    "trainer.val_fraction",
 }
 
 
@@ -240,11 +238,30 @@ def config_mappings(draw):
         if draw(st.booleans()):
             ratios = draw(st.lists(st.floats(0.1, 5.0), min_size=classes, max_size=classes))
             data["pool.class_ratios"] = ",".join(map(repr, ratios))
-    data["search.scheme"] = draw(st.sampled_from(SCHEMES))
+    scheme = data["search.scheme"] = draw(st.sampled_from(SCHEMES))
     data["search.function"] = draw(st.sampled_from(FUNCTION_IDS))
-    data["search.target_size"] = draw(_ints(1, 5000))
-    if data["search.scheme"] == "automatic_duplication" or draw(st.booleans()):
+    target = draw(st.integers(8 if scheme == "build_up" else 1, 5000))
+    data["search.target_size"] = str(target)
+    if scheme == "automatic_duplication" or draw(st.booleans()):
         data["search.acquisition_batch"] = draw(_ints(1, 500))
+    if draw(st.booleans()):
+        data["search.initial_size"] = draw(_ints(1, target))
+    # runs store max(1, epochs) checkpoints, at least the span the ensemble reads
+    ensemble = EnsembleConfig(**{
+        key.partition(".")[2]: value if key == "ensemble.mode" else int(value)
+        for key, value in data.items() if key.startswith("ensemble.")
+    })
+    span = ensemble.epochs_needed if ensemble.epochs_needed > 1 else 0
+    if span > TrainConfig().max_epochs or draw(st.booleans()):
+        data["trainer.max_epochs"] = draw(_ints(span, span + 100))
+    if draw(st.booleans()):
+        data["trainer.fine_tune_epochs"] = draw(_ints(span if scheme == "pretrain" else 0, span + 100))
+    # early stopping validates on held-out ids
+    if draw(st.booleans()):
+        data["trainer.val_fraction"] = draw(_floats(0.0, 1.0, exclude_max=True))
+    if draw(st.booleans()):
+        held_out = float(data.get("trainer.val_fraction", TrainConfig().val_fraction)) > 0.0
+        data["trainer.patience"] = draw(_ints(0, 10 if held_out else 0))
     return data
 
 
