@@ -12,6 +12,7 @@ from .acquisition import (
     AcquisitionScores,
     FUNCTION_IDS,
     PredictionTensor,
+    TensorFile,
     detection_heatmaps,
     pool_pass,
     read_prediction_tensor,

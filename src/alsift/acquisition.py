@@ -1,9 +1,10 @@
 """Ensemble uncertainty scores for pools of predictions and for detection maps.
 
 One walk, :func:`pool_pass`, scores a pool block by block from a (N, E, K)
-:class:`PredictionTensor` (:func:`score_pool`) or a ``learner.PoolBlocks``;
-one reducer serves it and :func:`detection_heatmaps`. Scores use natural
-logarithms throughout.
+:class:`PredictionTensor` (:func:`score_pool`), an ``.alpt`` file read one
+block at a time (:class:`TensorFile`) or a ``learner.PoolBlocks``; one reducer
+serves it and :func:`detection_heatmaps`. Scores use natural logarithms
+throughout.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ MI_CLAMP = 1e-9
 # float64 values whatever the pool size, never a float64 (rows, E, K) block.
 BLOCK_ROWS = 2048
 
+# values per member group (1 MiB of float32): every walk takes a block's members
+# in groups this small, so a group and its float64 entropy terms stay in cache
+GROUP_VALUES = 1 << 18
+
 FUNCTION_IDS = ("entropy", "mutual_information", "variation_ratios", "error_count", "random")
 
 # Functions applicable to detection heatmaps (no labels, no randomness).
@@ -43,6 +48,18 @@ def row_blocks(n: int):
     empty source yields one empty slice, so per-block checks still run."""
     for lo in range(0, max(n, 1), BLOCK_ROWS):
         yield slice(lo, min(lo + BLOCK_ROWS, n))
+
+
+def _group_size(n_rows: int, n_classes: int) -> int:
+    """Members per group of an ``n_rows``-row block: as many as fit in GROUP_VALUES, at least one."""
+    return max(1, GROUP_VALUES // max(1, n_rows * n_classes))
+
+
+def _member_groups(block: np.ndarray) -> list[np.ndarray]:
+    """A (c, E, K) block's members as member-major (E_g, c, K) views of it,
+    in order, each of :func:`_group_size` members but the last."""
+    size = _group_size(len(block), block.shape[2])
+    return [block[:, lo : lo + size].swapaxes(0, 1) for lo in range(0, block.shape[1], size)]
 
 
 def _check_rows(probs: np.ndarray) -> np.ndarray:
@@ -206,25 +223,25 @@ class PredictionTensor:
         if self.sample_ids.shape != (self.data.shape[0],):
             raise ValueError("sample_ids length must match the sample axis")
         _unique_ids(self.sample_ids)
-        for _, (group,) in self.blocks():
-            _check_rows(group)
+        for rows in row_blocks(self.n_samples):
+            _check_rows(self.data[rows])
 
     @classmethod
     def _checked(cls, data: np.ndarray, sample_ids: np.ndarray) -> "PredictionTensor":
         """Wrap arrays that already hold what the constructor checks: contiguous
-        float32 (N, E, K) data whose groups passed :func:`_check_rows`, and
-        unique uint64 ids. Nothing is copied or validated again. Only
-        ``learner.predict_pool`` calls it; perfbench imports and wraps that."""
+        float32 (N, E, K) data whose blocks passed :func:`_check_rows`, and
+        unique uint64 ids. Nothing is copied or validated again. Only the
+        materialisers ``learner.predict_pool`` and :func:`read_prediction_tensor`
+        call it."""
         tensor = cls.__new__(cls)
         tensor.data, tensor.sample_ids = data, sample_ids
         return tensor
 
     def blocks(self):
         """Yield ``(rows, groups)`` for each :func:`row_blocks` run of the
-        tensor: the rows, and their members as one member-major (E, c, K)
-        group, a view of the tensor."""
+        tensor: the rows, and their :func:`_member_groups`, views of the tensor."""
         for rows in row_blocks(self.n_samples):
-            yield rows, [self.data[rows].swapaxes(0, 1)]
+            yield rows, _member_groups(self.data[rows])
 
     @property
     def n_samples(self) -> int:
@@ -262,7 +279,8 @@ def pool_pass(source, function_id=None, labels=None, seed=None, votes=False):
     """Scores and fused votes of every sample from one walk over its blocks.
 
     Args:
-        source: a :class:`PredictionTensor` or a ``learner.PoolBlocks``;
+        source: a :class:`PredictionTensor`, a :class:`TensorFile` or a
+            ``learner.PoolBlocks``;
             anything with ``n_samples``, ``n_members``, ``n_classes``,
             ``sample_ids`` and a ``blocks()`` that yields, for row slices that
             cover the samples, ``(rows, groups)``: member-major (E_g, c, K)
@@ -384,12 +402,60 @@ def write_prediction_tensor(path, tensor: PredictionTensor) -> None:
         _ALPT.write(fh, tensor.data.shape, [(tensor.data, "<f4"), (tensor.sample_ids, "<u8")])
 
 
+class TensorFile:
+    """An ``.alpt`` file as a block source, read one row block at a time.
+
+    The constructor checks the frame, the file's size and the sample ids. A
+    walk reads each :func:`row_blocks` run into one reused (BLOCK_ROWS, E, K)
+    float32 buffer and checks it before any reduction, so it holds
+    O(BLOCK_ROWS * E * K) values; rows cut off after the constructor ran are
+    refused when the walk reaches them.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            (n, self.n_members, self.n_classes), (self._data, ids) = _ALPT.check(fh, lambda n, e, k: [
+                ((n, e, k), "<f4", "truncated prediction tensor data"),
+                ((n,), "<u8", "truncated sample id block"),
+            ])
+            if self.n_members < 1:
+                raise ValueError("empty ensemble")
+            offset, shape, dtype, message = ids
+            ids = np.empty(shape, dtype)
+            fh.seek(offset)
+            if fh.readinto(ids) != ids.nbytes:
+                raise ValueError(message)
+        self.sample_ids, self.n_samples = _unique_ids(ids), n
+
+    def _read_blocks(self):
+        """Yield ``(rows, block)``: each run's checked (c, E, K) rows, in the
+        one buffer that the next block overwrites."""
+        offset, (n, e, k), dtype, message = self._data
+        buffer = np.empty((min(n, BLOCK_ROWS), e, k), dtype)
+        with open(self.path, "rb") as fh:  # closed however the walk ends
+            fh.seek(offset)
+            for rows in row_blocks(n):
+                block = buffer[: rows.stop - rows.start]
+                if fh.readinto(block) != block.nbytes:
+                    raise ValueError(message)
+                yield rows, _check_rows(block)
+
+    def blocks(self):
+        """Yield ``(rows, groups)`` for each :func:`row_blocks` run of the
+        file: the rows, and the :func:`_member_groups` of the block read."""
+        for rows, block in self._read_blocks():
+            yield rows, _member_groups(block)
+
+
 def read_prediction_tensor(path) -> PredictionTensor:
-    _, (data, ids) = _ALPT.read(path, lambda n, e, k: [
-        ((n, e, k), "<f4", "truncated prediction tensor data"),
-        ((n,), "<u8", "truncated sample id block"),
-    ])
-    return PredictionTensor(data, ids)
+    """The whole ``.alpt`` file as a tensor: :class:`TensorFile`'s blocks,
+    checked as they are read, copied into one (N, E, K) array."""
+    source = TensorFile(path)
+    data = np.empty((source.n_samples, source.n_members, source.n_classes), np.float32)
+    for rows, block in source._read_blocks():
+        data[rows] = block
+    return PredictionTensor._checked(data, source.sample_ids)
 
 
 def read_prediction_tensor_csv(path) -> PredictionTensor:

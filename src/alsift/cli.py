@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .acquisition import (
-    FUNCTION_IDS,
-    pool_pass,
-    read_prediction_tensor,
-    read_prediction_tensor_csv,
-    score_pool,
-)
+from .acquisition import FUNCTION_IDS, TensorFile, pool_pass, read_prediction_tensor_csv
 from .analysis import (
     consensus_counts,
     duplication_histogram,
@@ -58,8 +53,9 @@ from .learner import (
     PoolBlocks,
     build_ensemble,
 )
-# predict_pool stays an attribute of this module although no verb calls it:
-# perfbench's traced spans wrap it here
+# predict_pool, read_prediction_tensor and score_pool stay attributes of this
+# module although no verb calls them: perfbench's traced spans wrap them here
+from .acquisition import read_prediction_tensor, score_pool
 from .learner import predict_pool
 from .state import atomic_file, read_subset_csv, write_table_csv
 
@@ -127,6 +123,7 @@ def _non_negative_flag(args, name: str) -> int | None:
 
 
 def _cmd_gen_data(args) -> int:
+    _refuse_flags(args)
     if args.config:
         spec = generator_from_mapping(parse_config_file(args.config))
     else:
@@ -146,13 +143,13 @@ def _cmd_score(args) -> int:
     if _non_negative_flag(args, "seed") is None and args.function == "random":
         raise ConfigError("random scoring needs --seed")
     uses = ["score --tensor", "score --tensor --function %s" % args.function] if args.tensor else []
-    _refuse_unread(args, "score --function %s" % args.function, *uses)
+    _refuse_flags(args, "score --function %s" % args.function, *uses)
     pool = read_pool_csv(args.pool) if args.pool else None
     if args.tensor:
         if args.tensor.endswith(".csv"):
             source = read_prediction_tensor_csv(args.tensor)
-        else:
-            source = read_prediction_tensor(args.tensor)
+        else:  # scored as it is read, one row block at a time
+            source = TensorFile(args.tensor)
     elif args.checkpoints and pool is not None:
         # an unset flag means one checkpoint of one run, ensembled by seeds
         unset = {"mode": "seeds", "runs": 1, "checkpoints_per_run": 1, "stride": 1}
@@ -172,11 +169,7 @@ def _cmd_score(args) -> int:
         if pool is None:
             raise ConfigError("error_count scoring needs --pool for labels")
         labels = pool.labels[pool.rows_for(source.sample_ids)]
-    # a PoolBlocks (no .data) skips score_pool: perfbench counts its rows by args[0].data.size
-    if args.tensor:
-        scores = score_pool(source, args.function, labels=labels, seed=args.seed)
-    else:
-        scores = pool_pass(source, args.function, labels, args.seed)[0]
+    scores = pool_pass(source, args.function, labels, args.seed)[0]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,6 +180,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _refuse_flags(args)
     if not args.config:
         raise ConfigError("search needs --config")
     config = config_from_file(args.config)
@@ -234,16 +228,35 @@ _UNREAD = {
 }
 
 
-def _refuse_unread(args, *uses: str) -> None:
+# the flags that name a file a verb reads, or for --checkpoints a directory
+_INPUTS = ("config", "pool", "checkpoints", "tensor", "subset", "results")
+
+
+def _refuse_flags(args, *uses: str) -> None:
+    """Refuse, before any file is read, a flag that one of ``uses`` of the verb
+    does not read, then an input path flag that is empty or names nothing
+    readable, each as a usage error naming the flag."""
     for use in uses:
         unread = _UNREAD.get(use, ())
         given = ["--" + n.replace("_", "-") for n in unread if getattr(args, n) is not None]
         if given:
             raise ConfigError("%s does not read %s" % (use, ", ".join(given)))
+    for name in _INPUTS:
+        paths = getattr(args, name, None)
+        for path in [paths] if isinstance(paths, str) else paths or ():  # --results takes a list
+            if not path:
+                raise ConfigError("--%s: empty path" % name)
+            try:
+                if name == "checkpoints":
+                    os.scandir(path).close()
+                else:
+                    open(path, "rb").close()
+            except OSError as exc:
+                raise ConfigError("--%s: %s" % (name, exc)) from None
 
 
 def _cmd_analyze(args) -> int:
-    _refuse_unread(args, "analyze --what %s" % args.what)
+    _refuse_flags(args, "analyze --what %s" % args.what)
     _non_negative_flag(args, "run")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,6 +331,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _refuse_flags(args)
     documents = []
     for path in args.results:
         documents.extend(read_results(path))

@@ -109,6 +109,8 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
+# features that overflow are refused by LabeledPool ("features must be finite")
+@np.errstate(over="ignore", invalid="ignore")
 def generate_pool_with_metadata(spec: GeneratorSpec) -> tuple[LabeledPool, PoolMetadata]:
     """Build a pool and the bookkeeping of its corruptions.
 

@@ -23,6 +23,7 @@ import numpy as np
 from .acquisition import (
     PredictionTensor,
     _check_rows,
+    _group_size,
     _row_max,
     _row_sum,
     _unique_ids,
@@ -483,6 +484,8 @@ def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
     return results
 
 
+# a diverging run overflows on its way to the finiteness check that refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     """The one SGD loop, over ``runs``, ``(s, seed, start, part)`` sorted by
     ``s``: the index in ``subsets`` (each as :func:`_subset_rows` gives it,
@@ -869,8 +872,6 @@ class PoolBlocks:
             order.
     """
 
-    _LOGITS = 1 << 18  # logits per softmax (1 MiB of float32): a member group that stays in cache
-
     def __init__(self, members, pool: LabeledPool, ids=None):
         self.members = list(members)
         if not self.members:
@@ -906,8 +907,9 @@ class PoolBlocks:
         """Yield ``(rows, groups)`` for each :func:`acquisition.row_blocks` run
         of the source: the rows, and a generator of their member probabilities,
         computed in float32. Each group of members that fills a member-major
-        (E_g, c, K) buffer of ``_LOGITS`` logits takes one row-wise softmax and
-        passes :func:`acquisition._check_rows`; the next group overwrites it."""
+        (E_g, c, K) buffer of ``acquisition.GROUP_VALUES`` logits takes one
+        row-wise softmax and passes :func:`acquisition._check_rows`; the next
+        group overwrites it."""
         with _float32_range("member weights"):  # the values .alck files store
             weights = [[t.astype(np.float32) for t in m.tensors] for m in self.members]
         for rows in row_blocks(self.n_samples):
@@ -917,7 +919,7 @@ class PoolBlocks:
             yield rows, self._groups(weights, features)
 
     def _groups(self, weights, features):
-        size = max(1, self._LOGITS // max(1, len(features) * self.n_classes))
+        size = _group_size(len(features), self.n_classes)
         logits = np.empty((min(size, self.n_members), len(features), self.n_classes), np.float32)
         for lo in range(0, self.n_members, size):
             group = logits[: self.n_members - lo]

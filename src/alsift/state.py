@@ -217,33 +217,46 @@ class BinaryFrame:
         for values, dtype in arrays:
             fh.write(np.ascontiguousarray(values, dtype=dtype))
 
-    def read(self, path, layout) -> tuple[tuple, list[np.ndarray]]:
-        """The header fields and arrays of the file at ``path``.
+    def check(self, fh, layout) -> tuple[tuple, list[tuple]]:
+        """The header fields of the open file ``fh``, left at the header's end,
+        and the (offset, shape, dtype, message) of each array, read from
+        nothing but the header and the file's size.
 
         ``layout(*fields)`` gives each array's (shape, dtype, message), and may
         raise to refuse the header; a file too short for an array raises its
-        ``message``, before allocating anything, whatever the header claims.
+        ``message``, whatever the header claims, and one longer than its arrays
+        is refused too.
         """
-        with open(path, "rb") as fh:
-            raw = fh.read(self._header.size)
-            if len(raw) < self._header.size:
-                raise ValueError("truncated %s file" % self.kind)
-            magic, version, *fields = self._header.unpack(raw)
-            if magic != self.magic:
-                raise ValueError("not a %s file (bad magic)" % self.kind)
-            if version != _FRAME_VERSION:
-                raise ValueError("unsupported %s version %d" % (self.kind, version))
-            arrays = []
-            for shape, dtype, message in layout(*fields):
-                nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-                if os.fstat(fh.fileno()).st_size - fh.tell() < nbytes:
-                    raise ValueError(message)
-                arrays.append(np.empty(shape, dtype=dtype))
-                if fh.readinto(arrays[-1]) != nbytes:
-                    raise ValueError(message)
-            if fh.read(1):
-                raise ValueError("trailing bytes after the %s file's %s" % (self.kind, self.last))
+        raw = fh.read(self._header.size)
+        if len(raw) < self._header.size:
+            raise ValueError("truncated %s file" % self.kind)
+        magic, version, *fields = self._header.unpack(raw)
+        if magic != self.magic:
+            raise ValueError("not a %s file (bad magic)" % self.kind)
+        if version != _FRAME_VERSION:
+            raise ValueError("unsupported %s version %d" % (self.kind, version))
+        size, offset, arrays = os.fstat(fh.fileno()).st_size, self._header.size, []
+        for shape, dtype, message in layout(*fields):
+            end = offset + math.prod(shape) * np.dtype(dtype).itemsize
+            if end > size:
+                raise ValueError(message)
+            arrays.append((offset, shape, dtype, message))
+            offset = end
+        if size > offset:
+            raise ValueError("trailing bytes after the %s file's %s" % (self.kind, self.last))
         return tuple(fields), arrays
+
+    def read(self, path, layout) -> tuple[tuple, list[np.ndarray]]:
+        """The header fields and arrays of the file at ``path``, which
+        :meth:`check` passed before anything is allocated."""
+        with open(path, "rb") as fh:
+            fields, placed = self.check(fh, layout)
+            arrays = []
+            for _, shape, dtype, message in placed:
+                arrays.append(np.empty(shape, dtype=dtype))
+                if fh.readinto(arrays[-1]) != arrays[-1].nbytes:
+                    raise ValueError(message)
+        return fields, arrays
 
 
 def write_table_csv(path, header, int_columns, floats=None) -> None:

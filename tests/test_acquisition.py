@@ -13,8 +13,10 @@ from numpy.testing import assert_allclose
 
 from alsift.acquisition import (
     BLOCK_ROWS,
+    FUNCTION_IDS,
     AcquisitionScores,
     PredictionTensor,
+    TensorFile,
     detection_heatmaps,
     pool_pass,
     read_prediction_tensor,
@@ -417,8 +419,9 @@ class TestTensorFiles:
         path = tmp_path / "empty.alpt"
         header = b"ALPT" + (1).to_bytes(2, "little") + b"".join(v.to_bytes(4, "little") for v in (2, 0, 3))
         path.write_bytes(header + np.array([4, 7], dtype="<u8").tobytes())
-        with pytest.raises(ValueError, match="^empty ensemble$"):
-            read_prediction_tensor(path)
+        for read in (read_prediction_tensor, TensorFile):
+            with pytest.raises(ValueError, match="^empty ensemble$"):
+                read(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.alpt"
@@ -492,6 +495,69 @@ class TestTensorFiles:
         back = read_prediction_tensor_csv(path)
         assert back.sample_ids.tolist() == [7, 3]
         assert back.data.tolist() == [[[1.0, 0.0], [0.25, 0.75]], [[0.5, 0.5], [0.125, 0.875]]]
+
+
+class TestStreamedTensorFile:
+    """``TensorFile`` walks an ``.alpt`` file one row block at a time."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
+    def test_streamed_walk_equals_the_tensor_walk(self, n, tmp_path):
+        # a short last block follows full ones in the reused buffer, so a
+        # stale row left in it would change the scores or votes
+        rng = np.random.default_rng(n)
+        tensor = PredictionTensor(random_ensembles(rng, n, 7, 4), rng.permutation(3 * n)[:n])
+        labels = rng.integers(0, 4, n)
+        write_prediction_tensor(tmp_path / "t.alpt", tensor)
+        source = TensorFile(tmp_path / "t.alpt")
+        assert (source.n_samples, source.n_members, source.n_classes) == tensor.data.shape
+        assert source.sample_ids.tobytes() == tensor.sample_ids.tobytes()
+        for function_id in FUNCTION_IDS:
+            want = score_pool(tensor, function_id, labels, seed=3)
+            got, votes = pool_pass(source, function_id, labels, seed=3, votes=True)
+            assert got.scores.tobytes() == want.scores.tobytes(), function_id
+            assert got.sample_ids.tobytes() == want.sample_ids.tobytes()
+            assert votes.tobytes() == pool_pass(tensor, votes=True)[1].tobytes()
+        assert read_prediction_tensor(tmp_path / "t.alpt").data.tobytes() == tensor.data.tobytes()
+
+    def test_repeated_ids_are_refused_before_any_block(self, tmp_path):
+        path = tmp_path / "t.alpt"
+        data = random_ensembles(np.random.default_rng(0), 3, 2, 2)
+        write_prediction_tensor(path, PredictionTensor(data, [4, 8, 15]))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] + (4).to_bytes(8, "little"))  # ids 4, 8, 4
+        for read in (read_prediction_tensor, TensorFile):
+            with pytest.raises(ValueError, match="^sample_ids must be unique$"):
+                read(path)
+
+    def test_file_cut_after_the_source_is_built_is_refused_mid_walk(self, tmp_path):
+        data = random_ensembles(np.random.default_rng(1), 3 * BLOCK_ROWS, 2, 3)
+        path = tmp_path / "t.alpt"
+        write_prediction_tensor(path, PredictionTensor(data, np.arange(len(data))))
+        source = TensorFile(path)
+        row_bytes = 2 * 3 * 4
+        path.write_bytes(path.read_bytes()[: 18 + int(1.5 * BLOCK_ROWS) * row_bytes])
+        walk = source.blocks()
+        rows, _ = next(walk)  # the first block is still whole
+        assert rows == slice(0, BLOCK_ROWS)
+        with pytest.raises(ValueError, match="^truncated prediction tensor data$"):
+            next(walk)
+        with pytest.raises(ValueError, match="^truncated prediction tensor data$"):
+            pool_pass(source, "entropy")
+
+    def test_a_bad_row_in_a_late_block_is_refused_by_the_walk(self, tmp_path):
+        data = random_ensembles(np.random.default_rng(2), 2 * BLOCK_ROWS + 3, 2, 3).astype(np.float32)
+        data[-1, 1] = [0.5, 0.4, 0.0]
+        path = tmp_path / "t.alpt"
+        with open(path, "wb") as fh:  # written past PredictionTensor's own check
+            fh.write(b"ALPT" + (1).to_bytes(2, "little"))
+            fh.write(b"".join(v.to_bytes(4, "little") for v in data.shape))
+            fh.write(data.tobytes() + np.arange(len(data), dtype="<u8").tobytes())
+        source = TensorFile(path)
+        for function_id in ("entropy", "variation_ratios", "random"):
+            with pytest.raises(ValueError, match="sum to 1"):
+                pool_pass(source, function_id, seed=1)
+        with pytest.raises(ValueError, match="sum to 1"):
+            read_prediction_tensor(path)
 
 
 # -- walk outputs pinned by value ----------------------------------------------

@@ -6,6 +6,7 @@ import argparse
 import ast
 import builtins
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +37,13 @@ from alsift.learner import (
     train,
     write_checkpoint,
 )
-from alsift.acquisition import PredictionTensor, score_pool, write_prediction_tensor
+from alsift.acquisition import (
+    BLOCK_ROWS,
+    PredictionTensor,
+    read_prediction_tensor,
+    score_pool,
+    write_prediction_tensor,
+)
 from alsift.state import SubsetState
 
 CONFIG_TEXT = """
@@ -177,6 +184,39 @@ class TestScore:
             "--function", "error_count", "--out", str(out),
         ])
         assert code == 0
+
+    def test_score_tensor_holds_under_half_the_tensor(self, tmp_path):
+        # (5 * BLOCK_ROWS - 7) samples x 50 members x 10 classes: 20 MB of float32
+        raw = np.random.default_rng(4).random((5 * BLOCK_ROWS - 7, 50, 10)) + 1e-3
+        probs = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+        tensor = PredictionTensor(probs, np.arange(len(probs)))
+        path = tmp_path / "t.alpt"
+        write_prediction_tensor(path, tensor)
+        bound = 0.5 * tensor.data.nbytes
+        del raw, probs, tensor
+        for function_id in ("mutual_information", "variation_ratios", "entropy"):
+            out = tmp_path / function_id
+            tracemalloc.start()
+            try:
+                code = main(["score", "--tensor", str(path), "--function", function_id, "--out", str(out)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < bound, function_id
+            got = np.loadtxt(out / "scores.csv", delimiter=",", skiprows=1)[:, 1]
+            assert got.tobytes() == score_pool(read_prediction_tensor(path), function_id).scores.tobytes()
+
+    def test_cut_tensor_file_exits_two_and_writes_no_scores(self, tmp_path, capsys):
+        path = tmp_path / "t.alpt"
+        write_prediction_tensor(path, _tensor(0))
+        raw = path.read_bytes()
+        for cut in (0, 10, 18, 22, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            out = tmp_path / ("out%d" % cut)
+            assert main(["score", "--tensor", str(path), "--function", "entropy", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: truncated ")
+            assert not (out / "scores.csv").exists()
 
     def test_random_function_requires_seed(self, tmp_path, trained_store):
         pool, pool_path, store_dir = trained_store
@@ -570,12 +610,29 @@ class TestExitCodes:
     def test_unexpected_failure_maps_to_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("sample_id,label,x_0\n")
+        (tmp_path / "none").mkdir()  # a directory to read, so the pool's refusal is the failure
         code = main([
             "score", "--pool", str(bad), "--checkpoints", str(tmp_path / "none"),
             "--function", "entropy", "--out", str(tmp_path / "x"),
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["score", "--function", "entropy", "--pool", "{missing}", "--checkpoints", "{missing}"], "--pool"),
+        (["score", "--function", "entropy", "--tensor", "{directory}"], "--tensor"),
+        (["analyze", "--what", "consensus", "--pool", "{file}", "--checkpoints", "{file}"], "--checkpoints"),
+        (["export", "--results", "{file}", "", "--kind", "learning_curve"], "--results"),
+    ], ids=["score-pool", "score-tensor", "analyze-checkpoints", "export-results"])
+    def test_unreadable_input_path_maps_to_one_naming_its_flag(self, argv, flag, tmp_path, capsys):
+        # beyond the flag grid's missing and empty values: a directory given
+        # for a file, a file for a directory, and an empty entry of a list
+        (tmp_path / "file").write_text("x")
+        paths = dict(missing=tmp_path / "missing", directory=tmp_path, file=tmp_path / "file")
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: %s: " % flag)
+        assert not out.exists()
 
     def test_malformed_tensor_csv_maps_to_two(self, tmp_path, capsys):
         bad = tmp_path / "preds.csv"
@@ -859,8 +916,8 @@ class TestExitCodeContract:
     """Every value of every config key and flag exits 0, exits 1 naming what
     was refused, or exits 2 with a refusal only a run or the files can find."""
 
-    # a finite value that makes training diverge overflows on its way to exit 2
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a finite value that makes training diverge exits 2 without a numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key", [key for key in alsift.experiment.CONFIG_KEYS
                                      if key not in ("pool.file", "experiment.out")])
     def test_every_config_value_keeps_the_exit_code_contract(self, key, tmp_path, capsys):
@@ -896,11 +953,13 @@ class TestExitCodeContract:
             # search --jobs sets the experiment.jobs key
             named = flag in err or flag == "--jobs" and "experiment.jobs" in err
             found = any(re.search(refusal, err) for refusal in _FILE_REFUSALS)
-            missing = re.escape(value or ".")
-            unreadable = flag in _PATH_FLAGS and re.search(
-                r"(\[Errno \d+\] [^:]+: '%s'|no checkpoint files under %s)$" % (missing, missing), err
-            )
-            if not (code == 0 or code == 1 and (named or unreadable) or code == 2 and (found or unreadable)):
+            if flag in _PATH_FLAGS:
+                # no value names a file or directory in the working directory,
+                # and "" names nothing: each is refused before any file is read
+                kept = code == 1 and err.startswith("config error: %s: " % flag)
+            else:
+                kept = code == 0 or code == 1 and named or code == 2 and found
+            if not kept:
                 broken.append((value, code, err))
         assert broken == []
 

@@ -33,6 +33,7 @@ from alsift.acquisition import (
     FUNCTION_IDS,
     AcquisitionScores,
     PredictionTensor,
+    TensorFile,
     detection_heatmaps,
     pool_pass,
     read_prediction_tensor,
@@ -44,6 +45,7 @@ from alsift.acquisition import (
     _row_sum,
     _vote_counts,
 )
+import alsift.acquisition
 from alsift.analysis import consensus_counts, duplication_histogram, evaluate, evaluate_tensor
 from alsift.cli import main
 from alsift.datagen import PoolMetadata, read_pool_csv, write_metadata_csv, write_pool_csv
@@ -705,10 +707,10 @@ def _member_block_reference(members, features):
 @pytest.mark.parametrize("n", [1, C - 1, C + 1])
 @pytest.mark.parametrize("group", [None, 1, 2], ids=["all_members", "one_member", "two_members"])
 def test_pool_blocks_equal_a_per_member_reference(arch, k, n, group, monkeypatch):
-    # members go through the softmax in groups of at most PoolBlocks._LOGITS
-    # logits; smaller groups split the 5 members of a full block 1+1+1+1+1 or 2+2+1
+    # members go through the softmax in groups of at most GROUP_VALUES logits;
+    # smaller groups split the 5 members of a full block 1+1+1+1+1 or 2+2+1
     if group is not None:
-        monkeypatch.setattr(PoolBlocks, "_LOGITS", group * C * k, raising=False)
+        monkeypatch.setattr(alsift.acquisition, "GROUP_VALUES", group * C * k)
     pool, members = _pool(n, k=k), _members(arch, k=k)
     shuffled = np.random.default_rng(n).permutation(pool.sample_ids)
     for ids in (None, shuffled):
@@ -717,7 +719,7 @@ def test_pool_blocks_equal_a_per_member_reference(arch, k, n, group, monkeypatch
         walked = 0
         for block_rows, groups in source.blocks():
             want = _member_block_reference(members, pool.features[rows[block_rows]])
-            size = max(1, PoolBlocks._LOGITS // (len(want) * k))
+            size = max(1, alsift.acquisition.GROUP_VALUES // (len(want) * k))
             got = []
             for group in groups:
                 assert group.dtype == np.float32 and group.flags.c_contiguous
@@ -763,14 +765,15 @@ def _float64_block_reference(probs, labels, seed):
     return scores, fused, consensus, float(np.mean(fused == labels))
 
 
-GROUP = 3  # members per softmax group in a full block, by a small PoolBlocks._LOGITS
+GROUP = 3  # members per group in a full block, by a small GROUP_VALUES
 
 
 @pytest.mark.parametrize("k", [2, 4, 7, 8, 10, 17])
 @pytest.mark.parametrize("n", [1, C - 1, C + 1])
-def test_grouped_walk_equals_a_float64_block_reference(k, n, monkeypatch):
-    # one member, and one member below and above a group boundary
-    monkeypatch.setattr(PoolBlocks, "_LOGITS", GROUP * C * k, raising=False)
+def test_grouped_walk_equals_a_float64_block_reference(k, n, monkeypatch, tmp_path):
+    # one member, and one member below and above a group boundary, walked from
+    # members, from a tensor in memory and from an .alpt file read block by block
+    monkeypatch.setattr(alsift.acquisition, "GROUP_VALUES", GROUP * C * k)
     arch = ARCHITECTURES[k % 2]
     pool = _pool(n, k=k, seed=k)
     shuffled = np.random.default_rng(n + k).permutation(pool.sample_ids)
@@ -784,7 +787,13 @@ def test_grouped_walk_equals_a_float64_block_reference(k, n, monkeypatch):
             blocks = PoolBlocks(members, pool, ids)
             tensor = predict_pool(members, pool, ids)
             assert tensor.data.tobytes() == probs.astype(np.float32).tobytes()
-            for source in (blocks, PredictionTensor(probs, blocks.sample_ids)):
+            write_prediction_tensor(tmp_path / "t.alpt", tensor)
+            sources = (blocks, PredictionTensor(probs, blocks.sample_ids), TensorFile(tmp_path / "t.alpt"))
+            for source in sources:
+                for rows, groups in source.blocks():
+                    size = max(1, GROUP * C // (rows.stop - rows.start))  # GROUP in a full block
+                    want = [min(size, n_members - lo) for lo in range(0, n_members, size)]
+                    assert [len(g) for g in groups] == want
                 for function_id in FUNCTION_IDS:
                     got, votes = pool_pass(source, function_id, labels, seed=5, votes=True)
                     assert got.scores.tobytes() == scores[function_id].tobytes(), function_id
@@ -924,7 +933,7 @@ def test_row_blocks_cover_the_rows_once_in_one_buffer(n, monkeypatch):
         [(lo, min(lo + C, n)) for lo in range(0, n, C)] or [(0, 0)]
     )
     # the member groups of one PoolBlocks block take turns in one buffer
-    monkeypatch.setattr(PoolBlocks, "_LOGITS", 2 * C * 4, raising=False)
+    monkeypatch.setattr(alsift.acquisition, "GROUP_VALUES", 2 * C * 4)
     pool = _pool(max(n, 1))
     for rows, groups in PoolBlocks(_members("logistic"), pool).blocks():
         first = next(groups)
@@ -1465,9 +1474,11 @@ def test_checkpoint_cut_at_any_byte_is_refused(ckpt, seed):
         alck, alpt = Path(tmp, "c.alck"), Path(tmp, "p.alpt")
         write_checkpoint(alck, ckpt)
         write_prediction_tensor(alpt, _small_tensor(seed))
+        cut_alpt = "^truncated (prediction tensor (file|data)|sample id block)$"
         files = [
             (alck, read_checkpoint, "^truncated checkpoint (file|tensors)$"),
-            (alpt, read_prediction_tensor, "^truncated (prediction tensor (file|data)|sample id block)$"),
+            (alpt, read_prediction_tensor, cut_alpt),
+            (alpt, TensorFile, cut_alpt),
         ]
         for path, read, message in files:
             raw = path.read_bytes()
@@ -1475,6 +1486,7 @@ def test_checkpoint_cut_at_any_byte_is_refused(ckpt, seed):
                 path.write_bytes(raw[:cut])
                 with pytest.raises(ValueError, match=message):
                     read(path)
+            path.write_bytes(raw)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1484,12 +1496,18 @@ def test_bytes_after_either_binary_file_are_refused(ckpt, seed, suffix):
         alck, alpt = Path(tmp, "c.alck"), Path(tmp, "p.alpt")
         write_checkpoint(alck, ckpt)
         write_prediction_tensor(alpt, _small_tensor(seed))
-        files = [(alck, read_checkpoint, "checkpoint"), (alpt, read_prediction_tensor, "prediction tensor")]
+        files = [
+            (alck, read_checkpoint, "checkpoint"),
+            (alpt, read_prediction_tensor, "prediction tensor"),
+            (alpt, TensorFile, "prediction tensor"),
+        ]
         for path, read, name in files:
             read(path)
-            path.write_bytes(path.read_bytes() + suffix)
+            raw = path.read_bytes()
+            path.write_bytes(raw + suffix)
             with pytest.raises(ValueError, match="^trailing bytes after the %s file's" % name):
                 read(path)
+            path.write_bytes(raw)
 
 
 def test_binary_files_keep_their_pinned_bytes():
