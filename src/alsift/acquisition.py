@@ -10,6 +10,7 @@ throughout.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,14 +228,19 @@ class PredictionTensor:
             _check_rows(self.data[rows])
 
     @classmethod
-    def _checked(cls, data: np.ndarray, sample_ids: np.ndarray) -> "PredictionTensor":
-        """Wrap arrays that already hold what the constructor checks: contiguous
-        float32 (N, E, K) data whose blocks passed :func:`_check_rows`, and
-        unique uint64 ids. Nothing is copied or validated again. Only the
-        materialisers ``learner.predict_pool`` and :func:`read_prediction_tensor`
-        call it."""
+    def gather(cls, source) -> "PredictionTensor":
+        """The one way to build a tensor from a block source (a
+        ``learner.PoolBlocks``, a :class:`TensorFile` or a tensor): its member
+        groups copied into one contiguous float32 (N, E, K) array. The source
+        checked each block and its ids, so nothing is checked again."""
+        data = np.empty((source.n_samples, source.n_members, source.n_classes), np.float32)
+        for rows, groups in source.blocks():
+            lo = 0
+            for group in groups:
+                data[rows, lo : lo + len(group)] = group.swapaxes(0, 1)
+                lo += len(group)
         tensor = cls.__new__(cls)
-        tensor.data, tensor.sample_ids = data, sample_ids
+        tensor.data, tensor.sample_ids = data, source.sample_ids
         return tensor
 
     def blocks(self):
@@ -428,9 +434,10 @@ class TensorFile:
                 raise ValueError(message)
         self.sample_ids, self.n_samples = _unique_ids(ids), n
 
-    def _read_blocks(self):
-        """Yield ``(rows, block)``: each run's checked (c, E, K) rows, in the
-        one buffer that the next block overwrites."""
+    def blocks(self):
+        """Yield ``(rows, groups)`` for each :func:`row_blocks` run of the
+        file: the rows, and the :func:`_member_groups` of their checked block,
+        read into the one buffer that the next block overwrites."""
         offset, (n, e, k), dtype, message = self._data
         buffer = np.empty((min(n, BLOCK_ROWS), e, k), dtype)
         with open(self.path, "rb") as fh:  # closed however the walk ends
@@ -439,23 +446,12 @@ class TensorFile:
                 block = buffer[: rows.stop - rows.start]
                 if fh.readinto(block) != block.nbytes:
                     raise ValueError(message)
-                yield rows, _check_rows(block)
-
-    def blocks(self):
-        """Yield ``(rows, groups)`` for each :func:`row_blocks` run of the
-        file: the rows, and the :func:`_member_groups` of the block read."""
-        for rows, block in self._read_blocks():
-            yield rows, _member_groups(block)
+                yield rows, _member_groups(_check_rows(block))
 
 
 def read_prediction_tensor(path) -> PredictionTensor:
-    """The whole ``.alpt`` file as a tensor: :class:`TensorFile`'s blocks,
-    checked as they are read, copied into one (N, E, K) array."""
-    source = TensorFile(path)
-    data = np.empty((source.n_samples, source.n_members, source.n_classes), np.float32)
-    for rows, block in source._read_blocks():
-        data[rows] = block
-    return PredictionTensor._checked(data, source.sample_ids)
+    """The whole ``.alpt`` file as a tensor, gathered from a :class:`TensorFile`."""
+    return PredictionTensor.gather(TensorFile(path))
 
 
 def read_prediction_tensor_csv(path) -> PredictionTensor:
@@ -476,7 +472,10 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
         n_classes = len(header) - 2
         if [h.strip() for h in header[2:]] != ["p_%d" % i for i in range(n_classes)]:
             raise ValueError("probability columns must be named p_0..p_%d" % (n_classes - 1))
-        rows: dict[tuple[int, int], list[float]] = {}
+        # each (sample, member) keeps its row's index into one float32 buffer,
+        # not a list of floats per row
+        rows: dict[tuple[int, int], int] = {}
+        values = array("f")
         for row in reader:
             if not row:
                 continue
@@ -488,18 +487,18 @@ def read_prediction_tensor_csv(path) -> PredictionTensor:
                     raise ValueError("sample id and member index must be >= 0")
                 if (sid, member) in rows:
                     raise ValueError("duplicate row for sample %d member %d" % (sid, member))
-                rows[(sid, member)] = [float(v) for v in row[2:]]
+                values.extend([float(v) for v in row[2:]])
+                rows[(sid, member)] = len(rows)
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (reader.line_num, exc)) from None
     if not rows:
         raise ValueError("empty prediction tensor CSV")
     order = list(dict.fromkeys(sid for sid, _ in rows))  # in order of first appearance
     n_members = max(member for _, member in rows) + 1
-    data = np.empty((len(order), n_members, n_classes), dtype=np.float32)
-    for i, sid in enumerate(order):
-        for e in range(n_members):
-            try:
-                data[i, e] = rows[(sid, e)]
-            except KeyError:
-                raise ValueError("missing row for sample %d member %d" % (sid, e)) from None
+    if len(rows) < len(order) * n_members:  # a hole, named before any grid-sized array
+        hole = next((sid, e) for sid in order for e in range(n_members) if (sid, e) not in rows)
+        raise ValueError("missing row for sample %d member %d" % hole)
+    index = np.fromiter((rows[(sid, e)] for sid in order for e in range(n_members)), np.intp, len(rows))
+    del rows  # freed before the gather allocates the tensor
+    data = np.frombuffer(values, np.float32).reshape(-1, n_classes)[index.reshape(len(order), n_members)]
     return PredictionTensor(data, np.asarray(order, dtype=np.uint64))

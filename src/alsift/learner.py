@@ -940,10 +940,9 @@ class PoolBlocks:
 def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     """Stack member predictions over pool samples into a prediction tensor.
 
-    The library materialiser, for callers that keep a tensor (``.alpt``
-    files); the perfbench harness imports and wraps it, and no alsift code
-    path calls it. The groups come from :class:`PoolBlocks`, which already
-    validated them.
+    ``PredictionTensor.gather`` of a :class:`PoolBlocks`, for callers that
+    keep a tensor (``.alpt`` files); the perfbench harness imports and wraps
+    it, and no alsift code path calls it.
 
     Args:
         members: sequence of ModelParams sharing input width and class count.
@@ -953,14 +952,7 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     Returns:
         PredictionTensor of shape (len(ids), len(members), K).
     """
-    source = PoolBlocks(members, pool, ids)
-    data = np.empty((source.n_samples, source.n_members, source.n_classes), dtype=np.float32)
-    for rows, groups in source.blocks():
-        lo = 0
-        for group in groups:
-            data[rows, lo : lo + len(group)] = group.swapaxes(0, 1)
-            lo += len(group)
-    return PredictionTensor._checked(data, source.sample_ids)
+    return PredictionTensor.gather(PoolBlocks(members, pool, ids))
 
 
 # ---------------------------------------------------------------------------

@@ -480,8 +480,10 @@ class TestTensorFiles:
          "line 4: duplicate row for sample 1 member 0"),
         ("# written by hand\nsample_id,member,p_0,p_1\n1,0,0.5,0.5\n2,1,0.5,0.5\n2,1,0.4,0.6\n",
          "line 5: duplicate row for sample 2 member 1"),
+        # named before any array sized by the member index
+        ("sample_id,member,p_0,p_1\n1,1000000000000,0.5,0.5\n", "missing row for sample 1 member 0"),
     ], ids=["empty_file", "short_header", "misnamed_id", "misnamed_probability", "no_rows",
-            "comments_only", "duplicate", "duplicate_after_a_comment"])
+            "comments_only", "duplicate", "duplicate_after_a_comment", "member_far_past_the_rows"])
     def test_csv_refusals_name_what_is_wrong(self, tmp_path, text, message):
         path = tmp_path / "preds.csv"
         path.write_text(text)
@@ -495,6 +497,27 @@ class TestTensorFiles:
         back = read_prediction_tensor_csv(path)
         assert back.sample_ids.tolist() == [7, 3]
         assert back.data.tolist() == [[[1.0, 0.0], [0.25, 0.75]], [[0.5, 0.5], [0.125, 0.875]]]
+
+    def test_csv_read_peaks_below_eight_tensors(self, tmp_path):
+        # 500 samples x 20 members x 10 classes: 400 kB of float32, 10,000 rows
+        # in shuffled order; a list of floats per row peaks near 15 tensors
+        rng = np.random.default_rng(8)
+        data = random_ensembles(rng, 500, 20, 10).astype(np.float32)
+        ids = 10**12 + 7 * np.arange(500)
+        path = tmp_path / "preds.csv"
+        with open(path, "w") as fh:
+            fh.write("sample_id,member,%s\n" % ",".join("p_%d" % j for j in range(10)))
+            for i, e in rng.permutation([(i, e) for i in range(500) for e in range(20)]):
+                fh.write("%d,%d,%s\n" % (ids[i], e, ",".join(repr(float(v)) for v in data[i, e])))
+        tracemalloc.start()
+        try:
+            back = read_prediction_tensor_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = (back.sample_ids.astype(np.int64) - 10**12) // 7
+        assert back.data.tobytes() == data[rows].tobytes()
+        assert peak < 8 * data.nbytes
 
 
 class TestStreamedTensorFile:

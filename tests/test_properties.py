@@ -805,6 +805,45 @@ def test_grouped_walk_equals_a_float64_block_reference(k, n, monkeypatch, tmp_pa
             assert evaluate(members, pool, ids) == evaluate_tensor(tensor, labels)
 
 
+@pytest.mark.parametrize("n", [0, 1, C - 1, C + 1, 2 * C + 3])
+def test_gather_copies_every_source_byte_for_byte(n, monkeypatch, tmp_path):
+    # 7 members in groups of 2 in the first block: group-wise copies into the
+    # tensor, from members, from an .alpt file and from a tensor in memory
+    k, n_members = 4, 7
+    monkeypatch.setattr(alsift.acquisition, "GROUP_VALUES", 2 * k * min(max(n, 1), C), raising=True)
+    pool, members = _pool(n + 1, k=k, seed=n), _members("mlp", k=k, e=n_members)
+    ids = np.random.default_rng(n).permutation(pool.sample_ids)[:n]
+    rows = pool.rows_for(ids)
+    reference = np.concatenate(
+        [_member_block_reference(members, pool.features[rows[r]]) for r in row_blocks(n)]
+    ).astype(np.float32)
+    blocks = PoolBlocks(members, pool, ids)
+    if n:
+        assert len(list(next(blocks.blocks())[1])) >= 3
+    tensor = PredictionTensor.gather(blocks)
+    write_prediction_tensor(tmp_path / "t.alpt", tensor)
+    gathered = [
+        tensor,
+        predict_pool(members, pool, ids),
+        PredictionTensor.gather(TensorFile(tmp_path / "t.alpt")),
+        read_prediction_tensor(tmp_path / "t.alpt"),
+        PredictionTensor.gather(tensor),
+    ]
+    for got in gathered:
+        assert got.data.dtype == np.float32 and got.data.flags.c_contiguous
+        assert got.data.shape == (n, n_members, k)
+        assert got.data.tobytes() == reference.tobytes()
+        assert got.sample_ids.dtype == np.uint64 and got.sample_ids.tobytes() == ids.astype(np.uint64).tobytes()
+    raw = (tmp_path / "t.alpt").read_bytes()
+    (tmp_path / "t.alpt").write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="^trailing bytes after the prediction tensor file's"):
+        read_prediction_tensor(tmp_path / "t.alpt")
+    if n:
+        (tmp_path / "t.alpt").write_bytes(raw[: 18 + (n // 2) * n_members * k * 4])
+        with pytest.raises(ValueError, match="^truncated prediction tensor data$"):
+            read_prediction_tensor(tmp_path / "t.alpt")
+
+
 def test_walk_never_holds_a_float64_block():
     """A 50-member, 10-class walk over three blocks peaks below one float64
     (BLOCK_ROWS, E, K) block: groups are reduced as they come."""
