@@ -208,23 +208,6 @@ def _log_likelihood(tensors, features, labels, sample_w=None):
     return logs.sum(axis=-1), inputs, probs
 
 
-def _loss(tensors, weight_decay: float, features, labels, sample_w=None):
-    """Regularized cross-entropy of each run, 0-d without a run axis, from
-    :func:`_log_likelihood` over ``labels`` (n,) and their class weights
-    ``sample_w``, which every run shares: ``(loss, inputs, probs)``."""
-    features = np.asarray(features, dtype=np.float64)
-    n = labels.shape[-1]
-    if n == 0:
-        raise ValueError("empty batch")
-    # one label row per run, as the SGD step's batches carry
-    labels = np.broadcast_to(labels, tensors[0].shape[:-2] + labels.shape)
-    log_likelihood, inputs, probs = _log_likelihood(tensors, features, labels, sample_w)
-    loss = -log_likelihood / n
-    if weight_decay:
-        loss += _decay_term(tensors, weight_decay)
-    return loss, inputs, probs
-
-
 def _decay_term(tensors, weight_decay: float):
     """(wd / 2) * the sum of squared weight matrix entries, of each run of a stack."""
     squares = 0.0
@@ -274,8 +257,14 @@ def loss_and_gradients(
     backward pass every SGD step takes, here without a run axis.
     """
     tensors, labels = params.tensors, np.asarray(labels, dtype=np.int64)
+    if labels.shape[-1] == 0:
+        raise ValueError("empty batch")
     sample_w = None if class_weights is None else np.asarray(class_weights, np.float64)[labels]
-    loss, inputs, probs = _loss(tensors, weight_decay, features, labels, sample_w)
+    features = np.asarray(features, dtype=np.float64)
+    log_likelihood, inputs, probs = _log_likelihood(tensors, features, labels, sample_w)
+    loss = -log_likelihood / labels.shape[-1]
+    if weight_decay:  # an added 0.0 would turn a -0.0 loss into 0.0
+        loss += _decay_term(tensors, weight_decay)
     grads = [np.empty(t.shape) for t in tensors]
     _gradients(tensors, inputs, probs, labels, weight_decay, grads, sample_w)
     return float(loss), tuple(grads)
@@ -331,6 +320,9 @@ class TrainConfig:
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
         if self.decay_epochs and min(self.decay_epochs) < 1:
             raise FieldError("decay_epochs", "decay epochs must be >= 1, got %d" % min(self.decay_epochs))
+        repeated = [e for e in self.decay_epochs if self.decay_epochs.count(e) > 1]
+        if repeated:
+            raise FieldError("decay_epochs", "decay epochs must be distinct, got %d twice" % repeated[0])
 
 
 @dataclass
@@ -445,15 +437,14 @@ def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
     weights, so checkpoint ensembles read the same epoch span as at any
     other rate.
 
-    The parts must all train fresh weights or all fine-tune, at one model
-    shape. Each distinct pair of a pool and a subset's contents has its
-    held-out mask, rows, digest and class weights worked out once, and the
-    runs of every part on it index one block. The runs of all parts whose
-    subsets have equal training and validation row counts step through one
-    SGD loop over an (R, ...) parameter stack; parts of other row counts
-    stack apart. Under ``config.patience`` a run that stops early leaves
-    the stack and the others go on. Each run's result equals training it
-    alone, byte for byte.
+    Each distinct pair of a pool and a subset's contents has its held-out
+    mask, rows, digest and class weights worked out once, and the runs of
+    every part on it index one block. This function alone forms the run
+    stacks: all runs with equal training and validation row counts, all
+    fresh or all fine-tuned, on one pool shape and one model architecture,
+    step through one SGD loop over an (R, ...) parameter stack. Under
+    ``config.patience`` a run that stops early leaves the stack and the
+    others go on. Each run's result equals training it alone, byte for byte.
 
     Returns:
         Per part, one TrainResult per seed, in seed order: checkpoints plus
@@ -462,34 +453,39 @@ def train_parts(parts, config: TrainConfig) -> list[list[TrainResult]]:
         (see :class:`TrainResult`); a run whose loss or validation
         probabilities are not finite raises RuntimeError.
     """
-    subsets = {}  # (pool identity, subset digest) -> (bookkeeping, [(part, seed, start)])
+    subsets = {}  # (pool identity, subset digest) -> bookkeeping
+    stacks = {}  # stack shape -> {subset key: [(seed, start, (part, run))]}
+    results = []
     for p, (pool, subset, seeds, starts) in enumerate(parts):
         seeds = [int(seed) for seed in seeds]
         starts = [None] * len(seeds) if starts is None else list(starts)
         if len(starts) != len(seeds):
             raise ValueError("%d starting models for %d run seeds" % (len(starts), len(seeds)))
-        if seeds:
-            key = id(pool), subset_hash(subset)
-            if key not in subsets:
-                subsets[key] = _subset_rows(pool, subset, config, key[1]), []
-            subsets[key][1].extend(zip([p] * len(seeds), seeds, starts))
-    stacks = {}
-    for rows, runs in subsets.values():
-        stacks.setdefault((len(rows[1]), len(rows[2])), []).append((rows, runs))
-    results = [[] for _ in parts]
+        results.append([None] * len(seeds))
+        key = id(pool), subset_hash(subset)
+        if seeds and key not in subsets:
+            subsets[key] = _subset_rows(pool, subset, config, key[1])
+        pool_shape = pool.n_features, pool.n_classes
+        for r, (seed, start) in enumerate(zip(seeds, starts)):
+            if start is not None and (start.n_features, start.n_classes) != pool_shape:
+                raise ValueError("model shape does not match the pool")
+            model = None if start is None else (start.arch, start.hidden)  # None: fresh, as config says
+            shape = len(subsets[key][1]), len(subsets[key][2]), pool_shape, model
+            stacks.setdefault(shape, {}).setdefault(key, []).append((seed, start, (p, r)))
     for stack in stacks.values():
-        runs = [(s, seed, start, p) for s, (_, rs) in enumerate(stack) for p, seed, start in rs]
-        for run, result in zip(runs, _train_stack([rows for rows, _ in stack], runs, config)):
-            results[run[3]].append(result)
+        runs = [(s, *run) for s, key in enumerate(stack) for run in stack[key]]
+        trained = _train_stack([subsets[key] for key in stack], runs, config)
+        for (*_, (p, r)), result in zip(runs, trained):
+            results[p][r] = result
     return results
 
 
 # a diverging run overflows on its way to the finiteness check that refuses it
 @np.errstate(over="ignore", invalid="ignore")
 def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
-    """The one SGD loop, over ``runs``, ``(s, seed, start, part)`` sorted by
-    ``s``: the index in ``subsets`` (each as :func:`_subset_rows` gives it,
-    all of one row count) of the subset the run trains on.
+    """The one SGD loop, over a stack :func:`train_parts` forms: ``runs``,
+    ``(s, seed, start, where)`` sorted by ``s``, the index in ``subsets``
+    (each as :func:`_subset_rows` gives it) of the subset the run trains on.
 
     The subsets' rows are gathered once into (S, n, ...) arrays, and each
     run's batches index its own subset's rows. A step takes one forward
@@ -502,13 +498,10 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     the layer tensors as views, so that a step's momentum update is three
     whole-stack operations.
     """
-    pools = [pool for pool, *_ in subsets]
-    d, k = pools[0].n_features, pools[0].n_classes
-    if any((pool.n_features, pool.n_classes) != (d, k) for pool in pools):
-        raise ValueError("the parts of one stack must share one model shape")
+    d, k = subsets[0][0].n_features, subsets[0][0].n_classes
 
     def gather(column: str, at: int) -> np.ndarray:
-        first = getattr(pools[0], column)
+        first = getattr(subsets[0][0], column)
         out = np.empty((len(subsets), len(subsets[0][at]), *first.shape[1:]), first.dtype)
         for s, sub in enumerate(subsets):
             np.take(getattr(sub[0], column), sub[at], axis=0, out=out[s])
@@ -527,21 +520,15 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     owner = np.array([s for s, *_ in runs])
     seeds = [seed for _, seed, _, _ in runs]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    if all(start is None for _, _, start, _ in runs):
+    if runs[0][2] is None:
         models = [init_params(config.arch, d, k, config.hidden, rng) for rng in rngs]
         learning_rate, max_epochs = config.learning_rate, config.max_epochs
     else:
         models = [start for _, _, start, _ in runs]
-        if any(start is None for start in models):
-            raise ValueError("the runs of one stack must all train fresh or all fine-tune")
-        if any(start.n_features != d or start.n_classes != k for start in models):
-            raise ValueError("model shape does not match the pool")
         learning_rate, max_epochs = config.fine_tune_rate, config.fine_tune_epochs
         if max_epochs is None:
             max_epochs = config.max_epochs
     arch, hidden = models[0].arch, models[0].hidden
-    if any((m.arch, m.hidden) != (arch, hidden) for m in models):
-        raise ValueError("the runs of one stack must share one architecture")
     shapes = _tensor_shapes(arch, d, k, hidden)
     weights = np.stack([np.concatenate([t.ravel() for t in m.tensors]) for m in models])
     velocity, grads = np.zeros_like(weights), np.empty_like(weights)
@@ -553,8 +540,9 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     def validate(stack, s):
         return _accuracy(stack, val_features[s], val_labels[s])
 
-    def loss(stack, s):
-        return _loss(stack, config.weight_decay, *(a[s] for a in per_subset))[0]
+    def log_likelihood(stack, s):  # one label row per run, as a step's batches carry
+        x, y, *w = (a[s] for a in per_subset)
+        return _log_likelihood(stack, x, np.broadcast_to(y, (len(stack[0]), len(y))), *w)[0]
 
     windows = [deque(maxlen=config.checkpoint_window) for _ in runs]
     results = [TrainResult([], [], []) for _ in runs]
@@ -567,16 +555,15 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
             results[j] = TrainResult([ckpt], [], [acc])
         return results
 
-    if not learning_rate:  # the weights never move: one loss and accuracy for every epoch
-        still = _by_run_groups(loss, tensors, n_rows, owner)
+    if not learning_rate:  # the weights never move: one pass and accuracy for every epoch
+        still = _by_run_groups(log_likelihood, tensors, n_rows, owner)
         still_accs = _by_run_groups(validate, tensors, n_val, owner)
     live = list(range(len(runs)))  # the run of each stack row
     best = [-np.inf] * len(runs)
     stale = [0] * len(runs)
     lr = learning_rate
-    decay_at = set(config.decay_epochs)
     for epoch in range(1, max_epochs + 1):
-        if epoch in decay_at:
+        if epoch in config.decay_epochs:
             lr *= config.lr_decay
         if learning_rate:  # at a zero rate no step would move the weights
             perms = np.stack([rngs[i].permutation(n_rows) for i in live])
@@ -593,12 +580,12 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
                 velocity *= config.momentum
                 velocity += grads
                 weights -= lr * velocity
-            losses = -total / n_rows
-            if config.weight_decay:
-                losses += _decay_term(tensors, config.weight_decay)
             accs = _by_run_groups(validate, tensors, n_val, owner[live])
         else:
-            losses, accs = still[live], still_accs[live]
+            total, accs = still[live], still_accs[live]
+        losses = -total / n_rows
+        if config.weight_decay:
+            losses += _decay_term(tensors, config.weight_decay)
         # a blow-up in the epoch's last step shows only in the end weights'
         # validation probabilities
         if not (np.isfinite(losses).all() and np.isfinite(accs).all()):
@@ -763,13 +750,17 @@ class CheckpointStore:
 
     @classmethod
     def load(cls, dir_path) -> "CheckpointStore":
+        """Read every ``.alck`` file of a directory. With a ``store_meta.csv``,
+        as :meth:`save` writes, the checkpoints it lists and those the files
+        hold must be the same: a missing or unlisted one is refused."""
         src = Path(dir_path)
         paths = sorted(src.glob("*.alck"))
         if not paths:
             raise FileNotFoundError("no checkpoint files under %s" % src)
-        meta: dict[tuple[int, int], tuple[float, str]] = {}
+        meta: dict[tuple[int, int], tuple[float, str]] | None = None
         meta_path = src / "store_meta.csv"
         if meta_path.exists():
+            meta = {}
             with open(meta_path, newline="") as fh:
                 reader = csv.DictReader(fh)
                 if not set(cls._FIELDS) <= set(reader.fieldnames or ()):
@@ -785,10 +776,17 @@ class CheckpointStore:
         store = cls()
         for path in paths:
             ckpt = read_checkpoint(path)
-            extra = meta.get((ckpt.run_seed, ckpt.epoch))
-            if extra is not None:
-                ckpt.val_accuracy, ckpt.subset_digest = extra
+            if meta is not None:
+                key = ckpt.run_seed, ckpt.epoch
+                if key not in meta:
+                    raise ValueError("%s holds run %d epoch %d, which %s does not list"
+                                     % (path, *key, meta_path))
+                ckpt.val_accuracy, ckpt.subset_digest = meta[key]
             store.add(ckpt)
+        for key in meta or ():
+            if key not in store._items:
+                raise ValueError("%s lists run %d epoch %d, which no .alck file under %s holds"
+                                 % (meta_path, *key, src))
         return store
 
 

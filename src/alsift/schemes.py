@@ -224,9 +224,8 @@ def train_subset_ensembles(requests) -> list[tuple[CheckpointStore, list[ModelPa
     """:func:`train_subset_ensemble` for each request, a tuple of its
     arguments ``(pool, subset, ensemble, trainer, seed, iteration, starts)``.
 
-    Requests that share a trainer, fresh or fine-tuned runs and a model
-    shape train in one :func:`learner.train_parts` call, which steps the
-    runs of equal training-row counts as one stack. A run stopped early with
+    Requests that share a trainer train in one :func:`learner.train_parts`
+    call, which forms the run stacks. A run stopped early with
     fewer checkpoints than its ensemble mode reads is refused by name.
     """
     groups = {}
@@ -236,8 +235,7 @@ def train_subset_ensembles(requests) -> list[tuple[CheckpointStore, list[ModelPa
             trainer = replace(trainer, checkpoint_window=ensemble.epochs_needed)
         role = _ROLE_TRAIN if starts is None else _ROLE_TUNE
         seeds = [derive_seed(seed, role, iteration, r) for r in range(ensemble.runs_needed)]
-        key = astuple(trainer), starts is None, pool.n_features, pool.n_classes
-        group = groups.setdefault(key, (trainer, []))[1]
+        group = groups.setdefault(astuple(trainer), (trainer, []))[1]
         group.append((i, (pool, subset, seeds, starts)))
     trained = [None] * len(requests)
     for trainer, group in groups.values():

@@ -677,9 +677,10 @@ class TestExitCodes:
         ("trainer.patience = -1", "trainer.patience: patience must be >= 0, got -1"),
         ("search.function = nope", "search.function: unknown acquisition function 'nope'"),
         ("trainer.decay_epochs = 0", "trainer.decay_epochs: decay epochs must be >= 1, got 0"),
+        ("trainer.decay_epochs = 3,3", "trainer.decay_epochs: decay epochs must be distinct, got 3 twice"),
         ("trainer.batch_size = 0", "trainer.batch_size: batch size must be >= 1, got 0"),
     ], ids=["learning_rate", "runs", "checkpoints_per_run", "stride", "patience", "function",
-            "decay_epochs", "batch_size"])
+            "decay_epochs", "decay_epochs-distinct", "batch_size"])
     def test_config_error_names_its_key(self, edit, message, tmp_path, capsys):
         key = edit.split(" = ")[0]
         lines = [line for line in CONFIG_TEXT.splitlines() if not line.startswith(key + " ")]
@@ -729,6 +730,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: line 2: sample id 18446744073709551616 outside [0, 2**64)\n"
         )
+
+    def test_a_store_missing_a_listed_checkpoint_maps_to_two(self, tmp_path, trained_store, capsys):
+        _, pool_path, store_dir = trained_store
+        (store_dir / "run12_ep5.alck").unlink()
+        out = tmp_path / "x"
+        code = main([
+            "score", "--pool", str(pool_path), "--checkpoints", str(store_dir),
+            "--function", "entropy", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: %s lists run 12 epoch 5, which no .alck file under %s holds\n"
+            % (store_dir / "store_meta.csv", store_dir)
+        )
+        assert not out.exists()
 
     def test_unknown_ensemble_mode_maps_to_one(self, tmp_path, trained_store, capsys):
         _, pool_path, store_dir = trained_store

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from dataclasses import replace
@@ -117,13 +118,15 @@ class TestParsing:
         ("center_spread = 1.5", "center_spread = 0",
          r"^pool\.center_spread: cluster_std and center_spread must be positive$"),
         ("batch_size = 16", "decay_epochs = 0", r"^trainer\.decay_epochs: decay epochs must be >= 1, got 0$"),
+        ("batch_size = 16", "decay_epochs = 2,5,2",
+         r"^trainer\.decay_epochs: decay epochs must be distinct, got 2 twice$"),
         ("target_size = 32", "target_size = 4",
          r"^search\.target_size: growth schedule needs a target of at least 8$"),
         ("scheme = build_up", "scheme = automatic_duplication\nsearch.acquisition_batch = 4\n"
          "search.initial_size = 33", r"^search\.initial_size: initial size exceeds the target$"),
     ], ids=["trainer.learning_rate", "ensemble.runs", "search.acquisition_batch", "trainer.hidden",
-            "pool.classes", "pool.center_spread", "trainer.decay_epochs", "search.target_size",
-            "search.initial_size"])
+            "pool.classes", "pool.center_spread", "trainer.decay_epochs", "trainer.decay_epochs-distinct",
+            "search.target_size", "search.initial_size"])
     def test_refused_field_is_named_by_its_key(self, old, new, message):
         with pytest.raises(ConfigError, match=message):
             config_from_mapping(parse_config_text(BASE_CONFIG.replace(old, new)))
@@ -294,7 +297,9 @@ LOCKSTEP_CASES = {
 }
 
 
-def lockstep_config(case, tmp_path):
+def lockstep_config(case, tmp_path, more_edits=()):
+    """A LOCKSTEP_CASES config over five seeds; ``more_edits`` are further
+    replacements in its whole text."""
     edits, extra = LOCKSTEP_CASES[case]
     text = BASE_CONFIG
     for old, new in edits:
@@ -305,7 +310,11 @@ def lockstep_config(case, tmp_path):
         lines = [line for line in text.splitlines() if not line.startswith("pool.")]
         text = "\n".join(lines) + "\npool.file = %s\n" % pool_csv
         extra = ""
-    config = config_from_mapping(parse_config_text(text + extra))
+    text += extra
+    for old, new in more_edits:
+        assert old in text
+        text = text.replace(old, new)
+    config = config_from_mapping(parse_config_text(text))
     return replace(config, seeds=(1, 2, 3, 4, 5))
 
 
@@ -376,6 +385,49 @@ class TestLockstep:
         # four build-up iterations, then the random and the full baseline:
         # each round one stack of 5 trials x 3 runs
         assert stacks == [15] * 6
+
+
+# (a LOCKSTEP_CASES case, further edits to its text) -> sha256 of the files it writes
+PINNED_SEARCHES = {
+    **{case: (case, (), digest) for case, digest in (
+        ("build_up", "37b7b7968991d35a5470402cbd7c84dd6474d7f4aa0557f9a50b561c330a0a91"),
+        ("automatic_duplication", "4fdd0bc56047f5cbb471f271533bf68451bc135131aab988a1259614f22c98c3"),
+        ("pretrain", "1bfcb1c360c2bcb285032450228d60f9f4b8a278269736576b5f7dffbed2704c"),
+        ("compress", "287f34575b4841f553cf1dd924014a5aaf34d1b9413e9bced879e2709c72dee2"),
+        ("pool_file", "4db4d9a971f0541558052a73ef83e4954d5189743c1d5a14712635c289faea83"),
+    )},
+    "pretrain_zero_rate": ("pretrain", [("fine_tune_rate = 0.01", "fine_tune_rate = 0")],
+                           "598c27695a3850b8f140001c300776c1963cd7b5c74b91e75babb8bcfaf53ed9"),
+    "pretrain_zero_epochs": ("pretrain", [("fine_tune_epochs = 4", "fine_tune_epochs = 0"),
+                                          ("checkpoints_per_run = 3", "checkpoints_per_run = 1")],
+                             "6a98f75f4b8e59625375699e69a4b17fda129df814db1b4432c253715b4ed78e"),
+    "build_up_seeds_patience": ("build_up", [
+        ("mode = combined", "mode = seeds"),
+        ("target_size = 32", "target_size = 80"),  # 10 ids first, 2 of them held out
+        ("batch_size = 16", "batch_size = 16\ntrainer.patience = 2\ntrainer.val_fraction = 0.2\n"
+                            "trainer.class_weighting = true"),
+    ], "43aa50312e8e0758e62422e09dcdafc87c1d0282e4edbf18f7a4d2b646e0d878"),
+}
+
+
+class TestPinnedSearches:
+    """Whole two-seed searches fixed by value, where the benchmark's workloads
+    do not reach: fine-tuned, zero-rate and zero-epoch stacks, MLP members,
+    pool files, and early stopping with class weights under ``seeds``."""
+
+    @pytest.mark.parametrize("case", list(PINNED_SEARCHES))
+    def test_written_files_keep_their_digest(self, case, tmp_path, monkeypatch):
+        base, edits, want = PINNED_SEARCHES[case]
+        config = lockstep_config(base, tmp_path, edits)
+        if config.pool_file is not None:  # a path that names the same pool wherever it runs
+            monkeypatch.chdir(tmp_path)
+            config = replace(config, pool_file="pool.csv")
+        written = _written(run_experiment(replace(config, seeds=(1, 2), jobs=1)), tmp_path / "out")
+        assert len(written) == 3
+        digest = hashlib.sha256()
+        for name, text in written.items():
+            digest.update(b"%s\n%s" % (name.encode(), text.encode()))
+        assert digest.hexdigest() == want
 
 
 def test_trial_workers_run_one_blas_thread_unless_the_environment_says_otherwise(monkeypatch):

@@ -35,7 +35,7 @@ from alsift.learner import (
 )
 from alsift.learner import _forward, _held_out, _softmax
 from alsift.schemes import train_subset_ensemble
-from alsift.state import SubsetState
+from alsift.state import FieldError, SubsetState
 
 
 def _validation_split(ids, fraction):
@@ -347,6 +347,18 @@ def test_decay_epochs_count_from_one():
             TrainConfig(decay_epochs=epochs)
     assert TrainConfig(decay_epochs=(1, 4)).decay_epochs == (1, 4)
 
+
+def test_decay_epochs_must_be_distinct():
+    # a repeated epoch would decay once, as the entry alone does, under another config hash
+    for epochs in ((3, 3), (1, 3, 2, 3), (5, 5, 5)):
+        with pytest.raises(FieldError) as refused:
+            TrainConfig(decay_epochs=epochs)
+        assert refused.value.field == "decay_epochs"
+        assert str(refused.value) == "decay epochs must be distinct, got %d twice" % epochs[-1]
+    # kept in the order given, so the canonical echo and every hash stay as they are
+    assert TrainConfig(decay_epochs=(4, 1)).decay_epochs == (4, 1)
+
+
 class TestEpochLoss:
     @pytest.mark.parametrize("arch", ["logistic", "mlp"])
     def test_logged_loss_is_the_full_objective_without_a_gradient_pass(self, arch, monkeypatch):
@@ -367,6 +379,21 @@ class TestEpochLoss:
             decay = 0.5 * 1e-3 * sum((w * w).sum() for w in end.params.tensors[::2])
             # the shuffled rows add up in another order than the pool's
             assert logged == pytest.approx(data + decay, rel=1e-12)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_zero_rate_loss_is_the_full_objective_at_the_start(self, arch, weight_decay):
+        # no step runs: every epoch logs the objective over the subset's rows
+        # in pool order, which loss_and_gradients computes alike
+        pool = small_pool()
+        cfg = TrainConfig(arch=arch, hidden=6, max_epochs=2, fine_tune_rate=0.0, val_fraction=0.0,
+                          weight_decay=weight_decay, class_weighting=True)
+        starts = [init_params(arch, pool.n_features, pool.n_classes, 6, np.random.default_rng(s))
+                  for s in (1, 2)]
+        weights = inverse_frequency_weights(pool.labels, pool.n_classes)
+        for start, result in zip(starts, train_parts([(pool, full_subset(pool), [1, 2], starts)], cfg)[0]):
+            want, _ = loss_and_gradients(start, pool.features, pool.labels, weights, weight_decay)
+            assert result.train_loss == [want, want]
 
 
 class TestFineTuning:
@@ -503,16 +530,11 @@ class TestRunStack:
             for ta, tb in zip(start.tensors, kept):
                 assert_array_equal(ta, tb)
 
-    def test_starts_must_match_seeds_and_share_an_architecture(self):
+    def test_starts_must_match_the_seeds(self):
         pool = class_pool(3)
-        cfg = TrainConfig(max_epochs=1)
-        rng = np.random.default_rng(0)
-        logistic = init_params("logistic", pool.n_features, 3, 0, rng)
-        mlp = init_params("mlp", pool.n_features, 3, 4, rng)
+        logistic = init_params("logistic", pool.n_features, 3, 0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="2 starting models for 1 run seeds"):
-            train_parts([(pool, full_subset(pool), [1], [logistic, logistic])], cfg)[0]
-        with pytest.raises(ValueError, match="share one architecture"):
-            train_parts([(pool, full_subset(pool), [1, 2], [logistic, mlp])], cfg)[0]
+            train_parts([(pool, full_subset(pool), [1], [logistic, logistic])], TrainConfig(max_epochs=1))
 
     def test_pinned_mlp_run(self):
         # a one-run result fixed by value, so that the one-run case and the
@@ -626,15 +648,43 @@ class TestParts:
         assert calls == [pool.n_samples]
         assert stacks == [(1, 3)]
 
-    def test_parts_must_share_fresh_or_fine_tuned_runs_and_a_model_shape(self):
+    @pytest.mark.parametrize("rate", [0.0, 1e-2])
+    def test_a_mixed_call_stacks_each_kind_apart_and_equals_each_run_alone(self, rate, monkeypatch):
+        # fresh and fine-tuned runs on one subset, starts of two architectures
+        # within one part, and pools of two class counts (each 120 samples,
+        # so of equal row counts), all in one call
+        pool, other = class_pool(3), class_pool(4)
+        cfg = TrainConfig(arch="mlp", hidden=5, batch_size=7, max_epochs=3, val_fraction=0.2,
+                          fine_tune_rate=rate, class_weighting=True)
+        rng = np.random.default_rng(0)
+        mlp, logistic = (init_params(arch, pool.n_features, 3, 4, rng) for arch in ("mlp", "logistic"))
+        subset = repeated_subset(pool)
+        parts = [
+            (pool, subset, [1, 2], None),
+            (pool, subset, [3, 4, 5], [mlp, logistic, mlp]),
+            (other, repeated_subset(other), [6], None),
+            (pool, subset, [7], [logistic]),
+        ]
+        stacks = self.count_stacks(monkeypatch)
+        got = train_parts(parts, cfg)
+        # fresh on 3 classes, MLP starts, logistic starts, fresh on 4 classes
+        assert stacks == [(1, 2), (1, 2), (1, 2), (1, 1)]
+        for (part_pool, part_subset, seeds, starts), runs in zip(parts, got):
+            for seed, start, run in zip(seeds, starts or [None] * len(seeds), runs, strict=True):
+                want = (train(part_pool, part_subset, cfg, seed=seed) if start is None
+                        else fine_tune(part_pool, part_subset, start, cfg, seed=seed))
+                assert_same_run(run, want)
+                assert (run.checkpoints[-1].params.arch, run.checkpoints[-1].params.hidden) == (
+                    ("mlp", 5) if start is None else (start.arch, start.hidden))
+
+    def test_a_start_must_match_its_own_pool(self):
         pool, other = class_pool(3), class_pool(4)
         cfg = TrainConfig(max_epochs=1)
         start = init_params("logistic", pool.n_features, 3, 0, np.random.default_rng(0))
-        subset = full_subset(pool)
-        with pytest.raises(ValueError, match="all train fresh or all fine-tune"):
-            train_parts([(pool, subset, [1], None), (pool, subset, [2], [start])], cfg)
-        with pytest.raises(ValueError, match="share one model shape"):
-            train_parts([(pool, subset, [1], None), (other, full_subset(other), [2], None)], cfg)
+        assert len(train_parts([(pool, full_subset(pool), [1], [start])], cfg)[0]) == 1
+        with pytest.raises(ValueError, match="^model shape does not match the pool$"):
+            train_parts([(pool, full_subset(pool), [1], [start]),
+                         (other, full_subset(other), [2], [start])], cfg)
 
     def test_a_part_without_seeds_trains_nothing(self):
         pool = class_pool(3)
@@ -651,15 +701,27 @@ class TestOneStackShape:
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = {"_loss": [], "_accuracy": []}
-        for name in calls:
-            real = getattr(alsift.learner, name)
+        """The run-group shapes of each accuracy pass, and of each loss pass:
+        a ``_log_likelihood`` call outside an SGD step, whose own forward pass
+        is the one its ``_gradients`` call follows."""
+        calls = {"loss": [], "_accuracy": []}
+        real = {name: getattr(alsift.learner, name) for name in ("_log_likelihood", "_gradients", "_accuracy")}
 
-            def counted(tensors, *args, _name=name, _real=real, **kwargs):
-                calls[_name].append(tensors[0].shape[:-2])
-                return _real(tensors, *args, **kwargs)
+        def log_likelihood(tensors, *args, **kwargs):
+            calls["loss"].append(tensors[0].shape[:-2])
+            return real["_log_likelihood"](tensors, *args, **kwargs)
 
-            monkeypatch.setattr(alsift.learner, name, counted)
+        def gradients(tensors, *args, **kwargs):
+            assert calls["loss"].pop() == tensors[0].shape[:-2]  # the step's own forward pass
+            return real["_gradients"](tensors, *args, **kwargs)
+
+        def accuracy(tensors, *args, **kwargs):
+            calls["_accuracy"].append(tensors[0].shape[:-2])
+            return real["_accuracy"](tensors, *args, **kwargs)
+
+        monkeypatch.setattr(alsift.learner, "_log_likelihood", log_likelihood)
+        monkeypatch.setattr(alsift.learner, "_gradients", gradients)
+        monkeypatch.setattr(alsift.learner, "_accuracy", accuracy)
         return calls
 
     @pytest.mark.parametrize("runs", [1, 3, 5])
@@ -669,7 +731,7 @@ class TestOneStackShape:
         cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=4, weight_decay=1e-3)
         calls = self.count_calls(monkeypatch)
         results = train_parts([(pool, repeated_subset(pool), range(runs), None)], cfg)[0]
-        assert calls == {"_loss": [], "_accuracy": [(runs,)] * 4}
+        assert calls == {"loss": [], "_accuracy": [(runs,)] * 4}
         assert all(len(r.train_loss) == 4 for r in results)
 
     @pytest.mark.parametrize("runs", [1, 3, 5])
@@ -678,7 +740,7 @@ class TestOneStackShape:
         cfg = TrainConfig(max_epochs=0)
         calls = self.count_calls(monkeypatch)
         results = train_parts([(pool, repeated_subset(pool), range(runs), None)], cfg)[0]
-        assert calls == {"_loss": [], "_accuracy": [(runs,)]}
+        assert calls == {"loss": [], "_accuracy": [(runs,)]}
         assert [c.epoch for r in results for c in r.checkpoints] == [0] * runs
 
     @pytest.mark.parametrize("runs", [1, 3])
@@ -690,7 +752,7 @@ class TestOneStackShape:
         starts = [r.checkpoints[-1].params for r in pretrained]
         calls = self.count_calls(monkeypatch)
         results = train_parts([(pool, repeated_subset(pool), range(runs), starts)], cfg)[0]
-        assert calls == {"_loss": [(runs,)], "_accuracy": [(runs,)]}
+        assert calls == {"loss": [(runs,)], "_accuracy": [(runs,)]}
         assert all(len(set(r.train_loss)) == 1 and len(r.train_loss) == 3 for r in results)
         assert all(len(set(r.val_accuracy)) == 1 and len(r.val_accuracy) == 3 for r in results)
 
@@ -702,7 +764,20 @@ class TestOneStackShape:
         monkeypatch.setattr(alsift.learner, "_EVAL_VALUES", 1)
         calls = self.count_calls(monkeypatch)
         grouped = train_parts([(pool, repeated_subset(pool), range(5), None)], cfg)[0]
-        assert calls == {"_loss": [], "_accuracy": [(1,)] * 15}
+        assert calls == {"loss": [], "_accuracy": [(1,)] * 15}
+        for got, want in zip(grouped, whole):
+            assert_same_run(got, want)
+
+    def test_a_zero_rate_stack_past_the_budget_takes_one_loss_pass_per_run_group(self, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(batch_size=7, max_epochs=3, fine_tune_rate=0.0, weight_decay=1e-3)
+        starts = [r.checkpoints[-1].params
+                  for r in train_parts([(pool, full_subset(pool), range(3), None)], cfg)[0]]
+        whole = train_parts([(pool, repeated_subset(pool), range(3), starts)], cfg)[0]
+        monkeypatch.setattr(alsift.learner, "_EVAL_VALUES", 1)
+        calls = self.count_calls(monkeypatch)
+        grouped = train_parts([(pool, repeated_subset(pool), range(3), starts)], cfg)[0]
+        assert calls == {"loss": [(1,)] * 3, "_accuracy": [(1,)] * 3}
         for got, want in zip(grouped, whole):
             assert_same_run(got, want)
 
@@ -710,7 +785,7 @@ class TestOneStackShape:
 class TestOneForwardPath:
     """Only ``_log_likelihood`` computes the log probabilities of labelled
     rows: an SGD step takes it once before its one backward pass, and the
-    zero-rate loss and ``loss_and_gradients`` take it through ``_loss``."""
+    zero-rate loss and ``loss_and_gradients`` take it directly."""
 
     @staticmethod
     def count_passes(monkeypatch):
@@ -1021,6 +1096,27 @@ class TestCheckpointFiles:
         assert len(handles) == 1101 and max(peak) == 2
         back = CheckpointStore.load(tmp_path / "store")
         assert back.run_seeds() == list(range(55)) and back.epochs(54) == list(range(1, 21))
+
+    def test_a_store_whose_files_and_meta_disagree_is_refused(self, tmp_path):
+        # an interrupted copy or a deleted file must not change an ensemble unseen
+        store_with_runs(small_pool(), (1, 2), epochs=4, window=4).save(tmp_path / "store")
+        meta = tmp_path / "store" / "store_meta.csv"
+        (tmp_path / "store" / "run2_ep4.alck").unlink()
+        with pytest.raises(ValueError) as info:
+            CheckpointStore.load(tmp_path / "store")
+        assert str(info.value) == (
+            "%s lists run 2 epoch 4, which no .alck file under %s holds" % (meta, tmp_path / "store")
+        )
+        # a checkpoint file the meta file does not list
+        store_with_runs(small_pool(), (1, 2), epochs=4, window=4).save(tmp_path / "store")
+        extra = tmp_path / "store" / "run3_ep1.alck"
+        write_checkpoint(extra, Checkpoint(init_params("logistic", 5, 3, 0, np.random.default_rng(0)), 3, 1))
+        with pytest.raises(ValueError) as info:
+            CheckpointStore.load(tmp_path / "store")
+        assert str(info.value) == "%s holds run 3 epoch 1, which %s does not list" % (extra, meta)
+        # without a meta file, hand-written checkpoints load as they are
+        meta.unlink()
+        assert CheckpointStore.load(tmp_path / "store").run_seeds() == [1, 2, 3]
 
     def test_load_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

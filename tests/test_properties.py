@@ -207,7 +207,7 @@ OPTIONAL_KEYS = {
     "trainer.weight_decay": _floats(0.0, 1.0),
     "trainer.batch_size": _ints(1, 256),
     "trainer.lr_decay": _floats(0.0, 1.0, exclude_min=True),
-    "trainer.decay_epochs": _int_lists(1, 100),
+    "trainer.decay_epochs": _int_lists(1, 100, unique=True),
     "trainer.fine_tune_rate": _floats(0.0, 1.0),
     "trainer.class_weighting": _BOOLS,
     "trainer.checkpoint_window": _ints(1, 40),
@@ -385,7 +385,7 @@ def stacked_trainings(draw):
         patience=draw(st.integers(0, 2)) if val_fraction else 0,
         class_weighting=draw(st.booleans()),
         weight_decay=draw(st.sampled_from([0.0, 1e-3])),
-        decay_epochs=tuple(draw(st.lists(st.integers(1, 5), max_size=2))),
+        decay_epochs=tuple(draw(st.lists(st.integers(1, 5), max_size=2, unique=True))),
         checkpoint_window=draw(st.integers(1, 6)),
         val_fraction=val_fraction,
     )
@@ -424,16 +424,16 @@ def _assert_same_results(got, want):
 
 @st.composite
 def stacked_parts(draw):
-    """One trainer and 1-5 parts over up to three pools of one shape. Subsets
-    draw from a few sizes, with or without repeats, so that some parts share
-    training-row counts and stack together and others stack apart; the last
-    part may train on the first part's subset again. All parts train fresh
-    weights or all fine-tune drawn ones."""
-    k = draw(st.integers(2, 4))
+    """One trainer and 1-5 parts over up to three pools of 2-4 classes each.
+    Subsets draw from a few sizes, with or without repeats, so that some
+    parts share training-row counts and stack together and others stack
+    apart; the last part may train on the first part's subset again. Each
+    part trains fresh weights or fine-tunes drawn ones of either
+    architecture, so that one call mixes every kind of stack."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     pools = []
     for p in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(20, 40))
+        n, k = draw(st.integers(20, 40)), draw(st.integers(2, 4))
         features = rng.normal(0.0, 1.5, (n, 3))
         pools.append(LabeledPool(features, rng.integers(0, k, n), np.arange(n) * 5 + p, k))
     val_fraction = draw(st.sampled_from([0.0, 0.2, 0.5]))
@@ -450,7 +450,6 @@ def stacked_parts(draw):
         checkpoint_window=draw(st.integers(1, 6)),
         val_fraction=val_fraction,
     )
-    fine_tune = draw(st.booleans())
     parts = []
     for _ in range(draw(st.integers(1, 4))):
         pool = pools[draw(st.integers(0, len(pools) - 1))]
@@ -465,8 +464,9 @@ def stacked_parts(draw):
     for part in parts:
         part_seeds = [next(seeds) for _ in range(draw(st.integers(1, 3)))]
         starts = None
-        if fine_tune:
-            starts = [init_params(config.arch, 3, k, config.hidden, rng) for _ in part_seeds]
+        if draw(st.booleans()):
+            archs = [draw(st.sampled_from(ARCHITECTURES)) for _ in part_seeds]
+            starts = [init_params(arch, 3, part[0].n_classes, config.hidden, rng) for arch in archs]
         part += [part_seeds, starts]
     return [tuple(part) for part in parts], config
 

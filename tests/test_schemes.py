@@ -20,7 +20,9 @@ from alsift.schemes import (
     SearchConfig,
     growth_schedule,
     outlier_window_select,
+    run_lockstep,
     run_scheme,
+    scheme_steps,
     select_top_k,
     train_subset_ensemble,
 )
@@ -443,6 +445,28 @@ class TestRunners:
         assert len(store.run_seeds()) == 2
         _, again = train_subset_ensemble(pool, state, ens, trainer, seed=4)
         assert_array_equal(members[0].tensors[0], again[0].tensors[0])
+
+
+    def test_a_round_under_one_trainer_makes_one_training_call(self, monkeypatch):
+        # fresh and fine-tuned requests on pools of two class counts share one
+        # train_parts call, which stacks them apart; each search equals
+        # running it alone
+        pools = [tiny_pool(), generate_pool(GeneratorSpec(
+            n_classes=4, clusters_per_class=1, samples_per_cluster=30, n_features=4,
+            center_spread=1.5, seed=3))]
+        configs = [tiny_config("pretrain"), tiny_config("compress")]
+        alone = [run_scheme(pool, config) for pool, config in zip(pools, configs)]
+        calls, real = [], alsift.schemes.train_parts
+        monkeypatch.setattr(alsift.schemes, "train_parts",
+                            lambda parts, trainer: calls.append(len(parts)) or real(parts, trainer))
+        together = run_lockstep(scheme_steps(pool, config) for pool, config in zip(pools, configs))
+        # the full pools, then pretrain's fine-tuned and compress's fresh subset runs
+        assert calls == [2, 2]
+        for got, want in zip(together, alone):
+            assert got.records == want.records
+            assert got.state.multiplicity == want.state.multiplicity
+            for a, b in zip(got.members, want.members, strict=True):
+                assert all(ta.tobytes() == tb.tobytes() for ta, tb in zip(a.tensors, b.tensors))
 
 
 class TestOnePredictionPerEnsemble:
