@@ -200,8 +200,9 @@ def _log_likelihood(tensors, features, labels, sample_w=None):
     class axis, and ``sample_w`` broadcasts to it."""
     inputs, logits = _forward(tensors, features)
     probs = _softmax(logits)
-    flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is contiguous
-    logs = flat[np.arange(len(flat)), labels.ravel()].reshape(labels.shape)
+    # a view: probs is contiguous, so each row's label sits at row * K + label
+    flat = probs.reshape(-1)
+    logs = flat[np.arange(0, flat.size, probs.shape[-1]) + labels.ravel()].reshape(labels.shape)
     np.log(np.maximum(logs, 1e-300, out=logs), out=logs)
     if sample_w is not None:
         logs *= sample_w
@@ -225,8 +226,8 @@ def _gradients(tensors, inputs, probs, labels, weight_decay: float, grads, sampl
     :func:`_softmax`) becomes the logits' gradient in place.
     """
     n = labels.shape[-1]
-    flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is contiguous
-    flat[np.arange(len(flat)), labels.ravel()] -= 1.0
+    flat = probs.reshape(-1)  # a view: probs is contiguous
+    flat[np.arange(0, flat.size, probs.shape[-1]) + labels.ravel()] -= 1.0
     probs *= 1.0 / n if sample_w is None else (sample_w / n)[..., None]
 
     delta = probs
@@ -238,7 +239,7 @@ def _gradients(tensors, inputs, probs, labels, weight_decay: float, grads, sampl
         delta.sum(axis=-2, out=grad_b)
         if inputs:  # this layer's input is a ReLU output: backpropagate through it
             delta = delta @ np.swapaxes(w, -1, -2)
-            np.putmask(delta, layer_input <= 0.0, 0.0)
+            delta *= layer_input > 0.0
     return grads
 
 
@@ -378,23 +379,24 @@ def _accuracy(tensors, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(probs).all(axis=(-2, -1)), accuracy, np.nan)
 
 
-# the most layer-output values one evaluation pass over a run stack holds
-# (8 MiB of float64); see _by_run_groups
+# the most values one evaluation pass over a run stack holds, its gathered
+# rows and its layer outputs (8 MiB of float64); see _by_run_groups
 _EVAL_VALUES = 1 << 20
 
 
-def _by_run_groups(evaluate, tensors, n_rows: int, owner) -> np.ndarray:
-    """``evaluate(tensors, s)``, one value per run, over each block of runs
-    that train on one subset ``s`` (``owner`` holds each run's), a group of
-    runs at a time, so that the layer outputs over ``n_rows`` rows stay
-    within ``_EVAL_VALUES`` however many runs the stack holds. Each run's
-    value is the same in a group of any size."""
-    width = sum(b.shape[-1] for b in tensors[1::2])
-    size = max(1, _EVAL_VALUES // max(1, n_rows * width))
-    cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1), len(owner)]
-    blocks = zip(cuts, cuts[1:])
-    groups = [(lo, min(lo + size, hi)) for first, hi in blocks for lo in range(first, hi, size)]
-    return np.concatenate([evaluate([t[lo:hi] for t in tensors], owner[lo]) for lo, hi in groups])
+def _by_run_groups(evaluate, tensors, rows, owner) -> np.ndarray:
+    """``evaluate(tensors, *rows)``, one value per run, a group of runs at a
+    time. ``rows`` are (S, n, ...) arrays of each subset's rows, and a group
+    gathers its runs' own, ``a[owner[lo:hi]]`` (``owner`` holds each run's
+    subset): one pass covers the runs of every subset, and the groups keep
+    their gathered rows and layer outputs within ``_EVAL_VALUES`` however
+    many runs the stack holds. Each run's value is the same in a group of
+    any size."""
+    n_rows = rows[0].shape[1]
+    per_run = sum(math.prod(a.shape[1:]) for a in rows) + n_rows * sum(b.shape[-1] for b in tensors[1::2])
+    size = max(1, _EVAL_VALUES // max(1, per_run))
+    groups = [slice(lo, lo + size) for lo in range(0, len(owner), size)]
+    return np.concatenate([evaluate([t[g] for t in tensors], *(a[owner[g]] for a in rows)) for g in groups])
 
 
 def _subset_rows(pool: LabeledPool, subset: SubsetState, config: TrainConfig, digest: str):
@@ -491,9 +493,9 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     run's batches index its own subset's rows. A step takes one forward
     pass, :func:`_log_likelihood`, then one backward pass. Each run's
     ``train_loss`` adds up the log-likelihoods of its steps, so the epoch
-    ends with only one validation pass per subset, over the block of live
-    runs that train on it. At a zero rate no step runs, and one loss and one
-    validation pass before the first epoch serve every epoch. The stack's
+    ends with only one validation pass over the live runs of every subset
+    (:func:`_by_run_groups`). At a zero rate no step runs, and one loss and
+    one validation pass before the first epoch serve every epoch. The stack's
     weights, velocities and gradients are one flat (R, P) array each, with
     the layer tensors as views, so that a step's momentum update is three
     whole-stack operations.
@@ -508,10 +510,7 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
         return out
 
     features, labels = gather("features", 1), gather("labels", 1)
-    if len(subsets[0][2]):
-        val_features, val_labels = gather("features", 2), gather("labels", 2)
-    else:
-        val_features, val_labels = features, labels
+    val_rows = (gather("features", 2), gather("labels", 2)) if len(subsets[0][2]) else (features, labels)
     per_subset = [features, labels]  # and the sample weights, unless all are 1
     if config.class_weighting:
         per_subset.append(np.stack([inverse_frequency_weights(y, k)[y] for y in labels]))
@@ -537,28 +536,22 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
     def run_params(j: int) -> ModelParams:  # a copy of run j's weights
         return ModelParams(arch, d, k, hidden, tuple(t[j].copy() for t in tensors))
 
-    def validate(stack, s):
-        return _accuracy(stack, val_features[s], val_labels[s])
-
-    def log_likelihood(stack, s):  # one label row per run, as a step's batches carry
-        x, y, *w = (a[s] for a in per_subset)
-        return _log_likelihood(stack, x, np.broadcast_to(y, (len(stack[0]), len(y))), *w)[0]
-
     windows = [deque(maxlen=config.checkpoint_window) for _ in runs]
     results = [TrainResult([], [], []) for _ in runs]
-    n_rows, n_val = labels.shape[1], val_labels.shape[1]
+    n_rows = labels.shape[1]
 
     if max_epochs == 0:
         # nothing to optimize; snapshot the starting points
-        for j, acc in enumerate(_by_run_groups(validate, tensors, n_val, owner).tolist()):
+        for j, acc in enumerate(_by_run_groups(_accuracy, tensors, val_rows, owner).tolist()):
             ckpt = Checkpoint(run_params(j), seeds[j], 0, subsets[owner[j]][3], acc)
             results[j] = TrainResult([ckpt], [], [acc])
         return results
 
     if not learning_rate:  # the weights never move: one pass and accuracy for every epoch
-        still = _by_run_groups(log_likelihood, tensors, n_rows, owner)
-        still_accs = _by_run_groups(validate, tensors, n_val, owner)
+        still = _by_run_groups(lambda *a: _log_likelihood(*a)[0], tensors, per_subset, owner)
+        still_accs = _by_run_groups(_accuracy, tensors, val_rows, owner)
     live = list(range(len(runs)))  # the run of each stack row
+    order = np.empty((len(runs), n_rows), np.int64)  # each live run's shuffle, row by row
     best = [-np.inf] * len(runs)
     stale = [0] * len(runs)
     lr = learning_rate
@@ -566,7 +559,10 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
         if epoch in config.decay_epochs:
             lr *= config.lr_decay
         if learning_rate:  # at a zero rate no step would move the weights
-            perms = np.stack([rngs[i].permutation(n_rows) for i in live])
+            perms = order[: len(live)]
+            perms[:] = np.arange(n_rows)
+            for i, perm in zip(live, perms):
+                rngs[i].shuffle(perm)  # the draws of rngs[i].permutation(n_rows)
             perms += n_rows * owner[live, None]  # into the run's own subset's rows
             total = np.zeros(len(live))
             for lo in range(0, n_rows, config.batch_size):
@@ -580,7 +576,7 @@ def _train_stack(subsets, runs, config: TrainConfig) -> list[TrainResult]:
                 velocity *= config.momentum
                 velocity += grads
                 weights -= lr * velocity
-            accs = _by_run_groups(validate, tensors, n_val, owner[live])
+            accs = _by_run_groups(_accuracy, tensors, val_rows, owner[live])
         else:
             total, accs = still[live], still_accs[live]
         losses = -total / n_rows

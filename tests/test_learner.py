@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import alsift.learner
@@ -272,6 +276,19 @@ class TestTraining:
                           batch_size=10_000, max_epochs=1, val_fraction=val_fraction)
         with pytest.raises(RuntimeError, match=r"^non-finite training loss at epoch 1 "):
             train(pool, full_subset(pool), cfg, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("rate, momentum, epoch", [(30.0, 0.9, 29), (1000.0, 0.0, 7)])
+    def test_a_diverging_mlp_stack_is_refused_at_its_pinned_epoch(self, rate, momentum, epoch):
+        # fixed by value, so that a rewrite of the ReLU backward cannot move
+        # the epoch at which a blow-up through the hidden layer is seen
+        pool = small_pool()
+        cfg = TrainConfig(arch="mlp", hidden=6, learning_rate=rate, momentum=momentum,
+                          batch_size=7, max_epochs=40)
+        message = r"^non-finite training loss at epoch %d \(lr=%g\); lower the learning rate$"
+        with pytest.raises(RuntimeError, match=message % (epoch, rate)):
+            train_parts([(pool, full_subset(pool), [0, 1, 2], None)], cfg)
 
     def test_lr_decay_applies_at_given_epochs(self):
         pool = small_pool(9)
@@ -695,9 +712,10 @@ class TestParts:
 
 class TestOneStackShape:
     """Epoch ends evaluate the whole run stack at once: one accuracy pass per
-    epoch, whatever the number of runs, while the stack's layer outputs fit
-    ``_EVAL_VALUES``; a larger stack goes in groups. The epoch's loss comes
-    from the batch steps, so no loss pass runs unless the rate is zero."""
+    epoch, whatever the number of runs and of the subsets they train on,
+    while the runs' gathered rows and layer outputs fit ``_EVAL_VALUES``; a
+    larger stack goes in groups. The epoch's loss comes from the batch
+    steps, so no loss pass runs unless the rate is zero."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -781,6 +799,70 @@ class TestOneStackShape:
         for got, want in zip(grouped, whole):
             assert_same_run(got, want)
 
+    @staticmethod
+    def three_subset_parts(pool, starts=(None, None, None)):
+        """Two runs on each of three different subsets of ``pool`` with equal
+        training and validation row counts, so that all six share one stack."""
+        subsets = [SubsetState.from_ids(pool.sample_ids[lo : lo + 90]) for lo in (0, 15, 30)]
+        return [(pool, subset, [2 * p, 2 * p + 1], start)
+                for p, (subset, start) in enumerate(zip(subsets, starts))]
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_the_runs_of_three_subsets_take_one_accuracy_pass_per_epoch(self, arch, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=3)
+        calls = self.count_calls(monkeypatch)
+        train_parts(self.three_subset_parts(pool), cfg)
+        assert calls == {"loss": [], "_accuracy": [(6,)] * 3}
+
+    def test_zero_epochs_on_three_subsets_make_one_accuracy_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        results = train_parts(self.three_subset_parts(class_pool(4)), TrainConfig(max_epochs=0))
+        assert calls == {"loss": [], "_accuracy": [(6,)]}
+        assert [c.epoch for part in results for r in part for c in r.checkpoints] == [0] * 6
+
+    def test_a_zero_rate_fine_tune_on_three_subsets_makes_one_loss_call(self, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(batch_size=7, max_epochs=3, fine_tune_rate=0.0, class_weighting=True)
+        pretrained = train_parts([(pool, full_subset(pool), range(6), None)], cfg)[0]
+        starts = [[r.checkpoints[-1].params for r in pretrained[p : p + 2]] for p in (0, 2, 4)]
+        calls = self.count_calls(monkeypatch)
+        train_parts(self.three_subset_parts(pool, starts), cfg)
+        assert calls == {"loss": [(6,)], "_accuracy": [(6,)]}
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    def test_a_group_across_a_subset_boundary_gives_each_run_its_own_rows(self, arch, monkeypatch):
+        pool = class_pool(4)
+        cfg = TrainConfig(arch=arch, hidden=5, batch_size=7, max_epochs=3)
+        parts = self.three_subset_parts(pool)
+        whole = train_parts(parts, cfg)
+        # a run's share of the budget: its gathered validation features and
+        # labels, and its layer outputs; four runs fit, so the first group
+        # holds the runs of the first two subsets
+        n_val = len(alsift.learner._subset_rows(pool, parts[0][1], cfg, "")[2])
+        width = pool.n_classes + (cfg.hidden if arch == "mlp" else 0)
+        monkeypatch.setattr(alsift.learner, "_EVAL_VALUES", 4 * n_val * (pool.n_features + 1 + width))
+        calls = self.count_calls(monkeypatch)
+        grouped = train_parts(parts, cfg)
+        assert calls == {"loss": [], "_accuracy": [(4,), (2,)] * 3}
+        for got_part, want_part in zip(grouped, whole, strict=True):
+            for got, want in zip(got_part, want_part, strict=True):
+                assert_same_run(got, want)
+
+    def test_a_validation_pass_holds_its_budget_however_many_runs(self):
+        # one pass of 80 runs over 2000 held-out rows of 20 features would hold
+        # 80 x 2000 x (20 + 1 + 4) values, 32 MiB of gathered rows and logits;
+        # the groups hold 2**20 values, 8 MiB, at a time
+        pool = class_pool(4, n=4000, d=20)
+        cfg = TrainConfig(max_epochs=0, val_fraction=0.5)
+        tracemalloc.start()
+        try:
+            train_parts([(pool, full_subset(pool), range(80), None)], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 class TestOneForwardPath:
     """Only ``_log_likelihood`` computes the log probabilities of labelled
@@ -830,6 +912,70 @@ class TestOneForwardPath:
         calls = self.count_passes(monkeypatch)
         loss_and_gradients(params, pool.features, pool.labels, np.ones(pool.n_classes), 1e-3)
         assert calls == [("_log_likelihood", ()), ("_gradients", ())]
+
+
+def putmask_gradients(tensors, inputs, probs, labels, weight_decay, grads, sample_w=None):
+    """A reference backward pass: ``learner._gradients`` with each label's
+    probability decremented through a 2-D (row, label) index and the ReLU
+    backward by ``np.putmask``."""
+    n = labels.shape[-1]
+    flat = probs.reshape(-1, probs.shape[-1])
+    flat[np.arange(len(flat)), labels.ravel()] -= 1.0
+    probs *= 1.0 / n if sample_w is None else (sample_w / n)[..., None]
+    delta = probs
+    for w, grad_w, grad_b in zip(tensors[-2::-2], grads[-2::-2], grads[::-2]):
+        layer_input = inputs.pop()
+        np.matmul(np.swapaxes(layer_input, -1, -2), delta, out=grad_w)
+        if weight_decay:
+            grad_w += weight_decay * w
+        delta.sum(axis=-2, out=grad_b)
+        if inputs:
+            delta = delta @ np.swapaxes(w, -1, -2)
+            np.putmask(delta, layer_input <= 0.0, 0.0)
+    return grads
+
+
+def small_integers(shape):
+    """Float64 arrays of small integers, so that sums of products hit exactly 0."""
+    return hnp.arrays(np.float64, shape, elements=st.integers(-2, 2).map(float))
+
+
+class TestReluBackward:
+    """The backward pass zeroes the delta of an inactive ReLU unit by a
+    multiply with the unit's mask. Where a pre-activation is exactly 0 it
+    must zero what ``np.putmask`` zeroes, so every gradient and weight byte
+    is that of the reference pass."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_steps_through_exact_zero_pre_activations_match_putmask(self, data):
+        d, k, hidden = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (2, 4), (1, 6)))
+        n, runs = data.draw(st.integers(5, 24)), data.draw(st.integers(1, 3))
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        pool = LabeledPool(data.draw(small_integers((n, d))), labels, np.arange(n), k)
+        shapes = alsift.learner._tensor_shapes("mlp", d, k, hidden)
+        starts = [ModelParams("mlp", d, k, hidden, tuple(data.draw(small_integers(s)) for s in shapes))
+                  for _ in range(runs)]
+        assume(any((pool.features @ s.tensors[0] + s.tensors[1] == 0.0).any() for s in starts))
+        cfg = TrainConfig(arch="mlp", hidden=hidden, batch_size=data.draw(st.integers(2, 8)), max_epochs=2,
+                          fine_tune_rate=data.draw(st.sampled_from([0.125, 0.3])),
+                          momentum=data.draw(st.sampled_from([0.0, 0.9])),
+                          weight_decay=data.draw(st.sampled_from([0.0, 1e-3])),
+                          class_weighting=data.draw(st.booleans()), val_fraction=0.2)
+        parts = [(pool, full_subset(pool), range(runs), starts)]
+
+        def passes():
+            grads = [loss_and_gradients(s, pool.features, pool.labels, weight_decay=cfg.weight_decay)[1]
+                     for s in starts]
+            return [[g.tobytes() for g in run] for run in grads], train_parts(parts, cfg)[0]
+
+        grads, got = passes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(alsift.learner, "_gradients", putmask_gradients)
+            want_grads, want = passes()
+        assert grads == want_grads
+        for a, b in zip(got, want, strict=True):
+            assert_same_run(a, b)
 
 
 class TestEarlyStoppingNeedsHeldOutIds:
