@@ -2,7 +2,7 @@
 
 Covers three questions: how much do ensemble members agree with each other
 (consensus), how concentrated is a training multiset (duplication
-histogram), and how well does a model ensemble classify a given id set
+histogram), and how well does a model ensemble classify a pool
 (evaluation, including the selected/unselected split of a pool).
 """
 
@@ -112,36 +112,35 @@ def evaluate_tensor(tensor, labels) -> EvalReport:
         raise ValueError("labels length must match the sample axis")
     if not len(labels):
         raise ValueError("empty evaluation id set")
-    votes = pool_pass(tensor, votes=True)[1]
-    per_class = {}
-    for cls in np.unique(labels):
-        mask = labels == cls
-        per_class[int(cls)] = float(np.mean(votes[mask] == cls))
+    return _report(pool_pass(tensor, votes=True)[1], labels)
+
+
+def _report(votes: np.ndarray, labels: np.ndarray) -> EvalReport:
+    """The accuracy of ``votes`` against aligned ``labels``, overall and per class."""
+    per_class = {int(cls): float(np.mean(votes[labels == cls] == cls)) for cls in np.unique(labels)}
     return EvalReport(len(labels), float(np.mean(votes == labels)), per_class)
 
 
-def evaluate(members, pool: LabeledPool, ids=None) -> EvalReport:
-    """Score an ensemble on the given sample ids with :func:`evaluate_tensor`,
+def evaluate(members, pool: LabeledPool) -> EvalReport:
+    """Score an ensemble on the whole pool with :func:`evaluate_tensor`,
     block by block, without a prediction tensor.
 
     Args:
         members: sequence of ModelParams.
         pool: pool holding features and labels.
-        ids: sample ids to evaluate, unique; defaults to the whole pool.
     """
-    source = PoolBlocks(members, pool, ids)
-    return evaluate_tensor(source, source.labels())
+    return evaluate_tensor(PoolBlocks(members, pool), pool.labels)
 
 
 def selected_unselected_gap(
     members, pool: LabeledPool, state: SubsetState
 ) -> tuple[EvalReport, EvalReport]:
-    """Evaluate separately on subset members and on the rest of the pool."""
-    selected = state.ids()
-    rest = np.ones(pool.n_samples, dtype=bool)
-    rest[pool.rows_for(selected)] = False
-    unselected = pool.sample_ids[rest]
-    if not len(selected) or not len(unselected):
+    """Evaluate separately on subset members and on the rest of the pool,
+    from one walk of the whole pool. A subset id the pool lacks raises
+    KeyError."""
+    selected = np.zeros(pool.n_samples, dtype=bool)
+    selected[pool.rows_for(state.ids())] = True
+    if selected.all() or not selected.any():
         raise ValueError("empty partition: subset must split the pool in two")
-    return evaluate(members, pool, selected), evaluate(members, pool, unselected)
-
+    votes = pool_pass(PoolBlocks(members, pool), votes=True)[1]
+    return tuple(_report(votes[part], pool.labels[part]) for part in (selected, ~selected))

@@ -542,10 +542,12 @@ def results_filename(config: ExperimentConfig) -> str:
     return "results_%s.txt" % config_hash(config)
 
 
-def _appendable(path) -> str:
-    """The text of a results-style file that a document may extend ("" when
-    there is no file). A non-empty file not ending in ``[end]`` (its last
-    document cut short) raises ``ValueError``."""
+def _appendable(path, header: list[str]) -> str:
+    """The text of a results-style file that a document with the
+    ``config.`` lines ``header`` may extend ("" when there is no file). A
+    non-empty file not ending in ``[end]`` (its last document cut short)
+    raises ``ValueError``, and one whose stored configuration differs from a
+    non-empty ``header`` raises :class:`ConfigError`."""
     try:
         with open(path, newline="") as fh:
             old = fh.read()
@@ -553,33 +555,29 @@ def _appendable(path) -> str:
         old = ""
     if old and not old.endswith("[end]\n"):
         raise ValueError("%s does not end in [end]; move it aside and run again" % path)
+    stored = [line for line in old.splitlines() if line.startswith("config.")]
+    if old and stored[: len(header)] != header:
+        raise ConfigError("results file %s holds a different configuration" % Path(path).name)
     return old
 
 
-def append_document(path, text: str, check=lambda old: None) -> None:
+def append_document(path, text: str) -> None:
     """Add a document to a results-style file, atomically. The file is read
-    once, checked as :func:`_appendable` checks it, and ``check`` is called
-    with its text, all before anything is written; a refused file is left
-    as it is."""
-    old = _appendable(path)
-    check(old)
+    once and checked as :func:`_appendable` checks it against the
+    document's own ``config.`` lines, before anything is written; a refused
+    file is left as it is."""
+    old = _appendable(path, [line for line in text.splitlines() if line.startswith("config.")])
     with atomic_file(path) as fh:
         fh.write(old + text)
 
 
-def check_results_file(config: ExperimentConfig, out_dir, old: str | None = None) -> Path:
+def check_results_file(config: ExperimentConfig, out_dir) -> Path:
     """The results file of ``config`` under ``out_dir``, refused as
     :func:`write_results` would refuse it: one whose last document is cut
     short (``ValueError``), or one holding a different configuration
-    (:class:`ConfigError`). ``old`` is the file's text when the caller has
-    read it already; the search calls this before any training."""
+    (:class:`ConfigError`). The search calls this before any training."""
     path = Path(out_dir) / results_filename(config)
-    if old is None:
-        old = _appendable(path)
-    ours = _config_header(config)
-    stored = [line for line in old.splitlines() if line.startswith("config.")]
-    if old and stored[: len(ours)] != ours:
-        raise ConfigError("results file %s holds a different configuration" % path.name)
+    _appendable(path, _config_header(config))
     return path
 
 
@@ -593,7 +591,7 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
     config, out = result.config, Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / results_filename(config)
-    append_document(path, build_document(result), lambda old: check_results_file(config, out, old))
+    append_document(path, build_document(result))
     for trial in result.trials:
         write_subset_csv(out / subset_filename(config, trial.seed), trial.subset)
     return path

@@ -26,7 +26,6 @@ from .acquisition import (
     _group_size,
     _row_max,
     _row_sum,
-    _unique_ids,
     row_blocks,
 )
 from .state import BinaryFrame, FieldError, SubsetState, atomic_file, id_array, refuse_non_finite_fields
@@ -861,25 +860,17 @@ class PoolBlocks:
 
     Args:
         members: sequence of ModelParams sharing input width and class count.
-        pool: pool to predict on.
-        ids: sample ids to cover, unique; defaults to the whole pool in pool
-            order.
+        pool: pool to predict on, every row in pool order.
     """
 
-    def __init__(self, members, pool: LabeledPool, ids=None):
+    def __init__(self, members, pool: LabeledPool):
         self.members = list(members)
         if not self.members:
             raise ValueError("empty ensemble")
         for m in self.members:
             if m.n_features != pool.n_features or m.n_classes != pool.n_classes:
                 raise ValueError("member shape does not match the pool")
-        self.pool = pool
-        if ids is None:
-            # the whole pool in order: blocks are row slices, read in place
-            self.sample_ids, self._rows = pool.sample_ids, None
-        else:
-            self.sample_ids = _unique_ids(ids)
-            self._rows = pool.rows_for(self.sample_ids)
+        self.pool, self.sample_ids = pool, pool.sample_ids
 
     @property
     def n_samples(self) -> int:
@@ -893,10 +884,6 @@ class PoolBlocks:
     def n_classes(self) -> int:
         return self.pool.n_classes
 
-    def labels(self) -> np.ndarray:
-        """Pool labels aligned with ``sample_ids``."""
-        return self.pool.labels if self._rows is None else self.pool.labels[self._rows]
-
     def blocks(self):
         """Yield ``(rows, groups)`` for each :func:`acquisition.row_blocks` run
         of the source: the rows, and a generator of their member probabilities,
@@ -907,9 +894,8 @@ class PoolBlocks:
         with _float32_range("member weights"):  # the values .alck files store
             weights = [[t.astype(np.float32) for t in m.tensors] for m in self.members]
         for rows in row_blocks(self.n_samples):
-            features = self.pool.features[rows if self._rows is None else self._rows[rows]]
             with _float32_range("pool features"):
-                features = features.astype(np.float32)
+                features = self.pool.features[rows].astype(np.float32)
             yield rows, self._groups(weights, features)
 
     def _groups(self, weights, features):
@@ -931,8 +917,8 @@ class PoolBlocks:
             yield group
 
 
-def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
-    """Stack member predictions over pool samples into a prediction tensor.
+def predict_pool(members, pool: LabeledPool) -> PredictionTensor:
+    """Stack member predictions over the whole pool into a prediction tensor.
 
     ``PredictionTensor.gather`` of a :class:`PoolBlocks`, for callers that
     keep a tensor (``.alpt`` files); the perfbench harness imports and wraps
@@ -941,12 +927,11 @@ def predict_pool(members, pool: LabeledPool, ids=None) -> PredictionTensor:
     Args:
         members: sequence of ModelParams sharing input width and class count.
         pool: pool to predict on.
-        ids: sample ids to cover; defaults to the whole pool in pool order.
 
     Returns:
-        PredictionTensor of shape (len(ids), len(members), K).
+        PredictionTensor of shape (N, len(members), K), samples in pool order.
     """
-    return PredictionTensor.gather(PoolBlocks(members, pool, ids))
+    return PredictionTensor.gather(PoolBlocks(members, pool))
 
 
 # ---------------------------------------------------------------------------

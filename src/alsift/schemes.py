@@ -204,29 +204,25 @@ def train_subset_ensemble(
     ensemble: EnsembleConfig,
     trainer: TrainConfig,
     seed: int,
-    iteration: int = 0,
-    starts=None,
 ) -> tuple[CheckpointStore, list[ModelParams]]:
-    """Train the runs an ensemble mode needs and assemble its members.
-
-    The runs train in lockstep (:func:`learner.train_parts`). The trainer's
-    checkpoint window is widened if the mode reads back a longer epoch
-    span than the window would keep. Run seeds derive from ``seed``, the
-    search ``iteration`` and the run index. With ``starts``, one ModelParams
-    per run, the runs fine-tune those weights instead of training fresh ones,
-    under seeds of the fine-tuning role. This is the one-request case of
-    :func:`train_subset_ensembles`.
-    """
-    return train_subset_ensembles([(pool, subset, ensemble, trainer, seed, iteration, starts)])[0]
+    """Train fresh the runs an ensemble mode needs and assemble its members:
+    the one-request case of :func:`train_subset_ensembles`, at search
+    iteration 0."""
+    return train_subset_ensembles([(pool, subset, ensemble, trainer, seed, 0, None)])[0]
 
 
 def train_subset_ensembles(requests) -> list[tuple[CheckpointStore, list[ModelParams]]]:
-    """:func:`train_subset_ensemble` for each request, a tuple of its
-    arguments ``(pool, subset, ensemble, trainer, seed, iteration, starts)``.
+    """Train each request's runs and assemble its members. A request is a
+    tuple ``(pool, subset, ensemble, trainer, seed, iteration, starts)``;
+    its run seeds derive from ``seed``, the search ``iteration`` and the run
+    index. With ``starts``, one ModelParams per run, the runs fine-tune those
+    weights under seeds of the fine-tuning role; with None they train fresh.
 
-    Requests that share a trainer train in one :func:`learner.train_parts`
-    call, which forms the run stacks. A run stopped early with
-    fewer checkpoints than its ensemble mode reads is refused by name.
+    A trainer's checkpoint window is widened to the epoch span the ensemble
+    mode reads back. Requests that share a trainer train in lockstep in one
+    :func:`learner.train_parts` call, which forms the run stacks. A run
+    stopped early with fewer checkpoints than its ensemble mode reads is
+    refused by name.
     """
     groups = {}
     for i, (pool, subset, ensemble, trainer, seed, iteration, starts) in enumerate(requests):

@@ -89,11 +89,11 @@ class SubsetState:
     duplication-based search increments counts instead of adding new ids.
     """
 
-    def __init__(self, multiplicity: Mapping | None = None):
+    def __init__(self, multiplicity: Mapping):
         """Subset from a mapping of sample id to repeat count. An id that is
         not an integer in [0, 2**64), a count below 1 or an id given twice
         raises ValueError."""
-        pairs = sorted((parse_sample_id(sid), int(count)) for sid, count in (multiplicity or {}).items())
+        pairs = sorted((parse_sample_id(sid), int(count)) for sid, count in multiplicity.items())
         for sid, count in pairs:
             if count < 1:
                 raise ValueError("multiplicity for sample %d must be >= 1" % sid)
@@ -283,14 +283,15 @@ def write_subset_csv(path, state: SubsetState) -> None:
 
 
 def read_subset_csv(path) -> SubsetState:
-    """Read a subset table; a missing or empty multiplicity means 1. A row
-    longer than the header, a cell that is not an integer, a sample id
-    outside [0, 2**64), a multiplicity below 1 or a repeated id raises
-    ``ValueError`` naming the line."""
+    """Read a subset table; a missing or empty multiplicity means 1. A
+    header other than ``sample_id[,multiplicity]`` raises ``ValueError``, and
+    so does, naming its line, a row longer than the header, a cell that is
+    not an integer, a sample id outside [0, 2**64), a multiplicity below 1
+    or a repeated id."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[:1] != ["sample_id"]:
+        if [cell.strip() for cell in header or []] not in (["sample_id"], ["sample_id", "multiplicity"]):
             raise ValueError("expected header sample_id[, multiplicity]")
         pairs, seen = [], set()
         for row in reader:

@@ -633,7 +633,7 @@ class TestPinnedWalks:
         assert source.n_samples > BLOCK_ROWS
         got = {}
         for function_id in PINNED_WALKS[arch, n_classes]:
-            scores, votes = pool_pass(source, function_id, source.labels(), seed=3, votes=True)
+            scores, votes = pool_pass(source, function_id, source.pool.labels, seed=3, votes=True)
             got[function_id] = hashlib.sha256(scores.scores.tobytes() + votes.tobytes()).hexdigest()
         assert got == PINNED_WALKS[arch, n_classes]
 

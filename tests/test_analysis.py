@@ -18,6 +18,8 @@ from alsift.analysis import (
 from alsift.learner import LabeledPool, ModelParams
 from alsift.state import SubsetState
 
+from _pools import sub_pool
+
 
 def tensor_from_votes(votes, n_classes):
     """Build a prediction tensor whose per-member argmax equals ``votes``."""
@@ -130,7 +132,7 @@ class TestEvaluate:
     def test_subset_of_ids(self):
         pool = two_class_pool()
         member = linear_member([[-1.0, 1.0]], [0.0, 0.0])
-        report = evaluate([member], pool, ids=[10, 12])
+        report = evaluate([member], sub_pool(pool, [10, 12]))
         assert report.n_samples == 2
         assert report.per_class == {0: 1.0, 1: 1.0}
 
@@ -146,13 +148,7 @@ class TestEvaluate:
         pool = two_class_pool()
         member = linear_member([[-1.0, 1.0]], [0.0, 0.0])
         with pytest.raises(ValueError, match="empty"):
-            evaluate([member], pool, ids=[])
-
-    def test_unknown_ids_rejected(self):
-        pool = two_class_pool()
-        member = linear_member([[-1.0, 1.0]], [0.0, 0.0])
-        with pytest.raises(KeyError, match="unknown sample id"):
-            evaluate([member], pool, ids=[99])
+            evaluate([member], sub_pool(pool, []))
 
     def test_tensor_votes_by_member_mean(self):
         # members vote 0, 0, 2 on sample 0 and 1, 2, 2 on sample 1
@@ -178,9 +174,9 @@ class TestSelectedUnselectedGap:
     def test_empty_partition_rejected(self):
         pool = two_class_pool()
         member = linear_member([[-1.0, 1.0]], [0.0, 0.0])
-        everything = SubsetState.from_ids([10, 11, 12, 13])
-        with pytest.raises(ValueError, match="empty partition"):
-            selected_unselected_gap([member], pool, everything)
+        for subset in (SubsetState.from_ids([10, 11, 12, 13]), SubsetState({})):
+            with pytest.raises(ValueError, match="empty partition"):
+                selected_unselected_gap([member], pool, subset)
 
     def test_unknown_subset_id_rejected(self):
         pool = two_class_pool()

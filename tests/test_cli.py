@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import builtins
+import hashlib
 import re
 import tracemalloc
 from pathlib import Path
@@ -31,6 +32,7 @@ from alsift.experiment import (
 from alsift.learner import (
     CheckpointStore,
     EnsembleConfig,
+    LabeledPool,
     TrainConfig,
     build_ensemble,
     predict_pool,
@@ -380,6 +382,32 @@ class TestAnalyze:
         assert lines[0] == "partition,class,accuracy,n_samples"
         assert {l.split(",")[0] for l in lines[1:]} == {"selected", "unselected"}
 
+    def test_eval_csv_of_the_gap_keeps_its_pinned_bytes(self, tmp_path, capsys):
+        # a 7000-row pool under shuffled, non-sequential ids, a store of three
+        # MLP runs trained on 600 of them, and a subset of more than one row block
+        base = generate_pool(GeneratorSpec(samples_per_cluster=875, label_noise=0.1, seed=41))
+        rng = np.random.default_rng(43)
+        ids = rng.permutation(base.n_samples) * 7 + 3
+        pool = LabeledPool(base.features, base.labels, ids, base.n_classes)
+        write_pool_csv(tmp_path / "pool.csv", pool)
+        store, trainer = CheckpointStore(), TrainConfig(arch="mlp", max_epochs=3)
+        trained = SubsetState.from_ids(rng.choice(ids, 600, replace=False))
+        for run in (1, 2, 3):
+            store.add_run(train(pool, trained, trainer, seed=run).checkpoints)
+        store.save(tmp_path / "ckpts")
+        subset = SubsetState.from_ids(rng.choice(ids, BLOCK_ROWS + 1, replace=False))
+        state.write_subset_csv(tmp_path / "subset.csv", subset)
+        code = main([
+            "analyze", "--what", "eval", "--pool", str(tmp_path / "pool.csv"),
+            "--checkpoints", str(tmp_path / "ckpts"), "--subset", str(tmp_path / "subset.csv"),
+            "--csv", "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()[:2]
+        assert [line.split(" accuracy=")[0] for line in printed] == ["selected:   n=2049", "unselected: n=4951"]
+        digest = hashlib.sha256((tmp_path / "eval" / "eval.csv").read_bytes()).hexdigest()
+        assert digest == "66ba6ceee01d143cb97a7d635405f8b67415f03975c95b3a432503a0e4d318dd"
+
     @pytest.mark.parametrize("what", ["histogram", "eval"])
     @pytest.mark.parametrize("sid", [-3, 2**64], ids=["negative", "too_large"])
     def test_subset_id_outside_uint64_fails_with_line(
@@ -477,6 +505,12 @@ class TestAnalyze:
         assert code == 2
         # the KeyError's message, not its repr
         assert capsys.readouterr().err == "error: no checkpoints stored for run 404\n"
+
+    def test_a_pool_table_is_not_read_as_a_subset(self, tmp_path, trained_store, capsys):
+        _, pool_path, _ = trained_store
+        code = main(["analyze", "--what", "histogram", "--subset", str(pool_path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: expected header sample_id[, multiplicity]\n"
 
     def test_unknown_subset_id_fails(self, tmp_path, trained_store, capsys):
         _, pool_path, store_dir = trained_store

@@ -498,6 +498,26 @@ class TestResultsDocuments:
         with pytest.raises(ConfigError, match="different configuration"):
             write_results(run_experiment(config), tmp_path)
 
+    def test_append_document_checks_the_documents_own_config(self, tmp_path):
+        from alsift.analysis import ConsensusReport
+
+        result = run_experiment(base_config())
+        other = config_from_mapping(
+            parse_config_text(BASE_CONFIG.replace("max_epochs = 6", "max_epochs = 7"))
+        )
+        path = tmp_path / "results.txt"
+        append_document(path, build_document(result, created="X"))
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="^results file results.txt holds a different configuration$"):
+            append_document(path, build_document(ExperimentResult(other, result.trials), created="X"))
+        assert path.read_bytes() == before
+        # a consensus document holds no config lines, so nothing refuses it
+        report = ConsensusReport(10, (10, 8), (8,))
+        append_document(path, build_consensus_document(report, source="run5", created="X"))
+        append_document(path, build_document(result, created="X"))
+        assert path.read_bytes().startswith(before)
+        assert [len(doc.config()) > 0 for doc in read_results(path)] == [True, False, True]
+
     def test_malformed_results_file_rejected(self, tmp_path):
         path = tmp_path / "results_x.txt"
         path.write_text("not a results file\n")

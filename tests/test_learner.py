@@ -41,6 +41,8 @@ from alsift.learner import _forward, _held_out, _softmax
 from alsift.schemes import train_subset_ensemble
 from alsift.state import FieldError, SubsetState
 
+from _pools import sub_pool
+
 
 def _validation_split(ids, fraction):
     """(training ids, held-out ids) as the trainer's validation mask splits them."""
@@ -336,19 +338,10 @@ def test_pool_refuses_sample_ids_outside_uint64():
         LabeledPool(np.zeros((2, 1)), [0, 1], [0, 2**64], 2)
 
 
-def test_pool_blocks_refuse_sample_ids_outside_uint64():
-    pool = small_pool()
-    member = init_params("logistic", pool.n_features, pool.n_classes, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=r"^sample id -1 outside \[0, 2\*\*64\)$"):
-        PoolBlocks([member], pool, np.array([-1, 0]))
-
-
-def test_pool_blocks_refuse_fractional_sample_ids():
-    pool = small_pool()
-    member = init_params("logistic", pool.n_features, pool.n_classes, 0, np.random.default_rng(0))
+def test_pool_refuses_fractional_sample_ids():
     for ids in ([4, 1.5], np.array([4.0, 1.5])):
         with pytest.raises(ValueError, match=r"^sample id 1\.5 is not an integer$"):
-            PoolBlocks([member], pool, ids)
+            LabeledPool(np.zeros((2, 1)), [0, 1], ids, 2)
 
 
 def test_hidden_width_is_checked_for_mlp_only():
@@ -705,7 +698,7 @@ class TestParts:
 
     def test_a_part_without_seeds_trains_nothing(self):
         pool = class_pool(3)
-        got = train_parts([(pool, SubsetState(), [], None), (pool, full_subset(pool), [1], None)],
+        got = train_parts([(pool, SubsetState({}), [], None), (pool, full_subset(pool), [1], None)],
                           TrainConfig(max_epochs=1))
         assert got[0] == [] and len(got[1]) == 1
 
@@ -1089,7 +1082,7 @@ class TestEnsembles:
         pool = small_pool()
         store = store_with_runs(pool, (1, 2))
         members = build_ensemble(store, EnsembleConfig(mode="seeds", runs=2))
-        tensor = predict_pool(members, pool, ids=[5, 3, 8])
+        tensor = predict_pool(members, sub_pool(pool, [5, 3, 8]))
         assert tensor.data.shape == (3, 2, pool.n_classes)
         assert tensor.data.dtype == np.float32
         assert [int(i) for i in tensor.sample_ids] == [5, 3, 8]

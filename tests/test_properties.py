@@ -46,7 +46,14 @@ from alsift.acquisition import (
     _vote_counts,
 )
 import alsift.acquisition
-from alsift.analysis import consensus_counts, duplication_histogram, evaluate, evaluate_tensor
+import alsift.analysis
+from alsift.analysis import (
+    consensus_counts,
+    duplication_histogram,
+    evaluate,
+    evaluate_tensor,
+    selected_unselected_gap,
+)
 from alsift.cli import main
 from alsift.datagen import PoolMetadata, read_pool_csv, write_metadata_csv, write_pool_csv
 from alsift.experiment import (
@@ -81,6 +88,7 @@ from alsift.learner import (
 from alsift.schemes import SCHEMES, SearchConfig, outlier_window_select, run_scheme, select_top_k
 from alsift.state import SubsetState, read_subset_csv, subset_hash, write_subset_csv
 
+from _pools import sub_pool
 from _scoring import reduce_one
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -528,10 +536,10 @@ def test_blocked_prediction_matches_one_whole_pool_pass(arch, n):
 def test_blocked_prediction_of_an_id_subset_follows_the_given_order(arch):
     pool, members = _pool(2 * C + 1), _members(arch)
     ids = np.random.default_rng(3).permutation(pool.sample_ids)[: C + 3]
-    tensor = predict_pool(members, pool, ids)
+    tensor = predict_pool(members, sub_pool(pool, ids))
     assert_array_equal(tensor.sample_ids, ids)
     assert_array_max_ulp(tensor.data, _stacked_reference(members, pool, ids), maxulp=1)
-    head = predict_pool(members, pool, ids[:C].tolist())
+    head = predict_pool(members, sub_pool(pool, ids[:C].tolist()))
     assert head.data.tobytes() == _stacked_reference(members, pool, ids[:C]).tobytes()
 
 
@@ -645,10 +653,10 @@ def test_checkpoint_with_a_nan_weight_is_refused(tmp_path, capsys):
 # -- the tensor-free block pass ------------------------------------------------
 
 
-def _tensor_pass(members, pool, ids, function_id):
+def _tensor_pass(members, pool, function_id):
     """Scores and votes through a kept tensor: predict_pool, then score_pool
     and one float64 copy for the votes."""
-    tensor = predict_pool(members, pool, ids)
+    tensor = predict_pool(members, pool)
     labels = pool.labels[pool.rows_for(tensor.sample_ids)]
     scores = score_pool(tensor, function_id, labels=labels, seed=11)
     votes = tensor.data.astype(np.float64).mean(axis=1).argmax(axis=1)
@@ -660,18 +668,18 @@ def _tensor_pass(members, pool, ids, function_id):
 def test_block_pass_equals_the_tensor_pass(arch, n):
     pool, members = _pool(n), _members(arch)
     shuffled = np.random.default_rng(n).permutation(pool.sample_ids)[: max(1, n - 2)]
-    for ids in (None, shuffled):
-        source = PoolBlocks(members, pool, ids)
-        assert_array_equal(source.labels(), pool.labels[pool.rows_for(source.sample_ids)])
+    for on in (pool, sub_pool(pool, shuffled)):
+        source = PoolBlocks(members, on)
+        assert_array_equal(on.labels, pool.labels[pool.rows_for(source.sample_ids)])
         for function_id in FUNCTION_IDS:
-            tensor, labels, expected, votes = _tensor_pass(members, pool, ids, function_id)
+            tensor, labels, expected, votes = _tensor_pass(members, on, function_id)
             scores, got_votes = pool_pass(source, function_id, labels, seed=11, votes=True)
             assert scores.function_id == function_id
             assert_array_equal(scores.sample_ids, tensor.sample_ids)
             assert scores.scores.tobytes() == expected.scores.tobytes()
             assert got_votes.tobytes() == votes.tobytes()
         assert evaluate_tensor(source, labels) == evaluate_tensor(tensor, labels)
-        assert evaluate(members, pool, ids) == evaluate_tensor(tensor, labels)
+        assert evaluate(members, on) == evaluate_tensor(tensor, labels)
 
 
 def test_block_pass_blocks_equal_the_tensor_blocks():
@@ -714,7 +722,7 @@ def test_pool_blocks_equal_a_per_member_reference(arch, k, n, group, monkeypatch
     pool, members = _pool(n, k=k), _members(arch, k=k)
     shuffled = np.random.default_rng(n).permutation(pool.sample_ids)
     for ids in (None, shuffled):
-        source = PoolBlocks(members, pool, ids)
+        source = PoolBlocks(members, pool if ids is None else sub_pool(pool, ids))
         rows = np.arange(n) if ids is None else pool.rows_for(shuffled)
         walked = 0
         for block_rows, groups in source.blocks():
@@ -784,8 +792,9 @@ def test_grouped_walk_equals_a_float64_block_reference(k, n, monkeypatch, tmp_pa
             probs = _member_block_reference(members, pool.features[rows])
             labels = pool.labels[rows]
             scores, fused, consensus, accuracy = _float64_block_reference(probs, labels, seed=5)
-            blocks = PoolBlocks(members, pool, ids)
-            tensor = predict_pool(members, pool, ids)
+            on = pool if ids is None else sub_pool(pool, ids)
+            blocks = PoolBlocks(members, on)
+            tensor = predict_pool(members, on)
             assert tensor.data.tobytes() == probs.astype(np.float32).tobytes()
             write_prediction_tensor(tmp_path / "t.alpt", tensor)
             sources = (blocks, PredictionTensor(probs, blocks.sample_ids), TensorFile(tmp_path / "t.alpt"))
@@ -802,7 +811,7 @@ def test_grouped_walk_equals_a_float64_block_reference(k, n, monkeypatch, tmp_pa
                     got = consensus_counts(source, n_max)
                     assert (got.eval_size, got.cumulative, got.pairwise) == want
                 assert evaluate_tensor(source, labels).accuracy == accuracy
-            assert evaluate(members, pool, ids) == evaluate_tensor(tensor, labels)
+            assert evaluate(members, on) == evaluate_tensor(tensor, labels)
 
 
 @pytest.mark.parametrize("n", [0, 1, C - 1, C + 1, 2 * C + 3])
@@ -817,14 +826,14 @@ def test_gather_copies_every_source_byte_for_byte(n, monkeypatch, tmp_path):
     reference = np.concatenate(
         [_member_block_reference(members, pool.features[rows[r]]) for r in row_blocks(n)]
     ).astype(np.float32)
-    blocks = PoolBlocks(members, pool, ids)
+    blocks = PoolBlocks(members, sub_pool(pool, ids))
     if n:
         assert len(list(next(blocks.blocks())[1])) >= 3
     tensor = PredictionTensor.gather(blocks)
     write_prediction_tensor(tmp_path / "t.alpt", tensor)
     gathered = [
         tensor,
-        predict_pool(members, pool, ids),
+        predict_pool(members, sub_pool(pool, ids)),
         PredictionTensor.gather(TensorFile(tmp_path / "t.alpt")),
         read_prediction_tensor(tmp_path / "t.alpt"),
         PredictionTensor.gather(tensor),
@@ -863,18 +872,6 @@ def test_walk_never_holds_a_float64_block():
         finally:
             tracemalloc.stop()
         assert peak < block_bytes
-
-
-def test_block_pass_refuses_repeated_ids():
-    pool, members = _pool(C + 10), _members("logistic")
-    ids = [5, 8, 5]
-    for call in (
-        lambda: PoolBlocks(members, pool, ids),
-        lambda: evaluate(members, pool, ids),
-        lambda: predict_pool(members, pool, ids),
-    ):
-        with pytest.raises(ValueError, match="sample_ids must be unique"):
-            call()
 
 
 @pytest.mark.parametrize("function_id", FUNCTION_IDS)
@@ -918,6 +915,26 @@ def test_block_pass_refuses_values_beyond_the_float32_range():
                 predict_pool(ensemble, on)
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_the_gap_splits_one_walk_of_the_whole_pool(arch, monkeypatch):
+    # the subset spans more than one block; each partition's report is the one
+    # a pool of just its rows gives
+    pool, members = _pool(2 * C + 1), _members(arch)
+    state = SubsetState.from_ids(np.random.default_rng(9).permutation(pool.sample_ids)[: C + 1])
+    walked = []
+
+    def counted(source, *args, **kwargs):
+        walked.append(source.n_samples)
+        return pool_pass(source, *args, **kwargs)
+
+    monkeypatch.setattr(alsift.analysis, "pool_pass", counted)
+    got = selected_unselected_gap(members, pool, state)
+    assert walked == [pool.n_samples]
+    rest = np.setdiff1d(pool.sample_ids, state.ids())
+    assert got == (evaluate(members, sub_pool(pool, state.ids())), evaluate(members, sub_pool(pool, rest)))
+    assert (got[0].n_samples, got[1].n_samples) == (C + 1, C)
+
+
 def test_block_pass_keeps_the_label_and_empty_set_checks():
     pool, members = _pool(C + 10), _members("logistic")
     source = PoolBlocks(members, pool)
@@ -928,7 +945,7 @@ def test_block_pass_keeps_the_label_and_empty_set_checks():
     with pytest.raises(ValueError, match="labels length"):
         evaluate_tensor(source, pool.labels[:-1])
     with pytest.raises(ValueError, match="empty evaluation id set"):
-        evaluate(members, pool, ids=[])
+        evaluate(members, sub_pool(pool, []))
 
 
 def _consensus_reference(data, n_max):

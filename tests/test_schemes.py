@@ -82,6 +82,29 @@ class TestSubsetState:
         path.write_text("sample_id,multiplicity\n3\n5,\n7,2\n")
         assert read_subset_csv(path) == SubsetState({3: 1, 5: 1, 7: 2})
 
+    @pytest.mark.parametrize("text", [
+        "sample_id,label,x_0\n5,2,0.5\n6,1,0.25\n",
+        "sample_id,score\n5,2\n6,1\n",
+        "sample_id,multiplicity,note\n5,2\n",
+        "sample_id,count\n5,2\n",
+        "sample_id,\n5,2\n",
+        "id,multiplicity\n5,2\n",
+        "\n5,2\n",
+        "",
+    ], ids=["pool_table", "score_table", "extra_column", "other_second_name", "empty_second_name",
+            "other_first_name", "blank_header", "empty_file"])
+    def test_subset_csv_refuses_a_header_other_than_its_own(self, text, tmp_path):
+        path = tmp_path / "subset.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"^expected header sample_id\[, multiplicity\]$"):
+            read_subset_csv(path)
+
+    @pytest.mark.parametrize("header", ["sample_id", " sample_id , multiplicity "])
+    def test_subset_csv_header_cells_are_stripped(self, header, tmp_path):
+        path = tmp_path / "subset.csv"
+        path.write_text(header + "\n5\n6\n")
+        assert read_subset_csv(path) == SubsetState({5: 1, 6: 1})
+
     @pytest.mark.parametrize("rows, message", [
         ("1,1\n5,2,9\n", "line 3: expected at most 2 columns, found 3"),
         ("abc,1\n", "line 2: invalid literal"),
